@@ -13,6 +13,12 @@ cmake -B build -S . -DAPO_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+echo "== apobench: quick end-to-end run with reference-digest check =="
+# Every workload at 1/20 of its size (~8 s). It exits 1 if any
+# repetition fails, e.g. when its stream or candidate digest differs
+# from the workload's reference configuration.
+bash bench/e2e/run.sh --quick
+
 echo "== sanitizers: ASan + UBSan build + ctest =="
 cmake -B build-asan -S . -DAPO_SANITIZE=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS"

@@ -1,6 +1,8 @@
 #include "core/apophenia.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 
 namespace apo::core {
 
@@ -129,28 +131,31 @@ Apophenia::AdvancePointers(rt::TokenHash token)
 {
     const std::uint64_t index = counter_ - 1;  // this task's absolute index
     active_scratch_.clear();
-    for (const ActivePointer& p : active_) {
-        if (const auto* child = trie_.Step(p.node, token)) {
-            active_scratch_.push_back(ActivePointer{child, p.start});
-        }
-    }
-    if (const auto* child = trie_.Step(nullptr, token)) {
-        active_scratch_.push_back(ActivePointer{child, index});
-    }
-    std::swap(active_, active_scratch_);
-
     completed_scratch_.clear();
-    for (const ActivePointer& p : active_) {
-        if (CandidateStats* c = CandidateTrie::CandidateAt(p.node)) {
+    // Survivors keep their order and the new root pointer starts last,
+    // so active_ stays sorted by start; MaybeFire relies on that.
+    const auto advance = [&](const CandidateTrie::Node* child,
+                             std::uint64_t start) {
+        active_scratch_.push_back(ActivePointer{child, start});
+        if (CandidateStats* c = CandidateTrie::CandidateAt(child)) {
             // A live appearance: refresh the decayed count.
             c->count = c->Appearances(counter_,
                                       config_.score_decay_half_life) +
                        1.0;
             c->last_seen = counter_;
-            completed_scratch_.push_back(
-                CompletedMatch{c, p.start, index + 1});
+            completed_scratch_.push_back(CompletedMatch{c, start, index + 1});
+        }
+    };
+    for (const ActivePointer& p : active_) {
+        if (const auto* child = trie_.Step(p.node, token)) {
+            advance(child, p.start);
         }
     }
+    if (const auto* child = trie_.Step(nullptr, token)) {
+        advance(child, index);
+    }
+    std::swap(active_, active_scratch_);
+    assert(std::ranges::is_sorted(active_, {}, &ActivePointer::start));
     ConsiderCompleted(completed_scratch_);
 }
 
@@ -185,12 +190,16 @@ Apophenia::MaybeFire()
 {
     // Fire queued matches from the front, stopping at the first one a
     // still-growing match (an active pointer that started at or
-    // before it and can still advance) might supersede.
+    // before it and can still advance) might supersede. active_ is
+    // sorted by start, so only its prefix up to the match can block.
     while (!held_.empty()) {
         const CompletedMatch front = held_.front();
         bool blocked = false;
         for (const ActivePointer& p : active_) {
-            if (p.start <= front.start && p.node->HasChildren()) {
+            if (p.start > front.start) {
+                break;
+            }
+            if (p.node->HasChildren()) {
                 blocked = true;
                 break;
             }
@@ -203,10 +212,9 @@ Apophenia::MaybeFire()
     }
 
     // Forward every task no in-progress match could still cover.
-    std::uint64_t keep_from = counter_;  // nothing matches before next token
-    for (const ActivePointer& p : active_) {
-        keep_from = std::min(keep_from, p.start);
-    }
+    std::uint64_t keep_from =
+        active_.empty() ? counter_  // nothing matches before next token
+                        : active_.front().start;
     if (!held_.empty()) {
         keep_from = std::min(keep_from, held_.front().start);
     }
@@ -473,6 +481,11 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
     // buffered real tokens are exactly the tokens the pointers were
     // advanced with.
     const auto walk = [&](std::uint64_t from, std::uint64_t to) {
+        if (from < pending_base_ || from >= to ||
+            to > pending_base_ + pending_.size()) {
+            throw fault::CheckpointError(
+                "checkpoint match range lies outside the pending buffer");
+        }
         const CandidateTrie::Node* node = nullptr;
         for (std::uint64_t i = from; i < to; ++i) {
             node = trie_.Step(node, pending_[i - pending_base_].token);
@@ -484,6 +497,12 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
         }
         return node;
     };
+    // The matcher keeps active_ strictly sorted by start.
+    if (std::ranges::adjacent_find(active_starts, std::greater_equal<>{}) !=
+        active_starts.end()) {
+        throw fault::CheckpointError(
+            "checkpoint match pointers are not sorted by start");
+    }
     for (const std::uint64_t start : active_starts) {
         active_.push_back(ActivePointer{walk(start, counter_), start});
     }

@@ -1,6 +1,7 @@
 #include "core/trie.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 namespace apo::core {
@@ -15,18 +16,33 @@ CandidateTrie::WalkOrCreate(std::span<const rt::TokenHash> tokens)
 {
     Node* node = &nodes_.front();
     for (rt::TokenHash t : tokens) {
-        const auto [it, inserted] =
-            edges_.try_emplace(EdgeKey{node->id, t},
-                               static_cast<std::uint32_t>(nodes_.size()));
-        if (inserted) {
-            Node& child = nodes_.emplace_back();
-            child.id = it->second;
-            child.depth = node->depth + 1;
-            node->num_children += 1;
+        const auto new_id = static_cast<std::uint32_t>(nodes_.size());
+        if (node->first_child == nullptr) {
+            node->first_token = t;
+            node->first_child = &nodes_.emplace_back();
+            node->first_child->id = new_id;
+            node->num_children = 1;
+            node = node->first_child;
+        } else if (node->first_token == t) {
+            node = node->first_child;
+        } else {
+            const auto [it, inserted] =
+                edges_.try_emplace(EdgeKey{node->id, t}, new_id);
+            if (inserted) {
+                nodes_.emplace_back().id = new_id;
+                node->num_children += 1;
+            }
+            node = &nodes_[it->second];
         }
-        node = &nodes_[it->second];
     }
     return node;
+}
+
+const CandidateTrie::Node*
+CandidateTrie::StepBranch(const Node& node, rt::TokenHash token) const
+{
+    const auto it = edges_.find(EdgeKey{node.id, token});
+    return it == edges_.end() ? nullptr : &nodes_[it->second];
 }
 
 CandidateStats&
@@ -48,20 +64,18 @@ CandidateTrie::Insert(const std::vector<rt::TokenHash>& tokens,
     return stats;
 }
 
-const CandidateTrie::Node*
-CandidateTrie::Step(const Node* node, rt::TokenHash token) const
-{
-    const std::uint32_t parent = node == nullptr ? 0 : node->id;
-    const auto it = edges_.find(EdgeKey{parent, token});
-    return it == edges_.end() ? nullptr : &nodes_[it->second];
-}
-
 void
 CandidateTrie::SaveState(fault::CheckpointWriter& writer) const
 {
-    // Nodes carry no parent back-pointers; invert the flat edge index
-    // once so each candidate's token path reads off by walking up.
+    // Nodes carry no parent back-pointers; invert both edge sources
+    // (inline first children, then the branch map) once so each
+    // candidate's token path reads off by walking up.
     std::vector<std::pair<std::uint32_t, rt::TokenHash>> up(nodes_.size());
+    for (const Node& node : nodes_) {
+        if (node.first_child != nullptr) {
+            up[node.first_child->id] = {node.id, node.first_token};
+        }
+    }
     for (const auto& [key, child] : edges_) {
         up[child] = {key.parent, key.token};
     }
@@ -102,6 +116,12 @@ CandidateTrie::LoadState(fault::CheckpointReader& reader)
     const std::uint64_t candidates = reader.U64();
     for (std::uint64_t i = 0; i < candidates; ++i) {
         const std::vector<rt::TokenHash> path = reader.VecU64();
+        // The root is no candidate: Step never returns it, so an empty
+        // path would be unreachable and still count in NumCandidates.
+        if (path.empty()) {
+            throw fault::CheckpointError(
+                "checkpoint trie has an empty candidate path");
+        }
         Node* node = WalkOrCreate(path);
         if (node->candidate != nullptr) {
             throw fault::CheckpointError(
@@ -111,6 +131,13 @@ CandidateTrie::LoadState(fault::CheckpointReader& reader)
         CandidateStats& stats = *node->candidate;
         stats.id = reader.U64();
         stats.length = reader.U64();
+        // TraceScorer weighs a candidate by its length.
+        if (stats.length != path.size()) {
+            throw fault::CheckpointError(
+                "checkpoint candidate length " +
+                std::to_string(stats.length) + " differs from its " +
+                std::to_string(path.size()) + "-token path");
+        }
         stats.count = reader.F64();
         stats.last_seen = reader.U64();
         stats.trace_id = reader.U64();

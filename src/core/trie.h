@@ -10,11 +10,16 @@
  * candidate has matched that candidate's full token sequence.
  *
  * The trie is stored flat: nodes live in a pooled deque (stable
- * addresses, no per-node allocation beyond candidate stats) and all
- * edges live in a single (parent id, token) -> child index hash map.
- * Advancing a match pointer is one probe of that flat index — there is
- * no per-node child container to allocate or chase, which keeps the
- * per-token replayer step allocation-free.
+ * addresses, no per-node allocation beyond candidate stats). Each
+ * node's first child edge is inlined in the node as a (token, child
+ * pointer) pair; only second-and-later children — the root's fan-out
+ * and real branch points — live in a flat (parent id, token) -> child
+ * index hash map. Mined candidates are long and share few prefixes,
+ * so nearly every node a match pointer sits on has exactly one child:
+ * advancing it is one token compare, and the map is probed only at
+ * nodes with more than one child. There is no per-node child
+ * container to allocate or chase, which keeps the per-token replayer
+ * step allocation-free.
  *
  * Each candidate carries the statistics the scoring function uses:
  * score = length × min(count, cap) with the count exponentially
@@ -70,9 +75,11 @@ class CandidateTrie {
     struct Node {
         /** Set when a candidate ends at this node. */
         std::unique_ptr<CandidateStats> candidate;
-        /** Depth = number of tokens from the root. */
-        std::size_t depth = 0;
-        /** Index of this node in the pool (key of the edge index). */
+        /** The first child edge, inline: set once num_children != 0.
+         * Later children live in the trie's branch map. */
+        Node* first_child = nullptr;
+        rt::TokenHash first_token = 0;
+        /** Index of this node in the pool (key of the branch map). */
         std::uint32_t id = 0;
         /** Outgoing-edge count; a leaf cannot extend any match. */
         std::uint32_t num_children = 0;
@@ -94,7 +101,16 @@ class CandidateTrie {
 
     /** Child of `node` (or of the root if null) along `token`;
      * nullptr if no candidate continues this way. */
-    const Node* Step(const Node* node, rt::TokenHash token) const;
+    const Node* Step(const Node* node, rt::TokenHash token) const
+    {
+        if (node == nullptr) {
+            node = Root();
+        }
+        if (node->first_child != nullptr && node->first_token == token) {
+            return node->first_child;
+        }
+        return node->num_children > 1 ? StepBranch(*node, token) : nullptr;
+    }
 
     /** Stats of the candidate ending at `node`, or nullptr. */
     static CandidateStats* CandidateAt(const Node* node)
@@ -124,7 +140,10 @@ class CandidateTrie {
      * shared path step of Insert and LoadState). */
     Node* WalkOrCreate(std::span<const rt::TokenHash> tokens);
 
-    /** One edge of the flat child index. */
+    /** Step's branch-map probe for a node with several children. */
+    const Node* StepBranch(const Node& node, rt::TokenHash token) const;
+
+    /** One edge of the branch map. */
     struct EdgeKey {
         std::uint32_t parent = 0;
         rt::TokenHash token = 0;
@@ -142,7 +161,8 @@ class CandidateTrie {
 
     /** Node pool; deque keeps addresses stable across growth. */
     std::deque<Node> nodes_;
-    /** The flat child index: (parent id, token) -> child id. */
+    /** The branch map: (parent id, token) -> child id for every child
+     * edge except each node's inline first one. */
     std::unordered_map<EdgeKey, std::uint32_t, EdgeKeyHash> edges_;
     std::size_t num_candidates_ = 0;
     std::uint64_t next_id_ = 1;

@@ -7,9 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/apophenia.h"
+#include "fault/checkpoint.h"
+#include "sim/cluster.h"
 #include "support/rng.h"
 
 namespace apo::core {
@@ -384,6 +389,216 @@ TEST(Apophenia, SurvivesRuntimeTemplateEviction)
     EXPECT_LE(runtime.Traces().Size(), 1u);
     // Tasks were still forwarded completely and in order.
     EXPECT_EQ(runtime.Stats().TotalTasks(), 1200u);
+}
+
+/** A 12-task loop over `regions` with a unique noise task after about
+ * one task in thirty, so mined candidates vary in length and overlap. */
+std::vector<rt::TaskLaunch> NoisyLoop(const std::vector<rt::RegionId>& regions,
+                                      int iterations)
+{
+    support::Rng rng(7);
+    std::vector<rt::TaskLaunch> launches;
+    const std::size_t body = regions.size();
+    for (int iter = 0; iter < iterations; ++iter) {
+        for (std::size_t i = 0; i < body; ++i) {
+            launches.push_back(rt::TaskLaunch{
+                100 + i,
+                {{regions[i], 0, rt::Privilege::kReadOnly, 0},
+                 {regions[(i + 1) % body], 0, rt::Privilege::kReadWrite,
+                  0}}});
+            if (rng.Bernoulli(0.03)) {
+                launches.push_back(rt::TaskLaunch{
+                    5000 + launches.size(),
+                    {{regions[0], 0, rt::Privilege::kReadOnly, 0}}});
+            }
+        }
+    }
+    return launches;
+}
+
+TEST(Apophenia, MatchStateSurvivesForcedFlushesFiresAndRestore)
+{
+    // The matcher keeps its active pointers sorted by start and its
+    // fire and flush decisions read only the front of that order. Run
+    // it through every path that erases pointers — forced flushes of
+    // an overfull pending buffer, fires of overlapping matches, and a
+    // checkpoint restore mid-match — and pin the issued stream to the
+    // digest the full-scan matcher produced for the same input.
+    ApopheniaConfig config = SmallConfig();
+    config.max_pending = 24;
+    const auto make_regions = [](Apophenia& fe) {
+        std::vector<rt::RegionId> regions;
+        for (int i = 0; i < 12; ++i) {
+            regions.push_back(fe.CreateRegion());
+        }
+        return regions;
+    };
+
+    rt::Runtime reference_runtime;
+    Apophenia reference(reference_runtime, config);
+    const std::vector<rt::RegionId> regions = make_regions(reference);
+    const std::vector<rt::TaskLaunch> launches = NoisyLoop(regions, 150);
+    for (const rt::TaskLaunch& launch : launches) {
+        reference.ExecuteTask(launch);
+    }
+    reference.Flush();
+    const sim::StreamDigest want =
+        sim::StreamDigest::Of(reference_runtime.Log());
+    EXPECT_GT(reference.Stats().forced_flushes, 0u);
+    EXPECT_GT(reference.Stats().trace_replays, 0u);
+    EXPECT_EQ(want.Value(), 11318005712491931143ULL);
+
+    // Crash at the first quiescent point past the middle where a match
+    // is in progress.
+    auto crashed_runtime = std::make_unique<rt::Runtime>();
+    auto crashed = std::make_unique<Apophenia>(*crashed_runtime, config);
+    ASSERT_EQ(make_regions(*crashed), regions);
+    std::size_t at = 0;
+    while (at < launches.size() &&
+           (at < launches.size() / 2 || crashed->PendingTasks() == 0 ||
+            !crashed_runtime->Quiescent())) {
+        crashed->ExecuteTask(launches[at++]);
+    }
+    ASSERT_LT(at, launches.size()) << "no mid-match cut point";
+    fault::CheckpointWriter writer;
+    crashed_runtime->SaveState(writer);
+    crashed->SaveState(writer);
+    const std::vector<std::uint8_t> image = writer.TakeImage();
+    const std::size_t cut_ops = crashed_runtime->Log().size();
+    sim::StreamDigest got = sim::StreamDigest::Of(crashed_runtime->Log());
+    crashed.reset();
+    crashed_runtime.reset();
+
+    rt::Runtime restored_runtime;
+    Apophenia restored(restored_runtime, config);
+    fault::CheckpointReader reader(image);
+    restored_runtime.LoadState(reader);
+    restored.LoadState(reader);
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_GT(restored.PendingTasks(), 0u);
+    for (; at < launches.size(); ++at) {
+        restored.ExecuteTask(launches[at]);
+    }
+    restored.Flush();
+    const rt::OperationLog& log = restored_runtime.Log();
+    for (std::size_t i = cut_ops; i < log.size(); ++i) {
+        got.Consume(log[i]);
+    }
+    EXPECT_EQ(got.Value(), want.Value());
+    EXPECT_EQ(got.Count(), want.Count());
+    EXPECT_EQ(restored.Stats().forced_flushes,
+              reference.Stats().forced_flushes);
+    EXPECT_EQ(restored.Stats().traces_fired, reference.Stats().traces_fired);
+    EXPECT_EQ(restored.CandidateDigest(), reference.CandidateDigest());
+}
+
+// Byte offsets in an image whose first section is Apophenia's: the
+// image header (magic, version), then the section's tag, payload
+// length and checksum.
+constexpr std::size_t kSectionLengthAt = 24;
+constexpr std::size_t kSectionChecksumAt = 32;
+constexpr std::size_t kPayloadAt = 40;
+
+std::uint64_t ReadWord(const std::vector<std::uint8_t>& image,
+                       std::size_t at)
+{
+    std::uint64_t value = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+        value |= std::uint64_t{image[at + b]} << (8 * b);
+    }
+    return value;
+}
+
+void WriteWord(std::vector<std::uint8_t>& image, std::size_t at,
+               std::uint64_t value)
+{
+    for (std::size_t b = 0; b < 8; ++b) {
+        image[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+}
+
+/** Recompute the first section's checksum after an edit. */
+void Reseal(std::vector<std::uint8_t>& image)
+{
+    const std::span<const std::uint8_t> payload(
+        image.data() + kPayloadAt, ReadWord(image, kSectionLengthAt));
+    WriteWord(image, kSectionChecksumAt, fault::ChecksumBytes(payload));
+}
+
+/** Byte offset of the active-pointer count in Apophenia's section:
+ * after 15 counter words and the buffered launches. */
+std::size_t ActivePointersAt(const std::vector<std::uint8_t>& image)
+{
+    fault::CheckpointReader reader(image);
+    reader.BeginSection(fault::SectionTag::kApophenia);
+    std::size_t words = 0;
+    const auto next = [&] {
+        ++words;
+        return reader.U64();
+    };
+    for (int i = 0; i < 15; ++i) {
+        next();
+    }
+    const std::uint64_t pending = next();
+    for (std::uint64_t t = 0; t < pending; ++t) {
+        next();  // token
+        next();  // task
+        const std::uint64_t reqs = next();
+        for (std::uint64_t w = 0; w < 4 * reqs + 4; ++w) {
+            next();  // requirements, execution_us, shard, flags
+        }
+    }
+    return kPayloadAt + 8 * words;
+}
+
+TEST(Apophenia, RestoreRejectsMisorderedMatchPointers)
+{
+    // Restored match pointers must satisfy what the matcher assumes of
+    // them: sorted by start and inside the pending buffer. An image
+    // with valid checksums can still break that.
+    const ApopheniaConfig config = SmallConfig();
+    rt::Runtime runtime;
+    Apophenia fe(runtime, config);
+    std::vector<rt::RegionId> regions;
+    for (int i = 0; i < 12; ++i) {
+        regions.push_back(fe.CreateRegion());
+    }
+    std::vector<std::uint8_t> image;
+    std::size_t active_at = 0;
+    for (const rt::TaskLaunch& launch : NoisyLoop(regions, 150)) {
+        fe.ExecuteTask(launch);
+        if (fe.PendingTasks() == 0) {
+            continue;
+        }
+        fault::CheckpointWriter writer;
+        fe.SaveState(writer);
+        image = writer.TakeImage();
+        active_at = ActivePointersAt(image);
+        if (ReadWord(image, active_at) >= 2) {
+            break;
+        }
+    }
+    ASSERT_GE(ReadWord(image, active_at), 2u) << "no two live matches";
+
+    const auto load = [&config](std::vector<std::uint8_t> edited) {
+        Reseal(edited);
+        rt::Runtime fresh_runtime;
+        Apophenia fresh(fresh_runtime, config);
+        fault::CheckpointReader reader(edited);
+        fresh.LoadState(reader);
+    };
+    EXPECT_NO_THROW(load(image));
+
+    const std::size_t first = active_at + 8;
+    const std::size_t second = active_at + 16;
+    std::vector<std::uint8_t> swapped = image;
+    WriteWord(swapped, first, ReadWord(image, second));
+    WriteWord(swapped, second, ReadWord(image, first));
+    EXPECT_THROW(load(swapped), fault::CheckpointError);
+
+    std::vector<std::uint8_t> before_buffer = image;
+    WriteWord(before_buffer, first, 0);  // forwarded long ago
+    EXPECT_THROW(load(before_buffer), fault::CheckpointError);
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
 /**
  * @file
- * Tests for the candidate trie, trace scoring, and the trace finder's
- * sampling schedule and mining jobs.
+ * Tests for the candidate trie (against a map oracle, and through its
+ * checkpoint hooks), trace scoring, and the trace finder's sampling
+ * schedule and mining jobs.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "core/finder.h"
 #include "core/trie.h"
+#include "fault/checkpoint.h"
 #include "support/executor.h"
+#include "support/rng.h"
 
 namespace apo::core {
 namespace {
@@ -76,6 +82,202 @@ TEST(Trie, ReinsertionDecaysOldCount)
     // 100 tasks later the old count has halved.
     auto& stats = trie.Insert(Tokens({5, 6}), 1.0, 100, 100);
     EXPECT_DOUBLE_EQ(stats.count, 5.0);
+}
+
+using Path = std::vector<rt::TokenHash>;
+
+/** Candidate path -> occurrence count: what the trie must expose. */
+using Oracle = std::map<Path, double>;
+
+/** Tokens 0..kAlphabet-1 are inserted; kAlphabet never is. Token 0 is
+ * in the alphabet on purpose: it equals a leaf's unset inline edge. */
+constexpr rt::TokenHash kAlphabet = 4;
+
+const CandidateTrie::Node* Walk(const CandidateTrie& trie, const Path& path)
+{
+    const CandidateTrie::Node* node = trie.Root();
+    for (const rt::TokenHash t : path) {
+        node = trie.Step(node, t);
+        if (node == nullptr) {
+            return nullptr;
+        }
+    }
+    return node;
+}
+
+/** Every observable of `trie` against `oracle`: the node count, and at
+ * every prefix of every candidate path the child count, each token's
+ * step and the candidate (or its absence). */
+void ExpectMatchesOracle(const CandidateTrie& trie, const Oracle& oracle)
+{
+    std::map<Path, std::set<rt::TokenHash>> children;  // the trie's nodes
+    for (const auto& [path, count] : oracle) {
+        for (std::size_t k = 0; k <= path.size(); ++k) {
+            std::set<rt::TokenHash>& kids =
+                children[Path(path.begin(), path.begin() + k)];
+            if (k < path.size()) {
+                kids.insert(path[k]);
+            }
+        }
+    }
+    ASSERT_EQ(trie.NumNodes(), children.size());
+    ASSERT_EQ(trie.NumCandidates(), oracle.size());
+    for (const auto& [prefix, kids] : children) {
+        const CandidateTrie::Node* node = Walk(trie, prefix);
+        ASSERT_NE(node, nullptr);
+        EXPECT_EQ(node->num_children, kids.size());
+        const CandidateStats* stats = CandidateTrie::CandidateAt(node);
+        const auto want = oracle.find(prefix);
+        if (want == oracle.end()) {
+            EXPECT_EQ(stats, nullptr);
+        } else {
+            ASSERT_NE(stats, nullptr);
+            EXPECT_EQ(stats->length, prefix.size());
+            EXPECT_DOUBLE_EQ(stats->count, want->second);
+        }
+        for (rt::TokenHash t = 0; t <= kAlphabet; ++t) {
+            const CandidateTrie::Node* child = trie.Step(node, t);
+            EXPECT_EQ(child != nullptr, kids.contains(t));
+            if (prefix.empty()) {
+                EXPECT_EQ(trie.Step(nullptr, t), child);
+            }
+        }
+        EXPECT_EQ(trie.Step(node, ~rt::TokenHash{0}), nullptr);
+    }
+}
+
+std::vector<std::uint8_t> Save(const CandidateTrie& trie)
+{
+    fault::CheckpointWriter writer;
+    trie.SaveState(writer);
+    return writer.TakeImage();
+}
+
+TEST(Trie, RandomInsertsMatchAMapOracle)
+{
+    support::Rng rng(42);
+    CandidateTrie trie;
+    Oracle oracle;
+    for (int i = 0; i < 150; ++i) {
+        Path path(rng.UniformInt(1, 7));
+        for (rt::TokenHash& t : path) {
+            t = rng.UniformInt(0, kAlphabet - 1);
+        }
+        const double occurrences = static_cast<double>(rng.UniformInt(1, 3));
+        // now = 0: no decay, so counts simply add up.
+        trie.Insert(path, occurrences, 0, 1e9);
+        oracle[path] += occurrences;
+        ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(trie, oracle))
+            << "after insert " << i;
+    }
+    // The draw covers what the inline edges must get right: branching
+    // below the root, candidates on interior nodes.
+    std::size_t interior_candidates = 0;
+    std::size_t branch_points = 0;
+    for (const auto& [path, count] : oracle) {
+        const CandidateTrie::Node* node = Walk(trie, path);
+        interior_candidates += node->HasChildren();
+        for (std::size_t k = 1; k < path.size(); ++k) {
+            branch_points +=
+                Walk(trie, Path(path.begin(), path.begin() + k))
+                    ->num_children > 1;
+        }
+    }
+    EXPECT_GT(interior_candidates, 0u);
+    EXPECT_GT(branch_points, 0u);
+    EXPECT_GT(trie.Root()->num_children, 1u);
+
+    // Checkpoint round trip: equal walks, byte-identical re-save.
+    const std::vector<std::uint8_t> image = Save(trie);
+    CandidateTrie restored;
+    fault::CheckpointReader reader(image);
+    restored.LoadState(reader);
+    EXPECT_TRUE(reader.AtEnd());
+    ExpectMatchesOracle(restored, oracle);
+    for (const auto& [path, count] : oracle) {
+        const CandidateStats* a = CandidateTrie::CandidateAt(Walk(trie, path));
+        const CandidateStats* b =
+            CandidateTrie::CandidateAt(Walk(restored, path));
+        ASSERT_NE(b, nullptr);
+        EXPECT_EQ(a->id, b->id);
+        EXPECT_EQ(a->last_seen, b->last_seen);
+    }
+    EXPECT_EQ(Save(restored), image);
+}
+
+TEST(Trie, NewBranchOnAUnaryNodeKeepsItsFirstChild)
+{
+    CandidateTrie trie;
+    trie.Insert(Tokens({1, 0, 2}), 1.0, 0, 1e9);
+    const auto* n1 = trie.Step(nullptr, 1);
+    const auto* first = trie.Step(n1, 0);
+    ASSERT_EQ(n1->num_children, 1u);
+    trie.Insert(Tokens({1, 3}), 1.0, 0, 1e9);
+    EXPECT_EQ(n1->num_children, 2u);
+    EXPECT_EQ(trie.Step(n1, 0), first);
+    EXPECT_NE(trie.Step(n1, 3), nullptr);
+    // A leaf's unset inline edge must not match token 0.
+    EXPECT_EQ(trie.Step(trie.Step(n1, 3), 0), nullptr);
+}
+
+/** A hand-built trie image holding one candidate per path. The
+ * framing and checksums are valid, so only LoadState's semantic
+ * checks can reject it. */
+std::vector<std::uint8_t> TrieImage(const std::vector<Path>& paths,
+                                    const std::vector<std::uint64_t>& lengths)
+{
+    fault::CheckpointWriter writer;
+    writer.BeginSection(fault::SectionTag::kCandidateTrie);
+    writer.U64(paths.size() + 1);  // next id
+    writer.U64(paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+        writer.VecU64(paths[i]);
+        writer.U64(i + 1);       // id
+        writer.U64(lengths[i]);  // length
+        writer.F64(2.0);         // count
+        writer.U64(0);           // last seen
+        writer.U64(rt::kNoTrace);
+        writer.U64(0);  // replays
+    }
+    writer.EndSection();
+    return writer.TakeImage();
+}
+
+void ExpectLoadRejects(const std::vector<std::uint8_t>& image)
+{
+    CandidateTrie trie;
+    fault::CheckpointReader reader(image);
+    EXPECT_THROW(trie.LoadState(reader), fault::CheckpointError);
+}
+
+TEST(TrieCheckpoint, HandBuiltImageLoads)
+{
+    const std::vector<std::uint8_t> image =
+        TrieImage({Tokens({1, 2, 3}), Tokens({1, 2})}, {3, 2});
+    CandidateTrie trie;
+    fault::CheckpointReader reader(image);
+    trie.LoadState(reader);
+    EXPECT_EQ(trie.NumCandidates(), 2u);
+    const auto* stats =
+        CandidateTrie::CandidateAt(Walk(trie, Tokens({1, 2, 3})));
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->length, 3u);
+}
+
+TEST(TrieCheckpoint, RejectsAnEmptyCandidatePath)
+{
+    ExpectLoadRejects(TrieImage({Tokens({1, 2}), Path{}}, {2, 0}));
+}
+
+TEST(TrieCheckpoint, RejectsALengthThatDiffersFromThePath)
+{
+    ExpectLoadRejects(TrieImage({Tokens({1, 2, 3})}, {2}));
+    ExpectLoadRejects(TrieImage({Tokens({1, 2, 3})}, {4}));
+}
+
+TEST(TrieCheckpoint, RejectsARepeatedPath)
+{
+    ExpectLoadRejects(TrieImage({Tokens({1, 2}), Tokens({1, 2})}, {2, 2}));
 }
 
 TEST(Scorer, PrefersLongTraces)
