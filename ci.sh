@@ -41,7 +41,7 @@ cmake --build build-tsan -j "$JOBS" --target support_executor_stress_test sim_cl
 # abandonment and the MiningCache waiter-release rendezvous.
 APO_JOBS=8 ctest --test-dir build-tsan -R '^(support_executor_stress_test|sim_cluster_test|core_incremental_test|core_decision_test|svc_service_test|svc_overload_test|fault_checkpoint_test|fault_membership_test)$' --output-on-failure -j "$JOBS"
 
-echo "== perf record: finder launch path + frontend issue path + digest =="
+echo "== perf records: refresh BENCH_micro_repeats.json =="
 # Snapshot the committed record before the benches overwrite it: the
 # regression gate below compares the fresh run against this baseline.
 BENCH_BASELINE=""
@@ -49,110 +49,49 @@ if [ -f BENCH_micro_repeats.json ]; then
     BENCH_BASELINE=build/BENCH_baseline.json
     cp BENCH_micro_repeats.json "$BENCH_BASELINE"
 fi
-if [ -x build/micro_repeats ]; then
-    ./build/micro_repeats --json=BENCH_micro_repeats.json
-elif [ "${APO_ALLOW_NO_BENCH:-0}" = "1" ]; then
-    # Local escape hatch only: without it, a missing bench binary is a
-    # CI failure so the perf trajectory cannot quietly stop recording.
-    echo "micro_repeats not built; skipping perf record (APO_ALLOW_NO_BENCH=1)"
-else
-    echo "error: micro_repeats was not built (is Google Benchmark" \
-         "installed?); set APO_ALLOW_NO_BENCH=1 to skip the perf record" >&2
-    exit 1
-fi
-
-echo "== perf record: replication scaling sweep =="
-if [ -x build/fig_replication_scaling ]; then
-    ./build/fig_replication_scaling --json=BENCH_micro_repeats.json
-    # Both records must actually have landed in the shared JSON.
-    if ! grep -q '"replication_scaling"' BENCH_micro_repeats.json; then
-        echo "error: fig_replication_scaling output is missing from" \
-             "BENCH_micro_repeats.json" >&2
+# Each bench merges its records into the shared JSON:
+#  - micro_repeats: finder launch path, frontend issue path, oplog
+#    append, stream digest, steady-state mining;
+#  - fig_replication_scaling: replication scaling, the cluster_parallel
+#    engine and the shared decider's decision_cost;
+#  - fig_multitenant: the multi-tenant service sweep;
+#  - fig_overload: open-loop load x policy. Exits nonzero if policies
+#    differ at sustainable load, or if at 2x kShed/kDegrade fail to
+#    bound backlog and latency while kBlock shows the queueing cliff;
+#  - fig_recovery: fault-tolerance cost. Exits nonzero if any churned
+#    run's digests diverge from the failure-free baseline.
+for bench in micro_repeats fig_replication_scaling fig_multitenant \
+             fig_overload fig_recovery; do
+    if [ -x "build/$bench" ]; then
+        "./build/$bench" --json=BENCH_micro_repeats.json
+    elif [ "${APO_ALLOW_NO_BENCH:-0}" = "1" ]; then
+        # Local escape hatch only: without it, a missing bench binary is
+        # a CI failure so the perf trajectory cannot quietly stop
+        # recording.
+        echo "$bench not built; skipping its records (APO_ALLOW_NO_BENCH=1)"
+    else
+        echo "error: $bench was not built (is Google Benchmark" \
+             "installed?); set APO_ALLOW_NO_BENCH=1 to skip the perf" \
+             "records" >&2
         exit 1
     fi
-    if ! grep -q '"cluster_parallel"' BENCH_micro_repeats.json; then
-        echo "error: the cluster_parallel engine record is missing from" \
-             "BENCH_micro_repeats.json" >&2
-        exit 1
-    fi
-    if ! grep -q '"decision_cost"' BENCH_micro_repeats.json; then
-        echo "error: the decision_cost record is missing from" \
-             "BENCH_micro_repeats.json" >&2
-        exit 1
-    fi
-elif [ "${APO_ALLOW_NO_BENCH:-0}" = "1" ]; then
-    echo "fig_replication_scaling not built; skipping scaling record (APO_ALLOW_NO_BENCH=1)"
-else
-    echo "error: fig_replication_scaling was not built; set" \
-         "APO_ALLOW_NO_BENCH=1 to skip the scaling record" >&2
-    exit 1
-fi
-
-echo "== perf record: multi-tenant service sweep =="
-if [ -x build/fig_multitenant ]; then
-    ./build/fig_multitenant --json=BENCH_micro_repeats.json
-    if ! grep -q '"fig_multitenant"' BENCH_micro_repeats.json; then
-        echo "error: the fig_multitenant record is missing from" \
-             "BENCH_micro_repeats.json" >&2
-        exit 1
-    fi
-elif [ "${APO_ALLOW_NO_BENCH:-0}" = "1" ]; then
-    echo "fig_multitenant not built; skipping multi-tenant record (APO_ALLOW_NO_BENCH=1)"
-else
-    echo "error: fig_multitenant was not built; set" \
-         "APO_ALLOW_NO_BENCH=1 to skip the multi-tenant record" >&2
-    exit 1
-fi
-
-echo "== perf record: overload sweep (open-loop load x policy) =="
-if [ -x build/fig_overload ]; then
-    # Exits nonzero if the acceptance assertions fail: policies must be
-    # bit-identical at sustainable load; at 2x, kShed/kDegrade must
-    # bound backlog and latency while kBlock shows the queueing cliff.
-    ./build/fig_overload --json=BENCH_micro_repeats.json
-    if ! grep -q '"fig_overload"' BENCH_micro_repeats.json; then
-        echo "error: the fig_overload record is missing from" \
-             "BENCH_micro_repeats.json" >&2
-        exit 1
-    fi
-elif [ "${APO_ALLOW_NO_BENCH:-0}" = "1" ]; then
-    echo "fig_overload not built; skipping overload record (APO_ALLOW_NO_BENCH=1)"
-else
-    echo "error: fig_overload was not built; set" \
-         "APO_ALLOW_NO_BENCH=1 to skip the overload record" >&2
-    exit 1
-fi
-
-echo "== perf record: fault-tolerance cost sweep =="
-if [ -x build/fig_recovery ]; then
-    # Exits nonzero if any churned run's digests diverge from the
-    # failure-free baseline — recovery must never perturb the stream.
-    ./build/fig_recovery --json=BENCH_micro_repeats.json
-    if ! grep -q '"fig_recovery"' BENCH_micro_repeats.json; then
-        echo "error: the fig_recovery record is missing from" \
-             "BENCH_micro_repeats.json" >&2
-        exit 1
-    fi
-elif [ "${APO_ALLOW_NO_BENCH:-0}" = "1" ]; then
-    echo "fig_recovery not built; skipping recovery record (APO_ALLOW_NO_BENCH=1)"
-else
-    echo "error: fig_recovery was not built; set" \
-         "APO_ALLOW_NO_BENCH=1 to skip the recovery record" >&2
-    exit 1
-fi
+done
 
 echo "== perf gate: bench_compare vs committed baseline =="
 if [ -x build/bench_compare ] && [ -n "$BENCH_BASELINE" ]; then
-    # The steady_state_mining and fig_multitenant records must exist
-    # (exit 2, never waivable) and no tracked metric may regress >10%
-    # against the committed record (exit 1; APO_ALLOW_BENCH_REGRESSION=1
-    # waives a *regression* for known-noisy machines, nothing else).
+    # Every record must exist (exit 2, never waivable) and no tracked
+    # metric may regress >10% against the committed record (exit 1;
+    # APO_ALLOW_BENCH_REGRESSION=1 waives a *regression* for known-noisy
+    # machines, nothing else).
+    required=()
+    for record in issue_path oplog_append stream_digest \
+                  steady_state_mining replication_scaling cluster_parallel \
+                  decision_cost fig_multitenant fig_overload fig_recovery; do
+        required+=("--require=$record")
+    done
     set +e
     ./build/bench_compare --baseline="$BENCH_BASELINE" \
-        --current=BENCH_micro_repeats.json --threshold=0.10 \
-        --require=steady_state_mining --require=fig_multitenant \
-        --require=decision_cost --require=fig_recovery \
-        --require=fig_overload
+        --current=BENCH_micro_repeats.json --threshold=0.10 "${required[@]}"
     compare_status=$?
     set -e
     if [ "$compare_status" -eq 1 ]; then

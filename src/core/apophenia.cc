@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <utility>
 
 namespace apo::core {
 
@@ -14,7 +15,8 @@ Apophenia::Apophenia(rt::Runtime& runtime, ApopheniaConfig config,
       executor_(executor != nullptr ? executor : &default_executor_),
       finder_(config_, *executor_, mining_cache),
       scorer_(config_),
-      ingest_mode_(config_.ingest_mode)
+      ingest_mode_(config_.ingest_mode),
+      wheel_(CandidateTrie::kChunkSize, kNoEvent)
 {
 }
 
@@ -56,7 +58,8 @@ Apophenia::DoExecuteTask(const rt::TaskLaunchView& launch)
     finder_.Observe(mining_token, counter_);
     IngestReadyJobs();
     AdvancePointers(mining_token);
-    if (active_.empty() && held_.empty() && !config_.buffer_all_launches) {
+    if (!AnyPointerAlive() && held_.empty() &&
+        !config_.buffer_all_launches) {
         // Fast path: no still-growing match and no queued replay can
         // cover this launch, so it is forwarded straight off the
         // caller's arena — no materialization, no allocation. Any
@@ -126,43 +129,221 @@ Apophenia::IngestReadyJobs()
     }
 }
 
+/**
+ * Feed this task's mining token to the matcher. Only the pointers
+ * whose event falls on this token do any work: each is caught up over
+ * its run with one bulk compare (or one branch step), completes the
+ * candidate it reached, and is rescheduled. Every other pointer lags
+ * until a front query or its own event needs it. A new pointer starts
+ * at the root last, so completions arrive in start order.
+ */
 void
 Apophenia::AdvancePointers(rt::TokenHash token)
 {
-    const std::uint64_t index = counter_ - 1;  // this task's absolute index
-    active_scratch_.clear();
-    completed_scratch_.clear();
-    // Survivors keep their order and the new root pointer starts last,
-    // so active_ stays sorted by start; MaybeFire relies on that.
-    const auto advance = [&](const CandidateTrie::Node* child,
-                             std::uint64_t start) {
-        active_scratch_.push_back(ActivePointer{child, start});
-        if (CandidateStats* c = CandidateTrie::CandidateAt(child)) {
-            // A live appearance: refresh the decayed count.
-            c->count = c->Appearances(counter_,
-                                      config_.score_decay_half_life) +
-                       1.0;
-            c->last_seen = counter_;
-            completed_scratch_.push_back(CompletedMatch{c, start, index + 1});
+    PushToken(token);
+    completed_.clear();
+    // Events are queued less than a wheel turn ahead, so this slot
+    // holds exactly the events due now. Rescheduling lands elsewhere.
+    std::uint32_t next = std::exchange(wheel_[counter_ % wheel_.size()],
+                                       kNoEvent);
+    while (next != kNoEvent) {
+        const Event event = event_pool_[next];
+        event_pool_[next].next = free_events_;  // recycle the entry
+        free_events_ = next;
+        next = event.next;
+        if (event.seq < pointers_seq_base_ + pointers_head_) {
+            continue;  // erased or renumbered since it was queued
         }
-    };
-    for (const ActivePointer& p : active_) {
-        if (const auto* child = trie_.Step(p.node, token)) {
-            advance(child, p.start);
+        MatchPointer& p = pointers_[event.seq - pointers_seq_base_];
+        if (p.node != CandidateTrie::kNoNode && CatchUp(p, counter_)) {
+            Arrive(p);
+            Schedule(event.seq, p);
         }
     }
-    if (const auto* child = trie_.Step(nullptr, token)) {
-        advance(child, index);
+    // Every token may start a match.
+    const CandidateTrie::NodeId child =
+        trie_.Step(CandidateTrie::kRoot, token);
+    if (child != CandidateTrie::kNoNode) {
+        const std::uint64_t seq = pointers_seq_base_ + pointers_.size();
+        pointers_.push_back(MatchPointer{child, counter_ - 1, counter_});
+        Arrive(pointers_.back());
+        Schedule(seq, pointers_.back());
     }
-    std::swap(active_, active_scratch_);
-    assert(std::ranges::is_sorted(active_, {}, &ActivePointer::start));
-    ConsiderCompleted(completed_scratch_);
+    // A slot is in no particular order; weigh completions in start
+    // order, as they would arrive from a start-ordered sweep.
+    std::ranges::sort(completed_, {}, &CompletedMatch::start);
+    ConsiderCompleted();
+}
+
+/** Append this task's mining token to the window, first retiring
+ * erased pointers. A live pointer lags its newest token by less than
+ * one run, and a run is shorter than a trie chunk, so only the last
+ * kChunkSize tokens can still be read: the window drops a chunk's
+ * worth whenever it holds two. Both trims are amortized O(1) and keep
+ * their vector's capacity. */
+void
+Apophenia::PushToken(rt::TokenHash token)
+{
+    if (pointers_head_ > 0 && 2 * pointers_head_ >= pointers_.size()) {
+        pointers_.erase(pointers_.begin(),
+                        pointers_.begin() +
+                            static_cast<std::ptrdiff_t>(pointers_head_));
+        pointers_seq_base_ += pointers_head_;
+        pointers_head_ = 0;
+    }
+    constexpr std::size_t kKeep = CandidateTrie::kChunkSize;
+    if (window_.empty()) {
+        window_base_ = counter_ - 1;
+    } else if (window_.size() == 2 * kKeep) {
+        window_.erase(window_.begin(),
+                      window_.begin() + static_cast<std::ptrdiff_t>(kKeep));
+        window_base_ += kKeep;
+    }
+    assert(window_base_ + window_.size() == counter_ - 1);
+    window_.push_back(token);
+}
+
+/** `p` just reached its node with this token: if a candidate ends
+ * there, refresh its decayed count and queue the completed match. */
+void
+Apophenia::Arrive(MatchPointer& p)
+{
+    if (CandidateStats* c = trie_.CandidateAt(p.node)) {
+        c->count =
+            c->Appearances(counter_, config_.score_decay_half_life) + 1.0;
+        c->last_seen = counter_;
+        completed_.push_back(CompletedMatch{c, p.start, counter_});
+    }
+}
+
+/** Queue `p`'s next event: the end of its node's run, or — at a
+ * branch, a leaf or a non-consecutive child — the next token, which
+ * needs a real trie step. */
+void
+Apophenia::Schedule(std::uint64_t seq, const MatchPointer& p)
+{
+    const std::uint64_t at =
+        p.validated_through + std::max(trie_.At(p.node).run, 1u);
+    assert(at > counter_ - 1 && at - counter_ < wheel_.size());
+    std::uint32_t entry = free_events_;
+    if (entry == kNoEvent) {
+        entry = static_cast<std::uint32_t>(event_pool_.size());
+        event_pool_.emplace_back();
+    } else {
+        free_events_ = event_pool_[entry].next;
+    }
+    std::uint32_t& slot = wheel_[at % wheel_.size()];
+    event_pool_[entry] = Event{seq, slot};
+    slot = entry;
+}
+
+/**
+ * Advance a live pointer to stream position `to`, which must not lie
+ * past its event: what lies between is part of one run (a bulk compare
+ * of the window against the run's tokens) or a single branch step.
+ * Marks the pointer dead and returns false on a mismatch.
+ */
+bool
+Apophenia::CatchUp(MatchPointer& p, std::uint64_t to) const
+{
+    if (p.validated_through == to) {
+        return true;
+    }
+    assert(p.validated_through >= window_base_);
+    const std::span<const rt::TokenHash> stream(
+        window_.data() + (p.validated_through - window_base_),
+        to - p.validated_through);
+    const std::uint32_t run = trie_.At(p.node).run;
+    if (run == 0) {
+        assert(stream.size() == 1);
+        p.node = trie_.Step(p.node, stream[0]);
+    } else {
+        assert(stream.size() <= run);
+        p.node = std::ranges::equal(stream,
+                                    trie_.RunTokens(p.node).first(
+                                        stream.size()))
+                     ? p.node + static_cast<std::uint32_t>(stream.size())
+                     : CandidateTrie::kNoNode;
+    }
+    p.validated_through = to;
+    return p.node != CandidateTrie::kNoNode;
+}
+
+/** Whether `p` is still a match as of the newest token (catching it
+ * up); the front queries' test. */
+bool
+Apophenia::Alive(MatchPointer& p)
+{
+    return p.node != CandidateTrie::kNoNode && CatchUp(p, counter_);
+}
+
+/** Drop dead pointers off the front; true iff a live one remains,
+ * which is then the oldest match in progress. */
+bool
+Apophenia::AnyPointerAlive()
+{
+    while (pointers_head_ < pointers_.size() &&
+           !Alive(pointers_[pointers_head_])) {
+        ++pointers_head_;
+    }
+    return pointers_head_ < pointers_.size();
+}
+
+/** Before the trie changes shape, catch every live pointer up to the
+ * newest token: a candidate or branch inserted on a stretch a pointer
+ * has already passed must not count as an arrival it never had, and
+ * runs may shrink or grow under it. The live pointers are compacted
+ * under fresh sequence numbers, so every queued event goes stale;
+ * ScheduleAll() requeues them against the new trie. */
+void
+Apophenia::CatchUpAll()
+{
+    const std::uint64_t now = window_base_ + window_.size();
+    std::size_t live = 0;
+    for (std::size_t i = pointers_head_; i < pointers_.size(); ++i) {
+        MatchPointer p = pointers_[i];
+        if (p.node != CandidateTrie::kNoNode && CatchUp(p, now)) {
+            pointers_[live++] = p;
+        }
+    }
+    pointers_seq_base_ += pointers_.size();
+    pointers_.resize(live);
+    pointers_head_ = 0;
 }
 
 void
-Apophenia::ConsiderCompleted(const std::vector<CompletedMatch>& completed)
+Apophenia::ScheduleAll()
 {
-    for (const CompletedMatch& m : completed) {
+    for (std::size_t i = pointers_head_; i < pointers_.size(); ++i) {
+        Schedule(pointers_seq_base_ + i, pointers_[i]);
+    }
+}
+
+/** Erase every pointer that starts before `start`: a prefix, since
+ * pointers_ is in start order. */
+void
+Apophenia::ErasePointersBelow(std::uint64_t start)
+{
+    while (pointers_head_ < pointers_.size() &&
+           pointers_[pointers_head_].start < start) {
+        ++pointers_head_;
+    }
+}
+
+/** Erase every pointer; their queued events go stale. */
+void
+Apophenia::ClearPointers()
+{
+    pointers_seq_base_ += pointers_.size();
+    pointers_.clear();
+    pointers_head_ = 0;
+    window_.clear();
+}
+
+void
+Apophenia::ConsiderCompleted()
+{
+    for (const CompletedMatch& m : completed_) {
         if (held_.empty() || m.start >= held_.back().end) {
             held_.push_back(m);  // disjoint successor: queue it
             continue;
@@ -189,17 +370,19 @@ void
 Apophenia::MaybeFire()
 {
     // Fire queued matches from the front, stopping at the first one a
-    // still-growing match (an active pointer that started at or
-    // before it and can still advance) might supersede. active_ is
-    // sorted by start, so only its prefix up to the match can block.
+    // still-growing match (a live pointer that started at or before it
+    // and can still advance) might supersede. pointers_ is in start
+    // order, so only its prefix up to the match can block; the scan
+    // catches up only the pointers it has to look at.
     while (!held_.empty()) {
         const CompletedMatch front = held_.front();
         bool blocked = false;
-        for (const ActivePointer& p : active_) {
+        for (std::size_t i = pointers_head_; i < pointers_.size(); ++i) {
+            MatchPointer& p = pointers_[i];
             if (p.start > front.start) {
                 break;
             }
-            if (p.node->HasChildren()) {
+            if (Alive(p) && trie_.At(p.node).HasChildren()) {
                 blocked = true;
                 break;
             }
@@ -213,8 +396,8 @@ Apophenia::MaybeFire()
 
     // Forward every task no in-progress match could still cover.
     std::uint64_t keep_from =
-        active_.empty() ? counter_  // nothing matches before next token
-                        : active_.front().start;
+        AnyPointerAlive() ? pointers_[pointers_head_].start
+                          : counter_;  // nothing matches before next token
     if (!held_.empty()) {
         keep_from = std::min(keep_from, held_.front().start);
     }
@@ -230,9 +413,7 @@ Apophenia::MaybeFire()
         } else {
             const std::uint64_t target =
                 pending_base_ + pending_.size() / 2;
-            std::erase_if(active_, [&](const ActivePointer& p) {
-                return p.start < target;
-            });
+            ErasePointersBelow(target);
             FlushPrefixBelow(target);
         }
     }
@@ -269,9 +450,7 @@ Apophenia::Fire(const CompletedMatch& match)
         stats_.trace_replays += 1;
     }
     // Matches overlapping the consumed range can no longer happen.
-    std::erase_if(active_, [&](const ActivePointer& p) {
-        return p.start < match.end;
-    });
+    ErasePointersBelow(match.end);
     // Future analyses include windows anchored here, so candidates
     // covering whatever follows this replay get discovered.
     finder_.NoteReplayBoundary(match.end);
@@ -300,7 +479,7 @@ Apophenia::DoFlush()
         Fire(front);
     }
     FlushPrefixBelow(pending_base_ + pending_.size());
-    active_.clear();
+    ClearPointers();
 }
 
 void
@@ -321,7 +500,7 @@ Apophenia::SetDegraded(bool degraded)
             Fire(front);
         }
         FlushPrefixBelow(pending_base_ + pending_.size());
-        active_.clear();
+        ClearPointers();
     }
     degraded_ = degraded;
 }
@@ -339,7 +518,15 @@ Apophenia::IngestOldestJob()
 {
     const AnalysisJob& job = finder_.WaitOldestJob();
     const std::vector<CandidateTrace>& results = job.Results();
+    // Refreshing a known candidate's count leaves the trie's shape —
+    // and so every pointer's run — alone; only a new one needs the
+    // pointers caught up first.
+    bool reshaped = false;
     for (const CandidateTrace& c : results) {
+        if (!reshaped && trie_.Find(c.tokens) == nullptr) {
+            CatchUpAll();
+            reshaped = true;
+        }
         trie_.Insert(c.tokens, c.occurrences, counter_,
                      config_.score_decay_half_life);
         // Rolling identity of the full ingested candidate sequence
@@ -358,6 +545,9 @@ Apophenia::IngestOldestJob()
             candidate_digest_,
             static_cast<std::uint64_t>(c.occurrences * 4096.0));
     }
+    if (reshaped) {
+        ScheduleAll();
+    }
     stats_.jobs_ingested += 1;
     stats_.candidates_ingested += results.size();
     finder_.ReleaseOldestJob();
@@ -366,6 +556,12 @@ Apophenia::IngestOldestJob()
 void
 Apophenia::SaveState(fault::CheckpointWriter& writer) const
 {
+    if (degraded_) {
+        // A degraded front-end keeps its window out of the finder; an
+        // image could only restore it un-degraded and mining.
+        throw fault::CheckpointError(
+            "Apophenia::SaveState on a degraded front-end");
+    }
     writer.BeginSection(fault::SectionTag::kApophenia);
     writer.U64(counter_);
     writer.U64(pending_base_);
@@ -401,10 +597,19 @@ Apophenia::SaveState(fault::CheckpointWriter& writer) const
     }
     // Match state re-walks out of the restored trie: a pointer is its
     // start index (its node is the unique trie walk over the buffered
-    // tokens from there), a held match its [start, end) range.
-    writer.U64(active_.size());
-    for (const ActivePointer& p : active_) {
-        writer.U64(p.start);
+    // tokens from there), a held match its [start, end) range. Only
+    // live pointers count: a copy of each is caught up to the newest
+    // token, so the image is the same whenever pointers last moved.
+    std::vector<std::uint64_t> live_starts;
+    for (std::size_t i = pointers_head_; i < pointers_.size(); ++i) {
+        MatchPointer p = pointers_[i];
+        if (p.node != CandidateTrie::kNoNode && CatchUp(p, counter_)) {
+            live_starts.push_back(p.start);
+        }
+    }
+    writer.U64(live_starts.size());
+    for (const std::uint64_t start : live_starts) {
+        writer.U64(start);
     }
     writer.U64(held_.size());
     for (const CompletedMatch& m : held_) {
@@ -419,7 +624,7 @@ Apophenia::SaveState(fault::CheckpointWriter& writer) const
 void
 Apophenia::LoadState(fault::CheckpointReader& reader)
 {
-    if (counter_ != 0 || !pending_.empty() || !active_.empty() ||
+    if (counter_ != 0 || !pending_.empty() || !pointers_.empty() ||
         !held_.empty()) {
         throw fault::CheckpointError(
             "Apophenia::LoadState requires a fresh front-end");
@@ -461,6 +666,11 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
         task.launch.traceable = reader.Bool();
         pending_.push_back(std::move(task));
     }
+    // Fire and flush pop the pending front by absolute index.
+    if (pending_base_ + pending_.size() != counter_) {
+        throw fault::CheckpointError(
+            "checkpoint pending buffer does not end at the task counter");
+    }
     std::vector<std::uint64_t> active_starts(reader.U64());
     for (std::uint64_t& start : active_starts) {
         start = reader.U64();
@@ -486,10 +696,10 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
             throw fault::CheckpointError(
                 "checkpoint match range lies outside the pending buffer");
         }
-        const CandidateTrie::Node* node = nullptr;
+        CandidateTrie::NodeId node = CandidateTrie::kRoot;
         for (std::uint64_t i = from; i < to; ++i) {
             node = trie_.Step(node, pending_[i - pending_base_].token);
-            if (node == nullptr) {
+            if (node == CandidateTrie::kNoNode) {
                 throw fault::CheckpointError(
                     "checkpoint match state does not re-walk the "
                     "restored trie");
@@ -497,18 +707,22 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
         }
         return node;
     };
-    // The matcher keeps active_ strictly sorted by start.
+    // The matcher keeps pointers_ strictly sorted by start.
     if (std::ranges::adjacent_find(active_starts, std::greater_equal<>{}) !=
         active_starts.end()) {
         throw fault::CheckpointError(
             "checkpoint match pointers are not sorted by start");
     }
+    // Every restored pointer is caught up, so the window starts empty
+    // at the counter.
+    window_base_ = counter_;
     for (const std::uint64_t start : active_starts) {
-        active_.push_back(ActivePointer{walk(start, counter_), start});
+        pointers_.push_back(
+            MatchPointer{walk(start, counter_), start, counter_});
     }
+    ScheduleAll();
     for (const auto& [start, end] : held_ranges) {
-        CandidateStats* stats =
-            CandidateTrie::CandidateAt(walk(start, end));
+        CandidateStats* stats = trie_.CandidateAt(walk(start, end));
         if (stats == nullptr) {
             throw fault::CheckpointError(
                 "checkpoint held match has no candidate in the "

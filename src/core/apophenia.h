@@ -22,6 +22,15 @@
  *    into the (pooled) pending buffer only when some still-growing
  *    match could actually hold it — the steady-state untraced forward
  *    path allocates nothing.
+ *  - Matching runs a run at a time: a match pointer advances through
+ *    a stretch of the trie with no branch and no candidate end (a
+ *    run, see trie.h) in one bulk compare against the recent
+ *    stream, at the token where the run ends. In between it lags, and
+ *    is caught up only where a decision needs it: the front queries
+ *    (is any match alive, may the oldest held match fire, how much of
+ *    the pending prefix can go), a change of the trie's shape, and
+ *    SaveState. Per-token work follows run ends, not live pointers,
+ *    and every decision equals that of a per-token sweep.
  *  - Exploration/exploitation (section 4.3): completed candidates are
  *    scored by length × capped, decayed appearance count, with a bias
  *    toward already-replayed traces.
@@ -174,9 +183,9 @@ class Apophenia final : public api::Frontend {
      * finder state equals that of a stream that simply never
      * contained the degraded window. Counted in
      * ApopheniaStats::tasks_degraded. No-op when already in the
-     * requested state. Checkpointing a degraded front-end is not
-     * supported (degrade is a transient overload posture, not
-     * decision state).
+     * requested state. A degraded front-end cannot be checkpointed
+     * (degrade is a transient overload posture, not decision state):
+     * SaveState throws.
      */
     void SetDegraded(bool degraded);
     bool Degraded() const { return degraded_; }
@@ -230,7 +239,8 @@ class Apophenia final : public api::Frontend {
      * target runtime is NOT included — checkpoint it separately with
      * rt::Runtime::SaveState. Every in-flight mining job must have
      * completed (guaranteed under the inline executor; otherwise
-     * drain first). @throws fault::CheckpointError on undone jobs.
+     * drain first). @throws fault::CheckpointError on undone jobs or
+     * a degraded front-end.
      */
     void SaveState(fault::CheckpointWriter& writer) const;
 
@@ -272,12 +282,28 @@ class Apophenia final : public api::Frontend {
         rt::TokenHash token = 0;
     };
 
-    /** An in-progress match: a trie position whose path equals the
-     * pending-task suffix starting at absolute index `start`. */
-    struct ActivePointer {
-        const CandidateTrie::Node* node = nullptr;
+    /**
+     * An in-progress match, advanced lazily: its path is the stream
+     * slice [start, validated_through), which ends at trie node
+     * `node`. The stream past validated_through has not been checked
+     * yet; the pointer is alive iff that tail continues its trie walk.
+     * It is caught up (see CatchUp) at its event — where its run ends —
+     * and whenever a front query needs to know whether it is alive.
+     */
+    struct MatchPointer {
+        /** kNoNode once the pointer is found dead. */
+        CandidateTrie::NodeId node = CandidateTrie::kNoNode;
         std::uint64_t start = 0;
+        std::uint64_t validated_through = 0;
     };
+
+    /** A queued catch-up of pointer `seq` (see pointers_); `next`
+     * links the rest of its wheel slot, or the pool's free list. */
+    struct Event {
+        std::uint64_t seq = 0;
+        std::uint32_t next = 0;
+    };
+    static constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
 
     /** A fully matched candidate awaiting the replay decision. */
     struct CompletedMatch {
@@ -303,7 +329,17 @@ class Apophenia final : public api::Frontend {
 
     void IngestReadyJobs();
     void AdvancePointers(rt::TokenHash token);
-    void ConsiderCompleted(const std::vector<CompletedMatch>& completed);
+    void PushToken(rt::TokenHash token);
+    void Arrive(MatchPointer& p);
+    void Schedule(std::uint64_t seq, const MatchPointer& p);
+    bool CatchUp(MatchPointer& p, std::uint64_t to) const;
+    bool Alive(MatchPointer& p);
+    bool AnyPointerAlive();
+    void CatchUpAll();
+    void ScheduleAll();
+    void ErasePointersBelow(std::uint64_t start);
+    void ClearPointers();
+    void ConsiderCompleted();
     void Buffer(const rt::TaskLaunchView& launch);
     void ForwardFront();
     void MaybeFire();
@@ -325,11 +361,32 @@ class Apophenia final : public api::Frontend {
      * capacity, so buffering is allocation-free in steady state. */
     std::vector<PendingTask> pending_pool_;
     std::uint64_t pending_base_ = 0;  ///< absolute index of pending_[0]
-    std::vector<ActivePointer> active_;
-    /** Scratch buffers reused every token so the match-advance step
-     * allocates nothing in steady state. */
-    std::vector<ActivePointer> active_scratch_;
-    std::vector<CompletedMatch> completed_scratch_;
+    /** Match pointers in start order. Pointer `seq` is
+     * pointers_[seq - pointers_seq_base_]; the ones before
+     * pointers_head_ were erased (a fire or flush consumed their
+     * start) and are compacted away in bulk. Dead pointers stay until
+     * they reach the front or the trie next changes shape. */
+    std::vector<MatchPointer> pointers_;
+    std::size_t pointers_head_ = 0;
+    std::uint64_t pointers_seq_base_ = 0;
+    /** The event queue, a timing wheel: wheel_[at % size] heads the
+     * list of events due at stream position `at`. A run is shorter
+     * than CandidateTrie::kChunkSize, so every event lies less than
+     * one turn ahead. Events of erased, renumbered or dead pointers go
+     * stale and are skipped when their slot comes up. The lists are
+     * threaded through one recycled pool. */
+    std::vector<std::uint32_t> wheel_;
+    std::vector<Event> event_pool_;
+    std::uint32_t free_events_ = kNoEvent;  ///< head of the pool's free list
+    /** The newest mining tokens of the stream, [window_base_,
+     * window_base_ + size): what a lagging pointer is caught up
+     * against. Holds the last one to two trie chunks' worth (see
+     * PushToken); cleared with the pointers. */
+    std::vector<rt::TokenHash> window_;
+    std::uint64_t window_base_ = 0;
+    /** Candidates completed by the current token, in start order: all
+     * their counts are refreshed before any of them is weighed. */
+    std::vector<CompletedMatch> completed_;
     /** Completed, pairwise-disjoint matches awaiting replay, in
      * stream order. The front is fired once no still-growing match
      * could supersede it. */

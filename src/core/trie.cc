@@ -8,41 +8,100 @@ namespace apo::core {
 
 CandidateTrie::CandidateTrie()
 {
-    nodes_.emplace_back();  // the root, id 0
+    NewNode(0);  // the root
 }
 
-CandidateTrie::Node*
+CandidateTrie::NodeId
+CandidateTrie::NewNode(rt::TokenHash token)
+{
+    const auto id = static_cast<NodeId>(num_nodes_++);
+    if ((id & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<Chunk>());
+    }
+    chunks_.back()->tokens[id & kChunkMask] = token;
+    return id;
+}
+
+CandidateTrie::Node&
 CandidateTrie::WalkOrCreate(std::span<const rt::TokenHash> tokens)
 {
-    Node* node = &nodes_.front();
+    NodeId node = kRoot;
+    path_.assign(1, kRoot);
     for (rt::TokenHash t : tokens) {
-        const auto new_id = static_cast<std::uint32_t>(nodes_.size());
-        if (node->first_child == nullptr) {
-            node->first_token = t;
-            node->first_child = &nodes_.emplace_back();
-            node->first_child->id = new_id;
-            node->num_children = 1;
-            node = node->first_child;
-        } else if (node->first_token == t) {
-            node = node->first_child;
-        } else {
-            const auto [it, inserted] =
-                edges_.try_emplace(EdgeKey{node->id, t}, new_id);
-            if (inserted) {
-                nodes_.emplace_back().id = new_id;
-                node->num_children += 1;
+        NodeId child = Step(node, t);
+        if (child == kNoNode) {
+            child = NewNode(t);
+            Node& parent = NodeAt(node);
+            if (parent.first_child == kNoNode) {
+                parent.first_child = child;
+            } else {
+                edges_.emplace(EdgeKey{node, t}, child);
             }
-            node = &nodes_[it->second];
+            parent.num_children += 1;
         }
+        node = child;
+        path_.push_back(node);
     }
-    return node;
+    return NodeAt(node);
 }
 
-const CandidateTrie::Node*
-CandidateTrie::StepBranch(const Node& node, rt::TokenHash token) const
+void
+CandidateTrie::RefreshRuns()
 {
-    const auto it = edges_.find(EdgeKey{node.id, token});
-    return it == edges_.end() ? nullptr : &nodes_[it->second];
+    for (auto it = path_.rbegin(); it != path_.rend(); ++it) {
+        Node& node = NodeAt(*it);
+        const NodeId next = *it + 1;
+        if (node.num_children != 1 || node.first_child != next ||
+            (next & kChunkMask) == 0) {
+            node.run = 0;
+        } else if (At(next).candidate != kNoCandidate) {
+            node.run = 1;  // the run stops where a candidate ends
+        } else {
+            node.run = 1 + At(next).run;
+        }
+    }
+}
+
+CandidateStats&
+CandidateTrie::AddCandidate(Node& node)
+{
+    // Any new node or edge ends in a new candidate, so refreshing runs
+    // here covers every change of the trie's shape.
+    node.candidate = static_cast<std::uint32_t>(candidates_.size());
+    candidates_.push_back(std::make_unique<CandidateStats>());
+    RefreshRuns();
+    return *candidates_.back();
+}
+
+CandidateTrie::NodeId
+CandidateTrie::StepBranch(NodeId node, rt::TokenHash token) const
+{
+    const auto it = edges_.find(EdgeKey{node, token});
+    return it == edges_.end() ? kNoNode : it->second;
+}
+
+CandidateStats*
+CandidateTrie::Find(std::span<const rt::TokenHash> tokens) const
+{
+    NodeId node = kRoot;
+    while (!tokens.empty()) {
+        const std::span<const rt::TokenHash> run = RunTokens(node);
+        if (run.empty()) {
+            node = Step(node, tokens.front());
+            if (node == kNoNode) {
+                return nullptr;
+            }
+            tokens = tokens.subspan(1);
+            continue;
+        }
+        const std::size_t k = std::min(run.size(), tokens.size());
+        if (!std::ranges::equal(run.first(k), tokens.first(k))) {
+            return nullptr;
+        }
+        node += static_cast<NodeId>(k);
+        tokens = tokens.subspan(k);
+    }
+    return CandidateAt(node);
 }
 
 CandidateStats&
@@ -50,18 +109,16 @@ CandidateTrie::Insert(const std::vector<rt::TokenHash>& tokens,
                       double occurrences, std::uint64_t now,
                       double half_life)
 {
-    Node* node = WalkOrCreate(tokens);
-    if (!node->candidate) {
-        node->candidate = std::make_unique<CandidateStats>();
-        node->candidate->id = next_id_++;
-        node->candidate->length = tokens.size();
-        ++num_candidates_;
+    CandidateStats* stats = Find(tokens);
+    if (stats == nullptr) {
+        stats = &AddCandidate(WalkOrCreate(tokens));
+        stats->id = next_id_++;
+        stats->length = tokens.size();
     }
     // Refresh: decay the old count to `now`, then add the sightings.
-    CandidateStats& stats = *node->candidate;
-    stats.count = stats.Appearances(now, half_life) + occurrences;
-    stats.last_seen = now;
-    return stats;
+    stats->count = stats->Appearances(now, half_life) + occurrences;
+    stats->last_seen = now;
+    return *stats;
 }
 
 void
@@ -70,36 +127,36 @@ CandidateTrie::SaveState(fault::CheckpointWriter& writer) const
     // Nodes carry no parent back-pointers; invert both edge sources
     // (inline first children, then the branch map) once so each
     // candidate's token path reads off by walking up.
-    std::vector<std::pair<std::uint32_t, rt::TokenHash>> up(nodes_.size());
-    for (const Node& node : nodes_) {
-        if (node.first_child != nullptr) {
-            up[node.first_child->id] = {node.id, node.first_token};
+    std::vector<NodeId> parent(NumNodes());
+    for (NodeId id = 0; id < NumNodes(); ++id) {
+        if (At(id).first_child != kNoNode) {
+            parent[At(id).first_child] = id;
         }
     }
     for (const auto& [key, child] : edges_) {
-        up[child] = {key.parent, key.token};
+        parent[child] = key.parent;
     }
     writer.BeginSection(fault::SectionTag::kCandidateTrie);
     writer.U64(next_id_);
-    writer.U64(num_candidates_);
+    writer.U64(NumCandidates());
     std::vector<rt::TokenHash> path;
-    for (const Node& node : nodes_) {
-        if (!node.candidate) {
+    for (NodeId id = 0; id < NumNodes(); ++id) {
+        const CandidateStats* stats = CandidateAt(id);
+        if (stats == nullptr) {
             continue;
         }
         path.clear();
-        for (std::uint32_t id = node.id; id != 0; id = up[id].first) {
-            path.push_back(up[id].second);
+        for (NodeId up = id; up != kRoot; up = parent[up]) {
+            path.push_back(TokenInto(up));
         }
         std::reverse(path.begin(), path.end());
         writer.VecU64(path);
-        const CandidateStats& stats = *node.candidate;
-        writer.U64(stats.id);
-        writer.U64(stats.length);
-        writer.F64(stats.count);
-        writer.U64(stats.last_seen);
-        writer.U64(stats.trace_id);
-        writer.U64(stats.replays);
+        writer.U64(stats->id);
+        writer.U64(stats->length);
+        writer.F64(stats->count);
+        writer.U64(stats->last_seen);
+        writer.U64(stats->trace_id);
+        writer.U64(stats->replays);
     }
     writer.EndSection();
 }
@@ -107,7 +164,7 @@ CandidateTrie::SaveState(fault::CheckpointWriter& writer) const
 void
 CandidateTrie::LoadState(fault::CheckpointReader& reader)
 {
-    if (nodes_.size() != 1 || num_candidates_ != 0) {
+    if (NumNodes() != 1 || NumCandidates() != 0) {
         throw fault::CheckpointError(
             "CandidateTrie::LoadState requires an empty trie");
     }
@@ -122,13 +179,12 @@ CandidateTrie::LoadState(fault::CheckpointReader& reader)
             throw fault::CheckpointError(
                 "checkpoint trie has an empty candidate path");
         }
-        Node* node = WalkOrCreate(path);
-        if (node->candidate != nullptr) {
+        Node& node = WalkOrCreate(path);
+        if (node.candidate != kNoCandidate) {
             throw fault::CheckpointError(
                 "checkpoint trie repeats a candidate path");
         }
-        node->candidate = std::make_unique<CandidateStats>();
-        CandidateStats& stats = *node->candidate;
+        CandidateStats& stats = AddCandidate(node);
         stats.id = reader.U64();
         stats.length = reader.U64();
         // TraceScorer weighs a candidate by its length.
@@ -142,7 +198,6 @@ CandidateTrie::LoadState(fault::CheckpointReader& reader)
         stats.last_seen = reader.U64();
         stats.trace_id = reader.U64();
         stats.replays = reader.U64();
-        ++num_candidates_;
     }
     reader.EndSection();
 }

@@ -5,21 +5,27 @@
  * Candidate traces produced by the asynchronous history mining are
  * ingested into a trie keyed by token hash. As the application issues
  * tasks, the replayer maintains a set of pointers into the trie — one
- * per potential in-progress match — advancing each pointer by the new
- * token or discarding it. A pointer reaching a node marked as a
- * candidate has matched that candidate's full token sequence.
+ * per potential in-progress match — each standing for the trie walk
+ * over the stream from its start. A pointer reaching a node marked as
+ * a candidate has matched that candidate's full token sequence.
  *
- * The trie is stored flat: nodes live in a pooled deque (stable
- * addresses, no per-node allocation beyond candidate stats). Each
- * node's first child edge is inlined in the node as a (token, child
- * pointer) pair; only second-and-later children — the root's fan-out
- * and real branch points — live in a flat (parent id, token) -> child
- * index hash map. Mined candidates are long and share few prefixes,
- * so nearly every node a match pointer sits on has exactly one child:
- * advancing it is one token compare, and the map is probed only at
- * nodes with more than one child. There is no per-node child
- * container to allocate or chase, which keeps the per-token replayer
- * step allocation-free.
+ * The trie is stored flat and addressed by node id: nodes live in
+ * fixed-size chunks, each holding its nodes and, side by side, the
+ * token on the edge into each of them. Each node's first child edge is
+ * inlined in the node as a child id; only second-and-later children —
+ * the root's fan-out and real branch points — live in a flat
+ * (parent id, token) -> child id hash map. A node is 16 B plus its
+ * 8 B incoming token; candidate statistics live in a side table.
+ *
+ * Nodes are created in insertion order, so a mined candidate's fresh
+ * suffix occupies consecutive ids. Each node records its *run*: the
+ * number of steps along ids id+1, id+2, … that need no lookup
+ * because every node passed has exactly one child, the next id, and
+ * no candidate ends strictly inside the run. A run stays inside its
+ * chunk, so its tokens are one contiguous slice (RunTokens), and the
+ * replayer advances a match pointer through a whole run with one bulk
+ * compare against the stream instead of one step per token. Runs are
+ * maintained on every insert, so they always equal a forward scan.
  *
  * Each candidate carries the statistics the scoring function uses:
  * score = length × min(count, cap) with the count exponentially
@@ -29,9 +35,10 @@
 #ifndef APOPHENIA_CORE_TRIE_H
 #define APOPHENIA_CORE_TRIE_H
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -72,17 +79,27 @@ struct CandidateStats {
 /** Prefix-tree of candidate traces keyed by token hash. */
 class CandidateTrie {
   public:
+    /** A node's index in the pool; the root is kRoot. */
+    using NodeId = std::uint32_t;
+    static constexpr NodeId kRoot = 0;
+    /** "No such node": Step's miss and a leaf's first_child. */
+    static constexpr NodeId kNoNode = ~NodeId{0};
+
+    /** Node::candidate where no candidate ends. */
+    static constexpr std::uint32_t kNoCandidate = ~std::uint32_t{0};
+
     struct Node {
-        /** Set when a candidate ends at this node. */
-        std::unique_ptr<CandidateStats> candidate;
-        /** The first child edge, inline: set once num_children != 0.
-         * Later children live in the trie's branch map. */
-        Node* first_child = nullptr;
-        rt::TokenHash first_token = 0;
-        /** Index of this node in the pool (key of the branch map). */
-        std::uint32_t id = 0;
+        /** The first child edge, inline (its token is the child's
+         * incoming token). Later children live in the branch map. */
+        NodeId first_child = kNoNode;
         /** Outgoing-edge count; a leaf cannot extend any match. */
         std::uint32_t num_children = 0;
+        /** Lookup-free steps from here along consecutive ids; see the
+         * file comment and RunTokens(). */
+        std::uint32_t run = 0;
+        /** The candidate ending here (an index into the trie's stats
+         * table), or kNoCandidate. */
+        std::uint32_t candidate = kNoCandidate;
 
         bool HasChildren() const { return num_children != 0; }
     };
@@ -99,53 +116,109 @@ class CandidateTrie {
                            double occurrences, std::uint64_t now,
                            double half_life);
 
-    /** Child of `node` (or of the root if null) along `token`;
-     * nullptr if no candidate continues this way. */
-    const Node* Step(const Node* node, rt::TokenHash token) const
+    /** Stats of the candidate `tokens`, or nullptr if there is none.
+     * Walks whole runs at a time. */
+    CandidateStats* Find(std::span<const rt::TokenHash> tokens) const;
+
+    /** Child of `node` along `token`; kNoNode if no candidate
+     * continues this way. */
+    NodeId Step(NodeId node, rt::TokenHash token) const
     {
-        if (node == nullptr) {
-            node = Root();
+        const Node& n = At(node);
+        if (n.first_child != kNoNode && TokenInto(n.first_child) == token) {
+            return n.first_child;
         }
-        if (node->first_child != nullptr && node->first_token == token) {
-            return node->first_child;
-        }
-        return node->num_children > 1 ? StepBranch(*node, token) : nullptr;
+        return n.num_children > 1 ? StepBranch(node, token) : kNoNode;
+    }
+
+    const Node& At(NodeId node) const
+    {
+        return chunks_[node >> kChunkBits]->nodes[node & kChunkMask];
     }
 
     /** Stats of the candidate ending at `node`, or nullptr. */
-    static CandidateStats* CandidateAt(const Node* node)
+    CandidateStats* CandidateAt(NodeId node) const
     {
-        return node == nullptr ? nullptr : node->candidate.get();
+        const std::uint32_t candidate = At(node).candidate;
+        return candidate == kNoCandidate ? nullptr
+                                         : candidates_[candidate].get();
     }
 
-    std::size_t NumCandidates() const { return num_candidates_; }
+    /** The tokens along `node`'s run: the incoming tokens of nodes
+     * node+1 … node+run, one contiguous slice. Walking k ≤ run of
+     * them from `node` lands on node+k. */
+    std::span<const rt::TokenHash> RunTokens(NodeId node) const
+    {
+        const Chunk& chunk = *chunks_[node >> kChunkBits];
+        const NodeId slot = node & kChunkMask;
+        return std::span(chunk.tokens).subspan(slot + 1, chunk.nodes[slot].run);
+    }
+
+    std::size_t NumCandidates() const { return candidates_.size(); }
 
     /** Total trie nodes (memory accounting). */
-    std::size_t NumNodes() const { return nodes_.size(); }
+    std::size_t NumNodes() const { return num_nodes_; }
 
-    const Node* Root() const { return &nodes_.front(); }
+    /** Nodes per pool chunk. A run never crosses a multiple of it, so
+     * every run is shorter than this. */
+    static constexpr std::size_t kChunkSize = 1024;
 
     /** Checkpoint hooks: every candidate's token path plus its full
      * statistics (id, decayed count, last-seen stamp, trace id,
      * replay count) and the id counter. Restore re-inserts the paths
      * into an empty trie — node ids may come out in a different pool
-     * order, but every observable (Step walks, num_children,
+     * order, but every observable (Step walks, num_children, runs,
      * candidate stats) is identical, so a restored replayer makes
      * bit-identical decisions. */
     void SaveState(fault::CheckpointWriter& writer) const;
     void LoadState(fault::CheckpointReader& reader);
 
   private:
+    static constexpr unsigned kChunkBits = std::countr_zero(kChunkSize);
+    static constexpr NodeId kChunkMask = kChunkSize - 1;
+
+    /** kChunkSize consecutive nodes and, side by side, their incoming
+     * tokens. */
+    struct Chunk {
+        std::array<Node, kChunkSize> nodes;
+        std::array<rt::TokenHash, kChunkSize> tokens;
+    };
+
+    Node& NodeAt(NodeId node)
+    {
+        return chunks_[node >> kChunkBits]->nodes[node & kChunkMask];
+    }
+
+    /** The token on the edge into `node` (unused for the root). */
+    rt::TokenHash TokenInto(NodeId node) const
+    {
+        return chunks_[node >> kChunkBits]->tokens[node & kChunkMask];
+    }
+
+    /** Append a node whose incoming edge carries `token`. */
+    NodeId NewNode(rt::TokenHash token);
+
     /** Walk `tokens` from the root, creating missing nodes (the
-     * shared path step of Insert and LoadState). */
-    Node* WalkOrCreate(std::span<const rt::TokenHash> tokens);
+     * shared path step of Insert and LoadState). Records the walked
+     * ids, root first, in path_. */
+    Node& WalkOrCreate(std::span<const rt::TokenHash> tokens);
+
+    /** End a new candidate at `node`, WalkOrCreate's last result, and
+     * refresh the runs. */
+    CandidateStats& AddCandidate(Node& node);
+
+    /** Recompute the runs along path_ after a candidate was added
+     * there. Only path_'s nodes changed (new nodes, a new edge, the
+     * new candidate), and a run only covers descendants, so every run
+     * that can differ belongs to an ancestor of the new candidate. */
+    void RefreshRuns();
 
     /** Step's branch-map probe for a node with several children. */
-    const Node* StepBranch(const Node& node, rt::TokenHash token) const;
+    NodeId StepBranch(NodeId node, rt::TokenHash token) const;
 
     /** One edge of the branch map. */
     struct EdgeKey {
-        std::uint32_t parent = 0;
+        NodeId parent = 0;
         rt::TokenHash token = 0;
 
         bool operator==(const EdgeKey&) const = default;
@@ -159,12 +232,19 @@ class CandidateTrie {
         }
     };
 
-    /** Node pool; deque keeps addresses stable across growth. */
-    std::deque<Node> nodes_;
+    /** Node pool, indexed by NodeId, in fixed chunks: growing the
+     * trie never moves or copies a node, and memory tracks the node
+     * count closely. */
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::size_t num_nodes_ = 0;
     /** The branch map: (parent id, token) -> child id for every child
      * edge except each node's inline first one. */
-    std::unordered_map<EdgeKey, std::uint32_t, EdgeKeyHash> edges_;
-    std::size_t num_candidates_ = 0;
+    std::unordered_map<EdgeKey, NodeId, EdgeKeyHash> edges_;
+    /** WalkOrCreate's last path (recycled). */
+    std::vector<NodeId> path_;
+    /** Every candidate's statistics, in creation order; the stats
+     * never move, so callers may hold them. */
+    std::vector<std::unique_ptr<CandidateStats>> candidates_;
     std::uint64_t next_id_ = 1;
 };
 

@@ -492,6 +492,177 @@ TEST(Apophenia, MatchStateSurvivesForcedFlushesFiresAndRestore)
     EXPECT_EQ(restored.CandidateDigest(), reference.CandidateDigest());
 }
 
+/** A stream over four motifs: A, B, C, and A2 — A with its fourth task
+ * changed, so candidates through A and A2 branch mid-way. Three draws
+ * in four continue the phrase A B A B …, the rest pick a motif at
+ * random, and about one task in fifty is unique noise. Mined
+ * candidates therefore share prefixes, branch, and extend one another
+ * as longer repeats of the phrase are found. */
+std::vector<rt::TaskLaunch> MotifStream(
+    const std::vector<rt::RegionId>& regions, std::uint64_t seed)
+{
+    const std::vector<std::vector<std::uint64_t>> motifs = {
+        {1, 2, 3, 4, 5, 6, 7},
+        {11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21},
+        {31, 32, 33, 34, 35},
+        {1, 2, 3, 44, 5, 6, 7},
+    };
+    support::Rng rng(seed);
+    std::vector<rt::TaskLaunch> launches;
+    std::size_t phrase = 0;
+    while (launches.size() < 3000) {
+        const std::size_t pick =
+            rng.Bernoulli(0.75) ? phrase++ % 2 : rng.UniformInt(0, 3);
+        for (const std::uint64_t task : motifs[pick]) {
+            const std::size_t r = task % regions.size();
+            launches.push_back(rt::TaskLaunch{
+                100 + task,
+                {{regions[r], 0, rt::Privilege::kReadOnly, 0},
+                 {regions[(r + 1) % regions.size()], 0,
+                  rt::Privilege::kReadWrite, 0}}});
+            if (rng.Bernoulli(0.02)) {
+                launches.push_back(rt::TaskLaunch{
+                    5000 + launches.size(),
+                    {{regions[0], 0, rt::Privilege::kReadOnly, 0}}});
+            }
+        }
+    }
+    return launches;
+}
+
+/** Issue launches [from, to) into a kManual front-end, ingesting one
+ * to three of the oldest pending jobs at about one position in eight.
+ * The draw is a pure function of the seed and the position, so a
+ * restored front-end ingests exactly where the original would have. */
+void IssueWithManualIngest(Apophenia& fe,
+                           const std::vector<rt::TaskLaunch>& launches,
+                           std::size_t from, std::size_t to,
+                           std::uint64_t seed)
+{
+    for (std::size_t i = from; i < to; ++i) {
+        fe.ExecuteTask(launches[i]);
+        const std::uint64_t roll =
+            support::SplitMix64(seed ^ (i * 0x9e3779b97f4a7c15ULL));
+        if (roll % 8 != 0) {
+            continue;
+        }
+        for (std::uint64_t n = 1 + roll / 8 % 3;
+             n > 0 && fe.PendingJobCount() > 0; --n) {
+            fe.IngestOldestJob();
+        }
+    }
+}
+
+TEST(Apophenia, MatcherSurvivesManualIngestFlushesAndRestore)
+{
+    // Adversarial schedules for the run-at-a-time matcher. Jobs are
+    // ingested at random stream positions, so candidates land while
+    // pointers lag inside their runs: new branches and candidates
+    // appear ahead of (and behind) lagging pointers, and leaves are
+    // extended under live ones. A pending bound of 16 forces flushes;
+    // one of 32 is never hit and leaves matches to run long. Every
+    // case also restores from a checkpoint at a random cut. The pins
+    // were captured from the per-token matcher this one replaced.
+    struct Pin {
+        std::uint64_t seed;
+        std::size_t max_pending;
+        std::uint64_t stream_digest;
+        std::uint64_t candidate_digest;
+        std::uint64_t traces_fired;
+        std::uint64_t launches_buffered;
+        std::size_t pending_high_water;
+        std::uint64_t forced_flushes;
+    };
+    const Pin pins[] = {
+        {1, 16, 17779227227783649770ULL, 3702235778062888063ULL, 282, 2889,
+         17, 174},
+        {2, 16, 3275217861606977857ULL, 8795504900725735342ULL, 306, 2899,
+         17, 156},
+        {3, 16, 14460145854286799012ULL, 12333807757399270096ULL, 320, 2890,
+         17, 158},
+        {1, 32, 11031146025261611068ULL, 16503865283775365085ULL, 221, 2895,
+         25, 0},
+        {2, 32, 9426462342510857523ULL, 13567856476882457969ULL, 235, 2899,
+         25, 0},
+        {3, 32, 929960393791281738ULL, 7044398830970914277ULL, 245, 2893, 25,
+         0},
+    };
+    ApopheniaConfig config = SmallConfig();
+    config.min_trace_length = 3;
+    config.max_trace_length = 24;  // long repeats split into several
+    config.multi_scale_factor = 25;
+    config.ingest_mode = IngestMode::kManual;
+    const auto make_regions = [](Apophenia& fe) {
+        std::vector<rt::RegionId> regions;
+        for (int i = 0; i < 16; ++i) {
+            regions.push_back(fe.CreateRegion());
+        }
+        return regions;
+    };
+    const auto expect_pinned = [](const sim::StreamDigest& digest,
+                                  const Apophenia& fe, const Pin& pin) {
+        EXPECT_EQ(digest.Value(), pin.stream_digest);
+        EXPECT_EQ(fe.CandidateDigest(), pin.candidate_digest);
+        EXPECT_EQ(fe.Stats().traces_fired, pin.traces_fired);
+        EXPECT_EQ(fe.Stats().launches_buffered, pin.launches_buffered);
+        EXPECT_EQ(fe.Stats().pending_high_water, pin.pending_high_water);
+        EXPECT_EQ(fe.Stats().forced_flushes, pin.forced_flushes);
+    };
+    for (const Pin& pin : pins) {
+        SCOPED_TRACE(testing::Message() << "seed " << pin.seed
+                                        << ", max_pending "
+                                        << pin.max_pending);
+        config.max_pending = pin.max_pending;
+        rt::Runtime runtime;
+        Apophenia fe(runtime, config);
+        const std::vector<rt::RegionId> regions = make_regions(fe);
+        const std::vector<rt::TaskLaunch> launches =
+            MotifStream(regions, pin.seed);
+        IssueWithManualIngest(fe, launches, 0, launches.size(), pin.seed);
+        fe.Flush();
+        expect_pinned(sim::StreamDigest::Of(runtime.Log()), fe, pin);
+        EXPECT_GT(fe.Stats().trace_replays, 0u);
+
+        // Cut at the first quiescent, mid-match point past a seeded
+        // position, and finish the stream on a restored front-end.
+        auto cut_runtime = std::make_unique<rt::Runtime>();
+        auto cut = std::make_unique<Apophenia>(*cut_runtime, config);
+        ASSERT_EQ(make_regions(*cut), regions);
+        const std::size_t start =
+            launches.size() / 4 +
+            support::SplitMix64(pin.seed) % (launches.size() / 2);
+        std::size_t at = 0;
+        while (at < start || cut->PendingTasks() == 0 ||
+               !cut_runtime->Quiescent()) {
+            ASSERT_LT(at, launches.size()) << "no mid-match cut point";
+            IssueWithManualIngest(*cut, launches, at, at + 1, pin.seed);
+            ++at;
+        }
+        fault::CheckpointWriter writer;
+        cut_runtime->SaveState(writer);
+        cut->SaveState(writer);
+        const std::vector<std::uint8_t> image = writer.TakeImage();
+        sim::StreamDigest digest = sim::StreamDigest::Of(cut_runtime->Log());
+        const std::size_t cut_ops = cut_runtime->Log().size();
+        cut.reset();
+        cut_runtime.reset();
+
+        rt::Runtime restored_runtime;
+        Apophenia restored(restored_runtime, config);
+        fault::CheckpointReader reader(image);
+        restored_runtime.LoadState(reader);
+        restored.LoadState(reader);
+        IssueWithManualIngest(restored, launches, at, launches.size(),
+                              pin.seed);
+        restored.Flush();
+        const rt::OperationLog& log = restored_runtime.Log();
+        for (std::size_t i = cut_ops; i < log.size(); ++i) {
+            digest.Consume(log[i]);
+        }
+        expect_pinned(digest, restored, pin);
+    }
+}
+
 // Byte offsets in an image whose first section is Apophenia's: the
 // image header (magic, version), then the section's tag, payload
 // length and checksum.
@@ -599,6 +770,57 @@ TEST(Apophenia, RestoreRejectsMisorderedMatchPointers)
     std::vector<std::uint8_t> before_buffer = image;
     WriteWord(before_buffer, first, 0);  // forwarded long ago
     EXPECT_THROW(load(before_buffer), fault::CheckpointError);
+}
+
+TEST(Apophenia, RestoreRejectsAPendingBufferOffTheCounter)
+{
+    // Fire and flush pop the pending buffer by absolute index, so it
+    // must end at the task counter — even in an image with no match
+    // pointers to re-walk.
+    const ApopheniaConfig config = SmallConfig();
+    rt::Runtime runtime;
+    Apophenia fe(runtime, config);
+    LoopApp app(fe, 10);
+    app.Iteration();
+    ASSERT_EQ(fe.PendingTasks(), 0u);
+    fault::CheckpointWriter writer;
+    fe.SaveState(writer);
+    const std::vector<std::uint8_t> image = writer.TakeImage();
+    ASSERT_EQ(ReadWord(image, ActivePointersAt(image)), 0u);
+
+    const auto load = [&config](std::vector<std::uint8_t> edited) {
+        Reseal(edited);
+        rt::Runtime fresh_runtime;
+        Apophenia fresh(fresh_runtime, config);
+        fault::CheckpointReader reader(edited);
+        fresh.LoadState(reader);
+    };
+    EXPECT_NO_THROW(load(image));
+    // The section opens with the task counter and the pending base.
+    std::vector<std::uint8_t> behind = image;
+    WriteWord(behind, kPayloadAt + 8, ReadWord(image, kPayloadAt + 8) - 3);
+    EXPECT_THROW(load(behind), fault::CheckpointError);
+    std::vector<std::uint8_t> ahead = image;
+    WriteWord(ahead, kPayloadAt, ReadWord(image, kPayloadAt) + 1);
+    EXPECT_THROW(load(ahead), fault::CheckpointError);
+}
+
+TEST(Apophenia, DegradedFrontEndRefusesToCheckpoint)
+{
+    // An image cannot carry the degraded posture: it would restore a
+    // front-end that mines the window the original kept out of the
+    // finder.
+    rt::Runtime runtime;
+    Apophenia fe(runtime, SmallConfig());
+    LoopApp app(fe, 10);
+    app.Iteration();
+    fe.SetDegraded(true);
+    app.Iteration();
+    fault::CheckpointWriter degraded;
+    EXPECT_THROW(fe.SaveState(degraded), fault::CheckpointError);
+    fe.SetDegraded(false);
+    fault::CheckpointWriter resumed;
+    EXPECT_NO_THROW(fe.SaveState(resumed));
 }
 
 }  // namespace

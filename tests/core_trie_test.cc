@@ -20,6 +20,9 @@
 namespace apo::core {
 namespace {
 
+constexpr CandidateTrie::NodeId kRoot = CandidateTrie::kRoot;
+constexpr CandidateTrie::NodeId kNoNode = CandidateTrie::kNoNode;
+
 std::vector<rt::TokenHash> Tokens(std::initializer_list<int> list)
 {
     std::vector<rt::TokenHash> out;
@@ -34,18 +37,18 @@ TEST(Trie, InsertAndStep)
     CandidateTrie trie;
     trie.Insert(Tokens({1, 2, 3}), 2.0, 0, 1e9);
     EXPECT_EQ(trie.NumCandidates(), 1u);
-    const auto* n1 = trie.Step(nullptr, 1);
-    ASSERT_NE(n1, nullptr);
-    EXPECT_EQ(CandidateTrie::CandidateAt(n1), nullptr);
-    const auto* n2 = trie.Step(n1, 2);
-    const auto* n3 = trie.Step(n2, 3);
-    ASSERT_NE(n3, nullptr);
-    const CandidateStats* stats = CandidateTrie::CandidateAt(n3);
+    const auto n1 = trie.Step(kRoot, 1);
+    ASSERT_NE(n1, kNoNode);
+    EXPECT_EQ(trie.CandidateAt(n1), nullptr);
+    const auto n2 = trie.Step(n1, 2);
+    const auto n3 = trie.Step(n2, 3);
+    ASSERT_NE(n3, kNoNode);
+    const CandidateStats* stats = trie.CandidateAt(n3);
     ASSERT_NE(stats, nullptr);
     EXPECT_EQ(stats->length, 3u);
     EXPECT_DOUBLE_EQ(stats->count, 2.0);
-    EXPECT_EQ(trie.Step(n3, 4), nullptr);
-    EXPECT_EQ(trie.Step(nullptr, 9), nullptr);
+    EXPECT_EQ(trie.Step(n3, 4), kNoNode);
+    EXPECT_EQ(trie.Step(kRoot, 9), kNoNode);
 }
 
 TEST(Trie, SharedPrefixesShareNodes)
@@ -58,9 +61,9 @@ TEST(Trie, SharedPrefixesShareNodes)
     // Root + nodes 1, 2, 3, 4 = 5 total.
     EXPECT_EQ(trie.NumNodes(), 5u);
     // {1,2} is a candidate at an interior node.
-    const auto* n = trie.Step(trie.Step(nullptr, 1), 2);
-    ASSERT_NE(CandidateTrie::CandidateAt(n), nullptr);
-    EXPECT_EQ(CandidateTrie::CandidateAt(n)->length, 2u);
+    const auto n = trie.Step(trie.Step(kRoot, 1), 2);
+    ASSERT_NE(trie.CandidateAt(n), nullptr);
+    EXPECT_EQ(trie.CandidateAt(n)->length, 2u);
 }
 
 TEST(Trie, ReinsertionAccumulatesCount)
@@ -93,21 +96,40 @@ using Oracle = std::map<Path, double>;
  * in the alphabet on purpose: it equals a leaf's unset inline edge. */
 constexpr rt::TokenHash kAlphabet = 4;
 
-const CandidateTrie::Node* Walk(const CandidateTrie& trie, const Path& path)
+CandidateTrie::NodeId Walk(const CandidateTrie& trie, const Path& path)
 {
-    const CandidateTrie::Node* node = trie.Root();
+    CandidateTrie::NodeId node = kRoot;
     for (const rt::TokenHash t : path) {
         node = trie.Step(node, t);
-        if (node == nullptr) {
-            return nullptr;
+        if (node == kNoNode) {
+            return kNoNode;
         }
     }
     return node;
 }
 
+/** The run a forward scan finds from `node`: steps along consecutive
+ * ids, inside one pool chunk, while the node has exactly one child, the
+ * next id, stopping on (after) the first candidate. */
+std::uint32_t ScanRun(const CandidateTrie& trie, CandidateTrie::NodeId node)
+{
+    std::uint32_t run = 0;
+    for (CandidateTrie::NodeId id = node;
+         trie.At(id).num_children == 1 && trie.At(id).first_child == id + 1 &&
+         (id + 1) % CandidateTrie::kChunkSize != 0;
+         ++id) {
+        ++run;
+        if (trie.CandidateAt(id + 1) != nullptr) {
+            break;
+        }
+    }
+    return run;
+}
+
 /** Every observable of `trie` against `oracle`: the node count, and at
  * every prefix of every candidate path the child count, each token's
- * step and the candidate (or its absence). */
+ * step, the candidate (or its absence) and the run, checked against a
+ * forward scan and against walking its tokens. */
 void ExpectMatchesOracle(const CandidateTrie& trie, const Oracle& oracle)
 {
     std::map<Path, std::set<rt::TokenHash>> children;  // the trie's nodes
@@ -123,10 +145,16 @@ void ExpectMatchesOracle(const CandidateTrie& trie, const Oracle& oracle)
     ASSERT_EQ(trie.NumNodes(), children.size());
     ASSERT_EQ(trie.NumCandidates(), oracle.size());
     for (const auto& [prefix, kids] : children) {
-        const CandidateTrie::Node* node = Walk(trie, prefix);
-        ASSERT_NE(node, nullptr);
-        EXPECT_EQ(node->num_children, kids.size());
-        const CandidateStats* stats = CandidateTrie::CandidateAt(node);
+        const CandidateTrie::NodeId node = Walk(trie, prefix);
+        ASSERT_NE(node, kNoNode);
+        EXPECT_EQ(trie.At(node).num_children, kids.size());
+        EXPECT_EQ(trie.At(node).run, ScanRun(trie, node));
+        CandidateTrie::NodeId along = node;
+        for (const rt::TokenHash t : trie.RunTokens(node)) {
+            along = trie.Step(along, t);
+        }
+        EXPECT_EQ(along, node + trie.At(node).run);
+        const CandidateStats* stats = trie.CandidateAt(node);
         const auto want = oracle.find(prefix);
         if (want == oracle.end()) {
             EXPECT_EQ(stats, nullptr);
@@ -136,13 +164,10 @@ void ExpectMatchesOracle(const CandidateTrie& trie, const Oracle& oracle)
             EXPECT_DOUBLE_EQ(stats->count, want->second);
         }
         for (rt::TokenHash t = 0; t <= kAlphabet; ++t) {
-            const CandidateTrie::Node* child = trie.Step(node, t);
-            EXPECT_EQ(child != nullptr, kids.contains(t));
-            if (prefix.empty()) {
-                EXPECT_EQ(trie.Step(nullptr, t), child);
-            }
+            const CandidateTrie::NodeId child = trie.Step(node, t);
+            EXPECT_EQ(child != kNoNode, kids.contains(t));
         }
-        EXPECT_EQ(trie.Step(node, ~rt::TokenHash{0}), nullptr);
+        EXPECT_EQ(trie.Step(node, ~rt::TokenHash{0}), kNoNode);
     }
 }
 
@@ -170,22 +195,24 @@ TEST(Trie, RandomInsertsMatchAMapOracle)
         ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(trie, oracle))
             << "after insert " << i;
     }
-    // The draw covers what the inline edges must get right: branching
-    // below the root, candidates on interior nodes.
+    // The draw covers what the inline edges and runs must get right:
+    // branching below the root, candidates on interior nodes, runs of
+    // several steps.
     std::size_t interior_candidates = 0;
     std::size_t branch_points = 0;
+    std::size_t long_runs = 0;
     for (const auto& [path, count] : oracle) {
-        const CandidateTrie::Node* node = Walk(trie, path);
-        interior_candidates += node->HasChildren();
+        interior_candidates += trie.At(Walk(trie, path)).HasChildren();
         for (std::size_t k = 1; k < path.size(); ++k) {
-            branch_points +=
-                Walk(trie, Path(path.begin(), path.begin() + k))
-                    ->num_children > 1;
+            const auto node = Walk(trie, Path(path.begin(), path.begin() + k));
+            branch_points += trie.At(node).num_children > 1;
+            long_runs += trie.At(node).run > 1;
         }
     }
     EXPECT_GT(interior_candidates, 0u);
     EXPECT_GT(branch_points, 0u);
-    EXPECT_GT(trie.Root()->num_children, 1u);
+    EXPECT_GT(long_runs, 0u);
+    EXPECT_GT(trie.At(kRoot).num_children, 1u);
 
     // Checkpoint round trip: equal walks, byte-identical re-save.
     const std::vector<std::uint8_t> image = Save(trie);
@@ -195,9 +222,8 @@ TEST(Trie, RandomInsertsMatchAMapOracle)
     EXPECT_TRUE(reader.AtEnd());
     ExpectMatchesOracle(restored, oracle);
     for (const auto& [path, count] : oracle) {
-        const CandidateStats* a = CandidateTrie::CandidateAt(Walk(trie, path));
-        const CandidateStats* b =
-            CandidateTrie::CandidateAt(Walk(restored, path));
+        const CandidateStats* a = trie.CandidateAt(Walk(trie, path));
+        const CandidateStats* b = restored.CandidateAt(Walk(restored, path));
         ASSERT_NE(b, nullptr);
         EXPECT_EQ(a->id, b->id);
         EXPECT_EQ(a->last_seen, b->last_seen);
@@ -209,15 +235,56 @@ TEST(Trie, NewBranchOnAUnaryNodeKeepsItsFirstChild)
 {
     CandidateTrie trie;
     trie.Insert(Tokens({1, 0, 2}), 1.0, 0, 1e9);
-    const auto* n1 = trie.Step(nullptr, 1);
-    const auto* first = trie.Step(n1, 0);
-    ASSERT_EQ(n1->num_children, 1u);
+    const auto n1 = trie.Step(kRoot, 1);
+    const auto first = trie.Step(n1, 0);
+    ASSERT_EQ(trie.At(n1).num_children, 1u);
+    EXPECT_EQ(trie.At(n1).run, 2u);
     trie.Insert(Tokens({1, 3}), 1.0, 0, 1e9);
-    EXPECT_EQ(n1->num_children, 2u);
+    EXPECT_EQ(trie.At(n1).num_children, 2u);
+    EXPECT_EQ(trie.At(n1).run, 0u);  // now a branch point
     EXPECT_EQ(trie.Step(n1, 0), first);
-    EXPECT_NE(trie.Step(n1, 3), nullptr);
+    EXPECT_NE(trie.Step(n1, 3), kNoNode);
     // A leaf's unset inline edge must not match token 0.
-    EXPECT_EQ(trie.Step(trie.Step(n1, 3), 0), nullptr);
+    EXPECT_EQ(trie.Step(trie.Step(n1, 3), 0), kNoNode);
+}
+
+TEST(Trie, RunsStopAtCandidatesBranchesAndChunkEnds)
+{
+    // One long candidate spans three pool chunks; a prefix of it is a
+    // candidate too, and a branch leaves it later on. Every run must
+    // equal the forward scan, and Find (which jumps whole runs) must
+    // see exactly the inserted candidates.
+    const std::size_t chunk = CandidateTrie::kChunkSize;
+    Path path(2 * chunk + chunk / 2);
+    for (std::size_t i = 0; i < path.size(); ++i) {
+        path[i] = 100 + i;
+    }
+    CandidateTrie trie;
+    trie.Insert(path, 1.0, 0, 1e9);
+    const Path prefix(path.begin(), path.begin() + chunk + 7);
+    trie.Insert(prefix, 1.0, 0, 1e9);
+    Path branch(path.begin(), path.begin() + chunk + 300);
+    branch.push_back(7);
+    trie.Insert(branch, 1.0, 0, 1e9);
+
+    CandidateTrie::NodeId node = kRoot;
+    std::size_t longest = 0;
+    for (const rt::TokenHash t : path) {
+        node = trie.Step(node, t);
+        ASSERT_NE(node, kNoNode);
+        EXPECT_EQ(trie.At(node).run, ScanRun(trie, node)) << node;
+        EXPECT_LT(trie.At(node).run, chunk);
+        longest = std::max<std::size_t>(longest, trie.At(node).run);
+    }
+    EXPECT_EQ(longest, chunk - 2);  // node 1's run ends at the chunk
+    EXPECT_EQ(trie.At(Walk(trie, prefix)).run, 300u - 7u);
+    EXPECT_EQ(trie.Find(path), trie.CandidateAt(node));
+    EXPECT_NE(trie.Find(prefix), nullptr);
+    EXPECT_NE(trie.Find(branch), nullptr);
+    EXPECT_EQ(trie.Find(Path(path.begin(), path.end() - 1)), nullptr);
+    Path off_run = prefix;
+    off_run[chunk / 2] = 1;
+    EXPECT_EQ(trie.Find(off_run), nullptr);
 }
 
 /** A hand-built trie image holding one candidate per path. The
@@ -258,8 +325,7 @@ TEST(TrieCheckpoint, HandBuiltImageLoads)
     fault::CheckpointReader reader(image);
     trie.LoadState(reader);
     EXPECT_EQ(trie.NumCandidates(), 2u);
-    const auto* stats =
-        CandidateTrie::CandidateAt(Walk(trie, Tokens({1, 2, 3})));
+    const auto* stats = trie.CandidateAt(Walk(trie, Tokens({1, 2, 3})));
     ASSERT_NE(stats, nullptr);
     EXPECT_EQ(stats->length, 3u);
 }
