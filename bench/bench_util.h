@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/app.h"
@@ -30,11 +31,15 @@ namespace apo::bench {
 // -- JSON record-file helpers (BENCH_micro_repeats.json) --------------------
 //
 // The perf-record file is one JSON object shared by several writers:
-// micro_repeats rewrites its own members, fig_replication_scaling
-// merges its section in, and each must preserve the other's records.
-// These helpers locate a `"key": {...}` member without a JSON
-// library: by key search plus brace counting (the file is machine-
-// written, so no braces hide inside strings).
+// its top-level scalars and the members micro_repeats writes are that
+// bench's records, and every other record bench owns one object
+// member. Each writer rewrites only its own members, keeping their
+// place in the file so re-runs produce value-only diffs. The helpers
+// split the file into top-level members without a JSON library (it is
+// machine-written: no string holds an escaped quote) and render them
+// back in its one-member-per-line layout.
+
+using JsonMembers = std::vector<std::pair<std::string, std::string>>;
 
 inline std::string ReadFileOrEmpty(const std::string& path)
 {
@@ -47,149 +52,115 @@ inline std::string ReadFileOrEmpty(const std::string& path)
     return buffer.str();
 }
 
-/** Locate `"key": {...}`: on success, `member_begin` is the quoted
- * key's position and [value_begin, value_end) delimits the member's
- * object value (braces included). */
-inline bool FindJsonMember(const std::string& content,
-                           const std::string& key,
-                           std::size_t* member_begin,
-                           std::size_t* value_begin,
-                           std::size_t* value_end)
+/** The top-level members of a JSON object text, in file order, as
+ * (key, raw value text) pairs. */
+inline JsonMembers TopLevelJsonMembers(const std::string& content)
 {
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t at = content.find(quoted);
-    if (at == std::string::npos) {
-        return false;
-    }
-    const std::size_t open = content.find('{', at + quoted.size());
-    if (open == std::string::npos) {
-        return false;
-    }
-    std::size_t end = open;
-    int depth = 0;
-    while (end < content.size()) {
-        if (content[end] == '{') {
-            ++depth;
-        } else if (content[end] == '}' && --depth == 0) {
-            ++end;
+    JsonMembers members;
+    std::size_t at = content.find('{');
+    while (at < content.size()) {
+        const std::size_t open = content.find('"', at + 1);
+        const std::size_t close = content.find('"', open + 1);
+        const std::size_t colon = content.find(':', close);
+        if (open == std::string::npos || colon == std::string::npos) {
             break;
         }
-        ++end;
-    }
-    *member_begin = at;
-    *value_begin = open;
-    *value_end = end;
-    return true;
-}
-
-/** The member's `{...}` value text, or "" if absent. */
-inline std::string ExtractJsonMember(const std::string& content,
-                                     const std::string& key)
-{
-    std::size_t member = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    if (!FindJsonMember(content, key, &member, &begin, &end)) {
-        return "";
-    }
-    return content.substr(begin, end - begin);
-}
-
-/** Erase the member plus its separating comma (the preceding one when
- * the member is last, the following one otherwise). */
-inline void RemoveJsonMember(std::string& content, const std::string& key)
-{
-    std::size_t member = 0;
-    std::size_t value = 0;
-    std::size_t end = 0;
-    if (!FindJsonMember(content, key, &member, &value, &end)) {
-        return;
-    }
-    std::size_t begin = member;
-    while (begin > 0 && (content[begin - 1] == ' ' ||
-                         content[begin - 1] == '\n' ||
-                         content[begin - 1] == '\t')) {
-        --begin;
-    }
-    bool ate_leading_comma = false;
-    if (begin > 0 && content[begin - 1] == ',') {
-        --begin;
-        ate_leading_comma = true;
-    }
-    if (!ate_leading_comma) {
-        while (end < content.size() &&
-               (content[end] == ' ' || content[end] == '\n')) {
-            ++end;
+        // The value ends at the first ',' or closing brace outside any
+        // nested value or string.
+        std::size_t end = colon + 1;
+        int depth = 0;
+        bool in_string = false;
+        for (; end < content.size(); ++end) {
+            const char c = content[end];
+            if (in_string) {
+                in_string = c != '"';
+            } else if (c == '"') {
+                in_string = true;
+            } else if (c == '{' || c == '[') {
+                ++depth;
+            } else if ((c == '}' || c == ']') && depth-- == 0) {
+                break;
+            } else if (c == ',' && depth == 0) {
+                break;
+            }
         }
-        if (end < content.size() && content[end] == ',') {
-            ++end;
+        const std::size_t begin =
+            content.find_first_not_of(" \n\t", colon + 1);
+        if (begin >= end) {
+            break;
+        }
+        const std::size_t last = content.find_last_not_of(" \n\t", end - 1);
+        members.emplace_back(content.substr(open + 1, close - open - 1),
+                             content.substr(begin, last + 1 - begin));
+        if (end >= content.size() || content[end] != ',') {
+            break;
+        }
+        at = end;
+    }
+    return members;
+}
+
+/** The record file's layout: one member per line, two-space indent. */
+inline std::string RenderJsonMembers(const JsonMembers& members)
+{
+    std::string out = "{";
+    const char* separator = "\n";
+    for (const auto& [key, value] : members) {
+        out += separator;
+        out += "  \"" + key + "\": " + value;
+        separator = ",\n";
+    }
+    return out + "\n}\n";
+}
+
+/** `fresh` (the rewriting bench's whole record, a JSON object text)
+ * followed by every object member of `existing` that `fresh` lacks:
+ * the other benches' records survive without being named, and the
+ * rewriting bench's own scalars that `fresh` no longer writes go. */
+inline std::string KeepOtherJsonMembers(const std::string& existing,
+                                        const std::string& fresh)
+{
+    JsonMembers members = TopLevelJsonMembers(fresh);
+    for (auto& member : TopLevelJsonMembers(existing)) {
+        if (member.second.front() == '{' &&
+            std::none_of(members.begin(), members.end(),
+                         [&](const auto& kept) {
+                             return kept.first == member.first;
+                         })) {
+            members.push_back(std::move(member));
         }
     }
-    content.erase(begin, end - begin);
+    return RenderJsonMembers(members);
 }
 
-/** Replace an existing member's `{...}` value in place, keeping the
- * member's position in the file — repeated merges by different
- * writers must not shuffle record order, or every bench run produces
- * a noisy whole-file diff. Returns false when the key is absent (the
- * caller appends instead). */
-inline bool ReplaceJsonMember(std::string& content, const std::string& key,
-                              const std::string& section)
+/** Replace the file at `path` with `text`. Returns 0 on success. */
+inline int WriteFileOrComplain(const std::string& path,
+                               const std::string& text)
 {
-    std::size_t member = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    if (!FindJsonMember(content, key, &member, &begin, &end)) {
-        return false;
+    std::ofstream out(path, std::ios::trunc);
+    if (!(out << text)) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return 1;
     }
-    content.replace(begin, end - begin, section);
-    return true;
+    return 0;
 }
 
-/** Merge `"key": {...section...}` into the JSON object file at
- * `path`, replacing the member in place when it exists (stable member
- * order keeps re-runs to value-only diffs) and appending it
+/** Merge `"key": section` into the JSON object file at `path`,
+ * replacing the member in place when it exists and appending it
  * otherwise. Creates the file when absent. Returns 0 on success. */
 inline int MergeIntoJson(const std::string& path, const std::string& key,
                          const std::string& section)
 {
-    std::string content = ReadFileOrEmpty(path);
-    if (content.empty()) {
-        content = "{\n}\n";
+    JsonMembers members = TopLevelJsonMembers(ReadFileOrEmpty(path));
+    const auto it =
+        std::find_if(members.begin(), members.end(),
+                     [&](const auto& member) { return member.first == key; });
+    if (it != members.end()) {
+        it->second = section;
+    } else {
+        members.emplace_back(key, section);
     }
-    if (ReplaceJsonMember(content, key, section)) {
-        std::ofstream out(path, std::ios::trunc);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            return 1;
-        }
-        out << content;
-        return 0;
-    }
-    std::size_t close = content.rfind('}');
-    if (close == std::string::npos) {
-        std::fprintf(stderr, "%s is not a JSON object\n", path.c_str());
-        return 1;
-    }
-    std::size_t tail = close;
-    while (tail > 0 && (content[tail - 1] == ' ' ||
-                        content[tail - 1] == '\n' ||
-                        content[tail - 1] == '\t' ||
-                        content[tail - 1] == ',')) {
-        --tail;
-    }
-    const bool has_members = content.find('"') < tail;
-    content.erase(tail);
-    content += has_members ? ",\n" : "\n";
-    content += "  \"" + key + "\": " + section + "\n}\n";
-
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-    }
-    out << content;
-    return 0;
+    return WriteFileOrComplain(path, RenderJsonMembers(members));
 }
 
 /** The host's thread count as every bench section records it —

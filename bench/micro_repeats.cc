@@ -11,8 +11,7 @@
  * drives TraceFinder::Observe on a mining-heavy configuration with
  * the per-job work discarded, isolating what the application thread
  * pays per token: with zero-copy snapshots that is O(slice/block)
- * reference bumps per job; with the copy_slices_at_launch ablation it
- * is the seed's O(slice) token copy. The result is recorded to
+ * reference bumps per job. The result is recorded to
  * BENCH_micro_repeats.json so successive PRs keep a perf trajectory.
  *
  * Usage:
@@ -23,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -141,14 +141,12 @@ struct LaunchPathResult {
     std::uint64_t tokens_analyzed = 0;
 };
 
-LaunchPathResult MeasureLaunchPath(bool copy_slices, std::size_t tokens,
-                                   int reps)
+LaunchPathResult MeasureLaunchPath(std::size_t tokens, int reps)
 {
     const strings::Sequence stream = AppLikeStream(tokens);
     LaunchPathResult best;
     for (int rep = 0; rep < reps; ++rep) {
-        core::ApopheniaConfig config = MiningHeavyConfig();
-        config.copy_slices_at_launch = copy_slices;
+        const core::ApopheniaConfig config = MiningHeavyConfig();
         DiscardExecutor executor;
         core::TraceFinder finder(config, executor);
         const auto start = std::chrono::steady_clock::now();
@@ -675,27 +673,33 @@ SteadyMiningRecord RunSteadyMiningRecord()
     return record;
 }
 
+/** std::printf into a std::string. */
+[[gnu::format(printf, 1, 2)]] std::string Printf(const char* format, ...)
+{
+    std::va_list args;
+    va_start(args, format);
+    std::va_list sizing;
+    va_copy(sizing, args);
+    std::string text(
+        static_cast<std::size_t>(std::vsnprintf(nullptr, 0, format, sizing)),
+        '\0');
+    va_end(sizing);
+    std::vsnprintf(text.data(), text.size() + 1, format, args);
+    va_end(args);
+    return text;
+}
+
 int RunLaunchPathRecord(const std::string& json_path)
 {
     constexpr std::size_t kTokens = 1u << 19;
     constexpr int kReps = 5;
-    const LaunchPathResult snapshot =
-        MeasureLaunchPath(/*copy_slices=*/false, kTokens, kReps);
-    const LaunchPathResult copy =
-        MeasureLaunchPath(/*copy_slices=*/true, kTokens, kReps);
-    const double improvement =
-        copy.tokens_per_sec > 0.0
-            ? snapshot.tokens_per_sec / copy.tokens_per_sec
-            : 0.0;
+    const LaunchPathResult snapshot = MeasureLaunchPath(kTokens, kReps);
 
     std::printf("# finder launch path (mining-heavy: batchsize 4096, "
                 "scale 32, %zu tokens)\n",
                 kTokens);
     std::printf("%-22s %14.0f tokens/sec\n", "zero-copy snapshots",
                 snapshot.tokens_per_sec);
-    std::printf("%-22s %14.0f tokens/sec\n", "copy-at-launch (seed)",
-                copy.tokens_per_sec);
-    std::printf("%-22s %14.2fx\n", "improvement", improvement);
     std::printf("%-22s %14llu jobs, %llu tokens analyzed\n", "workload",
                 static_cast<unsigned long long>(snapshot.jobs_launched),
                 static_cast<unsigned long long>(snapshot.tokens_analyzed));
@@ -705,36 +709,13 @@ int RunLaunchPathRecord(const std::string& json_path)
     const DigestRecord stream_digest = RunDigestRecord();
     const SteadyMiningRecord steady = RunSteadyMiningRecord();
 
-    // This bench rewrites its own records wholesale; carry other
-    // writers' sections (fig_replication_scaling's merges) across.
-    const std::string existing =
-        apo::bench::ReadFileOrEmpty(json_path);
-    std::string preserved_member;
-    for (const char* key :
-         {"replication_scaling", "cluster_parallel", "fig_multitenant"}) {
-        const std::string preserved =
-            apo::bench::ExtractJsonMember(existing, key);
-        if (!preserved.empty()) {
-            preserved_member +=
-                ",\n  \"" + std::string(key) + "\": " + preserved;
-        }
-    }
-
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-    }
-    std::fprintf(
-        out,
+    const std::string fresh = Printf(
         "{\n"
         "  \"bench\": \"micro_repeats/finder_launch_path\",\n"
         "  \"config\": {\"batchsize\": 4096, \"multi_scale_factor\": 32,"
         " \"min_trace_length\": 8, \"tokens\": %zu},\n"
         "  %s,\n"
         "  \"snapshot_tokens_per_sec\": %.0f,\n"
-        "  \"copy_at_launch_tokens_per_sec\": %.0f,\n"
-        "  \"improvement\": %.3f,\n"
         "  \"jobs_launched\": %llu,\n"
         "  \"tokens_analyzed\": %llu,\n"
         "  \"issue_path\": {\n"
@@ -764,10 +745,10 @@ int RunLaunchPathRecord(const std::string& json_path)
         "    \"allocs_per_window\": %.3f,\n"
         "    \"windows\": %llu,\n"
         "    \"candidate_sets_identical\": %s\n"
-        "  }%s\n"
+        "  }\n"
         "}\n",
         kTokens, apo::bench::ConcurrencyJson().c_str(),
-        snapshot.tokens_per_sec, copy.tokens_per_sec, improvement,
+        snapshot.tokens_per_sec,
         static_cast<unsigned long long>(snapshot.jobs_launched),
         static_cast<unsigned long long>(snapshot.tokens_analyzed),
         issue.builder.launches_per_sec,
@@ -784,8 +765,14 @@ int RunLaunchPathRecord(const std::string& json_path)
         steady.scratch.tokens_per_sec, steady.speedup,
         steady.incremental.fast_path_hit_rate, steady.allocs_per_window,
         static_cast<unsigned long long>(steady.incremental.windows),
-        steady.identical ? "true" : "false", preserved_member.c_str());
-    std::fclose(out);
+        steady.identical ? "true" : "false");
+    // This bench rewrites its own records wholesale and carries every
+    // other bench's records across.
+    const std::string record = apo::bench::KeepOtherJsonMembers(
+        apo::bench::ReadFileOrEmpty(json_path), fresh);
+    if (apo::bench::WriteFileOrComplain(json_path, record) != 0) {
+        return 1;
+    }
     std::printf("wrote %s\n", json_path.c_str());
     // The equality assert: the record is only acceptable when the
     // engine's candidate sets match from-scratch mining bit for bit

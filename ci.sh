@@ -25,8 +25,11 @@ cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "== sanitizers: TSan executor stress + cluster simulation (parallel engine, 8 worker threads) + shared decision engine + multi-tenant service =="
+tsan_suites=(support_executor_stress_test sim_cluster_test core_incremental_test
+             core_decision_test svc_service_test svc_overload_test
+             fault_checkpoint_test fault_membership_test)
 cmake -B build-tsan -S . -DAPO_TSAN=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-tsan -j "$JOBS" --target support_executor_stress_test sim_cluster_test core_incremental_test core_decision_test svc_service_test svc_overload_test fault_checkpoint_test fault_membership_test
+cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # APO_JOBS=8 forces every default-jobs cluster through the parallel
 # per-node engine at >= 8 worker threads regardless of the host's core
 # count, so TSan sees the real cross-thread traffic (TaskTeam barriers,
@@ -39,7 +42,8 @@ cmake --build build-tsan -j "$JOBS" --target support_executor_stress_test sim_cl
 # parallel engine's barriers (the ASan leg already covers them via the
 # full ctest above). svc_overload_test adds the watchdog's stuck-miner
 # abandonment and the MiningCache waiter-release rendezvous.
-APO_JOBS=8 ctest --test-dir build-tsan -R '^(support_executor_stress_test|sim_cluster_test|core_incremental_test|core_decision_test|svc_service_test|svc_overload_test|fault_checkpoint_test|fault_membership_test)$' --output-on-failure -j "$JOBS"
+tsan_regex="$(IFS='|'; echo "${tsan_suites[*]}")"
+APO_JOBS=8 ctest --test-dir build-tsan -R "^(${tsan_regex})\$" --output-on-failure -j "$JOBS"
 
 echo "== perf records: refresh BENCH_micro_repeats.json =="
 # Snapshot the committed record before the benches overwrite it: the

@@ -58,8 +58,7 @@ Apophenia::DoExecuteTask(const rt::TaskLaunchView& launch)
     finder_.Observe(mining_token, counter_);
     IngestReadyJobs();
     AdvancePointers(mining_token);
-    if (!AnyPointerAlive() && held_.empty() &&
-        !config_.buffer_all_launches) {
+    if (!AnyPointerAlive() && held_.empty()) {
         // Fast path: no still-growing match and no queued replay can
         // cover this launch, so it is forwarded straight off the
         // caller's arena — no materialization, no allocation. Any
@@ -650,7 +649,7 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
         PendingTask task;
         task.token = reader.U64();
         task.launch.task = reader.U64();
-        const std::uint64_t reqs = reader.U64();
+        const std::uint64_t reqs = reader.Count();
         task.launch.requirements.reserve(reqs);
         for (std::uint64_t r = 0; r < reqs; ++r) {
             rt::RegionRequirement req;
@@ -671,12 +670,12 @@ Apophenia::LoadState(fault::CheckpointReader& reader)
         throw fault::CheckpointError(
             "checkpoint pending buffer does not end at the task counter");
     }
-    std::vector<std::uint64_t> active_starts(reader.U64());
+    std::vector<std::uint64_t> active_starts(reader.Count());
     for (std::uint64_t& start : active_starts) {
         start = reader.U64();
     }
     std::vector<std::pair<std::uint64_t, std::uint64_t>> held_ranges(
-        reader.U64());
+        reader.Count());
     for (auto& [start, end] : held_ranges) {
         start = reader.U64();
         end = reader.U64();

@@ -77,18 +77,8 @@ ParseApopheniaFlags(std::vector<std::string>& args)
             }
         } else if (a == "-lg:auto_trace:history_block_size") {
             config.history_block_size = ParseCount(a, value_of(i, a));
-        } else if (a == "-lg:auto_trace:copy_slices_at_launch") {
-            config.copy_slices_at_launch = true;
-        } else if (a == "-lg:auto_trace:buffer_all_launches") {
-            config.buffer_all_launches = true;
         } else if (a == "-lg:auto_trace:no_incremental_mining") {
             config.incremental_mining = false;
-        } else if (a == "-lg:auto_trace:no_shared_decisions") {
-            config.shared_decisions = false;
-        } else if (a == "-lg:auto_trace:no_checkpoints") {
-            config.checkpoints = false;
-        } else if (a == "-lg:auto_trace:no_overload_control") {
-            config.overload_control = false;
         } else if (a == "-lg:auto_trace:incremental_ring_windows") {
             config.incremental_ring_windows = ParseCount(a, value_of(i, a));
         } else if (a == "-lg:window") {

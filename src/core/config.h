@@ -15,11 +15,8 @@
  *
  *   -lg:auto_trace:ingest_mode <on-completion|eager-drain|manual>
  *   -lg:auto_trace:history_block_size <N>
- *   -lg:auto_trace:copy_slices_at_launch
- *   -lg:auto_trace:buffer_all_launches
- *   -lg:auto_trace:no_shared_decisions
- *   -lg:auto_trace:no_checkpoints
- *   -lg:auto_trace:no_overload_control
+ *   -lg:auto_trace:no_incremental_mining
+ *   -lg:auto_trace:incremental_ring_windows <N>
  *
  * The paper's experiments all run with one configuration (batchsize
  * 5000, multi-scale factor 250/500, min length 25); only FlexFlow
@@ -107,17 +104,6 @@ struct ApopheniaConfig {
      * O(slice / block size) on the application thread. */
     std::size_t history_block_size = 512;
 
-    /** Ablation/benchmark switch: materialize each job's slice on the
-     * application thread at launch (the pre-zero-copy behaviour)
-     * instead of handing the worker a block snapshot. */
-    bool copy_slices_at_launch = false;
-
-    /** Ablation/benchmark switch: stage *every* launch through the
-     * pending buffer (the pre-launch-view behaviour — one requirement
-     * vector copy per launch) instead of forwarding unmatched
-     * launches straight off the caller's arena. */
-    bool buffer_all_launches = false;
-
     /** Steady-state incremental mining: probe a per-finder ring of
      * recently mined windows ahead of the shared cache (a verified
      * hit skips mining, hashing and materialization entirely) and
@@ -141,33 +127,6 @@ struct ApopheniaConfig {
      * their token streams stay disjoint. 0 (the default) is the
      * classic un-namespaced stream. */
     std::uint64_t cache_namespace = 0;
-
-    /** Control-replicated clusters: hoist ONE decision engine (trie +
-     * pending buffer + TraceCache — core/decision_engine.h) above the
-     * node shards and broadcast its per-task decisions instead of
-     * re-deriving them per node. Soundness is checked per node via
-     * the incremental StreamDigest; a diverged node falls back to a
-     * local engine. Behaviour-invariant on byte-identical streams:
-     * issued streams, digests, and coordination stats are
-     * bit-identical to per-node engines
-     * (-lg:auto_trace:no_shared_decisions disables). */
-    bool shared_decisions = true;
-
-    /** Fault tolerance: allow periodic cluster checkpoints (fault::)
-     * when a checkpoint interval is configured. The escape hatch
-     * `-lg:auto_trace:no_checkpoints` turns all checkpointing off —
-     * rejoining nodes then resync by replaying the full retained
-     * decision tail from stream start. */
-    bool checkpoints = true;
-
-    /** Overload robustness: allow the serving layer (svc::) to shed
-     * arrivals past a tenant's admission bound, degrade a backlogged
-     * tenant to untraced issue, evict caches under memory pressure and
-     * abandon stuck analysis jobs. The escape hatch
-     * `-lg:auto_trace:no_overload_control` turns every overload
-     * action off — tenants then always block (closed-loop
-     * backpressure), the pre-overload-control behaviour. */
-    bool overload_control = true;
 
     // -- Trace selection scoring (paper section 4.3) ----------------------
 

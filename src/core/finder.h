@@ -79,11 +79,10 @@ struct AnalysisJob {
     std::uint64_t issued_at = 0;
     /** Number of tokens analyzed. */
     std::size_t slice_length = 0;
-    /** Zero-copy view of the analyzed slice (empty if the slice was
-     * materialized at launch; see
-     * ApopheniaConfig::copy_slices_at_launch). */
+    /** Zero-copy view of the analyzed slice, taken at launch. */
     HistorySnapshot snapshot;
-    /** Worker-side materialization buffer, reused across jobs. */
+    /** Worker-side materialization buffer, reused across jobs; filled
+     * only when the job actually mines. */
     std::vector<rt::TokenHash> slice;
     std::vector<CandidateTrace> results;
     /** Set instead of `results` when the shared mining cache served

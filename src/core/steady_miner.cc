@@ -215,8 +215,7 @@ SteadyStateMiner::LoadState(fault::CheckpointReader& reader)
     stats_.repairs = reader.U64();
     stats_.full_rebuilds = reader.U64();
     stats_.memoized = reader.U64();
-    const std::uint64_t entries = reader.U64();
-    ring_.resize(entries);
+    ring_.resize(reader.Count());
     for (Entry& entry : ring_) {
         entry.valid = reader.Bool();
         if (!entry.valid) {

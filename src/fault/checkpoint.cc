@@ -279,18 +279,25 @@ CheckpointReader::Bool()
     return value == 1;
 }
 
-std::vector<std::uint64_t>
-CheckpointReader::VecU64()
+std::uint64_t
+CheckpointReader::Count()
 {
     const std::uint64_t count = U64();
     if (count > (section_end_ - at_) / 8) {
         throw CheckpointError(
-            "checkpoint vector length " + std::to_string(count) +
+            "checkpoint element count " + std::to_string(count) +
             " exceeds section " + Describe(section_tag_) +
             " at byte offset " + std::to_string(at_ - 8) + " (" +
             std::to_string(section_end_ - at_) +
             " payload bytes remain)");
     }
+    return count;
+}
+
+std::vector<std::uint64_t>
+CheckpointReader::VecU64()
+{
+    const std::uint64_t count = Count();
     std::vector<std::uint64_t> values;
     values.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -123,6 +123,10 @@ class CheckpointReader {
     std::uint64_t U64();
     double F64() { return std::bit_cast<double>(U64()); }
     bool Bool();
+    /** An element count, checked against the open section's remaining
+     * payload: every element stores at least one 8-byte value, so a
+     * larger count is a malformed image, never an allocation size. */
+    std::uint64_t Count();
     std::vector<std::uint64_t> VecU64();
 
     /** True once every byte of the image has been consumed. */

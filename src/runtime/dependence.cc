@@ -329,7 +329,7 @@ void
 LoadIndexVector(fault::CheckpointReader& reader,
                 std::vector<std::size_t>& values)
 {
-    const std::uint64_t count = reader.U64();
+    const std::uint64_t count = reader.Count();
     values.clear();
     values.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -392,7 +392,7 @@ DependenceAnalyzer::LoadState(fault::CheckpointReader& reader)
         const std::uint64_t root = reader.U64();
         const FieldId field = static_cast<FieldId>(reader.U64());
         std::vector<RegionId>& regions = by_root_[{root, field}];
-        const std::uint64_t region_count = reader.U64();
+        const std::uint64_t region_count = reader.Count();
         regions.reserve(region_count);
         for (std::uint64_t j = 0; j < region_count; ++j) {
             regions.push_back(RegionId{reader.U64()});

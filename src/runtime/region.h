@@ -117,7 +117,7 @@ class RegionAllocator {
     {
         reader.BeginSection(fault::SectionTag::kRegionAllocator);
         next_ = reader.U64();
-        const std::uint64_t count = reader.U64();
+        const std::uint64_t count = reader.Count();
         free_list_.clear();
         free_list_.reserve(count);
         for (std::uint64_t i = 0; i < count; ++i) {

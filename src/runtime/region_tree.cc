@@ -145,7 +145,7 @@ void
 RegionTreeForest::LoadState(fault::CheckpointReader& reader)
 {
     reader.BeginSection(fault::SectionTag::kRegionForest);
-    const std::uint64_t count = reader.U64();
+    const std::uint64_t count = reader.Count();
     nodes_.clear();
     nodes_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -200,7 +200,7 @@ class TraceCache {
             TraceTemplate t;
             t.id = reader.U64();
             t.tokens = reader.VecU64();
-            const std::uint64_t edges = reader.U64();
+            const std::uint64_t edges = reader.Count();
             t.internal_edges.reserve(edges);
             for (std::uint64_t j = 0; j < edges; ++j) {
                 Dependence d;
@@ -209,7 +209,7 @@ class TraceCache {
                 d.kind = static_cast<DependenceKind>(reader.U64());
                 t.internal_edges.push_back(d);
             }
-            const std::uint64_t begins = reader.U64();
+            const std::uint64_t begins = reader.Count();
             t.edge_begin.clear();
             t.edge_begin.reserve(begins);
             for (std::uint64_t j = 0; j < begins; ++j) {

@@ -87,7 +87,6 @@ Cluster::Cluster(const ClusterOptions& options)
     // there is more than one node to share across and tracing is on
     // (a disabled front-end is a pass-through either way).
     const bool shared = options_.shared_decisions &&
-                        options_.config.shared_decisions &&
                         options_.config.enabled && n_nodes > 1;
     // Fault tolerance rides on the shared engine: the decision tail a
     // rejoiner replays IS the broadcast log.
@@ -112,9 +111,6 @@ Cluster::Cluster(const ClusterOptions& options)
     resync_enabled_ = shared && (!options_.fault_plan.events.empty() ||
                                  options_.fault.enabled ||
                                  options_.checkpoint_interval_tasks > 0);
-    checkpoints_enabled_ = shared &&
-                           options_.checkpoint_interval_tasks > 0 &&
-                           options_.config.checkpoints;
     if (shared) {
         engine_ = std::make_unique<core::DecisionEngine>(
             options_.config, options_.runtime_options,
@@ -254,7 +250,7 @@ Cluster::ProcessBatch()
             engine_->Retire();
         }
         batch_count_ = 0;
-        if (checkpoints_enabled_ &&
+        if (options_.checkpoint_interval_tasks > 0 &&
             tasks_issued_ - checkpoint_task_ >=
                 options_.checkpoint_interval_tasks) {
             TakeCheckpoint();
@@ -715,34 +711,6 @@ Cluster::StreamDigestsAgree() const
     for (std::size_t n = 1; n < nodes_.size(); ++n) {
         if (!(NodeDigest(n) == reference)) {
             return false;
-        }
-    }
-    return true;
-}
-
-bool
-Cluster::StreamsIdentical() const
-{
-    if (options_.stream_logs) {
-        throw rt::RuntimeUsageError(
-            "Cluster::StreamsIdentical needs retained logs (the "
-            "streaming-retire mode recycles them); use "
-            "StreamDigestsAgree");
-    }
-    const rt::OperationLog& reference = nodes_[0]->runtime->Log();
-    for (std::size_t n = 1; n < nodes_.size(); ++n) {
-        const rt::OperationLog& log = nodes_[n]->runtime->Log();
-        if (log.size() != reference.size()) {
-            return false;
-        }
-        for (std::size_t i = 0; i < log.size(); ++i) {
-            const rt::OpView a = log[i];
-            const rt::OpView b = reference[i];
-            if (a.token != b.token || a.mode != b.mode ||
-                a.trace != b.trace ||
-                !(a.dependences == b.dependences)) {
-                return false;
-            }
         }
     }
     return true;

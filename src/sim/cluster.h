@@ -71,8 +71,8 @@
  * **Shared decision engine.** The mining cache still left trie
  * matching, candidate ingestion and replay decisions paid N times on
  * byte-identical streams. With `ClusterOptions::shared_decisions`
- * (default on; `-lg:auto_trace:no_shared_decisions` or per-node-mode
- * tests disable), the cluster hosts no per-node Apophenia at all:
+ * (default on; per-node-mode tests and benches disable it), the
+ * cluster hosts no per-node Apophenia at all:
  * one `core::DecisionEngine` consumes the issued stream exactly once
  * on the driving thread and broadcasts POD decision events — riding
  * the same safe-horizon batches — which the team fan-out merely
@@ -277,9 +277,9 @@ struct ClusterOptions {
     /** Use the shared decision engine (see file comment): one decider
      * consumes the stream once and the nodes apply its broadcast
      * decisions, with per-barrier digest checks. Active only when
-     * tracing is enabled, config.shared_decisions is true, and the
-     * cluster has more than one node; otherwise (or when false) every
-     * node hosts its own Apophenia. Bit-identical either way. */
+     * tracing is enabled and the cluster has more than one node;
+     * otherwise (or when false) every node hosts its own Apophenia.
+     * Bit-identical either way. */
     bool shared_decisions = true;
     /** Mining memo for the decider's finder in place of (or, in
      * per-node mode, instead of) the cluster-internal cache — the
@@ -328,11 +328,9 @@ struct ClusterOptions {
     /** Take a cluster checkpoint (the newest healthy node's runtime
      * image + stream digest, via fault::CheckpointWriter) every this
      * many issued tasks; 0 = never. Rejoining nodes install the
-     * newest image; the decision tail retained since it covers the
-     * rest. Requires the shared decision engine. Disabled cluster-
-     * wide by ApopheniaConfig::checkpoints == false (the
-     * `-lg:auto_trace:no_checkpoints` escape hatch) — rejoiners then
-     * replay the full decision tail from stream start. */
+     * newest image and replay the decision tail retained since it;
+     * with no image they replay the full tail from stream start.
+     * Requires the shared decision engine. */
     std::uint64_t checkpoint_interval_tasks = 0;
 
     /** Virtual-time model of checkpoint/recovery cost. Writing a
@@ -486,14 +484,6 @@ class Cluster final : public api::Frontend {
      * node 0's. Works in both log modes at O(1) resident memory per
      * node when streaming. */
     bool StreamDigestsAgree() const;
-
-    /**
-     * The exact (all-pairs, retained-log) comparison the digest
-     * replaces: same tokens, modes, trace ids and edges at the same
-     * positions on every node. Kept for digest validation; requires
-     * retained logs (throws rt::RuntimeUsageError when streaming).
-     */
-    bool StreamsIdentical() const;
 
     // -- Streaming-retire plumbing ------------------------------------------
 
@@ -673,9 +663,6 @@ class Cluster final : public api::Frontend {
     /** True when the run retains the decision tail (a fault plan,
      * fault injection, or checkpointing is configured). */
     bool resync_enabled_ = false;
-    /** True when periodic checkpoints are armed (interval set and not
-     * escaped via ApopheniaConfig::checkpoints). */
-    bool checkpoints_enabled_ = false;
     std::vector<ReplayEvent> tail_;  ///< decisions since the checkpoint
     std::vector<std::uint8_t> checkpoint_image_;
     std::uint64_t checkpoint_task_ = 0;  ///< stream position of the image

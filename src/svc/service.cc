@@ -296,9 +296,9 @@ TraceService::AddTenant(TenantOptions tenant)
     api::Frontend* inner = nullptr;
     if (state->options.replicas > 1) {
         // Replicated tenant: N nodes behind one cluster, one shared
-        // per-tenant decision engine (under shared_decisions), and
-        // the *service-wide* mining cache as the cluster's backing
-        // store so cross-tenant dedup composes with replication.
+        // per-tenant decision engine, and the *service-wide* mining
+        // cache as the cluster's backing store so cross-tenant dedup
+        // composes with replication.
         // Cluster mining is always deterministic-inline — the
         // service-level executor applies to unreplicated tenants
         // only.
@@ -308,7 +308,6 @@ TraceService::AddTenant(TenantOptions tenant)
         cluster_options.config = config;
         cluster_options.config.enabled = true;
         cluster_options.runtime_options = runtime_options;
-        cluster_options.shared_decisions = options_.shared_decisions;
         cluster_options.checkpoint_interval_tasks =
             state->options.checkpoint_interval_tasks;
         cluster_options.external_mining_cache =
@@ -375,11 +374,8 @@ const core::Apophenia&
 TraceService::TenantEngine(std::size_t tenant) const
 {
     const Tenant& state = *tenants_.at(tenant);
-    if (state.cluster != nullptr) {
-        return state.cluster->SharedDecisions() ? state.cluster->Decider()
-                                                : state.cluster->Node(0);
-    }
-    return *state.engine;
+    return state.cluster != nullptr ? state.cluster->Decider()
+                                    : *state.engine;
 }
 
 const rt::Runtime&
@@ -509,9 +505,8 @@ TraceService::ApplyOverloadControl(Tenant& tenant, std::uint64_t clock)
 }
 
 void
-TraceService::RunWatchdogAndHealth(std::uint64_t clock)
+TraceService::RunWatchdogAndHealth()
 {
-    (void)clock;
     if (options_.analysis_timeout_tasks > 0) {
         std::size_t abandoned = 0;
         for (const auto& tenant : tenants_) {
@@ -607,10 +602,6 @@ TraceService::Run()
         tenant->arrival_base = clock;
     }
 
-    // The escape hatch turns every overload action off: every policy
-    // behaves like kBlock, no watchdog, no health monitor.
-    const bool overload_on = options_.config.overload_control;
-
     std::vector<std::size_t> ready;
     for (;;) {
         ready.clear();
@@ -618,9 +609,7 @@ TraceService::Run()
             std::numeric_limits<std::uint64_t>::max();
         for (std::size_t t = 0; t < tenants_.size(); ++t) {
             Tenant& tenant = *tenants_[t];
-            if (overload_on) {
-                ApplyOverloadControl(tenant, clock);
-            }
+            ApplyOverloadControl(tenant, clock);
             if (tenant.Finished()) {
                 continue;
             }
@@ -686,9 +675,7 @@ TraceService::Run()
             // harness's final Flush.
             tenant.session->Flush();
         }
-        if (overload_on) {
-            RunWatchdogAndHealth(clock);
-        }
+        RunWatchdogAndHealth();
     }
     return AssembleResults(clock);
 }
@@ -729,14 +716,9 @@ TraceService::AssembleResults(std::uint64_t virtual_time)
         const rt::Runtime& runtime = cluster != nullptr
                                          ? cluster->NodeRuntime(0)
                                          : *tenant->runtime;
-        // Replicated: the engine whose stats describe the tenant is
-        // the shared decider (or replica 0's in per-node mode —
-        // identical numbers by the bit-identity property).
+        // Replicated: the shared decider's stats describe the tenant.
         const core::Apophenia& engine =
-            cluster != nullptr
-                ? (cluster->SharedDecisions() ? cluster->Decider()
-                                              : cluster->Node(0))
-                : *tenant->engine;
+            cluster != nullptr ? cluster->Decider() : *tenant->engine;
         const core::FinderStats& finder = engine.Finder();
         const bool streaming = tenant->streaming_sim.has_value();
 
@@ -779,6 +761,7 @@ TraceService::AssembleResults(std::uint64_t virtual_time)
         experiment.log_retired_ops = runtime.Log().RetiredCount();
         experiment.stream_digest = digest.Value();
         experiment.stream_digest_ops = digest.Count();
+        experiment.candidate_digest = engine.CandidateDigest();
         if (cluster != nullptr) {
             experiment.streams_identical = cluster->StreamDigestsAgree();
             experiment.coordination = cluster->Coordination();

@@ -30,10 +30,9 @@
  * (TenantOptions::replicas > 1): its stream then runs on N simulated
  * nodes behind one sim::Cluster, and one per-tenant shared
  * core::DecisionEngine makes every trace decision once for all of
- * the tenant's replicas (ServiceOptions::shared_decisions) — so a
- * tenant pays mining/matching O(1) in its own width, while its
- * replicated stack still probes the service-wide mining cache for
- * cross-tenant dedup.
+ * the tenant's replicas — so a tenant pays mining/matching O(1) in
+ * its own width, while its replicated stack still probes the
+ * service-wide mining cache for cross-tenant dedup.
  *
  * Interleaving is decided by a pluggable AdmissionPolicy at the issue
  * surface (round-robin and deficit-weighted fair round-robin ship);
@@ -78,10 +77,7 @@ class ServiceUsageError : public rt::RuntimeUsageError {
  * granted open-loop iterations) exceeds TenantOptions::
  * max_queue_iterations. Tracing is an optimization, so under overload
  * the service can trade trace quality for liveness instead of
- * queueing without bound. Subject to the
- * `-lg:auto_trace:no_overload_control` escape hatch
- * (core::ApopheniaConfig::overload_control == false ⇒ every policy
- * behaves like kBlock and no health-monitor action fires).
+ * queueing without bound.
  */
 enum class OverloadPolicy : std::uint8_t {
     /** Closed-loop backpressure (the pre-overload behaviour): excess
@@ -118,12 +114,11 @@ struct TenantOptions {
     std::uint64_t arrival_gap = 0;
     /** Control replication within the tenant: >1 runs the tenant's
      * stream on this many simulated nodes behind one sim::Cluster,
-     * and (under ServiceOptions::shared_decisions) one shared
-     * decision engine drives all of the tenant's replicas — the
-     * tenant pays mining/matching once no matter how wide it is. The
-     * replicated stack still probes the service-wide mining cache
-     * (through ClusterOptions::external_mining_cache), so
-     * cross-tenant dedup composes with replication. 1 = the plain
+     * and one shared decision engine drives all of the tenant's
+     * replicas — the tenant pays mining/matching once no matter how
+     * wide it is. The replicated stack still probes the service-wide
+     * mining cache (through ClusterOptions::external_mining_cache),
+     * so cross-tenant dedup composes with replication. 1 = the plain
      * single-runtime stack. */
     std::size_t replicas = 1;
     /** Explicit token namespace; defaults to
@@ -133,9 +128,7 @@ struct TenantOptions {
     std::optional<rt::TokenHash> name_space;
     /** Replicated tenants only: arm periodic cluster checkpoints of
      * the tenant's replication stack every this many issued tasks
-     * (sim::ClusterOptions::checkpoint_interval_tasks; 0 = never).
-     * Subject to the `-lg:auto_trace:no_checkpoints` escape hatch in
-     * ServiceOptions::config. */
+     * (sim::ClusterOptions::checkpoint_interval_tasks; 0 = never). */
     std::uint64_t checkpoint_interval_tasks = 0;
 
     // -- Overload control ---------------------------------------------------
@@ -279,11 +272,6 @@ struct ServiceOptions {
     bool share_mining_cache = true;
     /** Retention bound of the shared cache (see MiningCache). */
     std::size_t max_cache_windows = 1024;
-    /** Replicated tenants (TenantOptions::replicas > 1): drive every
-     * replica of a tenant from one shared per-tenant decision engine
-     * (sim::ClusterOptions::shared_decisions; bit-identical to
-     * per-replica engines either way). */
-    bool shared_decisions = true;
     /** Coordination tuning of replicated tenants (`nodes` comes from
      * TenantOptions::replicas). */
     sim::CoordinationOptions replication;
@@ -389,8 +377,7 @@ struct TenantStats {
 };
 
 /** Service-level health-monitor accounting of one run (all zero with
- * monitoring off — no watermark, no watchdog, or the
- * `-lg:auto_trace:no_overload_control` escape hatch). */
+ * monitoring off — no watermark and no watchdog). */
 struct HealthStats {
     /** Resident-byte samples taken (one per granted iteration). */
     std::uint64_t samples = 0;
@@ -455,8 +442,7 @@ class TraceService {
     api::Frontend& Session(std::size_t tenant);
 
     /** The tenant's decision engine: the single-stack Apophenia, or —
-     * replicated — the cluster's shared decider (per-node mode:
-     * replica 0's engine, identical numbers by bit-identity). */
+     * replicated — the cluster's shared decider. */
     const core::Apophenia& TenantEngine(std::size_t tenant) const;
     /** The tenant's runtime (replica 0's when replicated). */
     const rt::Runtime& TenantRuntime(std::size_t tenant) const;
@@ -478,7 +464,7 @@ class TraceService {
      * configurations (see ServiceUsageError). */
     void ValidateForRun() const;
     void ApplyOverloadControl(Tenant& tenant, std::uint64_t clock);
-    void RunWatchdogAndHealth(std::uint64_t clock);
+    void RunWatchdogAndHealth();
     ServiceResult AssembleResults(std::uint64_t virtual_time);
 
     ServiceOptions options_;

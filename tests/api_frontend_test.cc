@@ -12,8 +12,7 @@
  *    annotation discard of the old adapter sinks, now counted;
  *  - Apophenia's untraced forward path: launches are materialized
  *    into the pending buffer only when a candidate match could hold
- *    them, and the buffer_all_launches ablation produces the
- *    identical stream.
+ *    them.
  */
 #include <gtest/gtest.h>
 
@@ -24,6 +23,7 @@
 #include "core/apophenia.h"
 #include "sim/cluster.h"
 #include "runtime/runtime.h"
+#include "streams_identical.h"
 
 #include "support/counting_allocator.h"
 
@@ -181,7 +181,7 @@ TEST(Frontend, ClusterCountsDroppedAnnotations)
     DriveAnnotatedStream(frontend);
     EXPECT_EQ(frontend.Stats().annotations_ignored, 10u);
     EXPECT_EQ(frontend.Stats().tasks_executed, 20u);
-    EXPECT_TRUE(frontend.StreamsIdentical());
+    EXPECT_TRUE(test::StreamsIdentical(frontend));
     EXPECT_TRUE(frontend.StreamDigestsAgree());
 }
 
@@ -210,42 +210,6 @@ TEST(Apophenia, UnmatchedLaunchesAreNeverMaterialized)
     EXPECT_EQ(frontend.Stats().pending_high_water, 0u);
     EXPECT_EQ(frontend.Stats().tasks_forwarded_untraced, 2000u);
     EXPECT_EQ(runtime.Log().size(), 2000u);
-}
-
-TEST(Apophenia, BufferAllLaunchesAblationMatchesFastPath)
-{
-    // The pre-launch-view behaviour (stage everything through
-    // pending_) must produce the bit-identical runtime stream.
-    auto run = [](bool buffer_all) {
-        auto runtime = std::make_unique<rt::Runtime>();
-        core::ApopheniaConfig config;
-        config.min_trace_length = 5;
-        config.batchsize = 400;
-        config.multi_scale_factor = 50;
-        config.buffer_all_launches = buffer_all;
-        core::Apophenia frontend(*runtime, config);
-        const rt::RegionId r = frontend.CreateRegion();
-        api::LaunchBuilder builder;
-        for (int iter = 0; iter < 100; ++iter) {
-            for (int i = 0; i < 8; ++i) {
-                builder.Start(static_cast<rt::TaskId>(100 + i))
-                    .Add({r, static_cast<rt::FieldId>(i),
-                          rt::Privilege::kReadWrite, 0})
-                    .LaunchOn(frontend);
-            }
-        }
-        frontend.Flush();
-        return runtime;
-    };
-    const auto fast = run(false);
-    const auto buffered = run(true);
-    ASSERT_EQ(fast->Log().size(), buffered->Log().size());
-    for (std::size_t i = 0; i < fast->Log().size(); ++i) {
-        ASSERT_EQ(fast->Log()[i].token, buffered->Log()[i].token);
-        ASSERT_EQ(fast->Log()[i].mode, buffered->Log()[i].mode);
-        ASSERT_EQ(fast->Log()[i].trace, buffered->Log()[i].trace);
-    }
-    EXPECT_GT(fast->Stats().tasks_replayed, 0u);
 }
 
 TEST(Apophenia, MatchedLaunchesAreBufferedAndReplayed)

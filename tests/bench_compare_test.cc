@@ -5,7 +5,8 @@
  * way is "worse" for each metric family), the exact >10% threshold
  * boundary, the flattening JSON reader, and the --require contract
  * (a bench that stops emitting its record fails CI, exit 2, which the
- * waiver env var never excuses).
+ * waiver env var never excuses). Also the record-file rewrite that
+ * keeps other benches' records.
  */
 #include <gtest/gtest.h>
 
@@ -116,6 +117,42 @@ TEST(FlatJsonParser, RejectsMalformedInput)
                  std::runtime_error);
     EXPECT_THROW(FlatJsonParser(R"({"a": 1)").Parse(),
                  std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Rewriting one bench's records in the shared record file.
+
+TEST(KeepOtherJsonMembers, CarriesEveryRecordTheWriterDoesNotOwn)
+{
+    // The rewriting bench owns the top-level scalars and its own
+    // members; every other object member is another bench's record.
+    const std::string existing = R"({
+  "bench": "old",
+  "dropped_rate": 1,
+  "own": {"x": 1},
+  "fig_a": {"s": "a,}", "v": [1, 2]},
+  "fig_b": {"nested": {"y": 2}}
+}
+)";
+    const std::string fresh = R"({
+  "bench": "new",
+  "own": {"x": 3}
+}
+)";
+    const std::string merged = KeepOtherJsonMembers(existing, fresh);
+    EXPECT_EQ(merged, R"({
+  "bench": "new",
+  "own": {"x": 3},
+  "fig_a": {"s": "a,}", "v": [1, 2]},
+  "fig_b": {"nested": {"y": 2}}
+}
+)");
+    EXPECT_NO_THROW(FlatJsonParser(merged).Parse());
+    EXPECT_EQ(RenderJsonMembers(TopLevelJsonMembers(merged)), merged);
+    // Rewriting again changes nothing; a missing file keeps the fresh
+    // record alone.
+    EXPECT_EQ(KeepOtherJsonMembers(merged, fresh), merged);
+    EXPECT_EQ(KeepOtherJsonMembers("", fresh), fresh);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/apophenia.h"
+#include "core/steady_miner.h"
 #include "fault/checkpoint.h"
 #include "sim/cluster.h"
 #include "support/rng.h"
@@ -770,6 +771,30 @@ TEST(Apophenia, RestoreRejectsMisorderedMatchPointers)
     std::vector<std::uint8_t> before_buffer = image;
     WriteWord(before_buffer, first, 0);  // forwarded long ago
     EXPECT_THROW(load(before_buffer), fault::CheckpointError);
+
+    // A count the section cannot hold is rejected, not allocated.
+    std::vector<std::uint8_t> huge = image;
+    WriteWord(huge, active_at, std::uint64_t{1} << 40);
+    EXPECT_THROW(load(huge), fault::CheckpointError);
+}
+
+TEST(SteadyStateMiner, RestoreRejectsARingCountPastTheImage)
+{
+    const ApopheniaConfig config = SmallConfig();  // borrowed by miners
+    SteadyStateMiner miner(config);
+    MiningPath path = MiningPath::kNone;
+    miner.Mine(std::vector<rt::TokenHash>(40, 7), &path);
+    fault::CheckpointWriter writer;
+    miner.SaveState(writer);
+    std::vector<std::uint8_t> image = writer.TakeImage();
+    // The ring size follows six counter words.
+    constexpr std::size_t kRingSizeAt = kPayloadAt + 6 * 8;
+    ASSERT_GT(ReadWord(image, kRingSizeAt), 0u);
+    WriteWord(image, kRingSizeAt, std::uint64_t{1} << 40);
+    Reseal(image);
+    SteadyStateMiner fresh(config);
+    fault::CheckpointReader reader(image);
+    EXPECT_THROW(fresh.LoadState(reader), fault::CheckpointError);
 }
 
 TEST(Apophenia, RestoreRejectsAPendingBufferOffTheCounter)

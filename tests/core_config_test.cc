@@ -33,7 +33,8 @@ TEST(Config, DefaultsMatchArtifact)
 
 TEST(Config, ParsesArtifactCommandLine)
 {
-    // The exact flag set from the paper's artifact appendix.
+    // The exact flag set from the paper's artifact appendix, plus
+    // switches this reproduction retired, which are not flags.
     auto args = Args({"candle_uno", "--warmup", "30",
                       "-lg:enable_automatic_tracing",
                       "-lg:auto_trace:min_trace_length", "25",
@@ -42,16 +43,26 @@ TEST(Config, ParsesArtifactCommandLine)
                       "-lg:auto_trace:identifier_algorithm", "multi-scale",
                       "-lg:auto_trace:multi_scale_factor", "500",
                       "-lg:auto_trace:repeats_algorithm",
-                      "quick_matching_of_substrings", "-ll:gpu", "8"});
+                      "quick_matching_of_substrings", "-ll:gpu", "8",
+                      "-lg:auto_trace:copy_slices_at_launch",
+                      "-lg:auto_trace:buffer_all_launches",
+                      "-lg:auto_trace:no_shared_decisions",
+                      "-lg:auto_trace:no_checkpoints",
+                      "-lg:auto_trace:no_overload_control"});
     const ApopheniaConfig config = ParseApopheniaFlags(args);
     EXPECT_TRUE(config.enabled);
     EXPECT_EQ(config.min_trace_length, 25u);
     EXPECT_EQ(config.max_trace_length, 200u);
     EXPECT_EQ(config.batchsize, 5000u);
     EXPECT_EQ(config.multi_scale_factor, 500u);
-    // Unrecognized application flags survive, in order.
-    const std::vector<std::string> rest{"candle_uno", "--warmup", "30",
-                                        "-ll:gpu", "8"};
+    // Unrecognized arguments survive, in order.
+    const std::vector<std::string> rest{
+        "candle_uno", "--warmup", "30", "-ll:gpu", "8",
+        "-lg:auto_trace:copy_slices_at_launch",
+        "-lg:auto_trace:buffer_all_launches",
+        "-lg:auto_trace:no_shared_decisions",
+        "-lg:auto_trace:no_checkpoints",
+        "-lg:auto_trace:no_overload_control"};
     EXPECT_EQ(args, rest);
 }
 

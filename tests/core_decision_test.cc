@@ -39,6 +39,7 @@
 #include "sim/cluster.h"
 #include "sim/harness.h"
 #include "support/counting_allocator.h"
+#include "streams_identical.h"
 
 namespace apo::sim {
 namespace {
@@ -298,21 +299,6 @@ TEST(SharedDecisions, AccessorsEnforceTheMode)
     EXPECT_FALSE(untraced.SharedDecisions());
 }
 
-TEST(SharedDecisions, EscapeFlagDisablesTheEngine)
-{
-    std::vector<std::string> args{"-lg:enable_automatic_tracing",
-                                  "-lg:auto_trace:no_shared_decisions"};
-    const core::ApopheniaConfig config = core::ParseApopheniaFlags(args);
-    EXPECT_TRUE(config.enabled);
-    EXPECT_FALSE(config.shared_decisions);
-    EXPECT_TRUE(args.empty());
-
-    ClusterOptions options = SmallClusterOptions(2);
-    options.config = config;
-    Cluster fe(options);
-    EXPECT_FALSE(fe.SharedDecisions());
-}
-
 TEST(SharedDecisions, BroadcastMatchesPerNodeOnADrivenCluster)
 {
     // The same driven stream through both modes: every node's digest,
@@ -333,7 +319,7 @@ TEST(SharedDecisions, BroadcastMatchesPerNodeOnADrivenCluster)
     EXPECT_FALSE(baseline->SharedDecisions());
     EXPECT_TRUE(shared->SharedDecisions());
     EXPECT_TRUE(shared->StreamDigestsAgree());
-    EXPECT_TRUE(shared->StreamsIdentical());
+    EXPECT_TRUE(test::StreamsIdentical(*shared));
     for (std::size_t n = 0; n < 3; ++n) {
         EXPECT_EQ(shared->NodeDigest(n).Value(),
                   baseline->NodeDigest(n).Value())

@@ -196,7 +196,7 @@ TEST(ElasticMembership, PermanentCrashLeavesNodeDownHealthyUnaffected)
     EXPECT_LT(got[1].second, want[1].second);
 }
 
-TEST(ElasticMembership, NoCheckpointsEscapeHatchFallsBackToFullTailReplay)
+TEST(ElasticMembership, WithoutCheckpointsRejoinReplaysTheFullTail)
 {
     apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
     const apps::S3dOptions app_options{.machine = machine};
@@ -206,8 +206,7 @@ TEST(ElasticMembership, NoCheckpointsEscapeHatchFallsBackToFullTailReplay)
     const auto want = DigestsOf(reference);
 
     sim::ClusterOptions options = BaseOptions(3, false);
-    options.checkpoint_interval_tasks = 300;
-    options.config.checkpoints = false;  // -lg:auto_trace:no_checkpoints
+    options.checkpoint_interval_tasks = 0;
     options.fault_plan.events.push_back(
         {.node = 1, .crash_at_task = total / 3,
          .rejoin_at_task = 2 * total / 3});

@@ -23,6 +23,7 @@
 #include "apps/torchswe.h"
 #include "sim/cluster.h"
 #include "sim/harness.h"
+#include "streams_identical.h"
 
 namespace apo {
 namespace {
@@ -180,7 +181,7 @@ TEST(Integration, ReplicationOverRealApplication)
         group.ExecuteTask(op.launch);
     }
     group.Flush();
-    EXPECT_TRUE(group.StreamsIdentical());
+    EXPECT_TRUE(test::StreamsIdentical(group));
     EXPECT_TRUE(group.StreamDigestsAgree());
     EXPECT_GT(group.NodeRuntime(0).Stats().tasks_replayed, 0u);
 }

@@ -15,8 +15,6 @@
  *    and is bit-safe: degraded tokens never reach the finder;
  *  - at sustainable load the overload machinery is inert — all three
  *    policies produce bit-identical per-tenant streams;
- *  - the `-lg:auto_trace:no_overload_control` escape hatch turns every
- *    policy back into kBlock and silences the health monitor;
  *  - DeficitWeightedFairPolicy still converges granted shares to the
  *    weights when the mix holds a shedding and a degrading tenant at
  *    sustained saturation, with no starvation and bounded shed-tenant
@@ -269,33 +267,6 @@ TEST(OverloadShed, BoundsBacklogAndDropsArrivals)
     EXPECT_EQ(stats.tokens_issued,
               stats.iterations_completed * kKernelTasks);
     EXPECT_EQ(stats.iterations_degraded, 0u);
-}
-
-TEST(OverloadShed, EscapeHatchRestoresBlocking)
-{
-    constexpr std::size_t kIterations = 60;
-    svc::ServiceOptions options = OverloadServiceOptions();
-    // The -lg:auto_trace:no_overload_control escape hatch: every
-    // policy behaves like kBlock, no health-monitor action fires.
-    options.config.overload_control = false;
-    options.memory_high_watermark_bytes = 1;  // would breach instantly
-    svc::TraceService service(std::move(options));
-    svc::SyntheticWorkload app(KernelOptions(7));
-    service.AddTenant(OpenLoopTenant(&app, kIterations,
-                                     /*arrival_gap=*/20,
-                                     svc::OverloadPolicy::kShed,
-                                     /*bound=*/4, 0));
-    const svc::ServiceResult result = service.Run();
-    const svc::TenantStats& stats = result.tenants[0];
-
-    EXPECT_EQ(stats.iterations_completed, kIterations);
-    EXPECT_EQ(stats.iterations_shed, 0u);
-    EXPECT_EQ(stats.iterations_degraded, 0u);
-    // The backlog grew past the (ignored) bound — kBlock behaviour.
-    EXPECT_GT(stats.max_backlog, 4u);
-    // The health monitor never sampled.
-    EXPECT_EQ(result.health.samples, 0u);
-    EXPECT_EQ(result.health.pressure_events, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@
  *    and the deficit-weighted fair policy honors weights;
  *  - a replicated tenant (TenantOptions::replicas > 1) runs behind
  *    one sim::Cluster with one shared per-tenant decision engine,
- *    bit-identical to per-replica engines, and still shares the
- *    service-wide mining cache across tenants.
+ *    bit-identical to the direct harness's replicated run, and still
+ *    shares the service-wide mining cache across tenants.
  */
 #include <gtest/gtest.h>
 
@@ -194,17 +194,26 @@ core::ApopheniaConfig TestConfig()
 }
 
 /** Drive one app through a single-tenant service and through the
- * direct harness with the same knobs; the issued stream and the
+ * direct harness with the same knobs (`replicas` > 1: the same
+ * replicas and coordination options); the issued stream and the
  * ingested candidate sets must agree bit for bit. */
 template <typename App, typename Options>
 void ExpectSingleTenantIdentity(const Options& app_options,
-                                std::size_t iterations)
+                                std::size_t iterations,
+                                std::size_t replicas = 1)
 {
+    sim::CoordinationOptions replication;
+    replication.seed = 7;
+    replication.mean_latency_tasks = 120.0;
+    replication.jitter = 0.6;
+
     sim::ExperimentOptions direct_options;
     direct_options.mode = sim::TracingMode::kAuto;
     direct_options.iterations = iterations;
     direct_options.machine = app_options.machine;
     direct_options.auto_config = TestConfig();
+    direct_options.replicas = replicas;
+    direct_options.replication = replication;
     App direct_app(app_options);
     const sim::ExperimentResult direct =
         sim::RunExperiment(direct_app, direct_options);
@@ -213,12 +222,14 @@ void ExpectSingleTenantIdentity(const Options& app_options,
     svc::ServiceOptions service_options;
     service_options.machine = app_options.machine;
     service_options.config = TestConfig();
+    service_options.replication = replication;
     svc::TraceService service(service_options);
     App tenant_app(app_options);
     svc::TenantOptions tenant;
     tenant.name = std::string(tenant_app.Name());
     tenant.app = &tenant_app;
     tenant.iterations = iterations;
+    tenant.replicas = replicas;
     service.AddTenant(tenant);
     EXPECT_EQ(service.TenantNamespace(0), 0u);
     const svc::ServiceResult result = service.Run();
@@ -228,6 +239,8 @@ void ExpectSingleTenantIdentity(const Options& app_options,
     const sim::ExperimentResult& experiment = result.experiments[0];
     EXPECT_EQ(stats.stream_digest, direct.stream_digest);
     EXPECT_EQ(stats.stream_digest_ops, direct.stream_digest_ops);
+    EXPECT_EQ(stats.candidate_digest, direct.candidate_digest);
+    EXPECT_EQ(experiment.candidate_digest, direct.candidate_digest);
     EXPECT_EQ(experiment.total_tasks, direct.total_tasks);
     EXPECT_EQ(experiment.iterations_per_second,
               direct.iterations_per_second);
@@ -239,6 +252,16 @@ void ExpectSingleTenantIdentity(const Options& app_options,
               direct.apophenia_stats.trace_records);
     EXPECT_EQ(experiment.apophenia_stats.candidates_ingested,
               direct.apophenia_stats.candidates_ingested);
+    // Replicated: the same coordination and the same broadcast.
+    EXPECT_EQ(experiment.coordination.jobs_coordinated,
+              direct.coordination.jobs_coordinated);
+    EXPECT_EQ(experiment.coordination.late_jobs,
+              direct.coordination.late_jobs);
+    EXPECT_EQ(experiment.coordination.final_slack,
+              direct.coordination.final_slack);
+    EXPECT_EQ(experiment.shared_decisions, replicas > 1);
+    EXPECT_EQ(experiment.decisions_broadcast, direct.decisions_broadcast);
+    EXPECT_EQ(experiment.decision_fallbacks, 0u);
     // Latency in a single-tenant closed loop is identically zero —
     // the tenant is granted the moment it becomes ready.
     EXPECT_EQ(stats.p50_issue_latency, 0.0);
@@ -632,96 +655,10 @@ TEST(OpenLoop, QueueingShowsUpInLatency)
 // ---------------------------------------------------------------------------
 // Replicated tenants: one decision engine per tenant cluster.
 
-/** A replicated-tenant run whose app and service outlive the result
- * (TenantOptions borrows the app pointer). */
-struct ReplicatedRun {
-    std::unique_ptr<svc::SyntheticWorkload> app;
-    std::unique_ptr<svc::TraceService> service;
-    svc::ServiceResult result;
-};
-
-ReplicatedRun RunReplicatedTenant(bool shared, std::size_t replicas)
+TEST(ReplicatedTenant, MatchesTheReplicatedHarness)
 {
-    svc::ServiceOptions service_options;
-    service_options.config = TestConfig();
-    service_options.shared_decisions = shared;
-    service_options.replication.seed = 7;
-    service_options.replication.mean_latency_tasks = 120.0;
-    service_options.replication.jitter = 0.6;
-    ReplicatedRun run;
-    run.app = std::make_unique<svc::SyntheticWorkload>(Synthetic(31));
-    run.service = std::make_unique<svc::TraceService>(service_options);
-    svc::TenantOptions tenant;
-    tenant.name = "wide";
-    tenant.app = run.app.get();
-    tenant.iterations = 25;
-    tenant.replicas = replicas;
-    run.service->AddTenant(tenant);
-    run.result = run.service->Run();
-    return run;
-}
-
-TEST(ReplicatedTenant, SharedEngineIsBitIdenticalToPerReplicaEngines)
-{
-    const ReplicatedRun shared = RunReplicatedTenant(true, 3);
-    const ReplicatedRun per_node = RunReplicatedTenant(false, 3);
-
-    // Both runs stand behind a 3-node cluster whose replicas agree.
-    const sim::Cluster* shared_cluster = shared.service->TenantCluster(0);
-    const sim::Cluster* per_node_cluster =
-        per_node.service->TenantCluster(0);
-    ASSERT_NE(shared_cluster, nullptr);
-    ASSERT_NE(per_node_cluster, nullptr);
-    EXPECT_TRUE(shared_cluster->SharedDecisions());
-    EXPECT_FALSE(per_node_cluster->SharedDecisions());
-    EXPECT_TRUE(shared_cluster->StreamDigestsAgree());
-    EXPECT_TRUE(per_node_cluster->StreamDigestsAgree());
-
-    // Tenant-level identity: the shared engine changed nothing the
-    // tenant can observe.
-    ASSERT_EQ(shared.result.tenants.size(), 1u);
-    ASSERT_EQ(per_node.result.tenants.size(), 1u);
-    const svc::TenantStats& a = shared.result.tenants[0];
-    const svc::TenantStats& b = per_node.result.tenants[0];
-    EXPECT_EQ(a.stream_digest, b.stream_digest);
-    EXPECT_EQ(a.stream_digest_ops, b.stream_digest_ops);
-    EXPECT_EQ(a.candidate_digest, b.candidate_digest);
-    EXPECT_EQ(a.tokens_issued, b.tokens_issued);
-    EXPECT_EQ(a.tokens_replayed, b.tokens_replayed);
-    EXPECT_EQ(a.trace_cache_hit_rate, b.trace_cache_hit_rate);
-    EXPECT_EQ(a.iterations_completed, 25u);
-    EXPECT_EQ(b.iterations_completed, 25u);
-
-    // Experiment-level identity plus the decision-path accounting:
-    // only the shared run broadcast decisions, and neither diverged.
-    const sim::ExperimentResult& se = shared.result.experiments[0];
-    const sim::ExperimentResult& pe = per_node.result.experiments[0];
-    EXPECT_TRUE(se.shared_decisions);
-    EXPECT_FALSE(pe.shared_decisions);
-    EXPECT_GT(se.decision_batches, 0u);
-    EXPECT_GT(se.decisions_broadcast, 0u);
-    EXPECT_EQ(se.decision_fallbacks, 0u);
-    EXPECT_EQ(pe.decisions_broadcast, 0u);
-    EXPECT_EQ(se.total_tasks, pe.total_tasks);
-    EXPECT_EQ(se.replayed_fraction, pe.replayed_fraction);
-    EXPECT_EQ(se.coordination.jobs_coordinated,
-              pe.coordination.jobs_coordinated);
-    EXPECT_EQ(se.coordination.final_slack, pe.coordination.final_slack);
-    ASSERT_EQ(se.node_metrics.size(), 3u);
-    ASSERT_EQ(pe.node_metrics.size(), 3u);
-
-    // The shared decider is what any per-node engine would have been.
-    EXPECT_EQ(shared.service->TenantEngine(0).CandidateDigest(),
-              per_node.service->TenantEngine(0).CandidateDigest());
-    const core::ApopheniaStats ss =
-        shared.service->TenantEngine(0).Stats();
-    const core::ApopheniaStats ps =
-        per_node.service->TenantEngine(0).Stats();
-    EXPECT_EQ(ss.tasks_observed, ps.tasks_observed);
-    EXPECT_EQ(ss.trace_records, ps.trace_records);
-    EXPECT_EQ(ss.trace_replays, ps.trace_replays);
-    EXPECT_EQ(ss.candidates_ingested, ps.candidates_ingested);
-    EXPECT_GT(ss.trace_replays, 0u);
+    ExpectSingleTenantIdentity<svc::SyntheticWorkload>(Synthetic(31), 25,
+                                                       /*replicas=*/3);
 }
 
 TEST(ReplicatedTenant, CrossTenantSharingComposesWithReplication)
