@@ -19,8 +19,12 @@ echo "== apobench: quick end-to-end run with reference-digest check =="
 # from the workload's reference configuration.
 bash bench/e2e/run.sh --quick
 
-echo "== sanitizers: ASan + UBSan build + ctest =="
-cmake -B build-asan -S . -DAPO_SANITIZE=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+echo "== sanitizers: ASan + UBSan build + ctest, assertions on =="
+# RelWithDebInfo's default flags define NDEBUG, which would compile out
+# every assert in src/; this leg keeps its optimisation and debug info
+# but drops NDEBUG, so the asserts run somewhere in CI.
+cmake -B build-asan -S . -DAPO_SANITIZE=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 

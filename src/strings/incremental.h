@@ -26,8 +26,13 @@
  *     only the changed tail is recompressed — and SA-IS + Kasai rerun
  *     entirely inside preallocated scratch.
  *  3. **Full** (MiningTier::kFull): novel content (new symbols, or no
- *     usable prefix). Everything is recomputed, still allocation-free
- *     at the steady-state fixed point thanks to the scratch buffers.
+ *     usable prefix). Everything is recomputed in the same scratch.
+ *
+ * Once the scratch buffers have grown to the largest window, a window
+ * mined by tier 2 or 3 allocates only the repeats it emits: each
+ * Repeat's `tokens` and `starts`. Suffix construction, candidate
+ * ordering and selection all reuse the scratch, whatever the order of
+ * window lengths.
  *
  * Bit-identity guarantee: every tier produces exactly the repeat set
  * FindRepeats would. Tier 1 only returns a result that was computed

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-
-#include "support/intervals.h"
+#include <cstdint>
 
 namespace apo::strings {
 
@@ -12,10 +11,10 @@ namespace {
 
 /**
  * O(1) range-minimum queries over the LCP array after O(n log n)
- * sparse-table preprocessing. Used to compare candidate substrings
- * lexicographically in constant time, keeping the candidate sort at
- * O(n log n) overall. The table is built into caller-owned level
- * storage so repeated constructions reuse the buffers.
+ * sparse-table preprocessing. Used to tell in constant time whether two
+ * candidates of one length share their content. The table is built
+ * into caller-owned level storage, which only ever grows, so repeated
+ * constructions over windows of varying size reuse the buffers.
  */
 class LcpRmq {
   public:
@@ -25,15 +24,17 @@ class LcpRmq {
     {
         const std::size_t n = lcp.size();
         if (n == 0) {
-            table_.resize(0);
             return;
         }
         const unsigned num_levels = std::bit_width(n);
         // Level j only answers queries of span 2^j, so it needs just
         // n - 2^j + 1 entries — sizing each level (instead of a full
         // copy of the LCP array per level) halves the preprocessing
-        // memory overall.
-        table_.resize(num_levels);
+        // memory overall. Levels past num_levels are left in place for
+        // the next, longer window.
+        if (table_.size() < num_levels) {
+            table_.resize(num_levels);
+        }
         table_[0] = lcp;
         for (unsigned j = 1; j < num_levels; ++j) {
             const std::size_t span = std::size_t{1} << j;
@@ -56,6 +57,26 @@ class LcpRmq {
   private:
     std::vector<std::vector<std::size_t>>& table_;
 };
+
+/** Stable counting sort of `in` into `out` by `key(c)` in [0, num_keys). */
+template <typename Key>
+void
+CountingSort(const std::vector<RepeatCandidate>& in, std::size_t num_keys,
+             Key key, std::vector<std::size_t>& counts,
+             std::vector<RepeatCandidate>& out)
+{
+    counts.assign(num_keys + 1, 0);
+    for (const RepeatCandidate& c : in) {
+        ++counts[key(c) + 1];
+    }
+    for (std::size_t k = 1; k <= num_keys; ++k) {
+        counts[k] += counts[k - 1];  // counts[k]: first slot of key k
+    }
+    out.resize(in.size());
+    for (const RepeatCandidate& c : in) {
+        out[counts[key(c)]++] = c;
+    }
+}
 
 }  // namespace
 
@@ -118,72 +139,87 @@ FindRepeatsFromSa(std::span<const Symbol> s, const std::vector<std::size_t>& sa,
         }
     }
 
-    // Sort by decreasing length, then by substring content, then by
-    // increasing start position. Content comparison is O(1) via the
-    // LCP range-minimum structure.
-    std::sort(candidates.begin(), candidates.end(),
-              [&](const RepeatCandidate& a, const RepeatCandidate& b) {
-                  if (a.length != b.length) {
-                      return a.length > b.length;
-                  }
-                  if (a.start != b.start) {
-                      const std::size_t cp =
-                          common_prefix(a.start, b.start);
-                      if (cp < a.length) {
-                          // Distinct content: order lexicographically,
-                          // which equals suffix-rank order here.
-                          return rank[a.start] < rank[b.start];
-                      }
-                  }
-                  return a.start < b.start;
-              });
-
-    // Greedy selection of non-overlapping occurrences (lines 16-20),
-    // grouping consecutive equal-content candidates so that each
-    // distinct substring is emitted once (the deduplication step).
-    support::IntervalSet chosen;
-    auto same_group = [&](const RepeatCandidate& a, const RepeatCandidate& b) {
+    // Order by decreasing length, then by substring content, then by
+    // increasing start position. Two stable counting passes (suffix
+    // rank, then decreasing length) give length-then-rank order; the
+    // candidates of one length that share content lie in one SA
+    // interval, so they now form a contiguous run, which is sorted by
+    // start when the selection below reaches it.
+    CountingSort(
+        candidates, n, [&](const RepeatCandidate& c) { return rank[c.start]; },
+        scratch.counts, scratch.staged);
+    CountingSort(
+        scratch.staged, n,
+        [&](const RepeatCandidate& c) { return n - c.length; },
+        scratch.counts, candidates);
+    auto same_content = [&](const RepeatCandidate& a,
+                            const RepeatCandidate& b) {
         return a.length == b.length &&
                (a.start == b.start ||
                 common_prefix(a.start, b.start) >= a.length);
     };
-    std::vector<std::size_t>& group_starts = scratch.group_starts;
-    group_starts.clear();
-    const RepeatCandidate* group_head = nullptr;
-    auto flush_group = [&] {
-        if (group_head == nullptr ||
-            group_starts.size() < options.min_occurrences) {
-            group_starts.clear();
-            return;
-        }
-        std::sort(group_starts.begin(), group_starts.end());
-        group_starts.erase(
-            std::unique(group_starts.begin(), group_starts.end()),
-            group_starts.end());
-        Repeat r;
-        r.tokens.assign(s.begin() + group_head->start,
-                        s.begin() + group_head->start + group_head->length);
-        r.starts.assign(group_starts.begin(), group_starts.end());
-        out.push_back(std::move(r));
-        group_starts.clear();
+
+    // Greedy selection of non-overlapping occurrences (lines 16-20),
+    // one content run at a time so that each distinct substring is
+    // emitted once (the deduplication step). Candidates arrive by
+    // decreasing length, so every chosen occurrence is at least as
+    // long as the current one: [b, b + len) overlaps a chosen
+    // occurrence iff position b or b + len - 1 is already covered.
+    std::vector<std::uint64_t>& taken = scratch.taken;
+    taken.assign((n + 63) / 64, 0);
+    auto covered = [&](std::size_t i) {
+        return (taken[i / 64] >> (i % 64)) & 1;
     };
-    for (const RepeatCandidate& c : candidates) {
-        if (group_head != nullptr && !same_group(*group_head, c)) {
-            flush_group();
-            group_head = nullptr;
+    auto cover = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            taken[i / 64] |= std::uint64_t{1} << (i % 64);
         }
-        if (chosen.InsertIfDisjoint(c.start, c.start + c.length)) {
-            if (group_head == nullptr) {
-                group_head = &c;
+    };
+    std::vector<std::size_t>& group_starts = scratch.group_starts;
+    for (std::size_t lo = 0; lo < candidates.size();) {
+        std::size_t hi = lo + 1;
+        while (hi < candidates.size() &&
+               same_content(candidates[hi - 1], candidates[hi])) {
+            ++hi;
+        }
+        std::sort(candidates.begin() + lo, candidates.begin() + hi,
+                  [](const RepeatCandidate& a, const RepeatCandidate& b) {
+                      return a.start < b.start;
+                  });
+        group_starts.clear();
+        for (std::size_t k = lo; k < hi; ++k) {
+            const std::size_t b = candidates[k].start;
+            const std::size_t e = b + candidates[k].length;
+            if (!covered(b) && !covered(e - 1)) {
+                cover(b, e);
+                group_starts.push_back(b);
             }
-            group_starts.push_back(c.start);
-        } else if (group_head == nullptr) {
-            // Track the group even if its first occurrence was blocked,
-            // so later occurrences of the same content group together.
-            group_head = &c;
+        }
+        if (group_starts.size() >= options.min_occurrences) {
+            const RepeatCandidate& head = candidates[lo];
+            Repeat r;
+            r.tokens.assign(s.begin() + head.start,
+                            s.begin() + head.start + head.length);
+            r.starts.assign(group_starts.begin(), group_starts.end());
+            out.push_back(std::move(r));
+        }
+        lo = hi;
+    }
+
+#ifndef NDEBUG
+    // The selection consumed candidates in the order of a comparison
+    // sort by (length desc, content, start): content order is suffix
+    // rank order, and equal content falls back to the start.
+    for (std::size_t k = 1; k < candidates.size(); ++k) {
+        const RepeatCandidate& a = candidates[k - 1];
+        const RepeatCandidate& b = candidates[k];
+        assert(a.length >= b.length);
+        if (a.length == b.length) {
+            assert(same_content(a, b) ? a.start <= b.start
+                                      : rank[a.start] < rank[b.start]);
         }
     }
-    flush_group();
+#endif
 }
 
 void

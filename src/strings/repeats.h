@@ -7,10 +7,21 @@
  * together with non-overlapping occurrence positions that achieve high
  * coverage of the buffer (paper section 3's optimization problem). The
  * algorithm makes one pass over the suffix array to generate at most
- * two candidate occurrences per adjacent suffix pair, sorts candidates
+ * two candidate occurrences per adjacent suffix pair, orders candidates
  * by decreasing length (then by substring and start position), and
  * greedily selects occurrences that do not overlap previously selected
- * ones. Total complexity O(n log n).
+ * ones.
+ *
+ * Ordering takes two stable counting passes over the candidates, first
+ * by suffix rank and then by decreasing length, O(n) each. Candidates
+ * of one length that share content lie in one SA interval, so they end
+ * up in one contiguous run, and only that run is sorted by start:
+ * O(r log r) for a run of r candidates. Selection marks chosen
+ * positions in a bitmap; because candidates arrive longest first, an
+ * occurrence overlaps a chosen one iff its first or last position is
+ * already marked, so each test is O(1) and the marking is O(n) in
+ * total. The remaining superlinear term is the O(n log n) sparse table
+ * that answers the content-equality queries.
  *
  * FindRepeats is the convenience entry point; FindRepeatsInto /
  * FindRepeatsFromSa are the scratch-reusing layers (see
@@ -24,6 +35,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -87,6 +99,11 @@ struct RepeatsScratch {
     std::vector<std::size_t> group_starts;
     std::vector<RepeatCandidate> candidates;
     std::vector<std::vector<std::size_t>> rmq_levels;
+    /** Counting-sort buckets and the candidates between the passes. */
+    std::vector<std::size_t> counts;
+    std::vector<RepeatCandidate> staged;
+    /** One bit per window position: covered by a chosen occurrence. */
+    std::vector<std::uint64_t> taken;
 };
 
 /**

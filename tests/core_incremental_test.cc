@@ -4,7 +4,9 @@
  * and its TraceFinder wiring):
  *
  *  - the rolling fast path's zero-allocation contract (this TU owns
- *    the counting allocator — see support/counting_allocator.h);
+ *    the counting allocator — see support/counting_allocator.h), and
+ *    strings::IncrementalMiner's: a warm mined window allocates only
+ *    the repeats it emits;
  *  - verified adoption: Probe only ever returns results for a window
  *    that compares token-for-token equal;
  *  - bit-identity of the whole pipeline with incremental mining on vs
@@ -33,6 +35,8 @@
 #include "core/history.h"
 #include "core/steady_miner.h"
 #include "sim/harness.h"
+#include "strings/incremental.h"
+#include "support/ruler.h"
 
 namespace apo {
 namespace {
@@ -216,6 +220,65 @@ TEST(SteadyStateMiner, RingHoldsOneSlotPerWindowShapeAndEvictsFifo)
     miner.Mine(c, &path);
     EXPECT_NE(miner.Probe(std::span<const rt::TokenHash>(c)), nullptr);
     EXPECT_EQ(miner.RingPeriods().size(), 2u);
+}
+
+TEST(IncrementalMiner, WarmMinedWindowAllocatesOnlyItsRepeats)
+{
+    // A period-16 stream with a noise token every 211 positions, drawn
+    // from three symbols so the alphabet stays bounded, mined on the
+    // ruler schedule: window k is the last 64 * 2^ruler(k) tokens
+    // (capped at 1024) at position 64 * k. Window lengths jump between
+    // 64 and up to 1024, so the miner's scratch sees a short window
+    // right after a long one over and over.
+    constexpr std::size_t kScale = 64;
+    constexpr std::size_t kCap = 1024;
+    constexpr std::uint64_t kWindows = 63;
+    std::vector<strings::Symbol> stream(kScale * kWindows);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        stream[i] = i % 211 == 100 ? 1000 + (i / 211) % 3 : i % 16;
+    }
+    strings::IncrementalMiner miner(
+        strings::RepeatOptions{.min_length = 8, .min_occurrences = 2});
+    auto window = [&](std::uint64_t k) {
+        const std::size_t n = support::RulerSampleLength(k, kScale, kCap);
+        return std::span<const strings::Symbol>(stream).subspan(
+            k * kScale - n, n);
+    };
+    for (std::uint64_t k = 1; k <= kWindows; ++k) {
+        miner.Mine(window(k));
+    }
+
+    // Second pass over the same schedule. Window 1 repeats window 63
+    // (noise-free, and the period divides the stride), so it is served
+    // by the fast path; every other window is mined.
+    struct Observed {
+        std::uint64_t allocations = 0;
+        std::size_t repeats = 0;
+        strings::MiningTier tier = strings::MiningTier::kFull;
+    };
+    std::vector<Observed> observed(kWindows);
+    for (std::uint64_t k = 1; k <= kWindows; ++k) {
+        const std::uint64_t before = support::AllocationCount();
+        const std::size_t repeats = miner.Mine(window(k)).size();
+        observed[k - 1] = {support::AllocationCount() - before, repeats,
+                           miner.LastTier()};
+    }
+    std::size_t fast_path = 0, mined = 0, repeats = 0;
+    for (std::uint64_t k = 1; k <= kWindows; ++k) {
+        const Observed& o = observed[k - 1];
+        if (o.tier == strings::MiningTier::kFastPath) {
+            ++fast_path;
+            EXPECT_EQ(o.allocations, 0u) << "fast-path window " << k;
+        } else {
+            ++mined;
+            repeats += o.repeats;
+            // Exactly each emitted repeat's `tokens` and `starts`.
+            EXPECT_EQ(o.allocations, 2 * o.repeats) << "mined window " << k;
+        }
+    }
+    EXPECT_EQ(fast_path, 1u);
+    EXPECT_EQ(mined, kWindows - 1);
+    EXPECT_GE(repeats, mined);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,31 +19,9 @@
 namespace apo::strings {
 namespace {
 
+using apo::test::FibonacciWord;
 using apo::test::Seq;
-
-/** Fibonacci word: the classic worst case for repetition structure. */
-Sequence FibonacciWord(std::size_t min_length)
-{
-    Sequence a{0}, b{1};
-    while (a.size() < min_length) {
-        Sequence next = a;
-        next.insert(next.end(), b.begin(), b.end());
-        b = a;
-        a = std::move(next);
-    }
-    a.resize(min_length);
-    return a;
-}
-
-/** Thue-Morse word: overlap-free (contains no factor xxx). */
-Sequence ThueMorse(std::size_t n)
-{
-    Sequence s(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        s[i] = static_cast<Symbol>(__builtin_popcountll(i) & 1);
-    }
-    return s;
-}
+using apo::test::ThueMorse;
 
 std::vector<std::size_t> NaiveSuffixArray(const Sequence& s)
 {

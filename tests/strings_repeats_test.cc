@@ -2,12 +2,14 @@
  * @file
  * Tests for the non-overlapping repeated substring miner (paper
  * Algorithm 2). Includes the paper's worked example (figure 4),
- * structural invariants, and randomized property sweeps against the
- * exact DP coverage oracle.
+ * structural invariants, randomized property sweeps against the
+ * exact DP coverage oracle, and a differential oracle for the exact
+ * repeat set and order (a comparison-sort reference implementation).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <string>
 #include <tuple>
@@ -21,10 +23,12 @@
 namespace apo::strings {
 namespace {
 
+using apo::test::FibonacciWord;
 using apo::test::PeriodicSeq;
 using apo::test::RandomSeq;
 using apo::test::Seq;
 using apo::test::Str;
+using apo::test::ThueMorse;
 
 /** Check the structural invariants every FindRepeats result must obey:
  * every reported occurrence really matches, lengths respect the
@@ -236,6 +240,247 @@ TEST(FindRepeats, LongTraceInLargeBufferIsFound)
     CheckInvariants(s, repeats, 100);
     ASSERT_FALSE(repeats.empty());
     EXPECT_GE(repeats.front().Length(), 2048u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: FindRepeats against a reference that orders the
+// candidates with a comparison sort (length desc, content, start) and
+// selects them with an IntervalSet. Any change to the repeat set or to
+// its order shows up here, which the invariant and coverage tests above
+// cannot see.
+
+/** Sparse-table range minimum over the LCP array (reference copy). */
+class ReferenceLcpRmq {
+  public:
+    explicit ReferenceLcpRmq(const std::vector<std::size_t>& lcp)
+    {
+        const std::size_t n = lcp.size();
+        if (n == 0) {
+            return;
+        }
+        const unsigned num_levels = std::bit_width(n);
+        table_.resize(num_levels);
+        table_[0] = lcp;
+        for (unsigned j = 1; j < num_levels; ++j) {
+            const std::size_t span = std::size_t{1} << j;
+            table_[j].resize(n - span + 1);
+            for (std::size_t i = 0; i + span <= n; ++i) {
+                table_[j][i] = std::min(table_[j - 1][i],
+                                        table_[j - 1][i + span / 2]);
+            }
+        }
+    }
+
+    /** Minimum of lcp[lo..hi] inclusive; requires lo <= hi. */
+    std::size_t Min(std::size_t lo, std::size_t hi) const
+    {
+        const unsigned j = std::bit_width(hi - lo + 1) - 1;
+        return std::min(table_[j][lo],
+                        table_[j][hi + 1 - (std::size_t{1} << j)]);
+    }
+
+  private:
+    std::vector<std::vector<std::size_t>> table_;
+};
+
+/** Algorithm 2 with a comparison-sorted candidate order and
+ * IntervalSet selection: the reference FindRepeats must match. */
+std::vector<Repeat> ReferenceFindRepeats(const Sequence& s,
+                                         const RepeatOptions& options)
+{
+    std::vector<Repeat> out;
+    const std::size_t n = s.size();
+    if (!RepeatsViable(n, options)) {
+        return out;
+    }
+    const std::vector<std::size_t> sa = BuildSuffixArray(s);
+    const std::vector<std::size_t> lcp = ComputeLcp(s, sa);
+    const std::size_t min_len = std::max<std::size_t>(options.min_length, 1);
+
+    std::vector<std::size_t> rank(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        rank[sa[i]] = i;
+    }
+    const ReferenceLcpRmq rmq(lcp);
+
+    // Length of the common prefix of the suffixes at positions a and b.
+    auto common_prefix = [&](std::size_t a, std::size_t b) -> std::size_t {
+        if (a == b) {
+            return n - a;
+        }
+        const auto [lo, hi] = std::minmax(rank[a], rank[b]);
+        return rmq.Min(lo, hi - 1);
+    };
+
+    std::vector<RepeatCandidate> candidates;
+    candidates.reserve(2 * n);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        const std::size_t p = lcp[i];
+        if (p < min_len) {
+            continue;
+        }
+        std::size_t s1 = sa[i], s2 = sa[i + 1];
+        if (s1 > s2) {
+            std::swap(s1, s2);  // the overlap case assumes s1 < s2
+        }
+        if (s1 + p <= s2) {
+            // The two occurrences of the shared prefix do not overlap.
+            candidates.push_back({p, s1});
+            candidates.push_back({p, s2});
+        } else {
+            // Overlapping occurrences: the shared prefix is periodic
+            // with period d = s2 - s1. Emit two adjacent, disjoint
+            // copies of the longest usable multiple of the period.
+            const std::size_t d = s2 - s1;
+            std::size_t l = (p + d) / 2;
+            l -= l % d;
+            if (l >= min_len) {
+                candidates.push_back({l, s1});
+                candidates.push_back({l, s1 + l});
+            }
+        }
+    }
+
+    // Sort by decreasing length, then by substring content, then by
+    // increasing start position. Content comparison is O(1) via the
+    // LCP range-minimum structure.
+    std::sort(candidates.begin(), candidates.end(),
+              [&](const RepeatCandidate& a, const RepeatCandidate& b) {
+                  if (a.length != b.length) {
+                      return a.length > b.length;
+                  }
+                  if (a.start != b.start) {
+                      const std::size_t cp =
+                          common_prefix(a.start, b.start);
+                      if (cp < a.length) {
+                          // Distinct content: order lexicographically,
+                          // which equals suffix-rank order here.
+                          return rank[a.start] < rank[b.start];
+                      }
+                  }
+                  return a.start < b.start;
+              });
+
+    // Greedy selection of non-overlapping occurrences (lines 16-20),
+    // grouping consecutive equal-content candidates so that each
+    // distinct substring is emitted once (the deduplication step).
+    support::IntervalSet chosen;
+    auto same_group = [&](const RepeatCandidate& a, const RepeatCandidate& b) {
+        return a.length == b.length &&
+               (a.start == b.start ||
+                common_prefix(a.start, b.start) >= a.length);
+    };
+    std::vector<std::size_t> group_starts;
+    const RepeatCandidate* group_head = nullptr;
+    auto flush_group = [&] {
+        if (group_head == nullptr ||
+            group_starts.size() < options.min_occurrences) {
+            group_starts.clear();
+            return;
+        }
+        std::sort(group_starts.begin(), group_starts.end());
+        group_starts.erase(
+            std::unique(group_starts.begin(), group_starts.end()),
+            group_starts.end());
+        Repeat r;
+        r.tokens.assign(s.begin() + group_head->start,
+                        s.begin() + group_head->start + group_head->length);
+        r.starts.assign(group_starts.begin(), group_starts.end());
+        out.push_back(std::move(r));
+        group_starts.clear();
+    };
+    for (const RepeatCandidate& c : candidates) {
+        if (group_head != nullptr && !same_group(*group_head, c)) {
+            flush_group();
+            group_head = nullptr;
+        }
+        if (chosen.InsertIfDisjoint(c.start, c.start + c.length)) {
+            if (group_head == nullptr) {
+                group_head = &c;
+            }
+            group_starts.push_back(c.start);
+        } else if (group_head == nullptr) {
+            // Track the group even if its first occurrence was blocked,
+            // so later occurrences of the same content group together.
+            group_head = &c;
+        }
+    }
+    flush_group();
+    return out;
+}
+
+/** FindRepeats equals the reference in tokens, starts and order, at
+ * every (min_length, min_occurrences) the oracle sweeps. */
+void ExpectMatchesReference(const Sequence& s, const std::string& label)
+{
+    for (const std::size_t min_length : {2, 3, 5, 25}) {
+        for (const std::size_t min_occurrences : {1, 2}) {
+            const RepeatOptions options{.min_length = min_length,
+                                        .min_occurrences = min_occurrences};
+            const std::vector<Repeat> got = FindRepeats(s, options);
+            const std::vector<Repeat> want = ReferenceFindRepeats(s, options);
+            ASSERT_EQ(got.size(), want.size())
+                << label << " min_length " << min_length
+                << " min_occurrences " << min_occurrences;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].tokens, want[i].tokens)
+                    << label << " repeat " << i << " min_length "
+                    << min_length << " min_occurrences " << min_occurrences;
+                ASSERT_EQ(got[i].starts, want[i].starts)
+                    << label << " repeat " << i << " min_length "
+                    << min_length << " min_occurrences " << min_occurrences;
+            }
+        }
+    }
+}
+
+TEST(FindRepeatsOracle, PeriodicWithNoiseMatchesReference)
+{
+    // Periodic streams with sparse noise are the shape real task
+    // streams have, and they produce long runs of equal-content
+    // candidates of every length.
+    support::Rng rng(20261017);
+    for (int round = 0; round < 2000; ++round) {
+        const std::size_t n = rng.UniformInt(2, 600);
+        const std::uint64_t sigma = rng.UniformInt(1, 6);
+        const std::size_t period = rng.UniformInt(1, 40);
+        const double noise = rng.UniformReal(0.0, 0.2);
+        const Sequence body = RandomSeq(rng, period, sigma);
+        Sequence s(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            s[i] = rng.Bernoulli(noise) ? rng.UniformInt(0, sigma - 1)
+                                        : body[i % period];
+        }
+        ExpectMatchesReference(s, "round " + std::to_string(round));
+        if (HasFatalFailure()) {
+            return;
+        }
+    }
+}
+
+TEST(FindRepeatsOracle, AdversarialWordsMatchReference)
+{
+    Sequence opposite_ends = Seq("abcdefghij");
+    for (int i = 0; i < 500; ++i) {
+        opposite_ends.push_back(1000 + i);
+    }
+    const Sequence motif = Seq("abcdefghij");
+    opposite_ends.insert(opposite_ends.end(), motif.begin(), motif.end());
+    Sequence alternating;
+    for (int i = 0; i < 400; ++i) {
+        alternating.push_back(i % 2);
+    }
+    Sequence split_run(300, 1);
+    split_run[150] = 2;
+
+    ExpectMatchesReference(FibonacciWord(600), "fibonacci 600");
+    ExpectMatchesReference(FibonacciWord(800), "fibonacci 800");
+    ExpectMatchesReference(ThueMorse(512), "thue-morse 512");
+    ExpectMatchesReference(ThueMorse(1024), "thue-morse 1024");
+    ExpectMatchesReference(Sequence(500, 7), "all equal");
+    ExpectMatchesReference(alternating, "alternating");
+    ExpectMatchesReference(opposite_ends, "opposite ends");
+    ExpectMatchesReference(split_run, "split run");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "strings/suffix_array.h"
 #include "support/rng.h"
@@ -64,6 +65,31 @@ inline strings::Sequence PeriodicSeq(std::size_t n, std::uint64_t period,
         s.push_back(i % period);
     }
     s.resize(n);
+    return s;
+}
+
+/** Fibonacci word of length n: the classic worst case for repetition
+ * structure. */
+inline strings::Sequence FibonacciWord(std::size_t n)
+{
+    strings::Sequence a{0}, b{1};
+    while (a.size() < n) {
+        strings::Sequence next = a;
+        next.insert(next.end(), b.begin(), b.end());
+        b = a;
+        a = std::move(next);
+    }
+    a.resize(n);
+    return a;
+}
+
+/** Thue-Morse word: overlap-free (contains no factor xxx). */
+inline strings::Sequence ThueMorse(std::size_t n)
+{
+    strings::Sequence s(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        s[i] = static_cast<strings::Symbol>(__builtin_popcountll(i) & 1);
+    }
     return s;
 }
 
