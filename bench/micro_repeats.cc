@@ -25,7 +25,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -35,7 +34,6 @@
 #include "api/launch.h"
 #include "bench_util.h"
 #include "core/finder.h"
-#include "core/steady_miner.h"
 #include "runtime/oplog.h"
 #include "sim/cluster.h"
 #include "strings/identifiers.h"
@@ -172,11 +170,7 @@ LaunchPathResult MeasureLaunchPath(std::size_t tokens, int reps)
 // Isolates what the application thread pays per launch at the API
 // boundary, with the consumer discarded (the DiscardExecutor pattern
 // above): the builder path reuses a caller-owned arena and carries
-// the once-computed token on a view; the baseline reproduces the
-// seed's per-launch cost — construct a TaskLaunch (one requirement
-// vector), hash it at the consumer, and stage it through a pending
-// buffer (one more vector copy), the way the pre-view Apophenia
-// buffered every launch.
+// the once-computed token on a view, allocating nothing.
 
 /** Consumes views without copying: the post-redesign contract. */
 class DiscardFrontend final : public apo::api::Frontend {
@@ -205,40 +199,6 @@ class DiscardFrontend final : public apo::api::Frontend {
 
   private:
     std::uint64_t regions_ = 0;
-    apo::rt::TokenHash checksum_ = 0;
-};
-
-/** Stages every launch through a pending buffer — the seed's
- * per-launch requirement-vector copy. */
-class BufferingDiscardFrontend final : public apo::api::Frontend {
-  public:
-    std::string_view Name() const override { return "discard-buffering"; }
-    apo::rt::RegionId CreateRegion() override
-    {
-        return apo::rt::RegionId{++regions_};
-    }
-    void DestroyRegion(apo::rt::RegionId) override {}
-    std::vector<apo::rt::RegionId> PartitionRegion(apo::rt::RegionId,
-                                                   std::size_t) override
-    {
-        return {};
-    }
-    apo::rt::TokenHash Checksum() const { return checksum_; }
-
-  protected:
-    void DoExecuteTask(const apo::rt::TaskLaunchView& launch) override
-    {
-        pending_.push_back(launch.Materialize());
-        checksum_ ^= launch.token;
-        pending_.pop_front();
-    }
-    bool DoBeginTrace(apo::rt::TraceId) override { return false; }
-    bool DoEndTrace(apo::rt::TraceId) override { return false; }
-    void DoFlush() override {}
-
-  private:
-    std::uint64_t regions_ = 0;
-    std::deque<apo::rt::TaskLaunch> pending_;
     apo::rt::TokenHash checksum_ = 0;
 };
 
@@ -276,13 +236,7 @@ IssuePathResult MeasureIssuePath(std::size_t launches, int reps,
     return best;
 }
 
-struct IssuePathRecord {
-    IssuePathResult builder;
-    IssuePathResult vector_copy;
-    double improvement = 0.0;
-};
-
-IssuePathRecord RunIssuePathRecord()
+IssuePathResult RunIssuePathRecord()
 {
     constexpr std::size_t kLaunches = 1u << 20;
     constexpr int kReps = 5;
@@ -298,91 +252,39 @@ IssuePathRecord RunIssuePathRecord()
                    g, apo::rt::Privilege::kWriteDiscard, 0};
     };
 
-    IssuePathRecord record;
-    {
-        DiscardFrontend frontend;
-        apo::api::LaunchBuilder builder;
-        record.builder = MeasureIssuePath(
-            kLaunches, kReps, [&](std::size_t i) {
-                const std::uint32_t g =
-                    static_cast<std::uint32_t>(i % kShards);
-                requirement_of(i, g);
-                builder.Start(static_cast<apo::rt::TaskId>(100 + i % 8),
-                              g, 50.0);
-                for (const auto& req : reqs) {
-                    builder.Add(req);
-                }
-                builder.LaunchOn(frontend);
-            });
-        benchmark::DoNotOptimize(frontend.Checksum());
-    }
-    {
-        BufferingDiscardFrontend frontend;
-        record.vector_copy = MeasureIssuePath(
-            kLaunches, kReps, [&](std::size_t i) {
-                const std::uint32_t g =
-                    static_cast<std::uint32_t>(i % kShards);
-                requirement_of(i, g);
-                apo::rt::TaskLaunch launch;  // the seed's per-launch
-                launch.task =                // vector construction
-                    static_cast<apo::rt::TaskId>(100 + i % 8);
-                launch.shard = g;
-                launch.execution_us = 50.0;
-                launch.requirements.assign(reqs, reqs + 3);
-                frontend.ExecuteTask(launch);  // hashes at the boundary
-            });
-        benchmark::DoNotOptimize(frontend.Checksum());
-    }
-    record.improvement =
-        record.vector_copy.launches_per_sec > 0.0
-            ? record.builder.launches_per_sec /
-                  record.vector_copy.launches_per_sec
-            : 0.0;
+    DiscardFrontend frontend;
+    apo::api::LaunchBuilder builder;
+    const IssuePathResult result = MeasureIssuePath(
+        kLaunches, kReps, [&](std::size_t i) {
+            const std::uint32_t g = static_cast<std::uint32_t>(i % kShards);
+            requirement_of(i, g);
+            builder.Start(static_cast<apo::rt::TaskId>(100 + i % 8), g,
+                          50.0);
+            for (const auto& req : reqs) {
+                builder.Add(req);
+            }
+            builder.LaunchOn(frontend);
+        });
+    benchmark::DoNotOptimize(frontend.Checksum());
 
     std::printf("\n# frontend issue path (3-requirement launches, "
                 "discard consumer, %zu launches)\n",
                 kLaunches);
     std::printf("%-22s %14.0f launches/sec  (%.2f allocs/launch)\n",
-                "launch-view builder", record.builder.launches_per_sec,
-                record.builder.allocs_per_launch);
-    std::printf("%-22s %14.0f launches/sec  (%.2f allocs/launch)\n",
-                "vector-copy (seed)",
-                record.vector_copy.launches_per_sec,
-                record.vector_copy.allocs_per_launch);
-    std::printf("%-22s %14.2fx\n", "improvement", record.improvement);
-    return record;
+                "launch-view builder", result.launches_per_sec,
+                result.allocs_per_launch);
+    return result;
 }
 
 // ---------------------------------------------------------------------------
 // Runtime-log append throughput (the columnar-arena claim).
 //
 // Isolates what the runtime pays to *record* an already-analyzed
-// launch. The baseline reproduces the seed's AoS log entry — an
-// Operation struct owning a requirement vector and an edge vector,
-// pushed onto a std::vector log (one or more allocations per launch).
-// The arena path is rt::OperationLog in streaming-retire mode with a
-// null consumer: blocks recycle, so the steady state allocates
-// nothing and resident memory stays constant.
+// launch: rt::OperationLog in streaming-retire mode with a null
+// consumer. Blocks recycle, so the steady state allocates nothing and
+// resident memory stays constant.
 
-/** The seed's log entry, reproduced locally as the baseline. */
-struct AosOperation {
-    std::size_t index = 0;
-    apo::rt::TaskLaunch launch;
-    apo::rt::TokenHash token = 0;
-    std::vector<apo::rt::Dependence> dependences;
-    apo::rt::AnalysisMode mode = apo::rt::AnalysisMode::kAnalyzed;
-    apo::rt::TraceId trace = 0;
-    double analysis_cost_us = 0.0;
-    bool replay_head = false;
-};
-
-struct LogAppendRecord {
-    IssuePathResult arena;
-    IssuePathResult aos;
-    double improvement = 0.0;
-};
-
-LogAppendRecord RunLogAppendRecord()
+IssuePathResult RunLogAppendRecord()
 {
     constexpr std::size_t kLaunches = 1u << 20;
     constexpr int kReps = 5;
@@ -401,55 +303,23 @@ LogAppendRecord RunLogAppendRecord()
         {5, 7, apo::rt::DependenceKind::kTrue},
         {6, 7, apo::rt::DependenceKind::kAnti}};
 
-    LogAppendRecord record;
-    {
-        apo::rt::OperationLog log;
-        log.EnableStreaming([](const apo::rt::OpView&) {});
-        record.arena = MeasureIssuePath(
-            kLaunches, kReps, [&](std::size_t) {
-                log.Append(view, apo::rt::AnalysisMode::kAnalyzed, 0,
-                           1.0, false, edges);
-                log.SetRetireBound(log.size());
-            });
-        benchmark::DoNotOptimize(log.RetiredCount());
-    }
-    {
-        // The seed's retained AoS log. Recycled wholesale every 64k
-        // entries to keep the bench resident-bounded; clearing
-        // destroys the per-entry vectors, so the per-launch
-        // materialize-and-copy cost stays honest.
-        std::vector<AosOperation> log;
-        record.aos = MeasureIssuePath(
-            kLaunches, kReps, [&](std::size_t) {
-                if (log.size() == 65536) {
-                    log.clear();
-                }
-                AosOperation op;
-                op.index = log.size();
-                view.MaterializeInto(op.launch);
-                op.token = view.token;
-                op.dependences.assign(edges, edges + 2);
-                op.analysis_cost_us = 1.0;
-                log.push_back(std::move(op));
-            });
-        benchmark::DoNotOptimize(log.size());
-    }
-    record.improvement =
-        record.aos.launches_per_sec > 0.0
-            ? record.arena.launches_per_sec / record.aos.launches_per_sec
-            : 0.0;
+    apo::rt::OperationLog log;
+    log.EnableStreaming([](const apo::rt::OpView&) {});
+    const IssuePathResult result =
+        MeasureIssuePath(kLaunches, kReps, [&](std::size_t) {
+            log.Append(view, apo::rt::AnalysisMode::kAnalyzed, 0, 1.0,
+                       false, edges);
+            log.SetRetireBound(log.size());
+        });
+    benchmark::DoNotOptimize(log.RetiredCount());
 
     std::printf("\n# runtime-log append (3-requirement, 2-edge ops, "
                 "%zu appends)\n",
                 kLaunches);
     std::printf("%-22s %14.0f appends/sec   (%.2f allocs/launch)\n",
-                "columnar arena log", record.arena.launches_per_sec,
-                record.arena.allocs_per_launch);
-    std::printf("%-22s %14.0f appends/sec   (%.2f allocs/launch)\n",
-                "AoS vector log (seed)", record.aos.launches_per_sec,
-                record.aos.allocs_per_launch);
-    std::printf("%-22s %14.2fx\n", "improvement", record.improvement);
-    return record;
+                "columnar arena log", result.launches_per_sec,
+                result.allocs_per_launch);
+    return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -508,65 +378,84 @@ DigestRecord RunDigestRecord()
 }
 
 // ---------------------------------------------------------------------------
-// Steady-state mining throughput (the incremental-engine claim).
+// Steady-state mining throughput (the mining-memo claim).
 //
 // Steady-state iteration loops hand the finder window after window of
 // byte-identical content whenever the stream's period divides the
-// analysis stride. The incremental engine (core/steady_miner.h) must
-// serve those windows from its rolling ring — one fingerprint pass
-// plus one verify compare, no suffix-array work, no allocation — and
-// must produce candidate sets byte-identical to from-scratch mining.
-// Measured end to end through TraceFinder with an inline executor, so
-// the tokens/sec figures include everything the finder pays per
-// window: history append, job launch, mining, ingestion.
+// analysis stride. The finder's private memo must serve those windows
+// — one content hash plus one verify compare, no suffix-array work, no
+// allocation — and its candidate sets must be byte-identical to
+// MineSlice's. The memo run goes end to end through TraceFinder with
+// an inline executor, so its tokens/sec include everything the finder
+// pays per window: history append, job launch, probe or mining,
+// ingestion. The baseline calls MineSlice on each of the same windows
+// outside any finder.
 
-struct SteadyMiningRun {
-    double tokens_per_sec = 0.0;
-    double fast_path_hit_rate = 0.0;
-    std::uint64_t windows = 0;
-    std::uint64_t digest = 0;  ///< fold of every job's candidate set
-};
+constexpr std::size_t kSteadyWindow = 4096;
 
-/** One full finder run over a pure period-64 stream (64 divides the
- * 4096-token batched stride, so every window is identical). */
-SteadyMiningRun MeasureSteadyMining(bool incremental, std::size_t tokens,
-                                    int reps)
+/** The period-64 stream (64 divides the 4096-token batched stride, so
+ * every window is identical). */
+std::vector<rt::TokenHash> SteadyStream(std::size_t tokens)
 {
-    strings::Sequence stream(tokens);
+    std::vector<rt::TokenHash> stream(tokens);
     for (std::size_t i = 0; i < tokens; ++i) {
         stream[i] = i % 64;
     }
+    return stream;
+}
 
+core::ApopheniaConfig SteadyConfig()
+{
+    core::ApopheniaConfig config;
+    config.min_trace_length = 8;
+    config.batchsize = kSteadyWindow;
+    config.multi_scale_factor = 64;
+    config.identifier_algorithm = core::IdentifierAlgorithm::kBatched;
+    return config;
+}
+
+struct SteadyMiningRun {
+    double tokens_per_sec = 0.0;
+    double memo_hit_rate = 0.0;
+    std::uint64_t windows = 0;
+    std::uint64_t digest = 0;  ///< fold of every window's candidate set
+};
+
+/** FNV-style fold of one window's candidate set into `digest`. */
+void MixCandidates(const std::vector<core::CandidateTrace>& candidates,
+                   std::uint64_t& digest)
+{
+    const auto mix = [&digest](std::uint64_t v) {
+        digest = (digest ^ v) * 1099511628211ull;
+    };
+    for (const core::CandidateTrace& trace : candidates) {
+        mix(trace.tokens.size());
+        for (const auto token : trace.tokens) {
+            mix(token);
+        }
+        mix(static_cast<std::uint64_t>(trace.occurrences * 1024.0));
+    }
+}
+
+constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
+
+/** One full finder run (private memo) over the steady stream. */
+SteadyMiningRun MeasureMemoMining(std::size_t tokens, int reps)
+{
+    const std::vector<rt::TokenHash> stream = SteadyStream(tokens);
     SteadyMiningRun best;
     for (int rep = 0; rep < reps; ++rep) {
-        core::ApopheniaConfig config;
-        config.min_trace_length = 8;
-        config.batchsize = 4096;
-        config.multi_scale_factor = 64;
-        config.identifier_algorithm = core::IdentifierAlgorithm::kBatched;
-        config.incremental_mining = incremental;
+        const core::ApopheniaConfig config = SteadyConfig();
         support::InlineExecutor executor;
         core::TraceFinder finder(config, executor);
-
-        std::uint64_t digest = 1469598103934665603ull;
-        const auto mix = [&digest](std::uint64_t v) {
-            digest = (digest ^ v) * 1099511628211ull;
-        };
-
+        std::uint64_t digest = kDigestSeed;
         const auto start = std::chrono::steady_clock::now();
         std::uint64_t now = 0;
         for (const auto token : stream) {
             finder.Observe(token, ++now);
         }
         while (finder.PendingJobCount() > 0) {
-            const core::AnalysisJob& job = finder.WaitOldestJob();
-            for (const core::CandidateTrace& trace : job.Results()) {
-                mix(trace.tokens.size());
-                for (const auto token : trace.tokens) {
-                    mix(token);
-                }
-                mix(static_cast<std::uint64_t>(trace.occurrences * 1024.0));
-            }
+            MixCandidates(finder.WaitOldestJob().Results(), digest);
             finder.ReleaseOldestJob();
         }
         const std::chrono::duration<double> elapsed =
@@ -577,7 +466,7 @@ SteadyMiningRun MeasureSteadyMining(bool incremental, std::size_t tokens,
         if (rate > best.tokens_per_sec) {
             best.tokens_per_sec = rate;
             best.windows = stats.jobs_launched;
-            best.fast_path_hit_rate =
+            best.memo_hit_rate =
                 stats.jobs_launched > 0
                     ? static_cast<double>(stats.mining_fast_path_hits) /
                           static_cast<double>(stats.jobs_launched)
@@ -588,39 +477,91 @@ SteadyMiningRun MeasureSteadyMining(bool incremental, std::size_t tokens,
     return best;
 }
 
-/** Allocations per fast-path hit on a hot ring: the contract is zero. */
-double MeasureProbeAllocs()
+/** MineSlice over the same windows, outside any finder. */
+SteadyMiningRun MeasureMineSlice(std::size_t tokens, int reps)
 {
-    core::ApopheniaConfig config;
-    config.min_trace_length = 8;
-    config.batchsize = 4096;
-    config.multi_scale_factor = 64;
-    core::SteadyStateMiner miner(config);
-    std::vector<rt::TokenHash> window(4096);
-    for (std::size_t i = 0; i < window.size(); ++i) {
-        window[i] = i % 64;
+    const std::vector<rt::TokenHash> stream = SteadyStream(tokens);
+    const core::ApopheniaConfig config = SteadyConfig();
+    SteadyMiningRun best;
+    std::vector<rt::TokenHash> window;
+    for (int rep = 0; rep < reps; ++rep) {
+        std::uint64_t digest = kDigestSeed;
+        std::uint64_t windows = 0;
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t end = kSteadyWindow; end <= tokens;
+             end += kSteadyWindow) {
+            window.assign(stream.begin() + (end - kSteadyWindow),
+                          stream.begin() + end);
+            MixCandidates(core::MineSlice(window, config), digest);
+            ++windows;
+        }
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        const double rate = static_cast<double>(tokens) / elapsed.count();
+        if (rate > best.tokens_per_sec) {
+            best.tokens_per_sec = rate;
+            best.windows = windows;
+            best.digest = digest;
+        }
     }
-    core::MiningPath path = core::MiningPath::kNone;
-    miner.Mine(window, &path);  // seed the ring
+    return best;
+}
 
-    constexpr std::uint64_t kProbes = 10000;
-    std::shared_ptr<const std::vector<core::CandidateTrace>> hit;
-    const std::uint64_t before = apo::support::AllocationCount();
-    for (std::uint64_t i = 0; i < kProbes; ++i) {
-        hit = miner.Probe(std::span<const rt::TokenHash>(window));
+/** Runs submitted jobs only when pumped, so a job body's allocations
+ * can be counted apart from its launch. */
+class DeferredExecutor final : public support::Executor {
+  public:
+    using Executor::Submit;
+    void Submit(std::function<void()> job) override
+    {
+        queue_.push_back(std::move(job));
     }
-    const std::uint64_t allocs = apo::support::AllocationCount() - before;
-    if (hit == nullptr) {
+    void Pump() override
+    {
+        for (std::function<void()>& job : queue_) {
+            job();
+        }
+        queue_.clear();
+    }
+    void Drain() override { Pump(); }
+
+  private:
+    std::vector<std::function<void()>> queue_;
+};
+
+/** Allocations per warm private-memo hit (the job body and its
+ * ingestion): the contract is zero. */
+double MeasureMemoHitAllocs()
+{
+    constexpr std::uint64_t kWarm = 2;
+    constexpr std::uint64_t kWindows = 64;
+    const core::ApopheniaConfig config = SteadyConfig();
+    DeferredExecutor executor;
+    core::TraceFinder finder(config, executor);
+    std::uint64_t now = 0;
+    std::uint64_t allocs = 0;
+    for (std::uint64_t w = 0; w < kWarm + kWindows; ++w) {
+        for (std::size_t i = 0; i < kSteadyWindow; ++i, ++now) {
+            finder.Observe(now % 64, now + 1);
+        }
+        const std::uint64_t before = apo::support::AllocationCount();
+        finder.WaitOldestJob();
+        finder.ReleaseOldestJob();
+        if (w >= kWarm) {
+            allocs += apo::support::AllocationCount() - before;
+        }
+    }
+    if (finder.Stats().mining_fast_path_hits != kWarm + kWindows - 1) {
         std::fprintf(stderr,
-                     "steady_state_mining: probe missed a hot ring\n");
+                     "steady_state_mining: a warm window missed the memo\n");
         return -1.0;
     }
-    return static_cast<double>(allocs) / static_cast<double>(kProbes);
+    return static_cast<double>(allocs) / static_cast<double>(kWindows);
 }
 
 struct SteadyMiningRecord {
-    SteadyMiningRun incremental;
-    SteadyMiningRun scratch;
+    SteadyMiningRun memo;
+    SteadyMiningRun mine_slice;
     double speedup = 0.0;
     double allocs_per_window = 0.0;
     bool identical = false;
@@ -632,43 +573,38 @@ SteadyMiningRecord RunSteadyMiningRecord()
     constexpr int kReps = 5;
 
     SteadyMiningRecord record;
-    record.incremental =
-        MeasureSteadyMining(/*incremental=*/true, kTokens, kReps);
-    record.scratch =
-        MeasureSteadyMining(/*incremental=*/false, kTokens, kReps);
-    record.speedup =
-        record.scratch.tokens_per_sec > 0.0
-            ? record.incremental.tokens_per_sec /
-                  record.scratch.tokens_per_sec
-            : 0.0;
-    record.allocs_per_window = MeasureProbeAllocs();
-    record.identical =
-        record.incremental.digest == record.scratch.digest &&
-        record.incremental.windows == record.scratch.windows;
+    record.memo = MeasureMemoMining(kTokens, kReps);
+    record.mine_slice = MeasureMineSlice(kTokens, kReps);
+    record.speedup = record.mine_slice.tokens_per_sec > 0.0
+                         ? record.memo.tokens_per_sec /
+                               record.mine_slice.tokens_per_sec
+                         : 0.0;
+    record.allocs_per_window = MeasureMemoHitAllocs();
+    record.identical = record.memo.digest == record.mine_slice.digest &&
+                       record.memo.windows == record.mine_slice.windows;
 
     std::printf("\n# steady-state mining (period-64 stream, batched "
                 "4096-token windows, %zu tokens)\n",
                 kTokens);
-    std::printf("%-22s %14.0f tokens/sec    (fast-path hit rate %.3f)\n",
-                "incremental engine",
-                record.incremental.tokens_per_sec,
-                record.incremental.fast_path_hit_rate);
-    std::printf("%-22s %14.0f tokens/sec\n", "from scratch (seed)",
-                record.scratch.tokens_per_sec);
+    std::printf("%-22s %14.0f tokens/sec    (memo hit rate %.3f)\n",
+                "finder, private memo", record.memo.tokens_per_sec,
+                record.memo.memo_hit_rate);
+    std::printf("%-22s %14.0f tokens/sec\n", "MineSlice per window",
+                record.mine_slice.tokens_per_sec);
     std::printf("%-22s %14.2fx\n", "speedup", record.speedup);
-    std::printf("%-22s %14.3f allocs/window (hot probe)\n", "fast path",
+    std::printf("%-22s %14.3f allocs/window (warm hit)\n", "memo hit",
                 record.allocs_per_window);
     if (!record.identical) {
         std::fprintf(stderr,
                      "steady_state_mining: candidate sets DIFFER between "
-                     "incremental and from-scratch runs "
+                     "the memo and MineSlice "
                      "(windows %llu vs %llu, digest %llx vs %llx)\n",
+                     static_cast<unsigned long long>(record.memo.windows),
                      static_cast<unsigned long long>(
-                         record.incremental.windows),
-                     static_cast<unsigned long long>(record.scratch.windows),
+                         record.mine_slice.windows),
+                     static_cast<unsigned long long>(record.memo.digest),
                      static_cast<unsigned long long>(
-                         record.incremental.digest),
-                     static_cast<unsigned long long>(record.scratch.digest));
+                         record.mine_slice.digest));
     }
     return record;
 }
@@ -704,8 +640,8 @@ int RunLaunchPathRecord(const std::string& json_path)
                 static_cast<unsigned long long>(snapshot.jobs_launched),
                 static_cast<unsigned long long>(snapshot.tokens_analyzed));
 
-    const IssuePathRecord issue = RunIssuePathRecord();
-    const LogAppendRecord oplog = RunLogAppendRecord();
+    const IssuePathResult issue = RunIssuePathRecord();
+    const IssuePathResult oplog = RunLogAppendRecord();
     const DigestRecord stream_digest = RunDigestRecord();
     const SteadyMiningRecord steady = RunSteadyMiningRecord();
 
@@ -720,17 +656,11 @@ int RunLaunchPathRecord(const std::string& json_path)
         "  \"tokens_analyzed\": %llu,\n"
         "  \"issue_path\": {\n"
         "    \"builder_launches_per_sec\": %.0f,\n"
-        "    \"vector_copy_launches_per_sec\": %.0f,\n"
-        "    \"improvement\": %.3f,\n"
-        "    \"builder_allocs_per_launch\": %.3f,\n"
-        "    \"vector_copy_allocs_per_launch\": %.3f\n"
+        "    \"builder_allocs_per_launch\": %.3f\n"
         "  },\n"
         "  \"oplog_append\": {\n"
         "    \"arena_appends_per_sec\": %.0f,\n"
-        "    \"aos_appends_per_sec\": %.0f,\n"
-        "    \"improvement\": %.3f,\n"
-        "    \"arena_allocs_per_launch\": %.3f,\n"
-        "    \"aos_allocs_per_launch\": %.3f\n"
+        "    \"arena_allocs_per_launch\": %.3f\n"
         "  },\n"
         "  \"stream_digest\": {\n"
         "    \"consumes_per_sec\": %.0f,\n"
@@ -738,10 +668,10 @@ int RunLaunchPathRecord(const std::string& json_path)
         "  },\n"
         "  \"steady_state_mining\": {\n"
         "    %s,\n"
-        "    \"incremental_tokens_per_sec\": %.0f,\n"
-        "    \"from_scratch_tokens_per_sec\": %.0f,\n"
+        "    \"memo_tokens_per_sec\": %.0f,\n"
+        "    \"mine_slice_tokens_per_sec\": %.0f,\n"
         "    \"speedup\": %.3f,\n"
-        "    \"fast_path_hit_rate\": %.3f,\n"
+        "    \"memo_hit_rate\": %.3f,\n"
         "    \"allocs_per_window\": %.3f,\n"
         "    \"windows\": %llu,\n"
         "    \"candidate_sets_identical\": %s\n"
@@ -751,20 +681,14 @@ int RunLaunchPathRecord(const std::string& json_path)
         snapshot.tokens_per_sec,
         static_cast<unsigned long long>(snapshot.jobs_launched),
         static_cast<unsigned long long>(snapshot.tokens_analyzed),
-        issue.builder.launches_per_sec,
-        issue.vector_copy.launches_per_sec, issue.improvement,
-        issue.builder.allocs_per_launch,
-        issue.vector_copy.allocs_per_launch,
-        oplog.arena.launches_per_sec, oplog.aos.launches_per_sec,
-        oplog.improvement, oplog.arena.allocs_per_launch,
-        oplog.aos.allocs_per_launch,
+        issue.launches_per_sec, issue.allocs_per_launch,
+        oplog.launches_per_sec, oplog.allocs_per_launch,
         stream_digest.digest.launches_per_sec,
         stream_digest.digest.allocs_per_launch,
-        apo::bench::ConcurrencyJson().c_str(),
-        steady.incremental.tokens_per_sec,
-        steady.scratch.tokens_per_sec, steady.speedup,
-        steady.incremental.fast_path_hit_rate, steady.allocs_per_window,
-        static_cast<unsigned long long>(steady.incremental.windows),
+        apo::bench::ConcurrencyJson().c_str(), steady.memo.tokens_per_sec,
+        steady.mine_slice.tokens_per_sec, steady.speedup,
+        steady.memo.memo_hit_rate, steady.allocs_per_window,
+        static_cast<unsigned long long>(steady.memo.windows),
         steady.identical ? "true" : "false");
     // This bench rewrites its own records wholesale and carries every
     // other bench's records across.
@@ -775,8 +699,8 @@ int RunLaunchPathRecord(const std::string& json_path)
     }
     std::printf("wrote %s\n", json_path.c_str());
     // The equality assert: the record is only acceptable when the
-    // engine's candidate sets match from-scratch mining bit for bit
-    // and the hot fast path allocates nothing.
+    // memo's candidate sets match MineSlice bit for bit and a warm
+    // memo hit allocates nothing.
     if (!steady.identical || steady.allocs_per_window != 0.0) {
         return 1;
     }

@@ -37,9 +37,11 @@ cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # APO_JOBS=8 forces every default-jobs cluster through the parallel
 # per-node engine at >= 8 worker threads regardless of the host's core
 # count, so TSan sees the real cross-thread traffic (TaskTeam barriers,
-# shared mining cache, steady-state miner ring) even on small CI
+# shared mining cache, private memo) even on small CI
 # machines. core_decision_test's 64-node shared-engine case fans one
 # decider's broadcast batches across the worker team.
+# core_incremental_test races four WorkerPool workers on one finder's
+# private memo.
 # svc_service_test's pooled-executor case drives every tenant's mining
 # jobs through one PooledExecutor racing on the shared cross-tenant
 # cache. The fault_* suites run crash/checkpoint/resync through the

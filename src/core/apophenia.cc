@@ -30,7 +30,7 @@ Apophenia::DoExecuteTask(const rt::TaskLaunchView& launch)
     if (degraded_) {
         // Overload posture: issue straight through. The token is NOT
         // shown to the finder — the degraded window never enters the
-        // history ring, the steady ring or (via mining) the trie, so
+        // history ring, the mining memo or (via mining) the trie, so
         // leaving degrade later is bit-safe. SetDegraded(true) already
         // drained the pending buffer and match state.
         ++counter_;
@@ -517,16 +517,27 @@ Apophenia::IngestOldestJob()
 {
     const AnalysisJob& job = finder_.WaitOldestJob();
     const std::vector<CandidateTrace>& results = job.Results();
+    const rt::TokenHash name_space = config_.cache_namespace;
     // Refreshing a known candidate's count leaves the trie's shape —
     // and so every pointer's run — alone; only a new one needs the
     // pointers caught up first.
     bool reshaped = false;
     for (const CandidateTrace& c : results) {
-        if (!reshaped && trie_.Find(c.tokens) == nullptr) {
+        // The finder mines namespace-relative tokens; the trie matches
+        // the stream's own.
+        const std::vector<rt::TokenHash>* tokens = &c.tokens;
+        if (name_space != 0) {
+            rekeyed_.resize(c.tokens.size());
+            for (std::size_t i = 0; i < c.tokens.size(); ++i) {
+                rekeyed_[i] = rt::FoldNamespace(name_space, c.tokens[i]);
+            }
+            tokens = &rekeyed_;
+        }
+        if (!reshaped && trie_.Find(*tokens) == nullptr) {
             CatchUpAll();
             reshaped = true;
         }
-        trie_.Insert(c.tokens, c.occurrences, counter_,
+        trie_.Insert(*tokens, c.occurrences, counter_,
                      config_.score_decay_half_life);
         // Rolling identity of the full ingested candidate sequence
         // (tokens and occurrence counts, in ingestion order): two
@@ -535,8 +546,8 @@ Apophenia::IngestOldestJob()
         // cross-run "candidate sets identical" check, like the
         // stream digest is for issued streams.
         candidate_digest_ =
-            support::HashCombine(candidate_digest_, c.tokens.size());
-        for (const rt::TokenHash token : c.tokens) {
+            support::HashCombine(candidate_digest_, tokens->size());
+        for (const rt::TokenHash token : *tokens) {
             candidate_digest_ =
                 support::HashCombine(candidate_digest_, token);
         }

@@ -121,8 +121,9 @@ class Apophenia final : public api::Frontend {
      *                content-addressed by the mined slice (see
      *                mining_cache.h); the cluster front-end shares one
      *                across all nodes so identical windows are mined
-     *                once. Behaviour-invariant: on or off, the issued
-     *                stream is bit-identical.
+     *                once. Without one the finder keeps a private
+     *                memo. Behaviour-invariant: shared or private, the
+     *                issued stream is bit-identical.
      */
     Apophenia(rt::Runtime& runtime, ApopheniaConfig config,
               support::Executor* executor = nullptr,
@@ -178,8 +179,8 @@ class Apophenia final : public api::Frontend {
      * Entering degrade first resolves every in-progress match exactly
      * as DoFlush would (fire profitable held matches, forward the
      * rest), so no launch is stranded in the pending buffer. Degraded
-     * tokens are kept out of the finder's history ring, steady ring
-     * and the trie entirely: re-enabling later is bit-safe — the
+     * tokens are kept out of the finder's history ring, its memo and
+     * the trie entirely: re-enabling later is bit-safe — the
      * finder state equals that of a stream that simply never
      * contained the degraded window. Counted in
      * ApopheniaStats::tasks_degraded. No-op when already in the
@@ -196,10 +197,17 @@ class Apophenia final : public api::Frontend {
      * finder forgets the job (its candidates are never ingested);
      * its worker keeps running harmlessly in the background and is
      * reaped once done. Returns the number of jobs abandoned. Pair
-     * with MiningCache::AbandonInProgress() so cache waiters blocked
-     * on the stuck window are released too.
+     * with MiningCache::AbandonInProgress() on the finder's memo
+     * (PrivateMemo(), or the shared cache) so waiters blocked on the
+     * stuck window are released too.
      */
     std::size_t AbandonStaleAnalyses(std::uint64_t max_age_tasks);
+
+    /** The finder's private mining memo, or nullptr when it shares a
+     * cache: the service's memory watermark counts its
+     * ResidentBytes(), halves it under pressure and releases its
+     * in-progress entries in the watchdog. */
+    MiningCache* PrivateMemo() const { return finder_.PrivateMemo(); }
 
     // -- Decision broadcast (shared decision engine support) ----------------
 
@@ -234,8 +242,8 @@ class Apophenia final : public api::Frontend {
      * Serialize the front-end's complete decision state: replay
      * cursors (task counter, pending buffer with its buffered
      * launches, active match pointers, held matches, next trace id),
-     * stats, the candidate digest, the finder (history ring, steady
-     * ring, completed in-flight jobs) and the candidate trie. The
+     * stats, the candidate digest, the finder (history ring and
+     * completed in-flight jobs) and the candidate trie. The
      * target runtime is NOT included — checkpoint it separately with
      * rt::Runtime::SaveState. Every in-flight mining job must have
      * completed (guaranteed under the inline executor; otherwise
@@ -387,6 +395,10 @@ class Apophenia final : public api::Frontend {
     /** Candidates completed by the current token, in start order: all
      * their counts are refreshed before any of them is weighed. */
     std::vector<CompletedMatch> completed_;
+    /** A namespaced front-end's staging buffer for one ingested
+     * candidate re-keyed into its token namespace (the finder mines
+     * namespace-relative tokens). */
+    std::vector<rt::TokenHash> rekeyed_;
     /** Completed, pairwise-disjoint matches awaiting replay, in
      * stream order. The front is fired once no still-growing match
      * could supersede it. */

@@ -77,10 +77,6 @@ ParseApopheniaFlags(std::vector<std::string>& args)
             }
         } else if (a == "-lg:auto_trace:history_block_size") {
             config.history_block_size = ParseCount(a, value_of(i, a));
-        } else if (a == "-lg:auto_trace:no_incremental_mining") {
-            config.incremental_mining = false;
-        } else if (a == "-lg:auto_trace:incremental_ring_windows") {
-            config.incremental_ring_windows = ParseCount(a, value_of(i, a));
         } else if (a == "-lg:window") {
             config.window = ParseCount(a, value_of(i, a));
         } else if (a == "-lg:inline_transitive_reduction") {
@@ -119,11 +115,6 @@ ParseApopheniaFlags(std::vector<std::string>& args)
     }
     if (config.history_block_size == 0) {
         throw std::invalid_argument("history_block_size must be positive");
-    }
-    if (config.incremental_mining && config.incremental_ring_windows == 0) {
-        throw std::invalid_argument(
-            "incremental_ring_windows must be positive while incremental "
-            "mining is enabled");
     }
     return config;
 }

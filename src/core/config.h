@@ -15,8 +15,6 @@
  *
  *   -lg:auto_trace:ingest_mode <on-completion|eager-drain|manual>
  *   -lg:auto_trace:history_block_size <N>
- *   -lg:auto_trace:no_incremental_mining
- *   -lg:auto_trace:incremental_ring_windows <N>
  *
  * The paper's experiments all run with one configuration (batchsize
  * 5000, multi-scale factor 250/500, min length 25); only FlexFlow
@@ -104,28 +102,14 @@ struct ApopheniaConfig {
      * O(slice / block size) on the application thread. */
     std::size_t history_block_size = 512;
 
-    /** Steady-state incremental mining: probe a per-finder ring of
-     * recently mined windows ahead of the shared cache (a verified
-     * hit skips mining, hashing and materialization entirely) and
-     * reuse suffix structures across windows
-     * (strings/incremental.h). Behaviour-invariant: candidate sets
-     * are bit-identical on or off
-     * (-lg:auto_trace:no_incremental_mining disables). */
-    bool incremental_mining = true;
-
-    /** Entries of the rolling fast-path ring — how many distinct
-     * recent window contents (the ruler schedule cycles through
-     * several lengths) each finder remembers
-     * (-lg:auto_trace:incremental_ring_windows). */
-    std::size_t incremental_ring_windows = 8;
-
     /** Token namespace of the stream this finder observes (see
-     * rt::FoldNamespace). The shared content-addressed MiningCache
-     * keys every window by its namespace-relative content
-     * (token ^ namespace), so two tenants running the same kernel
-     * under different namespaces deduplicate to one mining run while
-     * their token streams stay disjoint. 0 (the default) is the
-     * classic un-namespaced stream. */
+     * rt::FoldNamespace). The finder folds it out of every token it
+     * records, so its mining memo keys, verifies and mines
+     * namespace-relative windows (token ^ namespace): two tenants
+     * running the same kernel under different namespaces deduplicate
+     * to one mining run in a shared memo while their token streams
+     * stay disjoint. 0 (the default) is the classic un-namespaced
+     * stream. */
     std::uint64_t cache_namespace = 0;
 
     // -- Trace selection scoring (paper section 4.3) ----------------------

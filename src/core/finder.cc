@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/mining_cache.h"
-#include "core/steady_miner.h"
 #include "strings/identifiers.h"
 #include "strings/repeats.h"
 #include "support/ruler.h"
@@ -40,8 +39,6 @@ EmitChunked(const strings::Repeat& repeat, const ApopheniaConfig& config,
     }
 }
 
-}  // namespace
-
 void
 SaveCandidates(fault::CheckpointWriter& writer,
                const std::vector<CandidateTrace>& candidates)
@@ -67,6 +64,8 @@ LoadCandidates(fault::CheckpointReader& reader)
     }
     return candidates;
 }
+
+}  // namespace
 
 std::vector<CandidateTrace>
 RepeatsToCandidates(const std::vector<strings::Repeat>& repeats,
@@ -133,12 +132,14 @@ TraceFinder::TraceFinder(const ApopheniaConfig& config,
                          MiningCache* mining_cache)
     : config_(&config),
       executor_(&executor),
-      mining_cache_(mining_cache),
+      private_memo_(mining_cache == nullptr
+                        ? std::make_unique<MiningCache>(/*max_windows=*/0)
+                        : nullptr),
+      memo_(mining_cache != nullptr ? mining_cache : private_memo_.get()),
+      miner_(strings::RepeatOptions{.min_length = config.min_trace_length,
+                                    .min_occurrences = 2}),
       history_(config.batchsize, config.history_block_size)
 {
-    if (config.incremental_mining) {
-        steady_ = std::make_unique<SteadyStateMiner>(config);
-    }
 }
 
 TraceFinder::~TraceFinder()
@@ -150,7 +151,12 @@ TraceFinder::~TraceFinder()
 void
 TraceFinder::Observe(rt::TokenHash token, std::uint64_t now)
 {
-    history_.Append(token);
+    // Record namespace-relative tokens. Repeat mining is not
+    // XOR-equivariant (suffix order depends on token values), so
+    // mining the canonical window is what makes local mining and
+    // cross-tenant adoption agree, and keeps a tenant's decisions
+    // independent of its salt.
+    history_.Append(rt::FoldNamespace(config_->cache_namespace, token));
     stats_.tokens_observed += 1;
 
     if (config_->identifier_algorithm == IdentifierAlgorithm::kBatched) {
@@ -223,127 +229,64 @@ TraceFinder::LaunchAnalysis(std::size_t slice_length, std::uint64_t now)
     // Zero-copy hand-off: the job references the history blocks; the
     // worker materializes them off the application's critical path.
     history_.SnapshotLastN(slice_length, job->snapshot);
-
-    const ApopheniaConfig* config = config_;
-    MiningCache* cache = mining_cache_;
-    SteadyStateMiner* steady = steady_.get();
     executor_->Submit(
-        [job, config, cache, steady] {
-            // Rolling fast path, ahead of the shared cache: a
-            // verified hit adopts this finder's own recent result with
-            // no cache hash probe, no block-span compare against cache
-            // entries, and no slice materialization.
-            if (steady != nullptr) {
-                std::shared_ptr<const std::vector<CandidateTrace>> hit =
-                    steady->Probe(job->snapshot);
-                if (hit != nullptr) {
-                    job->adopted = std::move(hit);
-                    job->mining_path = MiningPath::kFastPath;
-                    return;
-                }
-            }
-            // Mine through the incremental engine when present (which
-            // memoizes the result in the ring) or classically; either
-            // way the candidate set is a pure function of (window,
-            // config), bit-identical across all paths.
-            //
-            // A finder with a nonzero token namespace (a service
-            // tenant) always mines the *de-namespaced* window and
-            // re-keys the result into its namespace. Repeat mining is
-            // not XOR-equivariant (suffix order depends on token
-            // values), so mining the salted slice directly could
-            // differ from adopting Rekey(canonical mining) out of the
-            // shared cache — canonical mining makes every path agree,
-            // and makes per-tenant decisions independent of the salt
-            // value (pinned by the differential fuzz leg). Such
-            // mining always rebuilds (no incremental repair tier);
-            // the salted result is memoized in the ring so identical
-            // windows still take the fast path.
-            const rt::TokenHash ns = config->cache_namespace;
-            auto mine = [&] {
-                if (ns == 0) {
-                    if (steady != nullptr) {
-                        job->adopted = steady->Mine(job->slice,
-                                                    &job->mining_path);
-                    } else {
-                        job->results = MineSlice(job->slice, *config);
-                    }
-                    return;
-                }
-                std::vector<rt::TokenHash> canonical = job->slice;
-                for (rt::TokenHash& token : canonical) {
-                    token = rt::FoldNamespace(ns, token);
-                }
-                auto salted =
-                    std::make_shared<const std::vector<CandidateTrace>>(
-                        MiningCache::Rekey(MineSlice(canonical, *config),
-                                           ns));
-                if (steady != nullptr) {
-                    steady->Memoize(
-                        std::span<const rt::TokenHash>(job->slice),
-                        salted);
-                    job->mining_path = MiningPath::kFull;
-                }
-                job->adopted = std::move(salted);
-            };
-            if (cache == nullptr) {
-                job->snapshot.CopyTo(job->slice);
-                mine();
-                return;
-            }
-            // Shared-cache path: adopt another node's verified result
-            // for an identical window (in place — a hit never even
-            // materializes the slice), or mine it and publish. The
-            // cache speaks namespace-relative tokens, so a finder
-            // with a nonzero token namespace (a service tenant)
-            // de-namespaces its probes and re-keys adopted results —
-            // identical kernels dedup across tenants.
-            const MiningCache::Key key =
-                MiningCache::KeyOf(job->snapshot, ns);
-            MiningCache::Claim claim =
-                cache->AcquireOrBegin(key, job->snapshot, ns);
-            if (claim.results != nullptr) {
-                job->cache_hit = true;
-                job->cache_cross = claim.owner != ns;
-                std::shared_ptr<const std::vector<CandidateTrace>>
-                    adopted =
-                        ns == 0 ? std::move(claim.results)
-                                : std::make_shared<const std::vector<
-                                      CandidateTrace>>(MiningCache::Rekey(
-                                      *claim.results, ns));
-                // Seed the ring with the adopted result so the next
-                // identical window takes the fast path outright.
-                if (steady != nullptr) {
-                    steady->Memoize(job->snapshot, adopted);
-                }
-                job->adopted = std::move(adopted);
-                return;
-            }
-            job->snapshot.CopyTo(job->slice);
-            if (!claim.miner) {
-                // Verified key collision: a different window owns the
-                // entry. Mine locally; publish nothing.
-                mine();
-                return;
-            }
-            try {
-                mine();
-            } catch (...) {
-                cache->Abandon(key);
-                throw;
-            }
-            if (job->adopted != nullptr) {
-                cache->Publish(key, job->slice, job->adopted, ns);
-            } else {
-                auto mined =
-                    std::make_shared<const std::vector<CandidateTrace>>(
-                        std::move(job->results));
-                job->results.clear();
-                cache->Publish(key, job->slice, mined, ns);
-                job->adopted = std::move(mined);
-            }
-        },
+        [this, job] { RunJob(*job); },
         [job] { job->done.store(true, std::memory_order_release); });
+}
+
+void
+TraceFinder::RunJob(AnalysisJob& job)
+{
+    // Probe the memo: a verified hit adopts the stored set in place
+    // and never materializes the slice. The candidate set is a pure
+    // function of the (namespace-relative) window, so adopting and
+    // mining agree bit for bit.
+    const rt::TokenHash owner = config_->cache_namespace;
+    const MiningCache::Key key = MiningCache::KeyOf(job.snapshot);
+    MiningCache::Claim claim =
+        memo_->AcquireOrBegin(key, job.snapshot, owner);
+    if (claim.results != nullptr) {
+        job.results = std::move(claim.results);
+        job.memo_hit = true;
+        job.memo_cross = claim.owner != owner;
+        return;
+    }
+    job.snapshot.CopyTo(job.slice);
+    if (!claim.miner) {
+        // Verified key collision: a different window owns the entry.
+        // Mine locally; publish nothing.
+        job.results =
+            std::make_shared<const std::vector<CandidateTrace>>(Mine(job));
+        return;
+    }
+    std::vector<CandidateTrace> mined;
+    try {
+        mined = Mine(job);
+    } catch (...) {
+        memo_->Abandon(key);
+        throw;
+    }
+    job.results = memo_->Publish(key, job.slice, std::move(mined), owner);
+    if (private_memo_ != nullptr) {
+        private_memo_->EvictToResidentBytes(kPrivateMemoWindows *
+                                            config_->batchsize *
+                                            sizeof(rt::TokenHash));
+    }
+}
+
+std::vector<CandidateTrace>
+TraceFinder::Mine(const AnalysisJob& job)
+{
+    if (config_->repeats_algorithm !=
+        RepeatsAlgorithm::kQuickMatchingOfSubstrings) {
+        return MineSlice(job.slice, *config_);
+    }
+    std::vector<strings::Repeat> repeats;
+    {
+        std::lock_guard lock(miner_mutex_);
+        miner_.Mine(job.slice, repeats);
+    }
+    return RepeatsToCandidates(repeats, job.slice, *config_);
 }
 
 void
@@ -381,31 +324,26 @@ TraceFinder::ReleaseOldestJob()
     std::unique_ptr<AnalysisJob> job = std::move(inflight_.front());
     inflight_.pop_front();
     stats_.candidates_produced += job->Results().size();
-    switch (job->mining_path) {
-      case MiningPath::kFastPath:
-        ++stats_.mining_fast_path_hits;
-        break;
-      case MiningPath::kRepair:
-        ++stats_.mining_repairs;
-        break;
-      case MiningPath::kFull:
+    if (!job->memo_hit) {
         ++stats_.mining_full;
-        break;
-      case MiningPath::kNone:
-        break;
-    }
-    if (job->cache_hit) {
+    } else if (private_memo_ != nullptr) {
+        ++stats_.mining_fast_path_hits;
+    } else {
         ++stats_.mining_cache_hits;
-        if (job->cache_cross) {
+        if (job->memo_cross) {
             ++stats_.mining_cache_cross_hits;
         }
     }
-    job->cache_hit = false;
-    job->cache_cross = false;
-    job->mining_path = MiningPath::kNone;
+    Recycle(std::move(job));
+}
+
+void
+TraceFinder::Recycle(std::unique_ptr<AnalysisJob> job)
+{
+    job->memo_hit = false;
+    job->memo_cross = false;
     job->snapshot.Clear();
-    job->results.clear();
-    job->adopted = nullptr;
+    job->results = nullptr;
     free_jobs_.push_back(std::move(job));
 }
 
@@ -419,13 +357,7 @@ TraceFinder::AbandonJobsOlderThan(std::uint64_t cutoff)
         if (!job->done.load(std::memory_order_acquire)) {
             return false;
         }
-        job->cache_hit = false;
-        job->cache_cross = false;
-        job->mining_path = MiningPath::kNone;
-        job->snapshot.Clear();
-        job->results.clear();
-        job->adopted = nullptr;
-        free_jobs_.push_back(std::move(job));
+        Recycle(std::move(job));
         return true;
     });
     std::size_t abandoned = 0;
@@ -464,7 +396,6 @@ TraceFinder::SaveState(fault::CheckpointWriter& writer) const
     writer.U64(stats_.candidates_produced);
     writer.U64(stats_.jobs_recycled);
     writer.U64(stats_.mining_fast_path_hits);
-    writer.U64(stats_.mining_repairs);
     writer.U64(stats_.mining_full);
     writer.U64(stats_.mining_cache_hits);
     writer.U64(stats_.mining_cache_cross_hits);
@@ -473,17 +404,12 @@ TraceFinder::SaveState(fault::CheckpointWriter& writer) const
         writer.U64(job->id);
         writer.U64(job->issued_at);
         writer.U64(job->slice_length);
-        writer.U64(static_cast<std::uint64_t>(job->mining_path));
-        writer.Bool(job->cache_hit);
-        writer.Bool(job->cache_cross);
+        writer.Bool(job->memo_hit);
+        writer.Bool(job->memo_cross);
         SaveCandidates(writer, job->Results());
     }
-    writer.Bool(steady_ != nullptr);
     writer.EndSection();
     history_.SaveState(writer);
-    if (steady_ != nullptr) {
-        steady_->SaveState(writer);
-    }
 }
 
 void
@@ -503,7 +429,6 @@ TraceFinder::LoadState(fault::CheckpointReader& reader)
     stats_.candidates_produced = reader.U64();
     stats_.jobs_recycled = reader.U64();
     stats_.mining_fast_path_hits = reader.U64();
-    stats_.mining_repairs = reader.U64();
     stats_.mining_full = reader.U64();
     stats_.mining_cache_hits = reader.U64();
     stats_.mining_cache_cross_hits = reader.U64();
@@ -517,23 +442,14 @@ TraceFinder::LoadState(fault::CheckpointReader& reader)
         job.id = reader.U64();
         job.issued_at = reader.U64();
         job.slice_length = reader.U64();
-        job.mining_path = static_cast<MiningPath>(reader.U64());
-        job.cache_hit = reader.Bool();
-        job.cache_cross = reader.Bool();
-        job.results = LoadCandidates(reader);
+        job.memo_hit = reader.Bool();
+        job.memo_cross = reader.Bool();
+        job.results = std::make_shared<const std::vector<CandidateTrace>>(
+            LoadCandidates(reader));
         job.done.store(true, std::memory_order_release);
     }
-    const bool had_steady = reader.Bool();
     reader.EndSection();
-    if (had_steady != (steady_ != nullptr)) {
-        throw fault::CheckpointError(
-            "checkpoint incremental-mining mode does not match the "
-            "restoring finder");
-    }
     history_.LoadState(reader);
-    if (steady_ != nullptr) {
-        steady_->LoadState(reader);
-    }
 }
 
 }  // namespace apo::core

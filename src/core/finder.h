@@ -12,6 +12,16 @@
  * mining algorithm (Algorithm 2 by default) and emits candidate
  * traces, chunked to the configured maximum trace length.
  *
+ * Every job first probes the finder's one mining memo, a
+ * content-addressed MiningCache (mining_cache.h): the cache a cluster
+ * or service passes in, or else a private one the finder owns. A
+ * verified hit adopts the stored candidate set; a miss mines the
+ * window with the finder's rank-table miner (strings/incremental.h)
+ * and publishes the result. The finder folds its token namespace out
+ * of every token it records, so snapshots, memo keys and mined
+ * candidates are all namespace-relative; a namespaced front-end
+ * re-keys candidates on their way into its trie.
+ *
  * Launching a job is zero-copy: the history lives in shared
  * append-only blocks (history.h) and a job holds a refcounted
  * HistorySnapshot of its slice, materializing it on the worker thread.
@@ -29,6 +39,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -36,37 +47,18 @@
 #include "core/history.h"
 #include "fault/checkpoint.h"
 #include "runtime/task.h"
+#include "strings/incremental.h"
 #include "support/executor.h"
-
-namespace apo::strings {
-struct Repeat;
-}  // namespace apo::strings
 
 namespace apo::core {
 
 class MiningCache;
-class SteadyStateMiner;
 
 /** A candidate trace produced by a mining job. */
 struct CandidateTrace {
     std::vector<rt::TokenHash> tokens;
     /** Non-overlapping occurrences observed in the analyzed slice. */
     double occurrences = 0.0;
-};
-
-/** Checkpoint helpers for candidate sets (used by the finder's
- * in-flight jobs, the steady-state ring and the mining cache). */
-void SaveCandidates(fault::CheckpointWriter& writer,
-                    const std::vector<CandidateTrace>& candidates);
-std::vector<CandidateTrace> LoadCandidates(fault::CheckpointReader& reader);
-
-/** Which tier of the incremental mining engine served a job (see
- * steady_miner.h; kNone = engine disabled, classic MineSlice path). */
-enum class MiningPath : std::uint8_t {
-    kNone = 0,
-    kFastPath,  ///< rolling-ring hit: no mining, no hashing, no copy
-    kRepair,    ///< suffix structures reused/repaired across windows
-    kFull,      ///< full rebuild (scratch-reusing)
 };
 
 /** One asynchronous history-mining job. Owned and recycled by the
@@ -79,33 +71,27 @@ struct AnalysisJob {
     std::uint64_t issued_at = 0;
     /** Number of tokens analyzed. */
     std::size_t slice_length = 0;
-    /** Zero-copy view of the analyzed slice, taken at launch. */
+    /** Zero-copy view of the analyzed slice (namespace-relative
+     * tokens), taken at launch. */
     HistorySnapshot snapshot;
     /** Worker-side materialization buffer, reused across jobs; filled
      * only when the job actually mines. */
     std::vector<rt::TokenHash> slice;
-    std::vector<CandidateTrace> results;
-    /** Set instead of `results` when the shared mining cache served
-     * this job: the adopting node reads the first finisher's
-     * published candidate set in place (no per-node copy). Shared
-     * ownership keeps it alive past cache eviction. */
-    std::shared_ptr<const std::vector<CandidateTrace>> adopted;
-    /** Which incremental-mining tier produced Results(). */
-    MiningPath mining_path = MiningPath::kNone;
-    /** Set by the worker when the shared mining cache served this
-     * job (folded into FinderStats at release, off the worker
-     * thread); `cache_cross` additionally marks a hit published
-     * under a different token namespace (another tenant's mining). */
-    bool cache_hit = false;
-    bool cache_cross = false;
+    /** The namespace-relative candidate set: the memo's stored set on
+     * a hit (read in place; shared ownership keeps it alive past
+     * eviction), else the set this job mined. */
+    std::shared_ptr<const std::vector<CandidateTrace>> results;
+    /** Set by the worker when the memo served this job (folded into
+     * FinderStats at release, off the worker thread); `memo_cross`
+     * additionally marks a hit published under a different token
+     * namespace (another tenant's mining). */
+    bool memo_hit = false;
+    bool memo_cross = false;
     /** Completion flag, set (release) by the executor's completion
-     * callback once `results` is published. */
+     * callback once `results` is set. */
     std::atomic<bool> done{false};
 
-    const std::vector<CandidateTrace>& Results() const
-    {
-        return adopted != nullptr ? *adopted : results;
-    }
+    const std::vector<CandidateTrace>& Results() const { return *results; }
 };
 
 /** Introspection record for one launched-but-not-ingested job. */
@@ -124,18 +110,19 @@ struct FinderStats {
     std::uint64_t candidates_produced = 0;
     /** Jobs recycled from the free pool (vs freshly allocated). */
     std::uint64_t jobs_recycled = 0;
-    /** Incremental-mining tier counters over ingested jobs (all zero
-     * with incremental_mining off). A fast-path hit did no suffix
-     * work, no cache hashing and no slice materialization at all. */
+    /** Memo outcomes over ingested jobs. Every job is a hit or was
+     * mined: `mining_fast_path_hits` counts private-memo hits,
+     * `mining_cache_hits` shared-memo hits (and
+     * `mining_cache_cross_hits` the subset another tenant published),
+     * `mining_full` windows this finder mined. A hit did no suffix
+     * work and no slice materialization. */
     std::uint64_t mining_fast_path_hits = 0;
-    std::uint64_t mining_repairs = 0;
     std::uint64_t mining_full = 0;
-    /** Shared-mining-cache outcomes of *this* finder's jobs (all zero
-     * without an attached cache): probes served by a published entry,
-     * and the subset published under a different token namespace —
-     * this tenant adopting another tenant's mining. */
     std::uint64_t mining_cache_hits = 0;
     std::uint64_t mining_cache_cross_hits = 0;
+    /** Always 0. Kept only because the end-to-end benchmark's
+     * `core.finder.repair_frac` reads it. */
+    std::uint64_t mining_repairs = 0;
     /** Jobs the overload watchdog gave up on (AbandonJobsOlderThan):
      * removed from the ingestion queue without ever being ingested. */
     std::uint64_t jobs_abandoned = 0;
@@ -144,12 +131,18 @@ struct FinderStats {
 /** See file comment. */
 class TraceFinder {
   public:
-    /** `mining_cache` (optional, shared, thread-safe) memoizes mining
-     * results under the slice's content address — the cluster
-     * front-end passes one cache to all of its nodes' finders so an
-     * identical window is mined once cluster-wide (mining_cache.h). */
+    /** `mining_cache` (optional, shared, thread-safe) becomes the
+     * finder's memo — the cluster front-end passes one cache to all of
+     * its nodes' finders so an identical window is mined once
+     * cluster-wide (mining_cache.h). Without one the finder owns a
+     * private memo of at most kPrivateMemoWindows * batchsize
+     * tokens' resident bytes. */
     TraceFinder(const ApopheniaConfig& config, support::Executor& executor,
                 MiningCache* mining_cache = nullptr);
+
+    /** The private memo's byte budget, in windows of up to
+     * `batchsize` tokens. */
+    static constexpr std::size_t kPrivateMemoWindows = 8;
 
     /** Waits for in-flight jobs: no worker may outlive the jobs. */
     ~TraceFinder();
@@ -213,29 +206,41 @@ class TraceFinder {
 
     const FinderStats& Stats() const { return stats_; }
 
-    /** The finder's incremental mining engine (nullptr when
-     * config.incremental_mining is off). Exposed for tests. */
-    const SteadyStateMiner* Steady() const { return steady_.get(); }
+    /** The memo this finder owns (nullptr when a shared one was
+     * passed in): the service's memory watermark counts, halves and
+     * unblocks it. */
+    MiningCache* PrivateMemo() const { return private_memo_.get(); }
 
     /** Checkpoint hooks: sampling cursors, anchors, stats, the
-     * history ring, the steady-state ring, and every in-flight job as
-     * a completed result (id, issue position, candidates, tier) —
-     * every job must have completed (drain the executor first);
-     * throws fault::CheckpointError otherwise. LoadState restores
-     * onto a fresh finder built with an identical config. */
+     * history ring, and every in-flight job as a completed result
+     * (id, issue position, candidates, memo outcome) — every job must
+     * have completed (drain the executor first); throws
+     * fault::CheckpointError otherwise. LoadState restores onto a
+     * fresh finder built with an identical config. The memo is not
+     * part of the image: a restored finder starts with a cold memo
+     * and makes the same decisions. */
     void SaveState(fault::CheckpointWriter& writer) const;
     void LoadState(fault::CheckpointReader& reader);
 
   private:
     void LaunchAnalysis(std::size_t slice_length, std::uint64_t now);
     AnalysisJob* AcquireJob();
+    /** The worker-side job body: probe the memo, else mine and
+     * publish. */
+    void RunJob(AnalysisJob& job);
+    /** Mine job.slice with the configured algorithm. */
+    std::vector<CandidateTrace> Mine(const AnalysisJob& job);
+    /** Return a released or reaped job to the free pool. */
+    void Recycle(std::unique_ptr<AnalysisJob> job);
 
     const ApopheniaConfig* config_;
     support::Executor* executor_;
-    MiningCache* mining_cache_;  ///< nullptr = always mine locally
-    /** Per-finder steady-state engine (ring + incremental miner);
-     * probed by workers ahead of the shared cache. */
-    std::unique_ptr<SteadyStateMiner> steady_;
+    std::unique_ptr<MiningCache> private_memo_;
+    MiningCache* memo_;  ///< the shared cache, or private_memo_
+    /** The rank-table miner; its table is shared by this finder's
+     * workers, so miner_mutex_ guards every Mine call. */
+    strings::IncrementalMiner miner_;
+    std::mutex miner_mutex_;
     HistoryRing history_;  ///< sliding window, <= batchsize tokens
     std::uint64_t sample_counter_ = 0;  ///< k of the ruler schedule
     /** Launch-order FIFO of jobs awaiting ingestion. */
@@ -266,8 +271,8 @@ std::vector<CandidateTrace> MineSlice(
 /**
  * The post-mining half of MineSlice: filter repeats to >= 2
  * occurrences, chunk to max_trace_length, and apply speculative
- * period completion. Factored out so the incremental engine's repeat
- * sets convert through exactly the code path MineSlice uses.
+ * period completion. Factored out so the finder's rank-table miner's
+ * repeat sets convert through exactly the code path MineSlice uses.
  */
 std::vector<CandidateTrace> RepeatsToCandidates(
     const std::vector<strings::Repeat>& repeats,

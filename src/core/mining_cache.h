@@ -1,20 +1,31 @@
 /**
  * @file
- * Content-addressed shared mining cache for control-replicated runs.
+ * Content-addressed mining memo.
  *
- * Under control replication every node feeds the *same* task stream to
- * its own trace finder, so every node launches a mining job over a
- * byte-identical history window at the same stream position — and the
- * dominant cost of the whole cluster (repeat mining) is paid N times
- * for one answer. This cache deduplicates that work: a completed
- * `AnalysisJob`'s candidate set is memoized under a content address of
- * the mined slice, and any node about to mine an identical window
- * adopts the published result in place instead.
+ * Every trace finder probes one of these before it mines a window
+ * (finder.h). A finder owns a private memo unless a cluster or service
+ * passes it a shared one. Under control replication every node feeds
+ * the *same* task stream to its own finder, so every node launches a
+ * mining job over a byte-identical window at the same stream position;
+ * a service's tenants often run the same kernels. A shared memo makes
+ * that work happen once: a completed `AnalysisJob`'s candidate set is
+ * memoized under a content address of the mined window, and any finder
+ * about to mine an identical window adopts the published result in
+ * place instead. A private memo serves one finder's own recurring
+ * windows, such as a steady-state loop whose period divides the
+ * sampling stride.
+ *
+ * Windows reach the memo namespace-relative: a finder folds its token
+ * namespace out of each token as it enters the history (see
+ * rt::FoldNamespace), so two tenants issuing the same kernel under
+ * different namespaces present identical windows. The memo itself
+ * never folds; it keeps a publisher's namespace only as an owner tag
+ * for cross-tenant hit accounting.
  *
  * Correctness rests on two facts:
- *  - `MineSlice` is a pure function of (slice, config), so adoption is
- *    bit-identical to local mining — replicated decisions (and the
- *    stream digests) are unchanged whether the cache is on or off;
+ *  - `MineSlice` is a pure function of (window, config), so adoption
+ *    is bit-identical to local mining — decisions (and the stream
+ *    digests) are the same whichever memo served a window;
  *  - hits are *detected*, never assumed: the probe key is the window's
  *    own rolling content hash plus its length, and before a result is
  *    adopted the stored window is compared token-for-token against
@@ -22,29 +33,32 @@
  *    degrades to mining locally, never to adopting a wrong result.
  *
  * Probing and verification walk the probe's zero-copy
- * `HistorySnapshot` block spans directly, so a cache hit never
- * materializes the window at all — the adopter skips both the O(slice)
- * copy and the mining.
+ * `HistorySnapshot` block spans directly, so a hit never materializes
+ * the window at all — the adopter skips both the O(slice) copy and
+ * the mining.
  *
  * Resident memory is bounded: at most `max_windows` published entries
  * are retained (evicted per `kEvictionPolicy` — the one authoritative
  * statement of the policy; a re-probed evicted window is simply
- * re-mined), and adopted candidate sets are shared_ptr-owned so an
- * in-flight job survives the eviction of its entry. The cache
+ * re-mined), and EvictToResidentBytes bounds the bytes the same way
+ * (a finder's private memo is held to a byte budget after every
+ * publish). Adopted candidate sets are shared_ptr-owned so an
+ * in-flight job survives the eviction of its entry. The memo
  * therefore composes with the streaming-retire log mode's
  * bounded-memory guarantee on unbounded streams.
  *
- * The cache is also the cross-thread rendezvous of the parallel
- * cluster engine: when two nodes race to the same window, the first
- * becomes the miner and the second *blocks* until the result is
- * published (mining it twice would be no faster — the wait costs at
- * most one mining latency and keeps the every-window-mined-once
+ * The memo is also a cross-thread rendezvous: when two jobs race to
+ * the same window (two cluster nodes, or two workers of one finder),
+ * the first becomes the miner and the second *blocks* until the result
+ * is published (mining it twice would be no faster — the wait costs
+ * at most one mining latency and keeps the every-window-mined-once
  * invariant at any thread count). A waiter never holds an in-progress
  * entry of its own, so the wait graph has no cycles.
  */
 #ifndef APOPHENIA_CORE_MINING_CACHE_H
 #define APOPHENIA_CORE_MINING_CACHE_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -58,13 +72,12 @@
 
 #include "core/finder.h"
 #include "core/history.h"
-#include "fault/checkpoint.h"
 #include "runtime/task.h"
 #include "support/hash.h"
 
 namespace apo::core {
 
-/** See file comment. Thread-safe; shared by all nodes of a cluster. */
+/** See file comment. Thread-safe. */
 class MiningCache {
   public:
     /**
@@ -92,12 +105,7 @@ class MiningCache {
 
     /** Content address of a window: the same incremental HashCombine
      * fold the stream digests use, over the window's tokens, plus the
-     * length as a cheap first-stage check. The fold runs over the
-     * *namespace-relative* tokens (token ^ name_space, see
-     * rt::FoldNamespace), so two tenants issuing the same kernel
-     * under different token namespaces address the same entry —
-     * identical work is mined once service-wide. Namespace 0 (every
-     * pre-tenancy caller) folds the tokens as-is. */
+     * length as a cheap first-stage check. */
     struct Key {
         std::uint64_t hash = 0;
         std::size_t length = 0;
@@ -105,86 +113,58 @@ class MiningCache {
         friend bool operator==(const Key&, const Key&) = default;
     };
 
-    static Key KeyOf(std::span<const rt::TokenHash> slice,
-                     rt::TokenHash name_space = 0);
-    /** Same fold, walked over the snapshot's block spans (no copy). */
-    static Key KeyOf(const HistorySnapshot& snapshot,
-                     rt::TokenHash name_space = 0);
+    /** Walks the snapshot's block spans in place (no copy). */
+    static Key KeyOf(const HistorySnapshot& snapshot);
 
     /** The outcome of a probe. */
     struct Claim {
         /** Non-null: a verified hit — adopt this candidate set (the
-         * shared ownership survives eviction of the entry). The
-         * tokens are namespace-relative; an adopter with a nonzero
-         * namespace re-keys them via Rekey(). */
+         * shared ownership survives eviction of the entry). */
         std::shared_ptr<const std::vector<CandidateTrace>> results;
         /** True: the caller is the window's miner and MUST follow with
          * Publish() (or Abandon() on failure) before probing any
          * other key. When both fields are empty the key collided with
          * a different window: mine locally, do not publish. */
         bool miner = false;
-        /** On a hit: the publisher's token namespace. A hit whose
-         * publisher namespace differs from the prober's is a
-         * cross-tenant hit — one tenant adopted another's mining. */
+        /** On a hit: the publisher's owner tag. A hit whose owner
+         * differs from the prober's is a cross-tenant hit — one
+         * tenant adopted another's mining. */
         rt::TokenHash owner = 0;
     };
 
     /**
-     * Probe the cache with the window's content. A published entry
-     * whose stored (namespace-relative) window matches returns its
+     * Probe the memo with the window's content. A published entry
+     * whose stored window matches token for token returns its
      * candidate set (a hit). An in-progress entry blocks until the
      * miner publishes or abandons. An absent entry registers the
-     * caller as its miner. `name_space` is the prober's token
-     * namespace; verification compares the de-namespaced probe
-     * tokens against the entry, so hits stay detected, never assumed,
-     * across tenants.
+     * caller as its miner. `owner` is the prober's tag (its token
+     * namespace), used only to attribute cross-tenant hits. The
+     * token-for-token verification runs outside the memo's lock, so
+     * probes of other windows never queue behind it.
      */
     Claim AcquireOrBegin(const Key& key, const HistorySnapshot& snapshot,
-                         rt::TokenHash name_space = 0);
-    Claim AcquireOrBegin(const Key& key,
-                         std::span<const rt::TokenHash> slice,
-                         rt::TokenHash name_space = 0);
+                         rt::TokenHash owner = 0);
 
-    /** Publish the mining result for a key this caller began; stores
-     * the window and candidates in namespace-relative form (for hit
-     * verification and cross-tenant adoption) and returns the
-     * now-immutable shared candidate set so a namespace-0 miner
-     * reads it in place like every adopter. (A nonzero-namespace
-     * miner keeps its own salted results; the returned set is
-     * namespace-relative.) May evict the oldest entries. */
+    /** Publish the mining result for a key this caller began: stores
+     * the window (for hit verification) and the candidates, and
+     * returns the now-immutable shared candidate set so the miner
+     * reads it in place like every adopter. May evict the oldest
+     * entries. */
     std::shared_ptr<const std::vector<CandidateTrace>> Publish(
         const Key& key, std::span<const rt::TokenHash> window,
-        std::vector<CandidateTrace> results,
-        rt::TokenHash name_space = 0);
-
-    /** Publish an already-shared candidate set (the incremental
-     * engine's miners own their results as shared_ptrs); with
-     * namespace 0 stores the same pointer — no copy of the
-     * candidates. */
-    std::shared_ptr<const std::vector<CandidateTrace>> Publish(
-        const Key& key, std::span<const rt::TokenHash> window,
-        std::shared_ptr<const std::vector<CandidateTrace>> results,
-        rt::TokenHash name_space = 0);
+        std::vector<CandidateTrace> results, rt::TokenHash owner = 0);
 
     /** Give up on a key this caller began (mining threw): waiters are
      * released and the next prober becomes the miner. */
     void Abandon(const Key& key);
-
-    /** Re-key a candidate set into (or out of — XOR is its own
-     * inverse) a token namespace: every token is folded with the
-     * namespace salt, occurrences are preserved. Identity for
-     * namespace 0. */
-    static std::vector<CandidateTrace> Rekey(
-        const std::vector<CandidateTrace>& candidates,
-        rt::TokenHash name_space);
 
     /** Aggregate counters: every probe is a hit (result adopted,
      * possibly after waiting for the miner) or a miss (the caller
      * mined). `windows` counts mining runs that published — with no
      * eviction pressure and no collisions, misses == windows ⇔ each
      * distinct window was mined exactly once. `cross_namespace_hits`
-     * counts hits whose publisher's token namespace differed from
-     * the prober's (one tenant adopting another tenant's mining);
+     * counts hits whose publisher's owner tag differed from the
+     * prober's (one tenant adopting another tenant's mining);
      * `evictions` counts entries dropped to the retention bound. */
     struct Stats {
         std::uint64_t hits = 0;
@@ -223,23 +203,15 @@ class MiningCache {
      * Returns the number of entries abandoned. */
     std::size_t AbandonInProgress();
 
-    /** Checkpoint hooks: counters plus every retained published entry
-     * in publication (FIFO) order. Every entry must be published —
-     * in-progress entries mean a miner is mid-window and the cache is
-     * not quiescent; throws fault::CheckpointError. LoadState
-     * restores onto a fresh (empty) cache. */
-    void SaveState(fault::CheckpointWriter& writer) const;
-    void LoadState(fault::CheckpointReader& reader);
-
   private:
     struct Entry {
         bool ready = false;
-        /** The mined window itself (namespace-relative tokens), for
-         * exact hit verification. */
-        std::vector<rt::TokenHash> window;
+        /** The mined window itself (Key::length tokens), for exact hit
+         * verification; shared so a prober can compare it outside the
+         * lock while an eviction drops the entry. */
+        std::shared_ptr<const rt::TokenHash[]> window;
         std::shared_ptr<const std::vector<CandidateTrace>> results;
-        /** Token namespace of the publisher (cross-tenant hit
-         * attribution). */
+        /** Owner tag of the publisher (cross-tenant hit attribution). */
         rt::TokenHash owner = 0;
     };
 
@@ -251,14 +223,8 @@ class MiningCache {
         }
     };
 
-    /** The generic probe loop; Matches compares the prober's
-     * (de-namespaced) window against an entry's stored tokens. */
-    template <typename MatchesEntry>
-    Claim Probe(const Key& key, rt::TokenHash name_space,
-                const MatchesEntry& matches);
-
     /** Bytes an entry contributes to resident_bytes_. */
-    static std::size_t EntryBytes(const Entry& entry);
+    static std::size_t EntryBytes(const Key& key, const Entry& entry);
 
     mutable std::mutex mutex_;
     std::condition_variable published_;
@@ -269,10 +235,11 @@ class MiningCache {
     std::deque<Key> retained_;
     std::size_t max_windows_;
     std::size_t resident_bytes_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    /** Probe outcomes are counted after the unlocked verification. */
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> misses_{0};
+    std::atomic<std::uint64_t> cross_namespace_hits_{0};
     std::uint64_t windows_published_ = 0;
-    std::uint64_t cross_namespace_hits_ = 0;
     std::uint64_t evictions_ = 0;
 };
 

@@ -60,11 +60,9 @@ SectionName(SectionTag tag)
         case SectionTag::kRuntime: return "runtime";
         case SectionTag::kCandidateTrie: return "candidate-trie";
         case SectionTag::kHistoryRing: return "history-ring";
-        case SectionTag::kSteadyMiner: return "steady-miner";
         case SectionTag::kTraceFinder: return "trace-finder";
         case SectionTag::kApophenia: return "apophenia";
         case SectionTag::kStreamDigest: return "stream-digest";
-        case SectionTag::kMiningCache: return "mining-cache";
         case SectionTag::kClusterNode: return "cluster-node";
     }
     return "unknown";

@@ -5,8 +5,9 @@
  *
  * A checkpoint is a versioned, length-prefixed binary image of one
  * node's finder state (operation-log cursor, trace cache, candidate
- * trie, history ring, steady-state miner ring, Apophenia replay
- * cursors, stream digest). The format is deliberately dumb: a fixed
+ * trie, history ring, Apophenia replay cursors, stream digest). No
+ * mining memo is part of it: a restored finder starts with a cold
+ * memo and makes the same decisions. The format is deliberately dumb: a fixed
  * header, then a sequence of tagged sections, each carrying its
  * payload length and a checksum of the payload bytes. Readers verify
  * the magic, the version, every section tag they open, and every
@@ -59,11 +60,9 @@ enum class SectionTag : std::uint64_t {
     kRuntime = 6,
     kCandidateTrie = 7,
     kHistoryRing = 8,
-    kSteadyMiner = 9,
     kTraceFinder = 10,
     kApophenia = 11,
     kStreamDigest = 12,
-    kMiningCache = 13,
     kClusterNode = 14,
 };
 
@@ -73,7 +72,7 @@ enum class SectionTag : std::uint64_t {
 std::string_view SectionName(SectionTag tag);
 
 inline constexpr std::uint64_t kCheckpointMagic = 0x41504f434b505431ULL;
-inline constexpr std::uint64_t kCheckpointVersion = 1;
+inline constexpr std::uint64_t kCheckpointVersion = 2;
 
 /**
  * Serializes state into an in-memory checkpoint image.

@@ -267,7 +267,8 @@ struct ClusterOptions {
     std::size_t max_batch_tasks = 256;
     /** Share one content-addressed mining cache across the nodes so
      * identical history windows are mined once cluster-wide (see
-     * core/mining_cache.h). Behaviour-invariant; wall-clock only. */
+     * core/mining_cache.h); when false each node's finder keeps a
+     * private memo. Behaviour-invariant; wall-clock only. */
     bool share_mining_cache = true;
     /** Published windows the cache retains (evicted in
      * core::MiningCache::kEvictionPolicy order beyond it; 0 =

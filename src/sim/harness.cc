@@ -230,7 +230,6 @@ RunExperiment(apps::Application& app, const ExperimentOptions& options)
     result.log_retired_ops = runtime.Log().RetiredCount();
     auto add_finder_stats = [&result](const core::FinderStats& finder) {
         result.mining_fast_path_hits += finder.mining_fast_path_hits;
-        result.mining_repairs += finder.mining_repairs;
         result.mining_full += finder.mining_full;
     };
     if (stack.cluster == nullptr) {

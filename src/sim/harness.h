@@ -162,12 +162,10 @@ struct ExperimentResult {
     std::uint64_t mining_cache_hits = 0;
     std::uint64_t mining_cache_misses = 0;
     std::size_t mining_cache_windows = 0;
-    /** Incremental-mining tier counters over ingested jobs, summed
-     * across nodes when replicated (all zero with incremental mining
-     * off): jobs served by the rolling fast path (no mining, no cache
-     * probe), by incremental structure repair, and by full rebuild. */
+    /** Finder memo outcomes over ingested jobs, summed across nodes
+     * when replicated: jobs served by a finder's private memo (no
+     * mining) and jobs mined (core::FinderStats). */
     std::uint64_t mining_fast_path_hits = 0;
-    std::uint64_t mining_repairs = 0;
     std::uint64_t mining_full = 0;
     /** The issued stream's rolling digest (node 0's when replicated)
      * — the strongest cheap cross-run identity check: two runs that

@@ -1,7 +1,5 @@
 #include "strings/incremental.h"
 
-#include <algorithm>
-
 namespace apo::strings {
 
 IncrementalMiner::IncrementalMiner(const RepeatOptions& options)
@@ -10,95 +8,34 @@ IncrementalMiner::IncrementalMiner(const RepeatOptions& options)
 }
 
 void
-IncrementalMiner::Reset()
+IncrementalMiner::Mine(std::span<const Symbol> window,
+                       std::vector<Repeat>& out)
 {
-    table_.Clear();
-    prev_.clear();
-    compressed_valid_ = false;
-    have_prev_ = false;
-    result_.clear();
-    last_tier_ = MiningTier::kFull;
-}
-
-const std::vector<Repeat>&
-IncrementalMiner::Mine(std::span<const Symbol> window)
-{
-    ++stats_.windows;
     const std::size_t n = window.size();
-
-    // Tier 1: the steady-state case — when the stream's period divides
-    // the window stride, consecutive same-length windows are content-
-    // identical. Verified token-for-token (wide compare), never
-    // assumed, so adoption is provably equivalent to re-mining.
-    if (have_prev_ && n == prev_.size() &&
-        CommonPrefixLength(window.data(), prev_.data(), n) == n) {
-        ++stats_.fast_path_hits;
-        last_tier_ = MiningTier::kFastPath;
-        return result_;
+    RepeatsScratch& scratch = ThreadRepeatsScratch();
+    if (options_.suffix_algorithm != SuffixAlgorithm::kSais) {
+        FindRepeatsInto(window, options_, scratch, out);
+        return;
     }
-
-    // Length of the prefix shared with the previous window (the ruler
-    // schedule grows a window by appending a stride, so this is
-    // usually most of the window).
-    const std::size_t shared =
-        have_prev_ ? CommonPrefixLength(window.data(), prev_.data(),
-                                        std::min(n, prev_.size()))
-                   : 0;
-
+    if (!RepeatsViable(n, options_)) {
+        out.clear();
+        return;
+    }
     // Alphabet hygiene: a drifting token population would grow the
     // persistent table (and with it the SA-IS bucket arrays) without
     // bound. Reset once it far exceeds what one window can reference.
     if (table_.DistinctSymbols() > 2 * n + 64) {
         table_.Clear();
-        compressed_valid_ = false;
-        ++stats_.table_resets;
+        ++table_resets_;
     }
-
-    bool spliced = false;
-    const bool use_sais =
-        options_.suffix_algorithm == SuffixAlgorithm::kSais;
-    if (use_sais) {
-        // Tier 2 splice: compressed_[0..splice) still holds the
-        // previous window's ranks, which are positionwise valid for
-        // the new window's shared prefix as long as compression is
-        // stable (same symbols, same table). Compress only the tail.
-        const std::size_t splice = compressed_valid_ ? shared : 0;
-        compressed_.resize(n + 1);
-        const std::size_t added = table_.CompressInto(
-            window.subspan(splice), compressed_.data() + splice);
-        if (added != 0 && splice > 0) {
-            // New symbols shifted ranks above them: CompressInto
-            // already refreshed the tail; refresh the stale prefix
-            // (all its symbols are known, so this admits nothing).
-            table_.CompressInto(window.first(splice), compressed_.data());
-        }
-        spliced = added == 0 && splice > 0;
-        compressed_[n] = 0;  // SA-IS sentinel
-        compressed_valid_ = true;
-    } else {
-        compressed_valid_ = false;
-    }
-
-    if (!RepeatsViable(n, options_)) {
-        result_.clear();
-    } else if (use_sais) {
-        SaisInto({compressed_.data(), n + 1}, table_.AlphabetSize(), sa_,
-                 scratch_.suffix);
-        ComputeLcpInto(window, sa_, lcp_, scratch_.inverse);
-        FindRepeatsFromSa(window, sa_, lcp_, options_, scratch_, result_);
-    } else {
-        FindRepeatsInto(window, options_, scratch_, result_);
-    }
-
-    prev_.assign(window.begin(), window.end());
-    have_prev_ = true;
-    last_tier_ = spliced ? MiningTier::kRepair : MiningTier::kFull;
-    if (spliced) {
-        ++stats_.repairs;
-    } else {
-        ++stats_.full_rebuilds;
-    }
-    return result_;
+    scratch.compressed.resize(n + 1);
+    table_.CompressInto(window, scratch.compressed.data());
+    scratch.compressed[n] = 0;  // SA-IS sentinel
+    SaisInto(scratch.compressed, table_.AlphabetSize(), scratch.sa,
+             scratch.suffix);
+    ComputeLcpInto(window, scratch.sa, scratch.lcp, scratch.inverse);
+    FindRepeatsFromSa(window, scratch.sa, scratch.lcp, options_, scratch,
+                      out);
 }
 
 }  // namespace apo::strings

@@ -1,50 +1,30 @@
 /**
  * @file
- * Incremental steady-state repeat mining: reuse suffix structures
- * across overlapping analysis windows.
+ * Repeat mining over a persistent rank table.
  *
  * The analysis loop (core::TraceFinder) mines a window every
- * `multi_scale_factor` tokens, and consecutive windows overlap heavily
- * — in the ruler-function schedule a window that grows by one stride
- * keeps its entire previous content as a prefix, and steady-state
- * applications re-issue near-identical token streams for thousands of
- * windows. A from-scratch FindRepeats pays the full rank-compression
- * sort and SA-IS construction every time anyway. IncrementalMiner
- * keeps the previous window's compressed sequence, suffix array, LCP
- * array, and result set alive and classifies each new window into one
- * of three tiers:
+ * `multi_scale_factor` tokens, and a finder's windows draw on one
+ * slowly drifting alphabet. A from-scratch FindRepeats pays a
+ * rank-compression sort of every window's symbols before SA-IS.
+ * IncrementalMiner keeps an order-preserving RankTable alive across
+ * windows instead, so compressing a window is a lookup per token and
+ * the sort runs only over symbols the table has not seen yet.
  *
- *  1. **Fast path** (MiningTier::kFastPath): the window is token-for-
- *     token identical to the previous one (verified with a wide
- *     compare, never assumed from a fingerprint). The cached repeat
- *     set is returned with zero suffix-array work and zero
- *     allocations.
- *  2. **Repair** (MiningTier::kRepair): the window shares a prefix
- *     with the previous one and introduces no new symbols. The
- *     persistent order-preserving RankTable makes per-symbol ranks
- *     stable across calls, so the compressed prefix is *spliced* —
- *     only the changed tail is recompressed — and SA-IS + Kasai rerun
- *     entirely inside preallocated scratch.
- *  3. **Full** (MiningTier::kFull): novel content (new symbols, or no
- *     usable prefix). Everything is recomputed in the same scratch.
+ * The miner owns nothing else: the suffix array, LCP array, compressed
+ * ranks and candidate-selection buffers come from the calling thread's
+ * RepeatsScratch (the buffers FindRepeats uses), so a thread holds one
+ * set of them however many miners it serves. Once those buffers have
+ * grown to the largest window, a mined window allocates only the
+ * repeats it emits: each Repeat's `tokens` and `starts`.
  *
- * Once the scratch buffers have grown to the largest window, a window
- * mined by tier 2 or 3 allocates only the repeats it emits: each
- * Repeat's `tokens` and `starts`. Suffix construction, candidate
- * ordering and selection all reuse the scratch, whatever the order of
- * window lengths.
- *
- * Bit-identity guarantee: every tier produces exactly the repeat set
- * FindRepeats would. Tier 1 only returns a result that was computed
- * for a verified-equal window; tiers 2/3 run the same candidate
- * selection over a suffix array that is provably equal to the
- * from-scratch one (suffix order depends only on the relative order
- * of symbols, which the RankTable preserves — see suffix_array.h).
+ * Bit-identity guarantee: Mine produces exactly the repeat set
+ * FindRepeats would. Suffix order depends only on the relative order
+ * of symbols, which the RankTable preserves (see suffix_array.h), and
+ * candidate selection is the same FindRepeatsFromSa.
  */
 #ifndef APOPHENIA_STRINGS_INCREMENTAL_H
 #define APOPHENIA_STRINGS_INCREMENTAL_H
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,64 +34,27 @@
 
 namespace apo::strings {
 
-/** Which tier served a Mine call (cheapest first). */
-enum class MiningTier : std::uint8_t {
-    kFastPath,  ///< verified-identical window; cached result returned
-    kRepair,    ///< rank prefix spliced; SA-IS rerun in scratch
-    kFull,      ///< full recompression + construction (scratch-reusing)
-};
-
-/** Monotone counters over a miner's lifetime. */
-struct IncrementalMinerStats {
-    std::uint64_t windows = 0;
-    std::uint64_t fast_path_hits = 0;
-    std::uint64_t repairs = 0;
-    std::uint64_t full_rebuilds = 0;
-    /** Alphabet-hygiene resets of the persistent rank table. */
-    std::uint64_t table_resets = 0;
-};
-
 /**
- * Persistent repeat miner for a stream of overlapping windows.
- * Equivalent to calling FindRepeats(window, options) per window, but
- * amortizes suffix-structure work across calls. Not thread-safe; the
- * core layer serializes access per finder.
+ * Repeat miner for a stream of windows over one alphabet. Equivalent
+ * to calling FindRepeats(window, options) per window. Not thread-safe
+ * (the rank table is shared state); the core layer serializes access
+ * per finder.
  */
 class IncrementalMiner {
   public:
     explicit IncrementalMiner(const RepeatOptions& options = {});
 
-    /**
-     * Mine `window`, reusing previous-window structures where sound.
-     * The returned reference is owned by the miner and valid until the
-     * next Mine/Reset call. Output is bit-identical to
-     * FindRepeats(window, options).
-     */
-    const std::vector<Repeat>& Mine(std::span<const Symbol> window);
+    /** Mine `window` into `out` (cleared first). Output is
+     * bit-identical to FindRepeats(window, options). */
+    void Mine(std::span<const Symbol> window, std::vector<Repeat>& out);
 
-    /** Tier that served the most recent Mine call. */
-    MiningTier LastTier() const { return last_tier_; }
-
-    const IncrementalMinerStats& Stats() const { return stats_; }
-
-    const RepeatOptions& Options() const { return options_; }
-
-    /** Drop all persistent state (buffers keep their capacity). */
-    void Reset();
+    /** Alphabet-hygiene resets of the persistent rank table. */
+    std::uint64_t TableResets() const { return table_resets_; }
 
   private:
     RepeatOptions options_;
     RankTable table_;
-    Sequence prev_;                        ///< previous window's tokens
-    std::vector<std::uint32_t> compressed_;  ///< prev_ ranks + 0 sentinel
-    bool compressed_valid_ = false;
-    bool have_prev_ = false;
-    std::vector<std::size_t> sa_;
-    std::vector<std::size_t> lcp_;
-    RepeatsScratch scratch_;
-    std::vector<Repeat> result_;
-    MiningTier last_tier_ = MiningTier::kFull;
-    IncrementalMinerStats stats_;
+    std::uint64_t table_resets_ = 0;
 };
 
 }  // namespace apo::strings

@@ -236,12 +236,18 @@ FindRepeatsInto(std::span<const Symbol> s, const RepeatOptions& options,
     FindRepeatsFromSa(s, scratch.sa, scratch.lcp, options, scratch, out);
 }
 
+RepeatsScratch&
+ThreadRepeatsScratch()
+{
+    thread_local RepeatsScratch scratch;
+    return scratch;
+}
+
 std::vector<Repeat>
 FindRepeats(const Sequence& s, const RepeatOptions& options)
 {
-    thread_local RepeatsScratch scratch;
     std::vector<Repeat> result;
-    FindRepeatsInto(s, options, scratch, result);
+    FindRepeatsInto(s, options, ThreadRepeatsScratch(), result);
     return result;
 }
 

@@ -26,8 +26,8 @@
  * FindRepeats is the convenience entry point; FindRepeatsInto /
  * FindRepeatsFromSa are the scratch-reusing layers (see
  * suffix_array.h's note on the two API layers). FindRepeatsFromSa
- * additionally lets a caller that already owns a suffix array + LCP —
- * the incremental miner repairing structures across windows — run just
+ * additionally lets a caller that builds its own suffix array + LCP —
+ * the incremental miner, over its persistent rank table — run just
  * the candidate-selection stage.
  */
 #ifndef APOPHENIA_STRINGS_REPEATS_H
@@ -92,6 +92,9 @@ struct RepeatCandidate {
  */
 struct RepeatsScratch {
     SuffixWorkspace suffix;
+    /** IncrementalMiner's rank-table compression of the window, plus
+     * the SA-IS sentinel. */
+    std::vector<std::uint32_t> compressed;
     std::vector<std::size_t> sa;
     std::vector<std::size_t> lcp;
     std::vector<std::size_t> inverse;
@@ -105,6 +108,11 @@ struct RepeatsScratch {
     /** One bit per window position: covered by a chosen occurrence. */
     std::vector<std::uint64_t> taken;
 };
+
+/** The calling thread's scratch. FindRepeats and every
+ * IncrementalMiner draw their buffers from it, so a thread holds one
+ * set however many miners it serves. */
+RepeatsScratch& ThreadRepeatsScratch();
 
 /**
  * Find repeated substrings of `s` with high non-overlapping coverage.
@@ -125,8 +133,8 @@ void FindRepeatsInto(std::span<const Symbol> s, const RepeatOptions& options,
  * Candidate generation + greedy selection over a caller-provided
  * suffix array and LCP array for `s` (which must satisfy
  * RepeatsViable(|s|, options)). This is everything FindRepeats does
- * after suffix construction, so callers that repair sa/lcp
- * incrementally still produce bit-identical repeat sets.
+ * after suffix construction, so callers that build sa/lcp their own
+ * way still produce bit-identical repeat sets.
  */
 void FindRepeatsFromSa(std::span<const Symbol> s,
                        const std::vector<std::size_t>& sa,

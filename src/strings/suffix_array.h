@@ -56,8 +56,7 @@ enum class SuffixAlgorithm {
  *
  * Four-wide XOR-fold main loop: one branch per four symbols until the
  * mismatch neighbourhood, then a scalar tail pins the exact index.
- * This is the hot comparison of Kasai's algorithm and of the
- * incremental miner's window-equality verification.
+ * This is the hot comparison of Kasai's algorithm.
  */
 inline std::size_t
 CommonPrefixLength(const Symbol* a, const Symbol* b, std::size_t limit)
@@ -183,11 +182,9 @@ std::size_t RankCompressInto(std::span<const Symbol> s,
  * density — a suffix array built over table ranks is bit-identical to
  * one built over per-window RankCompress output.
  *
- * The payoff: when CompressInto admits no new symbols, each position's
- * rank is exactly what any earlier call produced for the same symbol,
- * so a window sharing a prefix with the previous window compresses to
- * the *same rank prefix* — the splice invariant the incremental miner
- * relies on to skip recompressing the unchanged region.
+ * The payoff: once a finder's alphabet has been admitted, compressing
+ * a window is a lookup per token; the sort runs only over symbols the
+ * table has not seen before.
  */
 class RankTable {
   public:

@@ -142,6 +142,20 @@ struct TraceService::Tenant {
                    : arrival_base + options.arrival_gap * Consumed();
     }
 
+    /** The tenant's private mining memo when it does not share the
+     * service cache: its engine's, or its cluster decider's. nullptr
+     * when it shares the cache (or runs per-node cluster engines,
+     * which share the cluster's). */
+    core::MiningCache* PrivateMemo() const
+    {
+        if (engine != nullptr) {
+            return engine->PrivateMemo();
+        }
+        return cluster != nullptr && cluster->SharedDecisions()
+                   ? cluster->Decider().PrivateMemo()
+                   : nullptr;
+    }
+
     /** Backlog at `clock`: iterations that have arrived and are
      * neither granted nor shed. A closed-loop tenant queues at most
      * one. */
@@ -517,11 +531,17 @@ TraceService::RunWatchdogAndHealth()
         }
         if (abandoned > 0) {
             health_.watchdog_job_abandons += abandoned;
-            // A stuck job may hold an in-progress mining-cache entry
-            // that other miners are waiting on: clear those so the
-            // waiters wake, re-probe and mine for themselves.
+            // A stuck job may hold an in-progress memo entry that
+            // other miners are waiting on: clear those so the waiters
+            // wake, re-probe and mine for themselves.
             health_.watchdog_cache_abandons +=
                 cache_->AbandonInProgress();
+            for (const auto& tenant : tenants_) {
+                if (core::MiningCache* memo = tenant->PrivateMemo()) {
+                    health_.watchdog_cache_abandons +=
+                        memo->AbandonInProgress();
+                }
+            }
         }
     }
     if (options_.memory_high_watermark_bytes == 0) {
@@ -530,6 +550,9 @@ TraceService::RunWatchdogAndHealth()
     health_.samples += 1;
     std::size_t resident = cache_->ResidentBytes();
     for (const auto& tenant : tenants_) {
+        if (const core::MiningCache* memo = tenant->PrivateMemo()) {
+            resident += memo->ResidentBytes();
+        }
         if (tenant->cluster != nullptr) {
             for (std::size_t n = 0; n < tenant->cluster->Nodes(); ++n) {
                 const rt::Runtime& node = tenant->cluster->NodeRuntime(n);
@@ -556,6 +579,10 @@ TraceService::RunWatchdogAndHealth()
         health_.pressure_cache_evictions +=
             cache_->EvictToResidentBytes(cache_->ResidentBytes() / 2);
         for (const auto& tenant : tenants_) {
+            if (core::MiningCache* memo = tenant->PrivateMemo()) {
+                health_.pressure_cache_evictions +=
+                    memo->EvictToResidentBytes(memo->ResidentBytes() / 2);
+            }
             if (tenant->runtime != nullptr) {
                 health_.pressure_trace_evictions +=
                     tenant->runtime->PressureEvictTraces(
@@ -753,7 +780,6 @@ TraceService::AssembleResults(std::uint64_t virtual_time)
         experiment.frontend_stats = tenant->session->Stats();
         experiment.apophenia_stats = engine.Stats();
         experiment.mining_fast_path_hits = finder.mining_fast_path_hits;
-        experiment.mining_repairs = finder.mining_repairs;
         experiment.mining_full = finder.mining_full;
         experiment.mining_cache_hits = finder.mining_cache_hits;
         experiment.log_peak_resident_bytes =

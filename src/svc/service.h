@@ -23,8 +23,9 @@
  *    window is keyed by its *namespace-relative* content, so two
  *    tenants running the same kernel mine it once service-wide and
  *    the second adopts the first's published candidates (re-keyed
- *    into its own namespace). Cross-tenant hits are counted per
- *    tenant and service-wide.
+ *    into its own namespace on their way into its trie). Cross-tenant
+ *    hits are counted per tenant and service-wide. With sharing off
+ *    each tenant's finder keeps a private memo instead.
  *
  * A tenant may itself be control-replicated
  * (TenantOptions::replicas > 1): its stream then runs on N simulated
@@ -91,7 +92,7 @@ enum class OverloadPolicy : std::uint8_t {
      * mining, no matching, no replay — core::Apophenia::SetDegraded),
      * re-enabling tracing with hysteresis once the backlog drains to
      * TenantOptions::degrade_resume_iterations. Degraded windows'
-     * tokens never enter the trie or the steady ring, so re-enable is
+     * tokens never enter the trie or the mining memo, so re-enable is
      * bit-safe. */
     kDegrade,
 };
@@ -292,9 +293,10 @@ struct ServiceOptions {
      * with replicated tenants (their cluster owns the node logs). */
     sim::LogMode log_mode = sim::LogMode::kRetained;
     /** Health monitor: service-wide resident-byte high watermark
-     * (tenant oplogs + TraceCaches + the shared MiningCache), sampled
-     * every granted iteration; 0 = monitoring off. A breach evicts
-     * mining-cache entries and LRU trace templates toward
+     * (tenant oplogs + TraceCaches + the shared MiningCache + the
+     * tenants' private mining memos), sampled every granted
+     * iteration; 0 = monitoring off. A breach evicts mining-memo
+     * entries and LRU trace templates toward
      * `memory_low_watermark_bytes` and force-degrades every kDegrade
      * tenant until resident bytes drop below the low watermark. */
     std::size_t memory_high_watermark_bytes = 0;
@@ -302,9 +304,10 @@ struct ServiceOptions {
     std::size_t memory_low_watermark_bytes = 0;
     /** Watchdog: after every grant, abandon analysis jobs stuck
      * (launched, not completed) for more than this many of their
-     * tenant's observed tasks, and release mining-cache waiters
-     * blocked on in-progress entries (MiningCache::AbandonInProgress)
-     * so no waiter hangs on a stuck miner. 0 = watchdog off. */
+     * tenant's observed tasks, and release mining-memo waiters
+     * (shared cache and private memos) blocked on in-progress entries
+     * (MiningCache::AbandonInProgress) so no waiter hangs on a stuck
+     * miner. 0 = watchdog off. */
     std::uint64_t analysis_timeout_tasks = 0;
     /** Virtual-time cost of a degraded task relative to a traced-path
      * task: the degraded path skips mining, matching and replay
@@ -382,17 +385,17 @@ struct HealthStats {
     /** Resident-byte samples taken (one per granted iteration). */
     std::uint64_t samples = 0;
     /** Peak sampled resident bytes (tenant oplogs + trace caches +
-     * the shared mining cache). */
+     * the shared mining cache + private mining memos). */
     std::size_t peak_resident_bytes = 0;
     /** High-watermark breaches. */
     std::uint64_t pressure_events = 0;
-    /** Trace templates / mining-cache entries evicted by pressure. */
+    /** Trace templates / mining-memo entries evicted by pressure. */
     std::uint64_t pressure_trace_evictions = 0;
     std::uint64_t pressure_cache_evictions = 0;
     /** kDegrade tenants force-degraded by memory pressure. */
     std::uint64_t forced_degrades = 0;
     /** Watchdog: analysis jobs abandoned past analysis_timeout_tasks,
-     * and in-progress mining-cache entries cleared to release
+     * and in-progress mining-memo entries cleared to release
      * waiters. */
     std::uint64_t watchdog_job_abandons = 0;
     std::uint64_t watchdog_cache_abandons = 0;

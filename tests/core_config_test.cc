@@ -48,7 +48,9 @@ TEST(Config, ParsesArtifactCommandLine)
                       "-lg:auto_trace:buffer_all_launches",
                       "-lg:auto_trace:no_shared_decisions",
                       "-lg:auto_trace:no_checkpoints",
-                      "-lg:auto_trace:no_overload_control"});
+                      "-lg:auto_trace:no_overload_control",
+                      "-lg:auto_trace:no_incremental_mining",
+                      "-lg:auto_trace:incremental_ring_windows", "8"});
     const ApopheniaConfig config = ParseApopheniaFlags(args);
     EXPECT_TRUE(config.enabled);
     EXPECT_EQ(config.min_trace_length, 25u);
@@ -62,7 +64,9 @@ TEST(Config, ParsesArtifactCommandLine)
         "-lg:auto_trace:buffer_all_launches",
         "-lg:auto_trace:no_shared_decisions",
         "-lg:auto_trace:no_checkpoints",
-        "-lg:auto_trace:no_overload_control"};
+        "-lg:auto_trace:no_overload_control",
+        "-lg:auto_trace:no_incremental_mining",
+        "-lg:auto_trace:incremental_ring_windows", "8"};
     EXPECT_EQ(args, rest);
 }
 

@@ -6,8 +6,7 @@
  * same candidate digest, same suffix rows — pinned across two
  * applications and both log modes (retained and streaming-retire);
  * truncated or bit-flipped images must be rejected with a typed
- * fault::CheckpointError before any state is mutated; and the shared
- * MiningCache round-trips its published windows.
+ * fault::CheckpointError before any state is mutated.
  */
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "apps/cfd.h"
 #include "apps/s3d.h"
 #include "core/apophenia.h"
-#include "core/mining_cache.h"
 #include "fault/checkpoint.h"
 #include "runtime/runtime.h"
 #include "sim/cluster.h"
@@ -451,74 +449,6 @@ TEST(CheckpointCorruption, LoadRequiresFreshTargets)
     EXPECT_THROW(used.LoadState(reader), fault::CheckpointError);
 }
 
-// ---------------------------------------------------------------------------
-// MiningCache round-trip.
-
-TEST(MiningCacheCheckpoint, PublishedWindowsRoundTrip)
-{
-    core::MiningCache cache;
-    const std::vector<rt::TokenHash> window{11, 22, 33, 11, 22, 33};
-    const core::MiningCache::Key key = core::MiningCache::KeyOf(
-        std::span<const rt::TokenHash>(window));
-    core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window));
-    ASSERT_TRUE(claim.miner);
-    cache.Publish(key, std::span<const rt::TokenHash>(window),
-                  {core::CandidateTrace{{11, 22, 33}, 2.0}});
-
-    fault::CheckpointWriter writer;
-    cache.SaveState(writer);
-
-    core::MiningCache restored;
-    fault::CheckpointReader reader(writer.Image());
-    restored.LoadState(reader);
-    EXPECT_TRUE(reader.AtEnd());
-    EXPECT_EQ(restored.Size(), cache.Size());
-    // A restored entry still serves hits, with identical contents.
-    const core::MiningCache::Claim hit = restored.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window));
-    ASSERT_NE(hit.results, nullptr);
-    EXPECT_FALSE(hit.miner);
-    ASSERT_EQ(hit.results->size(), 1u);
-    EXPECT_EQ(hit.results->front().tokens,
-              (std::vector<rt::TokenHash>{11, 22, 33}));
-    // Counters carried over (plus the probe above).
-    EXPECT_EQ(restored.Snapshot().windows, cache.Snapshot().windows);
-    EXPECT_EQ(restored.Snapshot().misses, cache.Snapshot().misses);
-    EXPECT_EQ(restored.Snapshot().hits, cache.Snapshot().hits + 1);
-}
-
-TEST(MiningCacheCheckpoint, InProgressMinerBlocksSave)
-{
-    core::MiningCache cache;
-    const std::vector<rt::TokenHash> window{5, 6, 7};
-    const core::MiningCache::Key key = core::MiningCache::KeyOf(
-        std::span<const rt::TokenHash>(window));
-    const core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window));
-    ASSERT_TRUE(claim.miner);  // un-published: the cache is not quiescent
-    fault::CheckpointWriter writer;
-    EXPECT_THROW(cache.SaveState(writer), fault::CheckpointError);
-    cache.Abandon(key);
-}
-
-TEST(MiningCacheCheckpoint, LoadRequiresFreshCache)
-{
-    core::MiningCache cache;
-    const std::vector<rt::TokenHash> window{1, 2, 3};
-    const core::MiningCache::Key key = core::MiningCache::KeyOf(
-        std::span<const rt::TokenHash>(window));
-    core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window));
-    ASSERT_TRUE(claim.miner);
-    cache.Publish(key, std::span<const rt::TokenHash>(window),
-                  {core::CandidateTrace{{1, 2, 3}, 2.0}});
-    fault::CheckpointWriter writer;
-    cache.SaveState(writer);
-    fault::CheckpointReader reader(writer.Image());
-    EXPECT_THROW(cache.LoadState(reader), fault::CheckpointError);
-}
-
 /** Run `fn`, expect a CheckpointError, and assert its message
  * contains every needle — the diagnostics contract: name the failing
  * section (by name and tag) and the byte offset, and keep truncation
@@ -556,9 +486,9 @@ TEST(CheckpointDiagnostics, MessagesNameSectionTagAndOffset)
     ExpectErrorMentions(
         [&] {
             fault::CheckpointReader reader(image);
-            reader.BeginSection(fault::SectionTag::kMiningCache);
+            reader.BeginSection(fault::SectionTag::kClusterNode);
         },
-        {"tag mismatch", "'mining-cache' (tag 13)",
+        {"tag mismatch", "'cluster-node' (tag 14)",
          "'trace-cache' (tag 5)", "byte offset 16"});
 
     // Truncated payload: the claimed length vs what remains, called
@@ -613,7 +543,9 @@ TEST(CheckpointDiagnostics, MessagesNameSectionTagAndOffset)
 
 TEST(CheckpointDiagnostics, SectionNamesCoverEveryTag)
 {
-    for (std::uint64_t raw = 1; raw <= 14; ++raw) {
+    // Tags 9 and 13 are retired: no section carries them.
+    for (const std::uint64_t raw :
+         {1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14}) {
         EXPECT_NE(
             fault::SectionName(static_cast<fault::SectionTag>(raw)),
             "unknown")

@@ -32,9 +32,11 @@
 #include "apps/htr.h"
 #include "apps/s3d.h"
 #include "apps/torchswe.h"
+#include "core/history.h"
 #include "sim/cluster.h"
 #include "sim/harness.h"
 #include "support/counting_allocator.h"
+#include "history_window.h"
 #include "streams_identical.h"
 
 namespace apo::sim {
@@ -608,20 +610,19 @@ TEST(MiningCache, NoSkewReplicatedRunsMineEachWindowOnce)
     const std::uint64_t jobs_per_node =
         result.apophenia_stats.jobs_ingested;
     ASSERT_GT(jobs_per_node, 0u);
-    // Every job is served exactly once: by a node's own rolling fast
-    // path (no cache probe at all), by a cache hit, or by a miss (its
-    // one mining run). Each distinct window costs exactly one miss,
-    // and every other job — all of nodes 1..N-1's, plus repeated
-    // windows on node 0 — is a cache hit or a fast-path hit.
-    EXPECT_EQ(result.mining_cache_hits + result.mining_cache_misses +
-                  result.mining_fast_path_hits,
+    // Every job probes the shared cache (the nodes keep no private
+    // memo) and is served exactly once: by a cache hit, or by a miss
+    // (its one mining run). Each distinct window costs exactly one
+    // miss, and every other job — all of nodes 1..N-1's, plus repeated
+    // windows on node 0 — is a cache hit.
+    EXPECT_EQ(result.mining_fast_path_hits, 0u);
+    EXPECT_EQ(result.mining_cache_hits + result.mining_cache_misses,
               kNodes * jobs_per_node);
     EXPECT_EQ(result.mining_cache_misses, result.mining_cache_windows)
         << "a window was mined more than once";
     EXPECT_LE(result.mining_cache_misses, jobs_per_node)
         << "a node other than the first finisher re-mined a window";
-    EXPECT_GE(result.mining_cache_hits + result.mining_fast_path_hits,
-              (kNodes - 1) * jobs_per_node);
+    EXPECT_GE(result.mining_cache_hits, (kNodes - 1) * jobs_per_node);
 }
 
 TEST(MiningCache, BoundedRetentionEvictsOldestAndStaysCorrect)
@@ -630,17 +631,15 @@ TEST(MiningCache, BoundedRetentionEvictsOldestAndStaysCorrect)
     const std::vector<rt::TokenHash> a{1, 2, 3};
     const std::vector<rt::TokenHash> b{4, 5, 6};
     const std::vector<rt::TokenHash> c{7, 8, 9};
-    auto span_of = [](const std::vector<rt::TokenHash>& w) {
-        return std::span<const rt::TokenHash>(w);
+    auto key_of = [](const std::vector<rt::TokenHash>& w) {
+        return core::MiningCache::KeyOf(test::SnapshotOf(w));
+    };
+    auto probe = [&](const std::vector<rt::TokenHash>& w) {
+        return cache.AcquireOrBegin(key_of(w), test::SnapshotOf(w, 2));
     };
     auto mine = [&](const std::vector<rt::TokenHash>& w) {
-        const core::MiningCache::Key key =
-            core::MiningCache::KeyOf(span_of(w));
-        core::MiningCache::Claim claim =
-            cache.AcquireOrBegin(key, span_of(w));
-        EXPECT_TRUE(claim.miner);
-        return cache.Publish(key, span_of(w),
-                             {core::CandidateTrace{w, 2.0}});
+        EXPECT_TRUE(probe(w).miner);
+        return cache.Publish(key_of(w), w, {core::CandidateTrace{w, 2.0}});
     };
     const auto a_results = mine(a);
     mine(b);
@@ -650,15 +649,13 @@ TEST(MiningCache, BoundedRetentionEvictsOldestAndStaysCorrect)
     ASSERT_EQ(a_results->size(), 1u);
     EXPECT_EQ(a_results->front().tokens, a);
     // A retained window still hits; the evicted one is re-mined.
-    const core::MiningCache::Claim hit = cache.AcquireOrBegin(
-        core::MiningCache::KeyOf(span_of(c)), span_of(c));
+    const core::MiningCache::Claim hit = probe(c);
     ASSERT_NE(hit.results, nullptr);
     EXPECT_FALSE(hit.miner);
-    const core::MiningCache::Claim remine = cache.AcquireOrBegin(
-        core::MiningCache::KeyOf(span_of(a)), span_of(a));
+    const core::MiningCache::Claim remine = probe(a);
     EXPECT_EQ(remine.results, nullptr);
     EXPECT_TRUE(remine.miner);
-    cache.Abandon(core::MiningCache::KeyOf(span_of(a)));
+    cache.Abandon(key_of(a));
     const core::MiningCache::Stats stats = cache.Snapshot();
     EXPECT_EQ(stats.misses, 4u);  // a, b, c mined + a re-begun
     EXPECT_EQ(stats.hits, 1u);
@@ -671,23 +668,26 @@ TEST(MiningCache, HashCollisionIsDetectedNotAdopted)
     // 64-bit collision): the cache must refuse to adopt and must not
     // let the prober clobber the entry — it mines locally instead.
     core::MiningCache cache;
-    const std::vector<rt::TokenHash> original{10, 20, 30};
-    const std::vector<rt::TokenHash> impostor{11, 21, 31};
-    const core::MiningCache::Key key = core::MiningCache::KeyOf(
-        std::span<const rt::TokenHash>(original));
-    core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(original));
+    const std::vector<rt::TokenHash> original{10, 20, 30, 40, 50, 60};
+    const std::vector<rt::TokenHash> impostor{10, 20, 30, 40, 50, 61};
+    const core::HistorySnapshot original_snapshot =
+        test::SnapshotOf(original);
+    ASSERT_GT(original_snapshot.NumSpans(), 1u);
+    const core::MiningCache::Key key =
+        core::MiningCache::KeyOf(original_snapshot);
+    core::MiningCache::Claim claim =
+        cache.AcquireOrBegin(key, original_snapshot);
     ASSERT_TRUE(claim.miner);
-    cache.Publish(key, std::span<const rt::TokenHash>(original),
-                  {core::CandidateTrace{original, 2.0}});
+    cache.Publish(key, original, {core::CandidateTrace{original, 2.0}});
 
-    const core::MiningCache::Claim collided = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(impostor));
+    // The impostor differs only in its last block.
+    const core::MiningCache::Claim collided =
+        cache.AcquireOrBegin(key, test::SnapshotOf(impostor));
     EXPECT_EQ(collided.results, nullptr) << "adopted a colliding window";
     EXPECT_FALSE(collided.miner) << "collision must not own the entry";
     // The original entry is untouched and still serves hits.
-    const core::MiningCache::Claim hit = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(original));
+    const core::MiningCache::Claim hit =
+        cache.AcquireOrBegin(key, original_snapshot);
     ASSERT_NE(hit.results, nullptr);
     EXPECT_EQ(hit.results->front().tokens, original);
 }

@@ -26,6 +26,8 @@
  *  - LatencyReservoir reports exact percentiles below capacity
  *    (bit-identical to the unbounded vectors it replaced) and never
  *    allocates after construction (counting-allocator pin);
+ *  - with mining-cache sharing off, the health monitor's resident
+ *    sum includes every tenant's private mining memo;
  *  - a sustained streaming-mode overload run holds a resident-memory
  *    plateau: quadrupling the task budget leaves peak resident bytes
  *    flat.
@@ -49,6 +51,7 @@
 #include "svc/load_driver.h"
 #include "svc/service.h"
 #include "svc/workload.h"
+#include "history_window.h"
 
 namespace apo {
 namespace {
@@ -478,16 +481,17 @@ TEST(MiningCacheOverload, AbandonInProgressReleasesWaiters)
     core::MiningCache cache;
     const std::vector<rt::TokenHash> window = {11, 22, 33, 44, 55,
                                                66, 77, 88, 99, 110};
-    const core::MiningCache::Key key = core::MiningCache::KeyOf(window);
+    const core::HistorySnapshot snapshot = test::SnapshotOf(window);
+    const core::MiningCache::Key key = core::MiningCache::KeyOf(snapshot);
     const core::MiningCache::Claim first =
-        cache.AcquireOrBegin(key, window);
+        cache.AcquireOrBegin(key, snapshot);
     ASSERT_TRUE(first.miner);
 
     std::atomic<bool> released{false};
     std::atomic<bool> waiter_became_miner{false};
     std::thread waiter([&] {
         const core::MiningCache::Claim claim =
-            cache.AcquireOrBegin(key, window);
+            cache.AcquireOrBegin(key, snapshot);
         waiter_became_miner.store(claim.miner);
         released.store(true);
     });
@@ -576,6 +580,50 @@ TEST(OverloadHealth, PressureEvictsAndForceDegrades)
     // have, and the tenant still ran to completion.
     EXPECT_GT(result.tenants[0].iterations_degraded, 0u);
     EXPECT_EQ(result.tenants[0].iterations_completed, kIterations);
+}
+
+TEST(OverloadHealth, CountsPrivateMiningMemosWhenSharingIsOff)
+{
+    constexpr std::size_t kIterations = 60;
+    svc::ServiceOptions options = OverloadServiceOptions();
+    options.share_mining_cache = false;
+    options.log_mode = sim::LogMode::kStreaming;
+    // Sample resident bytes every grant without ever breaching.
+    options.memory_high_watermark_bytes = 1u << 30;
+    svc::TraceService service(std::move(options));
+    svc::SyntheticOptions noisy = KernelOptions(51);
+    noisy.noise_interval = 7;
+    svc::SyntheticWorkload first(noisy);
+    svc::SyntheticWorkload second(KernelOptions(52));
+    for (svc::SyntheticWorkload* app : {&first, &second}) {
+        svc::TenantOptions tenant;
+        tenant.app = app;
+        tenant.iterations = kIterations;
+        service.AddTenant(std::move(tenant));
+    }
+    const svc::ServiceResult result = service.Run();
+
+    // Each tenant mined into its own memo; the shared cache saw
+    // nothing.
+    EXPECT_EQ(result.mining_cache.hits + result.mining_cache.misses, 0u);
+    std::size_t memo_bytes = 0;
+    std::size_t without_memos = 0;
+    for (std::size_t t = 0; t < 2; ++t) {
+        const core::MiningCache* memo =
+            service.TenantEngine(t).PrivateMemo();
+        ASSERT_NE(memo, nullptr);
+        memo_bytes += memo->ResidentBytes();
+        // An upper bound on what the tenant's log and trace cache ever
+        // held at a sample.
+        const rt::Runtime& runtime = service.TenantRuntime(t);
+        without_memos += runtime.Log().PeakResidentBytes() +
+                         runtime.Traces().ResidentBytes();
+    }
+    EXPECT_GT(memo_bytes, 0u);
+    // The watermark saw more than logs and trace caches alone could
+    // account for: the memos are in its sum.
+    EXPECT_GT(result.health.peak_resident_bytes, without_memos);
+    EXPECT_GE(result.health.peak_resident_bytes, memo_bytes);
 }
 
 // ---------------------------------------------------------------------------

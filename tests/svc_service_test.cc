@@ -41,6 +41,7 @@
 #include "support/executor.h"
 #include "svc/service.h"
 #include "svc/workload.h"
+#include "history_window.h"
 
 namespace apo {
 namespace {
@@ -83,59 +84,31 @@ TEST(NamespaceFold, LaunchBuilderBoundary)
 }
 
 // ---------------------------------------------------------------------------
-// The namespace-aware mining cache.
+// The mining cache across tenants.
 
-std::vector<rt::TokenHash> SaltedWindow(
-    const std::vector<rt::TokenHash>& window, rt::TokenHash ns)
+TEST(MiningCacheNamespace, TenantsShareOneEntryPerWindow)
 {
-    std::vector<rt::TokenHash> out = window;
-    for (rt::TokenHash& token : out) {
-        token = rt::FoldNamespace(ns, token);
-    }
-    return out;
-}
-
-TEST(MiningCacheNamespace, SaltedWindowsShareOneEntry)
-{
+    // Finders fold their namespace out of every token they record, so
+    // two tenants running one kernel present the same window; the
+    // cache keeps the namespace only as an owner tag.
     const std::vector<rt::TokenHash> window = {1, 2, 3, 4, 1, 2, 3, 4};
+    const core::HistorySnapshot snapshot = test::SnapshotOf(window);
     const rt::TokenHash ns = 0xdead0000beefull;
-    const std::vector<rt::TokenHash> salted = SaltedWindow(window, ns);
-
-    // Namespace-relative content addresses are namespace-blind.
-    EXPECT_EQ(core::MiningCache::KeyOf(window, 0),
-              core::MiningCache::KeyOf(salted, ns));
-    EXPECT_NE(core::MiningCache::KeyOf(window, 0),
-              core::MiningCache::KeyOf(salted, 0));
-
     core::MiningCache cache;
-    const core::MiningCache::Key key =
-        core::MiningCache::KeyOf(window, 0);
-    core::MiningCache::Claim claim =
-        cache.AcquireOrBegin(key, std::span<const rt::TokenHash>(window), 0);
+    const core::MiningCache::Key key = core::MiningCache::KeyOf(snapshot);
+    core::MiningCache::Claim claim = cache.AcquireOrBegin(key, snapshot, 0);
     ASSERT_TRUE(claim.miner);
     std::vector<core::CandidateTrace> mined(1);
     mined[0].tokens = {1, 2, 3, 4};
     mined[0].occurrences = 2.0;
-    cache.Publish(key, window, std::move(mined), 0);
+    const auto published = cache.Publish(key, window, std::move(mined), 0);
 
-    // The other tenant probes with its salted window and adopts.
-    claim = cache.AcquireOrBegin(
-        core::MiningCache::KeyOf(salted, ns),
-        std::span<const rt::TokenHash>(salted), ns);
+    // The other tenant probes the same window and adopts the very set.
+    claim = cache.AcquireOrBegin(key, snapshot, ns);
     ASSERT_NE(claim.results, nullptr);
     EXPECT_FALSE(claim.miner);
     EXPECT_EQ(claim.owner, 0u);  // published by namespace 0
-
-    // Stored candidates are namespace-relative; Rekey salts them into
-    // the adopter's namespace, and is its own inverse.
-    const std::vector<core::CandidateTrace> rekeyed =
-        core::MiningCache::Rekey(*claim.results, ns);
-    ASSERT_EQ(rekeyed.size(), 1u);
-    EXPECT_EQ(rekeyed[0].tokens,
-              SaltedWindow({1, 2, 3, 4}, ns));
-    EXPECT_EQ(rekeyed[0].occurrences, 2.0);
-    EXPECT_EQ(core::MiningCache::Rekey(rekeyed, ns)[0].tokens,
-              (*claim.results)[0].tokens);
+    EXPECT_EQ(claim.results.get(), published.get());
 
     const core::MiningCache::Stats stats = cache.Snapshot();
     EXPECT_EQ(stats.hits, 1u);
@@ -147,16 +120,14 @@ TEST(MiningCacheNamespace, SaltedWindowsShareOneEntry)
 TEST(MiningCacheNamespace, SameNamespaceHitIsNotCross)
 {
     const std::vector<rt::TokenHash> window = {9, 8, 7, 9, 8, 7};
+    const core::HistorySnapshot snapshot = test::SnapshotOf(window);
     const rt::TokenHash ns = 0x42ull;
     core::MiningCache cache;
-    const core::MiningCache::Key key =
-        core::MiningCache::KeyOf(window, ns);
-    core::MiningCache::Claim claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window), ns);
+    const core::MiningCache::Key key = core::MiningCache::KeyOf(snapshot);
+    core::MiningCache::Claim claim = cache.AcquireOrBegin(key, snapshot, ns);
     ASSERT_TRUE(claim.miner);
     cache.Publish(key, window, std::vector<core::CandidateTrace>{}, ns);
-    claim = cache.AcquireOrBegin(
-        key, std::span<const rt::TokenHash>(window), ns);
+    claim = cache.AcquireOrBegin(key, snapshot, ns);
     ASSERT_NE(claim.results, nullptr);
     EXPECT_EQ(claim.owner, ns);
     const core::MiningCache::Stats stats = cache.Snapshot();
@@ -169,10 +140,11 @@ TEST(MiningCacheNamespace, EvictionsAreCounted)
     core::MiningCache cache(/*max_windows=*/2);
     for (std::uint64_t i = 0; i < 4; ++i) {
         const std::vector<rt::TokenHash> window = {i, i + 1, i, i + 1};
+        const core::HistorySnapshot snapshot = test::SnapshotOf(window);
         const core::MiningCache::Key key =
-            core::MiningCache::KeyOf(window, 0);
-        const core::MiningCache::Claim claim = cache.AcquireOrBegin(
-            key, std::span<const rt::TokenHash>(window), 0);
+            core::MiningCache::KeyOf(snapshot);
+        const core::MiningCache::Claim claim =
+            cache.AcquireOrBegin(key, snapshot, 0);
         ASSERT_TRUE(claim.miner);
         cache.Publish(key, window, std::vector<core::CandidateTrace>{},
                       0);
