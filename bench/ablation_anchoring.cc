@@ -8,10 +8,11 @@
  * the replayer can lock onto a sub-period trace: every replay kills
  * the in-progress matches of anything longer, and no candidate exists
  * at the phases the fired trace leaves uncovered. Anchoring extra
- * mining windows at replay boundaries (a design extension documented
- * in DESIGN.md) makes the finder produce exactly the complement/full-
- * period candidates, unlocking full coverage. This is also the
- * mechanism behind the long cuPyNumeric warmups of paper figure 9.
+ * mining windows at replay boundaries (a design extension described
+ * in the README's mining-pipeline section) makes the finder produce
+ * exactly the complement/full-period candidates, unlocking full
+ * coverage. This is also the mechanism behind the long cuPyNumeric
+ * warmups of paper figure 9.
  */
 #include <cstdio>
 

@@ -4,10 +4,10 @@
  * models for the paper's two systems, the artifact's Apophenia
  * configuration, and table printing.
  *
- * Absolute throughputs are simulated (see DESIGN.md section 4.1) and
- * are not expected to match the paper's hardware numbers; the *shapes*
- * — who wins, by what factor, where the crossovers are — are the
- * reproduction target, and EXPERIMENTS.md records both.
+ * Absolute throughputs are simulated (see "Build and test" in the
+ * README) and are not expected to match the paper's hardware numbers;
+ * the *shapes* — who wins, by what factor, where the crossovers are —
+ * are the reproduction target.
  */
 #ifndef APOPHENIA_BENCH_BENCH_UTIL_H
 #define APOPHENIA_BENCH_BENCH_UTIL_H

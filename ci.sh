@@ -28,9 +28,10 @@ cmake -B build-asan -S . -DAPO_SANITIZE=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=Re
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "== sanitizers: TSan executor stress + cluster simulation (parallel engine, 8 worker threads) + shared decision engine + multi-tenant service =="
+echo "== sanitizers: TSan executor stress + cluster simulation (parallel engine, 8 worker threads) + shared decision engine + experiment stack + multi-tenant service =="
 tsan_suites=(support_executor_stress_test sim_cluster_test core_incremental_test
-             core_decision_test svc_service_test svc_overload_test
+             core_decision_test sim_test sim_replicated_test
+             svc_service_test svc_overload_test
              fault_checkpoint_test fault_membership_test)
 cmake -B build-tsan -S . -DAPO_TSAN=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
@@ -44,7 +45,10 @@ cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # private memo.
 # svc_service_test's pooled-executor case drives every tenant's mining
 # jobs through one PooledExecutor racing on the shared cross-tenant
-# cache. The fault_* suites run crash/checkpoint/resync through the
+# cache; sim_test's and sim_replicated_test's pooled cases borrow a
+# PooledExecutor through the same sim::ExperimentStack wiring, and
+# sim_replicated_test runs every app on the parallel cluster engine.
+# The fault_* suites run crash/checkpoint/resync through the
 # parallel engine's barriers (the ASan leg already covers them via the
 # full ctest above). svc_overload_test adds the watchdog's stuck-miner
 # abandonment and the MiningCache waiter-release rendezvous.

@@ -148,7 +148,6 @@ class Apophenia final : public api::Frontend {
     /** Override the configured ingestion mode (see IngestMode); the
      * cluster front-end switches its nodes to kManual. */
     void SetIngestMode(IngestMode mode) { ingest_mode_ = mode; }
-    IngestMode GetIngestMode() const { return ingest_mode_; }
 
     /** Launched-but-not-ingested mining jobs. */
     std::size_t PendingJobCount() const

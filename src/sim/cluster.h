@@ -428,6 +428,13 @@ class Cluster final : public api::Frontend {
         }
         return engine_->Decider();
     }
+    /** The shared decider's private decision runtime (its TraceCache
+     * mirror, fed the same calls as every node); nullptr in per-node
+     * mode. */
+    const rt::Runtime* DecisionRuntime() const
+    {
+        return engine_ != nullptr ? &engine_->DecisionRuntime() : nullptr;
+    }
     /** Decision-path cost/fallback accounting (both modes). */
     DecisionStats DecisionCost() const;
     /** True iff node i diverged and was quarantined into a local

@@ -1,7 +1,7 @@
 #include "sim/harness.h"
 
-#include <memory>
-#include <optional>
+#include <algorithm>
+#include <span>
 
 #include "runtime/errors.h"
 
@@ -23,85 +23,6 @@ ModeName(TracingMode mode)
 
 namespace {
 
-/** The harness-owned front end plus everything behind it. */
-struct FrontendStack {
-    std::unique_ptr<rt::Runtime> runtime;  ///< single-runtime modes
-    std::unique_ptr<support::PooledExecutor> pool;
-    std::unique_ptr<core::Apophenia> apophenia;
-    std::unique_ptr<Cluster> cluster;
-    std::unique_ptr<api::Frontend> wrapper;  ///< direct/untraced
-    api::Frontend* front = nullptr;
-
-    /** The runtime whose operation log the simulator executes (node 0
-     * under replication: the stream agreement makes it
-     * representative). */
-    const rt::Runtime& ObservedRuntime() const
-    {
-        return cluster != nullptr ? cluster->NodeRuntime(0) : *runtime;
-    }
-};
-
-FrontendStack
-BuildFrontend(const ExperimentOptions& options, bool streaming)
-{
-    FrontendStack stack;
-    rt::RuntimeOptions runtime_options;
-    runtime_options.costs = options.costs;
-    runtime_options.nodes = options.machine.nodes;
-    runtime_options.mismatch_policy = options.mismatch_policy;
-    runtime_options.max_trace_templates = options.max_trace_templates;
-    runtime_options.log_config = options.log_config;
-
-    if (options.replicas > 1) {
-        if (options.mode == TracingMode::kManual) {
-            throw rt::RuntimeUsageError(
-                "RunExperiment: TracingMode::kManual is incompatible "
-                "with ExperimentOptions::replicas > 1 — the replicated "
-                "cluster front end drops manual trace annotations; use "
-                "TracingMode::kAuto or TracingMode::kUntraced");
-        }
-        ClusterOptions cluster_options;
-        cluster_options.coordination = options.replication;
-        cluster_options.coordination.nodes = options.replicas;
-        cluster_options.skew = options.skew;
-        cluster_options.config = options.auto_config;
-        cluster_options.config.enabled =
-            options.mode == TracingMode::kAuto;
-        cluster_options.runtime_options = runtime_options;
-        cluster_options.stream_logs = streaming;
-        cluster_options.jobs = options.cluster_jobs;
-        cluster_options.share_mining_cache = options.share_mining_cache;
-        cluster_options.shared_decisions = options.shared_decisions;
-        stack.cluster = std::make_unique<Cluster>(cluster_options);
-        stack.front = stack.cluster.get();
-        return stack;
-    }
-
-    stack.runtime = std::make_unique<rt::Runtime>(runtime_options);
-    switch (options.mode) {
-      case TracingMode::kUntraced:
-        stack.wrapper =
-            std::make_unique<api::UntracedFrontend>(*stack.runtime);
-        stack.front = stack.wrapper.get();
-        break;
-      case TracingMode::kManual:
-        stack.wrapper =
-            std::make_unique<api::DirectFrontend>(*stack.runtime);
-        stack.front = stack.wrapper.get();
-        break;
-      case TracingMode::kAuto:
-        if (options.executor_mode == ExecutorMode::kPooled) {
-            stack.pool = std::make_unique<support::PooledExecutor>(
-                options.pool_threads);
-        }
-        stack.apophenia = std::make_unique<core::Apophenia>(
-            *stack.runtime, options.auto_config, stack.pool.get());
-        stack.front = stack.apophenia.get();
-        break;
-    }
-    return stack;
-}
-
 PipelineOptions
 BuildPipelineOptions(const ExperimentOptions& options)
 {
@@ -122,61 +43,269 @@ BuildPipelineOptions(const ExperimentOptions& options)
 
 }  // namespace
 
-ExperimentResult
-RunExperiment(apps::Application& app, const ExperimentOptions& options)
+ExperimentStack::ExperimentStack(const ExperimentOptions& options,
+                                 core::MiningCache* mining_cache)
+    : options_(options)
 {
     const bool streaming = options.log_mode == LogMode::kStreaming;
     const bool reduce = options.auto_config.inline_transitive_reduction;
     if (streaming && reduce && options.auto_config.window == 0) {
         throw rt::RuntimeUsageError(
-            "RunExperiment: the inline transitive reduction over a "
-            "streaming log needs a bounded window (-lg:window > 0); an "
+            "sim::ExperimentStack: the inline transitive reduction over "
+            "a streaming log needs a bounded window (-lg:window > 0); an "
             "unbounded reduction is a whole-log transform");
     }
+    rt::RuntimeOptions runtime_options;
+    runtime_options.costs = options.costs;
+    runtime_options.nodes = options.machine.nodes;
+    runtime_options.mismatch_policy = options.mismatch_policy;
+    runtime_options.max_trace_templates = options.max_trace_templates;
+    runtime_options.log_config = options.log_config;
 
-    FrontendStack stack = BuildFrontend(options, streaming);
-    api::Frontend& front = *stack.front;
-    const PipelineOptions pipeline_options = BuildPipelineOptions(options);
+    if (options.replicas > 1) {
+        if (options.mode == TracingMode::kManual) {
+            throw rt::RuntimeUsageError(
+                "sim::ExperimentStack: TracingMode::kManual is "
+                "incompatible with ExperimentOptions::replicas > 1 — the "
+                "replicated cluster front end drops manual trace "
+                "annotations; use TracingMode::kAuto or "
+                "TracingMode::kUntraced");
+        }
+        ClusterOptions cluster_options;
+        cluster_options.coordination = options.replication;
+        cluster_options.coordination.nodes = options.replicas;
+        cluster_options.skew = options.skew;
+        cluster_options.config = options.auto_config;
+        cluster_options.config.enabled = options.mode == TracingMode::kAuto;
+        cluster_options.runtime_options = runtime_options;
+        cluster_options.stream_logs = streaming;
+        cluster_options.jobs = options.cluster_jobs;
+        cluster_options.share_mining_cache = options.share_mining_cache;
+        cluster_options.shared_decisions = options.shared_decisions;
+        cluster_options.external_mining_cache = mining_cache;
+        cluster_ = std::make_unique<Cluster>(cluster_options);
+        front_ = cluster_.get();
+    } else {
+        runtime_ = std::make_unique<rt::Runtime>(runtime_options);
+        switch (options.mode) {
+          case TracingMode::kUntraced:
+            wrapper_ = std::make_unique<api::UntracedFrontend>(*runtime_);
+            front_ = wrapper_.get();
+            break;
+          case TracingMode::kManual:
+            wrapper_ = std::make_unique<api::DirectFrontend>(*runtime_);
+            front_ = wrapper_.get();
+            break;
+          case TracingMode::kAuto:
+            apophenia_ = std::make_unique<core::Apophenia>(
+                *runtime_, options.auto_config, options.executor,
+                mining_cache);
+            front_ = apophenia_.get();
+            break;
+        }
+    }
+    if (!streaming) {
+        return;
+    }
 
     // Streaming: the simulator and the traced-flags metric run as the
     // operation log's retire consumer (node 0's under replication);
     // the logs recycle their blocks behind them. The inline transitive
     // reduction, a retained-path log transform, streams through the
     // windowed reducer instead — same edges, O(window) resident state.
-    std::optional<PipelineSimulator> streaming_sim;
-    std::optional<rt::WindowedTransitiveReducer> streaming_reducer;
-    std::vector<rt::Dependence> reduce_scratch;
-    TracedFlags streaming_traced;
-    StreamDigest streaming_digest;
-    if (streaming) {
-        PipelineOptions sim_options = pipeline_options;
-        sim_options.inline_transitive_reduction = false;
-        streaming_sim.emplace(sim_options);
-        if (reduce) {
-            streaming_reducer.emplace(options.auto_config.window);
-        }
-        auto consumer = [&](const rt::OpView& op) {
-            streaming_traced.Consume(op);
-            streaming_digest.Consume(op);
-            if (streaming_reducer) {
-                reduce_scratch.assign(op.dependences.begin(),
-                                      op.dependences.end());
-                streaming_reducer->Reduce(op.index, reduce_scratch);
-                rt::OpView reduced = op;
-                reduced.dependences = rt::DependenceSpan(
-                    std::span<const rt::Dependence>(reduce_scratch));
-                streaming_sim->Consume(reduced);
-            } else {
-                streaming_sim->Consume(op);
-            }
-        };
-        if (stack.cluster != nullptr) {
-            stack.cluster->AddLogConsumer(0, consumer);
+    PipelineOptions sim_options = BuildPipelineOptions(options);
+    sim_options.inline_transitive_reduction = false;
+    streaming_sim_.emplace(sim_options);
+    if (reduce) {
+        streaming_reducer_.emplace(options.auto_config.window);
+    }
+    auto consumer = [this](const rt::OpView& op) {
+        streaming_traced_.Consume(op);
+        streaming_digest_.Consume(op);
+        if (streaming_reducer_) {
+            reduce_scratch_.assign(op.dependences.begin(),
+                                   op.dependences.end());
+            streaming_reducer_->Reduce(op.index, reduce_scratch_);
+            rt::OpView reduced = op;
+            reduced.dependences = rt::DependenceSpan(
+                std::span<const rt::Dependence>(reduce_scratch_));
+            streaming_sim_->Consume(reduced);
         } else {
-            stack.runtime->EnableLogStreaming(consumer);
+            streaming_sim_->Consume(op);
+        }
+    };
+    if (cluster_ != nullptr) {
+        cluster_->AddLogConsumer(0, consumer);
+    } else {
+        runtime_->EnableLogStreaming(consumer);
+    }
+}
+
+const core::Apophenia*
+ExperimentStack::Engine() const
+{
+    if (cluster_ == nullptr) {
+        return apophenia_.get();
+    }
+    if (options_.mode != TracingMode::kAuto) {
+        return nullptr;
+    }
+    return cluster_->SharedDecisions() ? &cluster_->Decider()
+                                       : &cluster_->Node(0);
+}
+
+core::MiningCache*
+ExperimentStack::PrivateMemo() const
+{
+    if (apophenia_ != nullptr) {
+        return apophenia_->PrivateMemo();
+    }
+    return cluster_ != nullptr && cluster_->SharedDecisions()
+               ? cluster_->Decider().PrivateMemo()
+               : nullptr;
+}
+
+std::size_t
+ExperimentStack::ResidentBytes() const
+{
+    const core::MiningCache* memo = PrivateMemo();
+    std::size_t resident = memo != nullptr ? memo->ResidentBytes() : 0;
+    auto add = [&resident](const rt::Runtime& runtime) {
+        resident +=
+            runtime.Log().ResidentBytes() + runtime.Traces().ResidentBytes();
+    };
+    if (cluster_ == nullptr) {
+        add(*runtime_);
+        return resident;
+    }
+    for (std::size_t n = 0; n < cluster_->Nodes(); ++n) {
+        add(cluster_->NodeRuntime(n));
+    }
+    if (const rt::Runtime* decision = cluster_->DecisionRuntime()) {
+        add(*decision);
+    }
+    return resident;
+}
+
+std::size_t
+ExperimentStack::PressureEvictTraces()
+{
+    // A replicated stack evicts nothing: evicting on one node would
+    // break the decider's TraceCache mirror, whose HasTrace decisions
+    // every node applies.
+    if (runtime_ == nullptr) {
+        return 0;
+    }
+    return runtime_->PressureEvictTraces(
+        runtime_->Traces().ResidentBytes() / 2);
+}
+
+ExperimentResult
+ExperimentStack::Finish(const std::vector<std::size_t>& boundaries)
+{
+    const rt::Runtime& runtime = ObservedRuntime();
+    ExperimentResult result;
+    PipelineResult sim;
+    if (streaming_sim_) {
+        if (cluster_ != nullptr) {
+            cluster_->DrainLogStreams();
+        } else {
+            runtime_->DrainLogStream();
+        }
+        sim = streaming_sim_->Finish();
+        result.warmup_iterations =
+            WarmupIterations(streaming_traced_, boundaries);
+        if (options_.keep_coverage_series) {
+            result.coverage_series = TracedCoverageSeries(
+                streaming_traced_, options_.coverage_window,
+                options_.coverage_stride);
+        }
+    } else {
+        sim = SimulatePipeline(runtime.Log(), BuildPipelineOptions(options_));
+        result.warmup_iterations =
+            WarmupIterations(runtime.Log(), boundaries);
+        if (options_.keep_coverage_series) {
+            result.coverage_series = TracedCoverageSeries(
+                runtime.Log(), options_.coverage_window,
+                options_.coverage_stride);
         }
     }
 
+    const std::vector<double> ends = IterationEndTimes(sim, boundaries);
+    result.iterations_per_second = SteadyThroughput(ends);
+    result.makespan_us = sim.makespan_us;
+    result.total_tasks = runtime.Log().size();
+    result.runtime_stats = runtime.Stats();
+    result.replayed_fraction = runtime.Stats().ReplayedFraction();
+    result.trace_cache_evictions = runtime.Stats().traces_evicted;
+    result.frontend_stats = front_->Stats();
+    result.log_peak_resident_bytes = runtime.Log().PeakResidentBytes();
+    result.log_retired_ops = runtime.Log().RetiredCount();
+    if (const core::Apophenia* engine = Engine()) {
+        result.apophenia_stats = engine->Stats();
+        result.candidate_digest = engine->CandidateDigest();
+    }
+    auto add_finder_stats = [&result](const core::FinderStats& finder) {
+        result.mining_fast_path_hits += finder.mining_fast_path_hits;
+        result.mining_full += finder.mining_full;
+    };
+    if (cluster_ == nullptr) {
+        // Single-runtime runs report the same stream identity the
+        // cluster nodes do (and the svc::TraceService bit-identity
+        // check diffs against).
+        const StreamDigest digest = streaming_sim_
+                                        ? streaming_digest_
+                                        : StreamDigest::Of(runtime.Log());
+        result.stream_digest = digest.Value();
+        result.stream_digest_ops = digest.Count();
+        if (apophenia_ != nullptr) {
+            add_finder_stats(apophenia_->Finder());
+            result.mining_cache_hits = apophenia_->Finder().mining_cache_hits;
+        }
+        return result;
+    }
+
+    // The decision-making engine's finder describes the run: the
+    // shared decider (whose decisions every node applied), or every
+    // node's own in per-node mode.
+    const bool shared = cluster_->SharedDecisions();
+    result.streams_identical = cluster_->StreamDigestsAgree();
+    result.coordination = cluster_->Coordination();
+    result.node_metrics = cluster_->PerNode();
+    for (std::size_t n = 0; n < cluster_->Nodes(); ++n) {
+        result.log_peak_resident_bytes = std::max(
+            result.log_peak_resident_bytes,
+            cluster_->NodeRuntime(n).Log().PeakResidentBytes());
+        if (!shared) {
+            add_finder_stats(cluster_->Node(n).Finder());
+        }
+    }
+    if (shared) {
+        add_finder_stats(cluster_->Decider().Finder());
+    }
+    const core::MiningCache::Stats cache = cluster_->MiningCacheStats();
+    result.mining_cache_hits = cache.hits;
+    result.mining_cache_misses = cache.misses;
+    result.mining_cache_windows = cache.windows;
+    result.mining_cache_evictions = cache.evictions;
+    const DecisionStats decisions = cluster_->DecisionCost();
+    result.shared_decisions = decisions.shared;
+    result.decision_ns = decisions.decision_ns;
+    result.decision_apply_ns = decisions.apply_ns;
+    result.decision_batches = decisions.batches;
+    result.decisions_broadcast = decisions.decisions;
+    result.decision_fallbacks = decisions.fallbacks;
+    const StreamDigest digest = cluster_->NodeDigest(0);
+    result.stream_digest = digest.Value();
+    result.stream_digest_ops = digest.Count();
+    return result;
+}
+
+ExperimentResult
+RunExperiment(apps::Application& app, const ExperimentOptions& options)
+{
+    ExperimentStack stack(options);
+    api::Frontend& front = stack.Front();
     // Iteration boundaries are measured on the issued stream (the
     // uniform frontend counter), which Apophenia forwards verbatim.
     app.Setup(front);
@@ -189,108 +318,7 @@ RunExperiment(apps::Application& app, const ExperimentOptions& options)
             static_cast<std::size_t>(front.Stats().tasks_executed));
     }
     front.Flush();
-
-    const rt::Runtime& runtime = stack.ObservedRuntime();
-    ExperimentResult result;
-    PipelineResult sim;
-    if (streaming) {
-        if (stack.cluster != nullptr) {
-            stack.cluster->DrainLogStreams();
-        } else {
-            stack.runtime->DrainLogStream();
-        }
-        sim = streaming_sim->Finish();
-        result.warmup_iterations =
-            WarmupIterations(streaming_traced, boundaries);
-        if (options.keep_coverage_series) {
-            result.coverage_series = TracedCoverageSeries(
-                streaming_traced, options.coverage_window,
-                options.coverage_stride);
-        }
-    } else {
-        sim = SimulatePipeline(runtime.Log(), pipeline_options);
-        result.warmup_iterations =
-            WarmupIterations(runtime.Log(), boundaries);
-        if (options.keep_coverage_series) {
-            result.coverage_series = TracedCoverageSeries(
-                runtime.Log(), options.coverage_window,
-                options.coverage_stride);
-        }
-    }
-
-    const std::vector<double> ends = IterationEndTimes(sim, boundaries);
-    result.iterations_per_second = SteadyThroughput(ends);
-    result.makespan_us = sim.makespan_us;
-    result.total_tasks = runtime.Log().size();
-    result.runtime_stats = runtime.Stats();
-    result.replayed_fraction = runtime.Stats().ReplayedFraction();
-    result.trace_cache_evictions = runtime.Stats().traces_evicted;
-    result.frontend_stats = front.Stats();
-    result.log_peak_resident_bytes = runtime.Log().PeakResidentBytes();
-    result.log_retired_ops = runtime.Log().RetiredCount();
-    auto add_finder_stats = [&result](const core::FinderStats& finder) {
-        result.mining_fast_path_hits += finder.mining_fast_path_hits;
-        result.mining_full += finder.mining_full;
-    };
-    if (stack.cluster == nullptr) {
-        // Single-runtime runs report the same stream identity the
-        // cluster nodes do (and the svc::TraceService bit-identity
-        // check diffs against).
-        const StreamDigest digest = streaming
-                                        ? streaming_digest
-                                        : StreamDigest::Of(runtime.Log());
-        result.stream_digest = digest.Value();
-        result.stream_digest_ops = digest.Count();
-    }
-    if (stack.apophenia != nullptr) {
-        result.apophenia_stats = stack.apophenia->Stats();
-        add_finder_stats(stack.apophenia->Finder());
-        result.mining_cache_hits = stack.apophenia->Finder().mining_cache_hits;
-        result.candidate_digest = stack.apophenia->CandidateDigest();
-    } else if (stack.cluster != nullptr) {
-        // The decision-making engine whose stats/digests describe the
-        // run: the shared decider (whose decisions every node
-        // applied), or node 0's engine in per-node mode — identical
-        // numbers by the bit-identity property.
-        const bool shared = stack.cluster->SharedDecisions();
-        if (options.mode == TracingMode::kAuto) {
-            const core::Apophenia& decider =
-                shared ? stack.cluster->Decider() : stack.cluster->Node(0);
-            result.apophenia_stats = decider.Stats();
-            result.candidate_digest = decider.CandidateDigest();
-        }
-        result.streams_identical = stack.cluster->StreamDigestsAgree();
-        result.coordination = stack.cluster->Coordination();
-        result.node_metrics = stack.cluster->PerNode();
-        for (std::size_t n = 0; n < stack.cluster->Nodes(); ++n) {
-            result.log_peak_resident_bytes = std::max(
-                result.log_peak_resident_bytes,
-                stack.cluster->NodeRuntime(n).Log().PeakResidentBytes());
-            if (!shared) {
-                add_finder_stats(stack.cluster->Node(n).Finder());
-            }
-        }
-        if (shared) {
-            add_finder_stats(stack.cluster->Decider().Finder());
-        }
-        const core::MiningCache::Stats cache =
-            stack.cluster->MiningCacheStats();
-        result.mining_cache_hits = cache.hits;
-        result.mining_cache_misses = cache.misses;
-        result.mining_cache_windows = cache.windows;
-        result.mining_cache_evictions = cache.evictions;
-        const DecisionStats decisions = stack.cluster->DecisionCost();
-        result.shared_decisions = decisions.shared;
-        result.decision_ns = decisions.decision_ns;
-        result.decision_apply_ns = decisions.apply_ns;
-        result.decision_batches = decisions.batches;
-        result.decisions_broadcast = decisions.decisions;
-        result.decision_fallbacks = decisions.fallbacks;
-        const StreamDigest digest = stack.cluster->NodeDigest(0);
-        result.stream_digest = digest.Value();
-        result.stream_digest_ops = digest.Count();
-    }
-    return result;
+    return stack.Finish(boundaries);
 }
 
 }  // namespace apo::sim

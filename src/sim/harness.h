@@ -6,18 +6,23 @@
  * weak/strong-scaling figure reports.
  *
  * The application is always driven through the one api::Frontend
- * issue surface; the harness picks the implementation from the
- * options. Control replication (paper section 5.1) is an orthogonal
- * axis: any workload can run on an N-node sim::Cluster under a
- * pluggable per-node SkewModel, and the result carries the incremental
- * stream-digest safety check plus per-node stall/agreement metrics.
- * The log-mode axis (retained vs streaming-retire) composes with both
- * — a replicated streaming run keeps every node's resident log
- * bounded and verifies agreement through the rolling digests.
+ * issue surface; ExperimentStack picks the implementation from the
+ * options, builds the runtime (or runtimes) behind it and turns the
+ * issued stream into one ExperimentResult. RunExperiment drives one
+ * stack; every svc::TraceService tenant is one. Control replication
+ * (paper section 5.1) is an orthogonal axis: any workload can run on
+ * an N-node sim::Cluster under a pluggable per-node SkewModel, and the
+ * result carries the incremental stream-digest safety check plus
+ * per-node stall/agreement metrics. The log-mode axis (retained vs
+ * streaming-retire) composes with both — a replicated streaming run
+ * keeps every node's resident log bounded and verifies agreement
+ * through the rolling digests.
  */
 #ifndef APOPHENIA_SIM_HARNESS_H
 #define APOPHENIA_SIM_HARNESS_H
 
+#include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -25,10 +30,13 @@
 #include "apps/app.h"
 #include "core/apophenia.h"
 #include "core/config.h"
+#include "core/mining_cache.h"
+#include "runtime/dependence.h"
 #include "runtime/runtime.h"
 #include "sim/cluster.h"
 #include "sim/metrics.h"
 #include "sim/pipeline.h"
+#include "support/executor.h"
 
 namespace apo::sim {
 
@@ -40,20 +48,6 @@ enum class TracingMode {
 };
 
 std::string_view ModeName(TracingMode mode);
-
-/** Which executor runs Apophenia's mining jobs in a kAuto experiment. */
-enum class ExecutorMode {
-    /** Jobs run synchronously at launch: deterministic, the
-     * configuration every figure is reported with. */
-    kInline,
-    /** Jobs run on a PooledExecutor (background threads, completions
-     * delivered at deterministic pump points): the throughput
-     * configuration. Replay decisions may differ from kInline when
-     * auto_config.ingest_mode is kOnCompletion (completion timing
-     * moves ingestion positions); with kEagerDrain they are identical
-     * and the two configurations cross-check each other. */
-    kPooled,
-};
 
 /** How the harness consumes the runtime's operation log. */
 enum class LogMode {
@@ -77,8 +71,11 @@ struct ExperimentOptions {
     std::size_t iterations = 60;
     rt::CostModel costs;
     core::ApopheniaConfig auto_config;  ///< used when mode == kAuto
-    ExecutorMode executor_mode = ExecutorMode::kInline;
-    std::size_t pool_threads = 2;  ///< used when kPooled
+    /** Runs the unreplicated kAuto front end's mining jobs; borrowed,
+     * must outlive the experiment. nullptr = inline (deterministic;
+     * every figure). A pooled executor decides like inline under
+     * kEagerDrain ingestion, not under kOnCompletion. */
+    support::Executor* executor = nullptr;
     /** What a trace replay does when the stream deviates from the
      * template: throw (Legion's strict mode) or degrade that fragment
      * to full dependence analysis (see rt::MismatchPolicy). */
@@ -87,6 +84,8 @@ struct ExperimentOptions {
      * (rt::RuntimeOptions::max_trace_templates; 0 = unlimited).
      * Evictions surface as ExperimentResult::trace_cache_evictions. */
     std::size_t max_trace_templates = 0;
+    /** See LogMode; a replicated kStreaming run streams every node's
+     * log and simulates node 0's. */
     LogMode log_mode = LogMode::kRetained;
     /** Operation-log block granularity; with kStreaming this is the
      * resident-memory ceiling knob. */
@@ -97,9 +96,8 @@ struct ExperimentOptions {
      * sim::Cluster (kAuto traces on every node; kUntraced runs the
      * nodes with tracing disabled; kManual is rejected with a typed
      * rt::RuntimeUsageError — the cluster front end drops
-     * annotations). Replicated mining always uses the deterministic
-     * inline executor; completion *timing* is what `replication` and
-     * `skew` simulate. */
+     * annotations). Replicated mining is always inline; completion
+     * *timing* is what `replication` and `skew` simulate. */
     std::size_t replicas = 1;
     /** Coordination tuning when replicas > 1 (`nodes` is overridden
      * by `replicas`). */
@@ -197,6 +195,70 @@ struct ExperimentResult {
     std::uint64_t decision_batches = 0;
     std::uint64_t decisions_broadcast = 0;
     std::uint64_t decision_fallbacks = 0;
+};
+
+/**
+ * The front end an experiment drives plus everything behind it: the
+ * runtime (wrapped for kUntraced/kManual, under Apophenia for kAuto)
+ * or the replicated sim::Cluster, and under kStreaming node 0's retire
+ * consumer (simulator, traced flags, digest). Not copyable or movable:
+ * the consumer points into the stack.
+ */
+class ExperimentStack {
+  public:
+    /** `mining_cache` (borrowed, may be null) is the kAuto engine's
+     * memo: the single front end's, or the cluster's external cache.
+     * Throws rt::RuntimeUsageError for kManual with replicas > 1 and
+     * for a streaming inline reduction without a window. */
+    explicit ExperimentStack(const ExperimentOptions& options,
+                             core::MiningCache* mining_cache = nullptr);
+    ExperimentStack(const ExperimentStack&) = delete;
+    ExperimentStack& operator=(const ExperimentStack&) = delete;
+
+    api::Frontend& Front() { return *front_; }
+    /** The engine whose decisions describe a kAuto run: the single
+     * front end, the cluster's shared decider, or node 0's engine in
+     * per-node mode; nullptr unless kAuto. */
+    const core::Apophenia* Engine() const;
+    /** The unreplicated kAuto front end (degrade and watchdog act on
+     * it); nullptr when replicated or untraced. */
+    core::Apophenia* SingleEngine() { return apophenia_.get(); }
+    /** The runtime whose log the simulator executes (node 0's when
+     * replicated: the stream agreement makes it representative). */
+    const rt::Runtime& ObservedRuntime() const
+    {
+        return cluster_ != nullptr ? cluster_->NodeRuntime(0) : *runtime_;
+    }
+    const Cluster* ReplicaCluster() const { return cluster_.get(); }
+    /** The single front end's or shared decider's private mining memo;
+     * nullptr when it probes a shared cache or in per-node mode. */
+    core::MiningCache* PrivateMemo() const;
+    /** Bytes of every runtime's log and TraceCache (each node's and
+     * the shared decider's decision runtime) plus the private memo. */
+    std::size_t ResidentBytes() const;
+    /** Evict LRU trace templates toward half the TraceCache's bytes;
+     * returns the number evicted. */
+    std::size_t PressureEvictTraces();
+
+    /** After the front end's final Flush(): drain the logs, simulate
+     * and report. `boundaries` holds the issued-task count at the end
+     * of each iteration. Call once. */
+    ExperimentResult Finish(const std::vector<std::size_t>& boundaries);
+
+  private:
+    ExperimentOptions options_;
+    std::unique_ptr<rt::Runtime> runtime_;  ///< single-runtime modes
+    std::unique_ptr<core::Apophenia> apophenia_;
+    std::unique_ptr<Cluster> cluster_;
+    std::unique_ptr<api::Frontend> wrapper_;  ///< direct/untraced
+    api::Frontend* front_ = nullptr;
+
+    // kStreaming: node 0's retire-consumer state.
+    std::optional<PipelineSimulator> streaming_sim_;
+    std::optional<rt::WindowedTransitiveReducer> streaming_reducer_;
+    std::vector<rt::Dependence> reduce_scratch_;
+    TracedFlags streaming_traced_;
+    StreamDigest streaming_digest_;
 };
 
 /** Run `app` for `options.iterations` main-loop iterations and

@@ -102,9 +102,6 @@ class WorkerPool final : public Executor {
     void Submit(std::function<void()> job) override;
     void Drain() override;
 
-    std::size_t NumThreads() const { return threads_.size(); }
-    std::size_t MaxQueue() const { return max_queue_; }
-
     /** Submitters currently blocked on backpressure (tests use this
      * to synchronize with a Submit they expect to block). */
     std::size_t BlockedSubmitters()
@@ -160,8 +157,6 @@ class PooledExecutor final : public Executor {
     /** Wait for all jobs, then deliver every pending callback (in
      * submission order, on this thread). */
     void Drain() override;
-
-    std::size_t NumThreads() const { return pool_.NumThreads(); }
 
   private:
     /** One submitted job's completion record. */

@@ -4,12 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <span>
 
 #include "runtime/errors.h"
-#include "sim/cluster.h"
-#include "sim/metrics.h"
-#include "sim/pipeline.h"
 #include "support/hash.h"
 
 namespace apo::svc {
@@ -17,11 +13,11 @@ namespace apo::svc {
 /**
  * The tenant's issue surface: a thin api::Frontend that folds the
  * tenant's token namespace into every launch token before handing it
- * to the tenant's Apophenia instance. The fold is a single XOR on the
- * boundary-computed hash (see rt::FoldNamespace) — namespace 0 (the
- * first tenant, and every single-tenant service) forwards tokens
- * untouched, which is what makes a single-tenant service run
- * bit-identical to the direct harness.
+ * to the front end of the tenant's sim::ExperimentStack. The fold is
+ * a single XOR on the boundary-computed hash (see rt::FoldNamespace)
+ * — namespace 0 (the first tenant, and every single-tenant service)
+ * forwards tokens untouched, which is what makes a single-tenant
+ * service run bit-identical to the direct harness.
  */
 class TenantSession final : public api::Frontend {
   public:
@@ -74,16 +70,13 @@ class TenantSession final : public api::Frontend {
     rt::TokenHash namespace_;
 };
 
-/** One tenant's stack plus its run-loop state. Exactly one of
- * {runtime+engine, cluster} is populated: the single stack, or the
- * tenant's replication cluster (TenantOptions::replicas > 1). */
+/** One tenant: its experiment stack behind its session, plus its
+ * run-loop state. */
 struct TraceService::Tenant {
     TenantOptions options;
     rt::TokenHash name_space = 0;
-    std::unique_ptr<rt::Runtime> runtime;
-    std::unique_ptr<core::Apophenia> engine;
-    std::unique_ptr<sim::Cluster> cluster;
-    std::unique_ptr<TenantSession> session;
+    sim::ExperimentStack stack;
+    TenantSession session;
 
     /** Issued-task count at the end of each completed iteration. */
     std::vector<std::size_t> boundaries;
@@ -107,18 +100,15 @@ struct TraceService::Tenant {
     /** Open loop: virtual time of iteration 0's arrival. */
     std::uint64_t arrival_base = 0;
 
-    /** Streaming log mode: the tenant's retire-consumer stack — the
-     * harness's streaming wiring, per tenant (simulator + traced
-     * flags + digest run incrementally; the log recycles its blocks
-     * behind them). */
-    std::optional<sim::PipelineSimulator> streaming_sim;
-    std::optional<rt::WindowedTransitiveReducer> streaming_reducer;
-    std::vector<rt::Dependence> reduce_scratch;
-    sim::TracedFlags streaming_traced;
-    sim::StreamDigest streaming_digest;
-
-    explicit Tenant(std::size_t reservoir_capacity)
-        : latencies(reservoir_capacity), wall_ns(reservoir_capacity)
+    Tenant(TenantOptions tenant_options, rt::TokenHash tenant_namespace,
+           const sim::ExperimentOptions& experiment,
+           core::MiningCache* mining_cache, std::size_t reservoir_capacity)
+        : options(std::move(tenant_options)),
+          name_space(tenant_namespace),
+          stack(experiment, mining_cache),
+          session(stack.Front(), tenant_namespace),
+          latencies(reservoir_capacity),
+          wall_ns(reservoir_capacity)
     {
     }
 
@@ -140,20 +130,6 @@ struct TraceService::Tenant {
         return options.arrival_gap == 0
                    ? ready_since
                    : arrival_base + options.arrival_gap * Consumed();
-    }
-
-    /** The tenant's private mining memo when it does not share the
-     * service cache: its engine's, or its cluster decider's. nullptr
-     * when it shares the cache (or runs per-node cluster engines,
-     * which share the cluster's). */
-    core::MiningCache* PrivateMemo() const
-    {
-        if (engine != nullptr) {
-            return engine->PrivateMemo();
-        }
-        return cluster != nullptr && cluster->SharedDecisions()
-                   ? cluster->Decider().PrivateMemo()
-                   : nullptr;
     }
 
     /** Backlog at `clock`: iterations that have arrived and are
@@ -277,145 +253,60 @@ TraceService::DefaultNamespace(std::size_t index)
 std::size_t
 TraceService::AddTenant(TenantOptions tenant)
 {
-    const bool streaming = options_.log_mode == sim::LogMode::kStreaming;
-    if (streaming && tenant.replicas > 1) {
-        throw ServiceUsageError(
-            "TraceService::AddTenant: tenant '" + tenant.name +
-            "': sim::LogMode::kStreaming is incompatible with "
-            "replicated tenants (the cluster owns the node logs)");
-    }
-    if (streaming && options_.config.inline_transitive_reduction &&
-        options_.config.window == 0) {
-        throw ServiceUsageError(
-            "TraceService::AddTenant: the inline transitive reduction "
-            "over a streaming tenant log needs a bounded window "
-            "(-lg:window > 0); an unbounded reduction is a whole-log "
-            "transform");
-    }
-    auto state =
-        std::make_unique<Tenant>(options_.latency_reservoir_capacity);
-    state->options = std::move(tenant);
-    state->name_space = state->options.name_space.value_or(
-        DefaultNamespace(tenants_.size()));
-
-    rt::RuntimeOptions runtime_options;
-    runtime_options.costs = options_.costs;
-    runtime_options.nodes = options_.machine.nodes;
-    runtime_options.mismatch_policy = options_.mismatch_policy;
-    runtime_options.max_trace_templates = options_.max_trace_templates;
-    runtime_options.log_config = options_.log_config;
-    core::ApopheniaConfig config = options_.config;
-    config.cache_namespace = state->name_space;
-
-    api::Frontend* inner = nullptr;
-    if (state->options.replicas > 1) {
-        // Replicated tenant: N nodes behind one cluster, one shared
-        // per-tenant decision engine, and the *service-wide* mining
-        // cache as the cluster's backing store so cross-tenant dedup
-        // composes with replication.
-        // Cluster mining is always deterministic-inline — the
-        // service-level executor applies to unreplicated tenants
-        // only.
-        sim::ClusterOptions cluster_options;
-        cluster_options.coordination = options_.replication;
-        cluster_options.coordination.nodes = state->options.replicas;
-        cluster_options.config = config;
-        cluster_options.config.enabled = true;
-        cluster_options.runtime_options = runtime_options;
-        cluster_options.checkpoint_interval_tasks =
-            state->options.checkpoint_interval_tasks;
-        cluster_options.external_mining_cache =
-            options_.share_mining_cache ? cache_.get() : nullptr;
-        state->cluster = std::make_unique<sim::Cluster>(cluster_options);
-        inner = state->cluster.get();
-    } else {
-        state->runtime = std::make_unique<rt::Runtime>(runtime_options);
-        state->engine = std::make_unique<core::Apophenia>(
-            *state->runtime, config, options_.executor,
-            options_.share_mining_cache ? cache_.get() : nullptr);
-        inner = state->engine.get();
-        if (streaming) {
-            // The harness's streaming wiring, per tenant: simulator,
-            // traced flags and digest run as the log's retire
-            // consumer; the log recycles its blocks behind them, so a
-            // sustained open-loop run holds a memory plateau. The
-            // inline transitive reduction streams through the
-            // windowed reducer (validated above).
-            sim::PipelineOptions sim_options;
-            sim_options.machine = options_.machine;
-            sim_options.costs = options_.costs;
-            sim_options.apophenia_front_end = true;
-            sim_options.window = options_.config.window;
-            sim_options.inline_transitive_reduction = false;
-            state->streaming_sim.emplace(sim_options);
-            if (options_.config.inline_transitive_reduction) {
-                state->streaming_reducer.emplace(options_.config.window);
-            }
-            Tenant* raw = state.get();  // heap address, stable
-            state->runtime->EnableLogStreaming([raw](
-                                                   const rt::OpView& op) {
-                raw->streaming_traced.Consume(op);
-                raw->streaming_digest.Consume(op);
-                if (raw->streaming_reducer) {
-                    raw->reduce_scratch.assign(op.dependences.begin(),
-                                               op.dependences.end());
-                    raw->streaming_reducer->Reduce(op.index,
-                                                   raw->reduce_scratch);
-                    rt::OpView reduced = op;
-                    reduced.dependences =
-                        rt::DependenceSpan(std::span<const rt::Dependence>(
-                            raw->reduce_scratch));
-                    raw->streaming_sim->Consume(reduced);
-                } else {
-                    raw->streaming_sim->Consume(op);
-                }
-            });
-        }
-    }
-    state->session =
-        std::make_unique<TenantSession>(*inner, state->name_space);
-    tenants_.push_back(std::move(state));
+    const rt::TokenHash name_space =
+        tenant.name_space.value_or(DefaultNamespace(tenants_.size()));
+    // A tenant is the harness's kAuto stack, replicated or not, over
+    // the service-wide mining cache (a replicated tenant's shared
+    // decider probes it, so cross-tenant dedup composes with
+    // replication).
+    sim::ExperimentOptions experiment;
+    experiment.mode = sim::TracingMode::kAuto;
+    experiment.costs = options_.costs;
+    experiment.auto_config = options_.config;
+    experiment.auto_config.cache_namespace = name_space;
+    experiment.executor = options_.executor;
+    experiment.mismatch_policy = options_.mismatch_policy;
+    experiment.max_trace_templates = options_.max_trace_templates;
+    experiment.log_mode = options_.log_mode;
+    experiment.log_config = options_.log_config;
+    experiment.machine = options_.machine;
+    experiment.replicas = tenant.replicas;
+    experiment.replication = options_.replication;
+    tenants_.push_back(std::make_unique<Tenant>(
+        std::move(tenant), name_space, experiment,
+        options_.share_mining_cache ? cache_.get() : nullptr,
+        options_.latency_reservoir_capacity));
     return tenants_.size() - 1;
 }
 
 api::Frontend&
 TraceService::Session(std::size_t tenant)
 {
-    return *tenants_.at(tenant)->session;
+    return tenants_.at(tenant)->session;
 }
 
 const core::Apophenia&
 TraceService::TenantEngine(std::size_t tenant) const
 {
-    const Tenant& state = *tenants_.at(tenant);
-    return state.cluster != nullptr ? state.cluster->Decider()
-                                    : *state.engine;
+    return *tenants_.at(tenant)->stack.Engine();
 }
 
 const rt::Runtime&
 TraceService::TenantRuntime(std::size_t tenant) const
 {
-    const Tenant& state = *tenants_.at(tenant);
-    return state.cluster != nullptr ? state.cluster->NodeRuntime(0)
-                                    : *state.runtime;
+    return tenants_.at(tenant)->stack.ObservedRuntime();
 }
 
 const sim::Cluster*
 TraceService::TenantCluster(std::size_t tenant) const
 {
-    return tenants_.at(tenant)->cluster.get();
+    return tenants_.at(tenant)->stack.ReplicaCluster();
 }
 
 rt::TokenHash
 TraceService::TenantNamespace(std::size_t tenant) const
 {
     return tenants_.at(tenant)->name_space;
-}
-
-core::MiningCache::Stats
-TraceService::MiningCacheStats() const
-{
-    return cache_->Snapshot();
 }
 
 void
@@ -492,13 +383,14 @@ TraceService::ApplyOverloadControl(Tenant& tenant, std::uint64_t clock)
             // Shedding consumed the tenant's final arrivals — the
             // grant path will never run again for it, so drain here
             // (the same tenant-local end-of-stream Flush).
-            tenant.session->Flush();
+            tenant.session.Flush();
         }
     }
+    core::Apophenia* engine = tenant.stack.SingleEngine();
     if (opt.overload_policy == OverloadPolicy::kDegrade &&
-        tenant.engine != nullptr) {
+        engine != nullptr) {
         const std::uint64_t backlog = tenant.Backlog(clock);
-        bool want = tenant.engine->Degraded();
+        bool want = engine->Degraded();
         if (want) {
             // Hysteresis: stay degraded until the backlog has drained
             // to the low watermark, not merely below the bound.
@@ -511,10 +403,10 @@ TraceService::ApplyOverloadControl(Tenant& tenant, std::uint64_t clock)
         if (tenant.memory_degraded) {
             want = true;  // health monitor's force-degrade latch
         }
-        if (want && !tenant.engine->Degraded()) {
+        if (want && !engine->Degraded()) {
             tenant.degrade_windows += 1;
         }
-        tenant.engine->SetDegraded(want);
+        engine->SetDegraded(want);
     }
 }
 
@@ -524,8 +416,8 @@ TraceService::RunWatchdogAndHealth()
     if (options_.analysis_timeout_tasks > 0) {
         std::size_t abandoned = 0;
         for (const auto& tenant : tenants_) {
-            if (tenant->engine != nullptr) {
-                abandoned += tenant->engine->AbandonStaleAnalyses(
+            if (core::Apophenia* engine = tenant->stack.SingleEngine()) {
+                abandoned += engine->AbandonStaleAnalyses(
                     options_.analysis_timeout_tasks);
             }
         }
@@ -537,7 +429,7 @@ TraceService::RunWatchdogAndHealth()
             health_.watchdog_cache_abandons +=
                 cache_->AbandonInProgress();
             for (const auto& tenant : tenants_) {
-                if (core::MiningCache* memo = tenant->PrivateMemo()) {
+                if (core::MiningCache* memo = tenant->stack.PrivateMemo()) {
                     health_.watchdog_cache_abandons +=
                         memo->AbandonInProgress();
                 }
@@ -550,19 +442,7 @@ TraceService::RunWatchdogAndHealth()
     health_.samples += 1;
     std::size_t resident = cache_->ResidentBytes();
     for (const auto& tenant : tenants_) {
-        if (const core::MiningCache* memo = tenant->PrivateMemo()) {
-            resident += memo->ResidentBytes();
-        }
-        if (tenant->cluster != nullptr) {
-            for (std::size_t n = 0; n < tenant->cluster->Nodes(); ++n) {
-                const rt::Runtime& node = tenant->cluster->NodeRuntime(n);
-                resident += node.Log().ResidentBytes() +
-                            node.Traces().ResidentBytes();
-            }
-        } else {
-            resident += tenant->runtime->Log().ResidentBytes() +
-                        tenant->runtime->Traces().ResidentBytes();
-        }
+        resident += tenant->stack.ResidentBytes();
     }
     health_.peak_resident_bytes =
         std::max(health_.peak_resident_bytes, resident);
@@ -579,15 +459,12 @@ TraceService::RunWatchdogAndHealth()
         health_.pressure_cache_evictions +=
             cache_->EvictToResidentBytes(cache_->ResidentBytes() / 2);
         for (const auto& tenant : tenants_) {
-            if (core::MiningCache* memo = tenant->PrivateMemo()) {
+            if (core::MiningCache* memo = tenant->stack.PrivateMemo()) {
                 health_.pressure_cache_evictions +=
                     memo->EvictToResidentBytes(memo->ResidentBytes() / 2);
             }
-            if (tenant->runtime != nullptr) {
-                health_.pressure_trace_evictions +=
-                    tenant->runtime->PressureEvictTraces(
-                        tenant->runtime->Traces().ResidentBytes() / 2);
-            }
+            health_.pressure_trace_evictions +=
+                tenant->stack.PressureEvictTraces();
             if (tenant->options.overload_policy ==
                     OverloadPolicy::kDegrade &&
                 !tenant->memory_degraded) {
@@ -621,8 +498,8 @@ TraceService::Run()
     // starts exactly as its standalone run would).
     std::uint64_t clock = 0;
     for (const auto& tenant : tenants_) {
-        tenant->options.app->Setup(*tenant->session);
-        clock += tenant->session->Stats().tasks_executed;
+        tenant->options.app->Setup(tenant->session);
+        clock += tenant->session.Stats().tasks_executed;
     }
     for (const auto& tenant : tenants_) {
         tenant->ready_since = clock;
@@ -664,10 +541,10 @@ TraceService::Run()
         tenant.latencies.Add(clock - tenant.NextArrival());
 
         const std::uint64_t before =
-            tenant.session->Stats().tasks_executed;
+            tenant.session.Stats().tasks_executed;
         const auto wall_start = std::chrono::steady_clock::now();
         tenant.options.app->Iteration(
-            *tenant.session,
+            tenant.session,
             static_cast<std::size_t>(tenant.Consumed()),
             /*manual_tracing=*/false);
         tenant.wall_ns.Add(static_cast<std::uint64_t>(
@@ -675,14 +552,14 @@ TraceService::Run()
                 std::chrono::steady_clock::now() - wall_start)
                 .count()));
         const std::uint64_t after =
-            tenant.session->Stats().tasks_executed;
+            tenant.session.Stats().tasks_executed;
         const std::uint64_t tasks = after - before;
         // A degraded grant skips mining, matching and replay
         // bookkeeping, so it advances the service clock at the
         // discounted rate — the capacity a degraded tenant recovers.
         std::uint64_t charged = tasks;
-        const bool degraded =
-            tenant.engine != nullptr && tenant.engine->Degraded();
+        const core::Apophenia* engine = tenant.stack.SingleEngine();
+        const bool degraded = engine != nullptr && engine->Degraded();
         if (degraded) {
             charged = std::max<std::uint64_t>(
                 1, static_cast<std::uint64_t>(std::llround(
@@ -700,7 +577,7 @@ TraceService::Run()
             // End-of-stream for this tenant, at this point of the
             // interleave — a tenant-local drain, like the standalone
             // harness's final Flush.
-            tenant.session->Flush();
+            tenant.session.Flush();
         }
         RunWatchdogAndHealth();
     }
@@ -730,112 +607,41 @@ TraceService::AssembleResults(std::uint64_t virtual_time)
             ->Name());
     result.virtual_time = virtual_time;
 
-    sim::PipelineOptions pipeline_options;
-    pipeline_options.machine = options_.machine;
-    pipeline_options.costs = options_.costs;
-    pipeline_options.apophenia_front_end = true;
-    pipeline_options.window = options_.config.window;
-    pipeline_options.inline_transitive_reduction =
-        options_.config.inline_transitive_reduction;
-
     for (const auto& tenant : tenants_) {
-        const sim::Cluster* cluster = tenant->cluster.get();
-        const rt::Runtime& runtime = cluster != nullptr
-                                         ? cluster->NodeRuntime(0)
-                                         : *tenant->runtime;
-        // Replicated: the shared decider's stats describe the tenant.
-        const core::Apophenia& engine =
-            cluster != nullptr ? cluster->Decider() : *tenant->engine;
-        const core::FinderStats& finder = engine.Finder();
-        const bool streaming = tenant->streaming_sim.has_value();
-
-        sim::ExperimentResult experiment;
-        sim::PipelineResult sim;
-        sim::StreamDigest digest;
-        if (streaming) {
-            // The tenant's log streamed through its retire consumer —
-            // drain the tail, finish the incremental simulator and
-            // take the rolling digest (the retained log is gone).
-            tenant->runtime->DrainLogStream();
-            sim = tenant->streaming_sim->Finish();
-            digest = tenant->streaming_digest;
-            experiment.warmup_iterations = sim::WarmupIterations(
-                tenant->streaming_traced, tenant->boundaries);
-        } else {
-            sim = SimulatePipeline(runtime.Log(), pipeline_options);
-            digest = sim::StreamDigest::Of(runtime.Log());
-            experiment.warmup_iterations = sim::WarmupIterations(
-                runtime.Log(), tenant->boundaries);
-        }
-        const std::vector<double> ends =
-            IterationEndTimes(sim, tenant->boundaries);
-        experiment.iterations_per_second = sim::SteadyThroughput(ends);
-        experiment.makespan_us = sim.makespan_us;
-        experiment.total_tasks = runtime.Log().size();
-        experiment.runtime_stats = runtime.Stats();
-        experiment.replayed_fraction =
-            runtime.Stats().ReplayedFraction();
-        experiment.trace_cache_evictions =
-            runtime.Stats().traces_evicted;
-        experiment.frontend_stats = tenant->session->Stats();
-        experiment.apophenia_stats = engine.Stats();
-        experiment.mining_fast_path_hits = finder.mining_fast_path_hits;
-        experiment.mining_full = finder.mining_full;
-        experiment.mining_cache_hits = finder.mining_cache_hits;
-        experiment.log_peak_resident_bytes =
-            runtime.Log().PeakResidentBytes();
-        experiment.log_retired_ops = runtime.Log().RetiredCount();
-        experiment.stream_digest = digest.Value();
-        experiment.stream_digest_ops = digest.Count();
-        experiment.candidate_digest = engine.CandidateDigest();
-        if (cluster != nullptr) {
-            experiment.streams_identical = cluster->StreamDigestsAgree();
-            experiment.coordination = cluster->Coordination();
-            experiment.node_metrics = cluster->PerNode();
-            const sim::DecisionStats decisions = cluster->DecisionCost();
-            experiment.shared_decisions = decisions.shared;
-            experiment.decision_ns = decisions.decision_ns;
-            experiment.decision_apply_ns = decisions.apply_ns;
-            experiment.decision_batches = decisions.batches;
-            experiment.decisions_broadcast = decisions.decisions;
-            experiment.decision_fallbacks = decisions.fallbacks;
-            for (std::size_t n = 0; n < cluster->Nodes(); ++n) {
-                experiment.log_peak_resident_bytes = std::max(
-                    experiment.log_peak_resident_bytes,
-                    cluster->NodeRuntime(n).Log().PeakResidentBytes());
-            }
-        }
+        sim::ExperimentResult experiment =
+            tenant->stack.Finish(tenant->boundaries);
+        // The tenant's issue surface is its session.
+        experiment.frontend_stats = tenant->session.Stats();
+        const core::FinderStats& finder = tenant->stack.Engine()->Finder();
+        const core::ApopheniaStats& front = experiment.apophenia_stats;
 
         TenantStats stats;
         stats.name = tenant->options.name;
         stats.name_space = tenant->name_space;
         stats.iterations_completed = tenant->completed;
-        stats.tokens_issued =
-            tenant->session->Stats().tasks_executed;
-        stats.tokens_replayed = runtime.Stats().tasks_replayed;
-        const core::ApopheniaStats& front = engine.Stats();
+        stats.tokens_issued = experiment.frontend_stats.tasks_executed;
+        stats.tokens_replayed = experiment.runtime_stats.tasks_replayed;
         stats.trace_cache_hit_rate =
             front.traces_fired == 0
                 ? 0.0
                 : static_cast<double>(front.trace_replays) /
                       static_cast<double>(front.traces_fired);
-        stats.trace_cache_evictions = runtime.Stats().traces_evicted;
+        stats.trace_cache_evictions = experiment.trace_cache_evictions;
         stats.mining_cache_hits = finder.mining_cache_hits;
-        stats.cross_tenant_mining_hits =
-            finder.mining_cache_cross_hits;
+        stats.cross_tenant_mining_hits = finder.mining_cache_cross_hits;
         stats.p50_issue_latency = tenant->latencies.Percentile(0.50);
         stats.p99_issue_latency = tenant->latencies.Percentile(0.99);
         stats.p50_issue_wall_us =
             tenant->wall_ns.Percentile(0.50) / 1000.0;
         stats.p99_issue_wall_us =
             tenant->wall_ns.Percentile(0.99) / 1000.0;
-        stats.stream_digest = digest.Value();
-        stats.stream_digest_ops = digest.Count();
-        stats.candidate_digest = engine.CandidateDigest();
+        stats.stream_digest = experiment.stream_digest;
+        stats.stream_digest_ops = experiment.stream_digest_ops;
+        stats.candidate_digest = experiment.candidate_digest;
         stats.iterations_shed = tenant->shed;
         stats.iterations_degraded = tenant->degraded_iterations;
         stats.degrade_windows = tenant->degrade_windows;
-        stats.tokens_degraded = engine.Stats().tasks_degraded;
+        stats.tokens_degraded = front.tasks_degraded;
         stats.max_backlog = tenant->max_backlog;
 
         result.experiments.push_back(std::move(experiment));

@@ -27,13 +27,13 @@
  *    hits are counted per tenant and service-wide. With sharing off
  *    each tenant's finder keeps a private memo instead.
  *
- * A tenant may itself be control-replicated
- * (TenantOptions::replicas > 1): its stream then runs on N simulated
- * nodes behind one sim::Cluster, and one per-tenant shared
- * core::DecisionEngine makes every trace decision once for all of
- * the tenant's replicas — so a tenant pays mining/matching O(1) in
- * its own width, while its replicated stack still probes the
- * service-wide mining cache for cross-tenant dedup.
+ * Each tenant is one sim::ExperimentStack, the harness's kAuto stack.
+ * It may be control-replicated (TenantOptions::replicas > 1): its
+ * stream then runs on N simulated nodes behind one sim::Cluster, and
+ * one per-tenant shared core::DecisionEngine makes every trace
+ * decision once for all of the tenant's replicas — so a tenant pays
+ * mining/matching O(1) in its own width, while its replicated stack
+ * still probes the service-wide mining cache for cross-tenant dedup.
  *
  * Interleaving is decided by a pluggable AdmissionPolicy at the issue
  * surface (round-robin and deficit-weighted fair round-robin ship);
@@ -127,10 +127,6 @@ struct TenantOptions {
      * fuzz leg pins that per-tenant behaviour is independent of the
      * salt value. */
     std::optional<rt::TokenHash> name_space;
-    /** Replicated tenants only: arm periodic cluster checkpoints of
-     * the tenant's replication stack every this many issued tasks
-     * (sim::ClusterOptions::checkpoint_interval_tasks; 0 = never). */
-    std::uint64_t checkpoint_interval_tasks = 0;
 
     // -- Overload control ---------------------------------------------------
 
@@ -278,25 +274,26 @@ struct ServiceOptions {
     sim::CoordinationOptions replication;
     /** Admission policy; borrowed. nullptr = internal round-robin. */
     AdmissionPolicy* policy = nullptr;
-    /** Optional shared executor for every tenant's mining jobs (the
-     * TSan configuration drives cross-tenant cache traffic through a
-     * PooledExecutor here); nullptr = deterministic inline mining. */
+    /** Executor of every unreplicated tenant's mining jobs (the TSan
+     * configuration drives cross-tenant cache traffic through a
+     * PooledExecutor here); borrowed, must outlive the service.
+     * nullptr = deterministic inline mining. */
     support::Executor* executor = nullptr;
 
     // -- Overload control / health monitor ----------------------------------
 
-    /** Operation-log mode of unreplicated tenants:
-     * sim::LogMode::kStreaming retires each tenant's log through an
-     * incremental pipeline simulator + digest (the harness's
-     * streaming wiring), so resident memory stays bounded on
-     * unbounded streams — the sustained-driver mode. Incompatible
-     * with replicated tenants (their cluster owns the node logs). */
+    /** Operation-log mode of every tenant: sim::LogMode::kStreaming
+     * retires each tenant's log (every node's, when replicated)
+     * through an incremental pipeline simulator + digest, so resident
+     * memory stays bounded on unbounded streams — the sustained-driver
+     * mode. */
     sim::LogMode log_mode = sim::LogMode::kRetained;
     /** Health monitor: service-wide resident-byte high watermark
-     * (tenant oplogs + TraceCaches + the shared MiningCache + the
-     * tenants' private mining memos), sampled every granted
-     * iteration; 0 = monitoring off. A breach evicts mining-memo
-     * entries and LRU trace templates toward
+     * (the shared MiningCache + each tenant's
+     * sim::ExperimentStack::ResidentBytes: oplogs and TraceCaches,
+     * decision runtimes included, and its private mining memo),
+     * sampled every granted iteration; 0 = monitoring off. A breach
+     * evicts mining-memo entries and LRU trace templates toward
      * `memory_low_watermark_bytes` and force-degrades every kDegrade
      * tenant until resident bytes drop below the low watermark. */
     std::size_t memory_high_watermark_bytes = 0;
@@ -384,8 +381,9 @@ struct TenantStats {
 struct HealthStats {
     /** Resident-byte samples taken (one per granted iteration). */
     std::uint64_t samples = 0;
-    /** Peak sampled resident bytes (tenant oplogs + trace caches +
-     * the shared mining cache + private mining memos). */
+    /** Peak sampled resident bytes (tenant oplogs + trace caches,
+     * decision runtimes included, + the shared mining cache + private
+     * mining memos). */
     std::size_t peak_resident_bytes = 0;
     /** High-watermark breaches. */
     std::uint64_t pressure_events = 0;
@@ -433,7 +431,7 @@ class TraceService {
      * harness), a seeded 64-bit salt for the rest. */
     static rt::TokenHash DefaultNamespace(std::size_t index);
 
-    /** Register a tenant (builds its runtime + finder stack wired to
+    /** Register a tenant (builds its sim::ExperimentStack wired to
      * the shared cache). @return the tenant's index. */
     std::size_t AddTenant(TenantOptions tenant);
 
@@ -454,7 +452,8 @@ class TraceService {
      * unreplicated (TenantOptions::replicas == 1). */
     const sim::Cluster* TenantCluster(std::size_t tenant) const;
 
-    core::MiningCache::Stats MiningCacheStats() const;
+    /** The service-wide mining cache every sharing tenant probes. */
+    const core::MiningCache& SharedCache() const { return *cache_; }
 
     /** Drive every tenant's application to completion under the
      * admission policy and assemble the per-tenant results. */

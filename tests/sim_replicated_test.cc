@@ -18,6 +18,7 @@
 #include "apps/s3d.h"
 #include "apps/torchswe.h"
 #include "sim/harness.h"
+#include "support/executor.h"
 
 namespace apo {
 namespace {
@@ -179,8 +180,12 @@ void ExpectAllModes(Options app_options, std::size_t iterations)
         sim::ExperimentOptions options = base;
         options.mode = sim::TracingMode::kAuto;
         options.auto_config.ingest_mode = core::IngestMode::kEagerDrain;
-        options.executor_mode = sim::ExecutorMode::kPooled;
+        support::PooledExecutor pool(2);
+        options.executor = &pool;
         const auto pooled = sim::RunExperiment(app, options);
+        EXPECT_EQ(pooled.stream_digest, inline_result.stream_digest);
+        EXPECT_EQ(pooled.stream_digest_ops, inline_result.stream_digest_ops);
+        EXPECT_EQ(pooled.candidate_digest, inline_result.candidate_digest);
         EXPECT_DOUBLE_EQ(pooled.iterations_per_second,
                          inline_result.iterations_per_second);
         EXPECT_DOUBLE_EQ(pooled.makespan_us, inline_result.makespan_us);

@@ -12,6 +12,7 @@
 #include "sim/harness.h"
 #include "sim/metrics.h"
 #include "sim/pipeline.h"
+#include "support/executor.h"
 
 namespace apo::sim {
 namespace {
@@ -304,17 +305,21 @@ TEST(Harness, PooledEagerDrainMatchesInlineExperiment)
     options.auto_config.multi_scale_factor = 100;
 
     apps::S3dApplication app_inline(app_options);
-    options.executor_mode = ExecutorMode::kInline;
     const ExperimentResult inline_result =
         RunExperiment(app_inline, options);
 
     apps::S3dApplication app_pooled(app_options);
-    options.executor_mode = ExecutorMode::kPooled;
-    options.pool_threads = 3;
+    support::PooledExecutor pool(3);
+    options.executor = &pool;
     options.auto_config.ingest_mode = core::IngestMode::kEagerDrain;
     const ExperimentResult pooled_result =
         RunExperiment(app_pooled, options);
 
+    EXPECT_EQ(pooled_result.stream_digest, inline_result.stream_digest);
+    EXPECT_EQ(pooled_result.stream_digest_ops,
+              inline_result.stream_digest_ops);
+    EXPECT_EQ(pooled_result.candidate_digest,
+              inline_result.candidate_digest);
     EXPECT_DOUBLE_EQ(pooled_result.makespan_us, inline_result.makespan_us);
     EXPECT_DOUBLE_EQ(pooled_result.iterations_per_second,
                      inline_result.iterations_per_second);
@@ -340,8 +345,8 @@ TEST(Harness, PooledOnCompletionModeStillTraces)
     // the columnar log sped the untraced path up again.
     options.iterations = 900;
     options.mode = TracingMode::kAuto;
-    options.executor_mode = ExecutorMode::kPooled;
-    options.pool_threads = 3;
+    support::PooledExecutor pool(3);
+    options.executor = &pool;
     options.auto_config.min_trace_length = 10;
     options.auto_config.batchsize = 2000;
     options.auto_config.multi_scale_factor = 100;
