@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + tests, an ASan+UBSan pass of the whole
+# CI entry point: tier-1 build + tests, apobench's quick digest check
+# and its reference-identity golden, an ASan+UBSan pass of the whole
 # suite, a TSan pass of the threaded/stacked suites, and the perf records
 # (BENCH_micro_repeats.json, committed so successive PRs keep a
 # tokens/sec + scaling trajectory).
@@ -18,6 +19,15 @@ echo "== apobench: quick end-to-end run with reference-digest check =="
 # repetition fails, e.g. when its stream or candidate digest differs
 # from the workload's reference configuration.
 bash bench/e2e/run.sh --quick
+
+echo "== apobench: reference identities against the committed golden =="
+# --quick checks each run only against a reference built from the same
+# code, so a change that alters both sides alike passes it. This pins
+# the references themselves: every workload's identity lines at seed 1
+# and full size (~5 s). After an intended behaviour change, regenerate:
+#   tests/golden/apobench_reference.sh > tests/golden/apobench_reference_seed1.txt
+tests/golden/apobench_reference.sh |
+    diff -u tests/golden/apobench_reference_seed1.txt -
 
 echo "== sanitizers: ASan + UBSan build + ctest, assertions on =="
 # RelWithDebInfo's default flags define NDEBUG, which would compile out

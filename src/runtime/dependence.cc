@@ -1,71 +1,21 @@
 #include "runtime/dependence.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+
+#include "runtime/dependence_walk.h"
 
 namespace apo::rt {
 
-namespace {
-
-/** Collects edges for one launch with on-the-fly deduplication by
- * (source, kind); a later-added true dependence on the same source
- * upgrades an anti/output edge (the stronger ordering subsumes). The
- * edges land in a caller-owned (reused) vector, appended after
- * whatever it already holds. */
-class EdgeCollector {
-  public:
-    EdgeCollector(std::size_t to, std::optional<std::size_t> external_after,
-                  std::vector<Dependence>& out)
-        : to_(to), external_after_(external_after), out_(out),
-          base_(out.size())
-    {
-    }
-
-    void Add(std::size_t from, DependenceKind kind)
-    {
-        assert(from <= to_);
-        if (from == to_) {
-            // Multiple requirements of one launch on the same field:
-            // an operation never depends on itself.
-            return;
-        }
-        if (external_after_ && from >= *external_after_) {
-            return;  // internal to a replayed trace: memoized already
-        }
-        for (std::size_t k = base_; k < out_.size(); ++k) {
-            if (out_[k].from == from) {
-                if (kind == DependenceKind::kTrue) {
-                    out_[k].kind = kind;
-                }
-                return;
-            }
-        }
-        out_.push_back(Dependence{from, to_, kind});
-    }
-
-    void Finish()
-    {
-        std::sort(out_.begin() + static_cast<std::ptrdiff_t>(base_),
-                  out_.end());
-    }
-
-  private:
-    std::size_t to_;
-    std::optional<std::size_t> external_after_;
-    std::vector<Dependence>& out_;
-    std::size_t base_;
-};
-
-}  // namespace
-
-FieldState&
+DependenceAnalyzer::Tracked&
 DependenceAnalyzer::MutableState(RegionId region, FieldId field)
 {
     const auto key = std::make_pair(region.value, field);
     auto it = states_.find(key);
     if (it == states_.end()) {
-        it = states_.emplace(key, FieldState{}).first;
+        it = states_.emplace(key, Tracked{}).first;
+        it->second.ordinal = static_cast<std::uint32_t>(by_ordinal_.size());
+        by_ordinal_.push_back(&it->second);
         if (forest_ != nullptr) {
             by_root_[{forest_->RootOf(region).value, field}].push_back(
                 region);
@@ -78,45 +28,8 @@ const FieldState*
 DependenceAnalyzer::StateOf(RegionId region, FieldId field) const
 {
     const auto it = states_.find({region.value, field});
-    return it == states_.end() ? nullptr : &it->second;
+    return it == states_.end() ? nullptr : &it->second.state;
 }
-
-namespace {
-
-/**
- * Coalesce duplicate (region, field) requirements of one launch into
- * `merged` (cleared first; a reused scratch vector). A task holds one
- * effective privilege per field: identical privileges merge
- * trivially; any mixed combination (read+write, reduce+read,
- * reductions with different operators) escalates to read-write, which
- * serializes against everything — mirroring Legion's privilege
- * coalescing rules.
- */
-void
-CoalesceRequirements(std::span<const RegionRequirement> reqs,
-                     std::vector<RegionRequirement>& merged)
-{
-    merged.clear();
-    for (const RegionRequirement& req : reqs) {
-        bool combined = false;
-        for (RegionRequirement& m : merged) {
-            if (m.region != req.region || m.field != req.field) {
-                continue;
-            }
-            if (m.privilege != req.privilege || m.redop != req.redop) {
-                m.privilege = Privilege::kReadWrite;
-                m.redop = 0;
-            }
-            combined = true;
-            break;
-        }
-        if (!combined) {
-            merged.push_back(req);
-        }
-    }
-}
-
-}  // namespace
 
 void
 DependenceAnalyzer::AnalyzeInto(std::size_t index,
@@ -124,108 +37,7 @@ DependenceAnalyzer::AnalyzeInto(std::size_t index,
                                 std::vector<Dependence>& out,
                                 std::optional<std::size_t> external_only_after)
 {
-    EdgeCollector edges(index, external_only_after, out);
-    CoalesceRequirements(launch.Requirements(), coalesce_scratch_);
-    const std::vector<RegionRequirement>& coalesced = coalesce_scratch_;
-
-    // Emit the ordering edges this requirement needs against one
-    // coherence state (its own region's, or an aliasing region's).
-    auto emit = [&edges](const FieldState& st,
-                         const RegionRequirement& req) {
-        switch (req.privilege) {
-          case Privilege::kReadOnly:
-            if (st.last_writer) {
-                edges.Add(*st.last_writer, DependenceKind::kTrue);
-            }
-            for (std::size_t r : st.reducers) {
-                edges.Add(r, DependenceKind::kTrue);
-            }
-            break;
-          case Privilege::kReadWrite:
-          case Privilege::kWriteDiscard:
-            if (st.last_writer) {
-                edges.Add(*st.last_writer,
-                          req.privilege == Privilege::kReadWrite
-                              ? DependenceKind::kTrue
-                              : DependenceKind::kOutput);
-            }
-            for (std::size_t r : st.readers) {
-                edges.Add(r, DependenceKind::kAnti);
-            }
-            for (std::size_t r : st.reducers) {
-                edges.Add(r, DependenceKind::kOutput);
-            }
-            break;
-          case Privilege::kReduce:
-            if (st.last_writer) {
-                edges.Add(*st.last_writer, DependenceKind::kTrue);
-            }
-            for (std::size_t r : st.readers) {
-                edges.Add(r, DependenceKind::kAnti);
-            }
-            if (!st.reducers.empty() && st.redop != req.redop) {
-                // Reductions with a different operator do not commute.
-                for (std::size_t r : st.reducers) {
-                    edges.Add(r, DependenceKind::kOutput);
-                }
-            }
-            for (std::size_t r : st.prev_reducers) {
-                edges.Add(r, DependenceKind::kOutput);
-            }
-            break;
-        }
-    };
-
-    for (const RegionRequirement& req : coalesced) {
-        // Edges against every aliasing region's state: the region
-        // itself plus, in a forest, its ancestors and descendants
-        // (Legion's parent/child interference).
-        if (forest_ != nullptr) {
-            const auto group_key = std::make_pair(
-                forest_->RootOf(req.region).value, req.field);
-            const auto git = by_root_.find(group_key);
-            if (git != by_root_.end()) {
-                for (RegionId other : git->second) {
-                    if (other == req.region ||
-                        !forest_->Aliases(other, req.region)) {
-                        continue;
-                    }
-                    emit(states_.at({other.value, req.field}), req);
-                }
-            }
-        }
-        FieldState& st = MutableState(req.region, req.field);
-        emit(st, req);
-
-        // State transition on the requirement's own region only;
-        // aliasing states keep their (now conservatively stale)
-        // entries, which later operations still order against.
-        switch (req.privilege) {
-          case Privilege::kReadOnly:
-            st.readers.push_back(index);
-            break;
-          case Privilege::kReadWrite:
-          case Privilege::kWriteDiscard:
-            st.last_writer = index;
-            st.readers.clear();
-            st.reducers.clear();
-            st.prev_reducers.clear();
-            break;
-          case Privilege::kReduce:
-            if (!st.reducers.empty() && st.redop != req.redop) {
-                // A different operator closes the open epoch; the
-                // closed epoch becomes the barrier every member of
-                // the new epoch serializes against. Swap (not move)
-                // so both vectors keep their capacity.
-                std::swap(st.prev_reducers, st.reducers);
-                st.reducers.clear();
-            }
-            st.redop = req.redop;
-            st.reducers.push_back(index);
-            break;
-        }
-    }
-    edges.Finish();
+    Walk<Pass::kAnalyze>(index, launch, out, external_only_after, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +156,8 @@ DependenceAnalyzer::SaveState(fault::CheckpointWriter& writer) const
 {
     writer.BeginSection(fault::SectionTag::kDependenceAnalyzer);
     writer.U64(states_.size());
-    for (const auto& [key, state] : states_) {
+    for (const auto& [key, tracked] : states_) {
+        const FieldState& state = tracked.state;
         writer.U64(key.first);
         writer.U64(key.second);
         writer.Bool(state.last_writer.has_value());
@@ -375,7 +188,7 @@ DependenceAnalyzer::LoadState(fault::CheckpointReader& reader)
     for (std::uint64_t i = 0; i < state_count; ++i) {
         const std::uint64_t region = reader.U64();
         const FieldId field = static_cast<FieldId>(reader.U64());
-        FieldState& state = states_[{region, field}];
+        FieldState& state = states_[{region, field}].state;
         const bool has_writer = reader.Bool();
         const std::uint64_t writer_index = reader.U64();
         state.last_writer =
@@ -385,6 +198,11 @@ DependenceAnalyzer::LoadState(fault::CheckpointReader& reader)
         LoadIndexVector(reader, state.reducers);
         state.redop = static_cast<ReductionOpId>(reader.U64());
         LoadIndexVector(reader, state.prev_reducers);
+    }
+    by_ordinal_.clear();
+    for (auto& [key, tracked] : states_) {
+        tracked.ordinal = static_cast<std::uint32_t>(by_ordinal_.size());
+        by_ordinal_.push_back(&tracked);
     }
     by_root_.clear();
     const std::uint64_t root_count = reader.U64();

@@ -8,6 +8,16 @@
  * operations it conflicts with, which is exactly the work that tracing
  * memoizes (paper sections 1-2). The per-task cost of this analysis is
  * the α of the paper's cost model.
+ *
+ * Trace replay skips most of it. While a fragment is analysed in full
+ * (its recording, or a replay without a usable plan), the analyzer
+ * also classifies each coalesced requirement for the fragment's
+ * replay plan (runtime/trace.h): only a requirement that can see a
+ * state the fragment has not yet written (`kReadWrite`/`kWriteDiscard`
+ * on exactly that region and field) can produce an edge into the
+ * operations before the fragment, so only those become ReplayStep
+ * entries. A plan-driven replay analyses just the steps and overwrites
+ * each written state from the fragment's summary at its end.
  */
 #ifndef APOPHENIA_RUNTIME_DEPENDENCE_H
 #define APOPHENIA_RUNTIME_DEPENDENCE_H
@@ -90,12 +100,38 @@ struct FieldState {
 };
 
 /**
+ * One requirement a plan-driven trace replay still analyses: the
+ * `requirement`-th coalesced requirement of the operation at fragment
+ * position `offset`. It is analysed because some state it reads (its
+ * own, or an aliasing one) has not been written earlier in the
+ * fragment, so it may see operations from before the fragment. Its
+ * own state's transition is applied live iff `apply`: a state the
+ * fragment already wrote is left to the fragment's summary. One word
+ * per step; a fragment whose steps do not fit gets no plan.
+ */
+struct ReplayStep {
+    static constexpr std::size_t kMaxOffset = (std::size_t{1} << 22) - 1;
+    static constexpr std::size_t kMaxRequirement = (std::size_t{1} << 9) - 1;
+
+    std::uint32_t offset : 22;
+    std::uint32_t requirement : 9;
+    std::uint32_t apply : 1;
+};
+
+/**
  * The dependence analyzer. Feed it launches in program order via
  * Analyze(); it returns the dependence edges for each launch and
  * updates its coherence state.
  */
 class DependenceAnalyzer {
   public:
+    DependenceAnalyzer() = default;
+    // by_ordinal_ points into states_: a copy would alias the source.
+    DependenceAnalyzer(const DependenceAnalyzer&) = delete;
+    DependenceAnalyzer& operator=(const DependenceAnalyzer&) = delete;
+    DependenceAnalyzer(DependenceAnalyzer&&) = default;
+    DependenceAnalyzer& operator=(DependenceAnalyzer&&) = default;
+
     /** Attach the region forest. When set, requirements on a region
      * also serialize against the coherence state of every *aliasing*
      * region (ancestors and descendants in the tree) — the parent/
@@ -111,19 +147,73 @@ class DependenceAnalyzer {
      * nothing.
      *
      * @param external_only_after if set, only edges whose source is
-     *   *before* this operation index are emitted. Trace replay uses
-     *   this to regenerate just the boundary (pre-trace) edges while
-     *   taking intra-trace edges from the memoized template.
+     *   *before* this operation index are emitted. A trace replay
+     *   without a usable plan uses this to regenerate just the
+     *   boundary (pre-trace) edges while taking intra-trace edges from
+     *   the memoized template. A plan-driven replay calls
+     *   AnalyzePlanned instead, which walks only the requirements that
+     *   can produce such edges; neither the plan nor its
+     *   classification touches this path.
      */
     void AnalyzeInto(
         std::size_t index, const TaskLaunchView& launch,
         std::vector<Dependence>& out,
         std::optional<std::size_t> external_only_after = std::nullopt);
 
+    // -- Replay plans (see the file comment and runtime/trace.h) ----------
+
+    /** Start classifying a fragment that begins at operation `start`
+     * for its replay plan. */
+    void BeginPlan(std::size_t start);
+
+    /** AnalyzeInto (same edges, same transitions) that also classifies
+     * the launch's coalesced requirements for the plan begun by
+     * BeginPlan. */
+    void AnalyzeForPlan(std::size_t index, const TaskLaunchView& launch,
+                        std::vector<Dependence>& out,
+                        std::optional<std::size_t> external_only_after);
+
+    /**
+     * Finish the plan: its steps, and the summary of every state the
+     * fragment wrote — one flat run of words per state: its ordinal
+     * shifted above four flags (which lists are non-empty, whether a
+     * redop follows), its last writer, [its redop,] then each non-empty
+     * list of readers, reducers and previous reducers as a count and
+     * its indices. Operation indices are relative to the fragment
+     * start. The redop is stored only when a reduction followed the
+     * state's first write in the fragment; otherwise the live first
+     * write already left it as full analysis would. Valid only if no
+     * state was created since BeginPlan. @return false if the fragment
+     * outgrew the compact encoding (no plan).
+     */
+    bool FinishPlan(std::vector<ReplayStep>& steps,
+                    std::vector<std::uint32_t>& summary) const;
+
+    /** Plan-driven replay of operation `index`: analyse only `steps`
+     * (its steps, ascending), emitting just the edges into operations
+     * before `fragment_start`, and apply the live transitions. */
+    void AnalyzePlanned(std::size_t index, const TaskLaunchView& launch,
+                        std::span<const ReplayStep> steps,
+                        std::size_t fragment_start,
+                        std::vector<Dependence>& out);
+
+    /** Apply the transitions a plan-driven replay deferred for
+     * operation `index` (every coalesced requirement without a live
+     * step) — to resume full analysis mid-fragment. */
+    void ApplyDeferred(std::size_t index, const TaskLaunchView& launch,
+                       std::span<const ReplayStep> steps);
+
+    /** Overwrite the states a fragment wrote with its summary
+     * (FinishPlan's encoding), rebased at `fragment_start`. */
+    void ApplySummary(std::span<const std::uint32_t> summary,
+                      std::size_t fragment_start);
+
     /** Read-only view of a field's coherence state (testing). */
     const FieldState* StateOf(RegionId region, FieldId field) const;
 
-    /** Number of distinct (region, field) pairs ever touched. */
+    /** Number of distinct (region, field) pairs ever touched. States
+     * are never erased, so an unchanged count means an unchanged set
+     * (a replay plan's validity stamp relies on this). */
     std::size_t TrackedFields() const { return states_.size(); }
 
     /** Checkpoint hooks: the full coherence state (field states plus
@@ -135,14 +225,56 @@ class DependenceAnalyzer {
     void LoadState(fault::CheckpointReader& reader);
 
   private:
-    FieldState& MutableState(RegionId region, FieldId field);
+    /** A coherence state plus what replay plans need to name and
+     * classify it. Only `state` is coherence content (and checkpointed);
+     * ordinals are renumbered on LoadState, which no plan survives. */
+    struct Tracked {
+        FieldState state;
+        std::uint32_t ordinal = 0;  ///< index into by_ordinal_
+        /** Where plan_written_ lists this state, if the fragment being
+         * classified wrote it (see WrittenInPlan). */
+        std::uint32_t written_slot = 0;
+    };
+
+    /** A state the fragment being classified has written. */
+    struct WrittenState {
+        std::uint32_t ordinal = 0;
+        /** A reduction followed the write: the summary stores redop. */
+        bool reduced = false;
+    };
+    bool WrittenInPlan(const Tracked& t) const
+    {
+        return t.written_slot < plan_written_.size() &&
+               plan_written_[t.written_slot].ordinal == t.ordinal;
+    }
+
+    /** The three walks over a launch's coalesced requirements: full
+     * analysis, full analysis plus plan classification, and a
+     * plan-driven replay of selected requirements. One body, so the
+     * edges and transitions cannot drift apart. */
+    enum class Pass { kAnalyze, kBuild, kPlanned };
+    template <Pass kPass>
+    void Walk(std::size_t index, const TaskLaunchView& launch,
+              std::vector<Dependence>& out,
+              std::optional<std::size_t> external_only_after,
+              std::span<const ReplayStep> steps);
+
+    Tracked& MutableState(RegionId region, FieldId field);
 
     /** Scratch for per-launch privilege coalescing; reused so the
      * steady-state analysis allocates nothing. */
     std::vector<RegionRequirement> coalesce_scratch_;
 
     const RegionTreeForest* forest_ = nullptr;
-    std::map<std::pair<std::uint64_t, FieldId>, FieldState> states_;
+    std::map<std::pair<std::uint64_t, FieldId>, Tracked> states_;
+    /** Ordinal -> state (map nodes never move; states never erased). */
+    std::vector<Tracked*> by_ordinal_;
+
+    // Plan build scratch (one fragment at a time; traces never nest).
+    std::size_t plan_start_ = 0;
+    bool plan_overflow_ = false;
+    std::vector<ReplayStep> plan_steps_;
+    std::vector<WrittenState> plan_written_;  ///< in first-write order
     /** Alias index: (tree root, field) -> regions with live state. */
     std::map<std::pair<std::uint64_t, FieldId>, std::vector<RegionId>>
         by_root_;

@@ -13,6 +13,7 @@ RegionTreeForest::AddRoot(RegionId region)
     node.depth = 0;
     node.root = region.value;
     nodes_[region.value] = node;
+    ++mutations_;
 }
 
 std::vector<RegionId>
@@ -41,6 +42,7 @@ RegionTreeForest::Partition(RegionId parent, std::size_t count,
         subregions.push_back(sub);
     }
     it->second.children += count;
+    ++mutations_;
     return subregions;
 }
 
@@ -58,6 +60,7 @@ RegionTreeForest::Remove(RegionId region)
     }
     const RegionId parent = it->second.parent;
     nodes_.erase(it);
+    ++mutations_;
     if (parent.value != 0) {
         const auto pit = nodes_.find(parent.value);
         if (pit != nodes_.end()) {

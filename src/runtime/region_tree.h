@@ -69,6 +69,11 @@ class RegionTreeForest {
 
     std::size_t Size() const { return nodes_.size(); }
 
+    /** Number of changes (roots added, partitions, removals) since
+     * construction — a replay plan's validity stamp. Derived, not
+     * checkpointed. */
+    std::uint64_t MutationCount() const { return mutations_; }
+
     /** Checkpoint hooks: the forest nodes, serialized in region-id
      * order so two identical forests produce identical images. */
     void SaveState(fault::CheckpointWriter& writer) const;
@@ -83,6 +88,7 @@ class RegionTreeForest {
     };
 
     std::unordered_map<std::uint64_t, Node> nodes_;
+    std::uint64_t mutations_ = 0;
 };
 
 }  // namespace apo::rt

@@ -66,16 +66,19 @@ Runtime::ExecuteRecording(const TaskLaunchView& launch)
                 "untraceable operation issued inside a trace recording");
         }
         // Fallback: abandon the recording entirely.
-        mode_ = Mode::kIdle;
         abandoned_trace_ = open_trace_;
-        open_trace_ = kNoTrace;
+        CloseTrace();
         recording_ = TraceTemplate{};
         ExecuteUntraced(launch);
         return;
     }
     const std::size_t index = log_.size();
     dep_scratch_.clear();
-    analyzer_.AnalyzeInto(index, launch, dep_scratch_);
+    if (building_) {
+        analyzer_.AnalyzeForPlan(index, launch, dep_scratch_, std::nullopt);
+    } else {
+        analyzer_.AnalyzeInto(index, launch, dep_scratch_);
+    }
     // Recording performs the full analysis plus memoization work.
     const double scale =
         options_.costs.memoize_us / options_.costs.analysis_us;
@@ -95,13 +98,12 @@ Runtime::ExecuteRecording(const TaskLaunchView& launch)
     recording_.SealOp();
     log_.Append(launch, AnalysisMode::kRecorded, open_trace_, cost,
                 /*replay_head=*/false, dep_scratch_);
-    log_.SetRetireBound(RetireBound());
 }
 
 void
 Runtime::ExecuteReplaying(const TaskLaunchView& launch)
 {
-    const TraceTemplate* t = cache_.Find(open_trace_);
+    const TraceTemplate* t = replaying_;
     if (!launch.traceable || replay_position_ >= t->Length() ||
         t->tokens[replay_position_] != launch.token) {
         HandleMismatch(!launch.traceable
@@ -115,16 +117,30 @@ Runtime::ExecuteReplaying(const TaskLaunchView& launch)
     }
 
     const std::size_t index = log_.size();
-    // Boundary edges are regenerated against the current coherence
-    // state; intra-fragment edges come from the memoized template's
-    // edge span for this position. The boundary edges all point before
-    // trace_start_ and the rebased internal edges all point at or
-    // after it, and both halves arrive sorted by source, so the
-    // concatenation is already in canonical (sorted, deduplicated)
-    // order.
+    // Boundary edges come from the requirements that can see state
+    // from before the fragment (the plan's steps here, or all of them
+    // in a pass without a plan), analysed against the current
+    // coherence state; intra-fragment edges come from the memoized
+    // template's edge span for this position. The boundary edges all
+    // point before trace_start_ and the rebased internal edges all
+    // point at or after it, and both halves arrive sorted by source,
+    // so the concatenation is already in canonical (sorted,
+    // deduplicated) order.
     dep_scratch_.clear();
-    analyzer_.AnalyzeInto(index, launch, dep_scratch_,
-                          /*external_only_after=*/trace_start_);
+    if (plan_driven_) {
+        const std::span<const ReplayStep> steps =
+            t->plan.StepsAt(replay_position_, step_cursor_);
+        if (!steps.empty()) {
+            analyzer_.AnalyzePlanned(index, launch, steps, trace_start_,
+                                     dep_scratch_);
+        }
+    } else if (building_) {
+        analyzer_.AnalyzeForPlan(index, launch, dep_scratch_,
+                                 /*external_only_after=*/trace_start_);
+    } else {
+        analyzer_.AnalyzeInto(index, launch, dep_scratch_,
+                              /*external_only_after=*/trace_start_);
+    }
     for (const Dependence& d : t->EdgesOf(replay_position_)) {
         assert(d.to + trace_start_ == index);
         dep_scratch_.push_back(Dependence{d.from + trace_start_,
@@ -140,8 +156,52 @@ Runtime::ExecuteReplaying(const TaskLaunchView& launch)
     stats_.total_analysis_us += cost;
     log_.Append(launch, AnalysisMode::kReplayed, open_trace_, cost,
                 replay_head, dep_scratch_);
-    log_.SetRetireBound(RetireBound());
     ++replay_position_;
+}
+
+void
+Runtime::ApplyDeferredTransitions()
+{
+    // The fragment's rows stay resident until it completes (retire
+    // bound = trace_start_), so their requirements are still readable.
+    std::size_t cursor = 0;
+    for (std::size_t i = trace_start_; i < log_.size(); ++i) {
+        analyzer_.ApplyDeferred(
+            i, log_[i].launch,
+            replaying_->plan.StepsAt(i - trace_start_, cursor));
+    }
+    plan_driven_ = false;
+}
+
+void
+Runtime::ForestChanging()
+{
+    // A plan holds for one forest: finish an open fragment under full
+    // analysis, and build no plan in this pass.
+    if (plan_driven_) {
+        ApplyDeferredTransitions();
+    }
+    building_ = false;
+}
+
+void
+Runtime::FinishPlanBuild(ReplayPlan& plan)
+{
+    plan = ReplayPlan{};
+    if (building_ && PlanStampNow() == build_stamp_ &&
+        analyzer_.FinishPlan(plan.steps, plan.summary)) {
+        plan.stamp = build_stamp_;
+    }
+}
+
+void
+Runtime::CloseTrace()
+{
+    mode_ = Mode::kIdle;
+    open_trace_ = kNoTrace;
+    replaying_ = nullptr;
+    plan_driven_ = false;
+    building_ = false;
 }
 
 /**
@@ -181,10 +241,12 @@ Runtime::HandleMismatch(const std::string& reason,
     // Fallback: abandon the replay — rewind the replayed prefix to
     // analyzed accounting; this and subsequent tasks in the fragment
     // run under full dependence analysis.
+    if (plan_driven_) {
+        ApplyDeferredTransitions();
+    }
     RewindReplayedFragment();
-    mode_ = Mode::kIdle;
     const TraceId failed = open_trace_;
-    open_trace_ = kNoTrace;
+    CloseTrace();
     ExecuteUntraced(launch);
     // Remain "idle" until the application's EndTrace; tolerate it.
     abandoned_trace_ = failed;
@@ -201,13 +263,24 @@ Runtime::BeginTrace(TraceId id)
     }
     open_trace_ = id;
     trace_start_ = log_.size();
-    if (cache_.Contains(id)) {
+    const ReplayPlan::Stamp now = PlanStampNow();
+    replaying_ = cache_.FindMutable(id);
+    if (replaying_ != nullptr) {
         mode_ = Mode::kReplaying;
         replay_position_ = 0;
+        step_cursor_ = 0;
+        plan_driven_ = replaying_->plan.stamp == now;
+        replaying_->plan.replays += plan_driven_ ? 1 : 0;
     } else {
         mode_ = Mode::kRecording;
         recording_ = TraceTemplate{};
         recording_.id = id;
+        plan_driven_ = false;
+    }
+    building_ = !plan_driven_;
+    if (building_) {
+        build_stamp_ = now;
+        analyzer_.BeginPlan(trace_start_);
     }
 }
 
@@ -226,6 +299,7 @@ Runtime::EndTrace(TraceId id)
     }
     if (mode_ == Mode::kRecording) {
         stats_.traces_recorded += 1;
+        FinishPlanBuild(recording_.plan);
         cache_.Insert(std::move(recording_));
         recording_ = TraceTemplate{};
         // Bound the template cache: evict the least recently used
@@ -237,17 +311,21 @@ Runtime::EndTrace(TraceId id)
             }
         }
     } else {
-        TraceTemplate* t = cache_.FindMutable(open_trace_);
+        TraceTemplate* t = replaying_;
         if (replay_position_ != t->Length()) {
             HandleMismatchAtEnd();
             return;
+        }
+        if (plan_driven_) {
+            analyzer_.ApplySummary(t->plan.summary, trace_start_);
+        } else {
+            FinishPlanBuild(t->plan);
         }
         t->replay_count += 1;
         cache_.Touch(open_trace_);
         stats_.trace_replays += 1;
     }
-    mode_ = Mode::kIdle;
-    open_trace_ = kNoTrace;
+    CloseTrace();
     log_.SetRetireBound(RetireBound());
 }
 
@@ -256,9 +334,11 @@ Runtime::HandleMismatchAtEnd()
 {
     stats_.trace_mismatches += 1;
     const TraceId failed = open_trace_;
+    if (plan_driven_) {
+        ApplyDeferredTransitions();
+    }
     if (options_.mismatch_policy == MismatchPolicy::kThrow) {
-        mode_ = Mode::kIdle;
-        open_trace_ = kNoTrace;
+        CloseTrace();
         throw TraceMismatchError(
             "trace replay ended before the recorded sequence completed "
             "(trace " +
@@ -267,8 +347,7 @@ Runtime::HandleMismatchAtEnd()
     // Fallback: the short replay is abandoned; rewind its prefix to
     // analyzed accounting.
     RewindReplayedFragment();
-    mode_ = Mode::kIdle;
-    open_trace_ = kNoTrace;
+    CloseTrace();
     log_.SetRetireBound(RetireBound());
 }
 
@@ -325,8 +404,7 @@ Runtime::LoadState(fault::CheckpointReader& reader)
     analyzer_.LoadState(reader);
     cache_.LoadState(reader);
     log_.LoadState(reader);
-    mode_ = Mode::kIdle;
-    open_trace_ = kNoTrace;
+    CloseTrace();
     replay_position_ = 0;
 }
 

@@ -6,9 +6,17 @@
  * three calls: ExecuteTask, BeginTrace, EndTrace. The runtime performs
  * dynamic dependence analysis on every launch — unless the launch is
  * inside a known trace, in which case the memoized analysis is
- * validated and replayed. Every operation is appended to the columnar
- * OperationLog (runtime/oplog.h) carrying its dependence edges,
- * analysis mode and charged cost; the discrete-event simulator
+ * validated and replayed. A replay analyses only the requirements its
+ * template's replay plan lists (those that can see coherence state
+ * from before the fragment; runtime/trace.h), appends the memoized
+ * internal edges, and writes the fragment's coherence summary once at
+ * EndTrace. A replay without a valid plan — its stamp no longer
+ * matches the analyzer's states or the region forest — analyses in
+ * full and rebuilds the plan. A region operation or a fallback
+ * mismatch mid-replay first applies the transitions the plan deferred,
+ * then continues under full analysis. Every operation is appended to
+ * the columnar OperationLog (runtime/oplog.h) carrying its dependence
+ * edges, analysis mode and charged cost; the discrete-event simulator
  * (src/sim) executes that log on a cluster model — wholesale after
  * the run in retained mode, or incrementally through the log's
  * streaming-retire consumer for streams larger than memory — and the
@@ -97,6 +105,7 @@ class Runtime {
     /** Allocate a region (fresh or reused id — see RegionAllocator). */
     RegionId CreateRegion()
     {
+        ForestChanging();
         const RegionId r = allocator_.Allocate();
         forest_.AddRoot(r);
         return r;
@@ -106,6 +115,7 @@ class Runtime {
      * regions must be destroyed bottom-up. */
     void DestroyRegion(RegionId r)
     {
+        ForestChanging();
         forest_.Remove(r);
         allocator_.Free(r);
     }
@@ -116,6 +126,7 @@ class Runtime {
     std::vector<RegionId> PartitionRegion(RegionId parent,
                                           std::size_t count)
     {
+        ForestChanging();
         return forest_.Partition(parent, count, allocator_);
     }
 
@@ -245,10 +256,24 @@ class Runtime {
                         const TaskLaunchView& launch);
     void HandleMismatchAtEnd();
     void RewindReplayedFragment();
+    void CloseTrace();
     std::size_t RetireBound() const
     {
         return mode_ == Mode::kIdle ? log_.size() : trace_start_;
     }
+
+    // Replay plans (runtime/trace.h).
+    ReplayPlan::Stamp PlanStampNow() const
+    {
+        return {analyzer_.TrackedFields(), forest_.MutationCount()};
+    }
+    /** Store the plan this pass built (or none) into `plan`. */
+    void FinishPlanBuild(ReplayPlan& plan);
+    /** Leave a plan-driven replay: apply the transitions its plan
+     * deferred over the resident prefix, so full analysis can go on. */
+    void ApplyDeferredTransitions();
+    /** A region operation is about to change the forest. */
+    void ForestChanging();
 
     RuntimeOptions options_;
     RegionAllocator allocator_;
@@ -268,7 +293,15 @@ class Runtime {
     TraceId abandoned_trace_ = kNoTrace;  ///< fallback-mode bookkeeping
     std::size_t trace_start_ = 0;      ///< log index of the fragment start
     TraceTemplate recording_;          ///< template under construction
+    TraceTemplate* replaying_ = nullptr;  ///< template being replayed
     std::size_t replay_position_ = 0;  ///< next template offset to match
+    /** The open replay follows its template's plan. */
+    bool plan_driven_ = false;
+    /** The open pass analyses in full and builds a plan stamped
+     * build_stamp_. */
+    bool building_ = false;
+    ReplayPlan::Stamp build_stamp_;
+    std::size_t step_cursor_ = 0;  ///< next plan step of the replay
 };
 
 }  // namespace apo::rt

@@ -9,16 +9,37 @@
  * *internal* to the fragment, stored as one shared edge table with a
  * per-operation (offset, count) span (CSR layout) — replaying
  * position p copies exactly EdgesOf(p) instead of scanning the whole
- * edge list, and recording never copies per-op edge vectors. Edges
- * crossing the fragment boundary are regenerated against the current
- * coherence state at replay time, so a replayed fragment composes
- * correctly with whatever preceded it.
+ * edge list, and recording never copies per-op edge vectors.
+ *
+ * **The boundary rule.** An edge from before the fragment can only come
+ * from a coherence state the fragment has not yet written: a write
+ * (`kReadWrite`/`kWriteDiscard` on exactly that region and field)
+ * leaves only in-fragment indices behind. Each template therefore
+ * carries a derived ReplayPlan, built while a pass analyses the
+ * fragment in full (its recording, or a replay that finds no valid
+ * plan):
+ *  - its *steps*: by fragment offset, the coalesced requirements that
+ *    read some unwritten state, which a replay still analyses against
+ *    the current coherence state — so a replayed fragment composes
+ *    with whatever preceded it; every other requirement is skipped;
+ *  - its *summary*: for every state the fragment writes, that state's
+ *    content at the fragment's end relative to its start, written over
+ *    the state once at EndTrace in place of the skipped transitions.
+ *
+ * A plan depends on which coherence states exist and on the region
+ * forest, never on their content. It is stamped with the analyzer's
+ * state count and the forest's mutation count as they stood when the
+ * pass that built it began, and left unstamped if that pass changed
+ * either; a replay uses it only while both still match. Plans are not
+ * checkpointed: a restored template rebuilds its plan on its first
+ * replay.
  */
 #ifndef APOPHENIA_RUNTIME_TRACE_H
 #define APOPHENIA_RUNTIME_TRACE_H
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,6 +54,47 @@ using TraceId = std::uint64_t;
 
 /** Sentinel for "not inside any trace". */
 inline constexpr TraceId kNoTrace = 0;
+
+/** A template's replay plan (see the file comment). */
+struct ReplayPlan {
+    /** What the plan was built against: analyzer state count and
+     * forest mutation count. */
+    struct Stamp {
+        std::size_t states = 0;
+        std::uint64_t forest = 0;
+        friend bool operator==(const Stamp&, const Stamp&) = default;
+    };
+
+    /** Requirements a replay still analyses, ascending by (offset,
+     * requirement). */
+    std::vector<ReplayStep> steps;
+    /** Written-state summary (DependenceAnalyzer::FinishPlan's flat
+     * encoding). */
+    std::vector<std::uint32_t> summary;
+    /** Unset: no usable plan (never built, or its pass changed the
+     * states or the forest). */
+    std::optional<Stamp> stamp;
+    /** Replays that began under this plan (since it was built). */
+    std::size_t replays = 0;
+
+    std::size_t Bytes() const
+    {
+        return steps.size() * sizeof(ReplayStep) +
+               summary.size() * sizeof(std::uint32_t);
+    }
+
+    /** The steps of fragment position `offset`; `cursor` walks the
+     * positions in order (start it at 0). */
+    std::span<const ReplayStep> StepsAt(std::size_t offset,
+                                        std::size_t& cursor) const
+    {
+        const std::size_t begin = cursor;
+        while (cursor < steps.size() && steps[cursor].offset == offset) {
+            ++cursor;
+        }
+        return {steps.data() + begin, cursor - begin};
+    }
+};
 
 /** A memoized program fragment. */
 struct TraceTemplate {
@@ -50,6 +112,8 @@ struct TraceTemplate {
     /** Monotonic stamp of the last recording or replay (LRU;
      * maintained by TraceCache). */
     std::uint64_t last_used = 0;
+    /** Derived replay plan; not checkpointed. */
+    ReplayPlan plan;
 
     std::size_t Length() const { return tokens.size(); }
 
@@ -109,16 +173,19 @@ class TraceCache {
         by_last_used_.emplace(it->second.last_used, id);
     }
 
-    /** Mark a template as just used (recorded against or replayed). */
+    /** Mark a template as just used (recorded against or replayed).
+     * Re-keys its LRU index node in place, so a replay allocates
+     * nothing. */
     void Touch(TraceId id)
     {
         const auto it = templates_.find(id);
         if (it == templates_.end()) {
             return;
         }
-        by_last_used_.erase(it->second.last_used);
+        auto node = by_last_used_.extract(it->second.last_used);
         it->second.last_used = ++clock_;
-        by_last_used_.emplace(it->second.last_used, id);
+        node.key() = it->second.last_used;
+        by_last_used_.insert(std::move(node));
     }
 
     /** Evict the least-recently-used template; returns its id, or
@@ -147,24 +214,26 @@ class TraceCache {
         return total;
     }
 
-    /** Resident bytes across all templates (token, edge and CSR
-     * offset storage) — the service health monitor's memory-pressure
-     * input. On-demand sum; the template count is bounded by
-     * RuntimeOptions::max_trace_templates. */
+    /** Resident bytes across all templates (token, edge, CSR offset
+     * and replay-plan storage) — the service health monitor's
+     * memory-pressure input. On-demand sum; the template count is
+     * bounded by RuntimeOptions::max_trace_templates. */
     std::size_t ResidentBytes() const
     {
         std::size_t bytes = 0;
         for (const auto& [id, t] : templates_) {
             bytes += t.tokens.size() * sizeof(TokenHash) +
                      t.internal_edges.size() * sizeof(Dependence) +
-                     t.edge_begin.size() * sizeof(std::uint32_t);
+                     t.edge_begin.size() * sizeof(std::uint32_t) +
+                     t.plan.Bytes();
         }
         return bytes;
     }
 
     /** Checkpoint hooks: every template (tokens, CSR edges, replay
      * count) plus the LRU clock and per-template stamps, so eviction
-     * order after a restore matches the uninterrupted run exactly. */
+     * order after a restore matches the uninterrupted run exactly.
+     * Replay plans are derived and left out. */
     void SaveState(fault::CheckpointWriter& writer) const
     {
         writer.BeginSection(fault::SectionTag::kTraceCache);

@@ -24,6 +24,7 @@
 
 #include <unordered_map>
 
+#include "coherence_image.h"
 #include "core/apophenia.h"
 #include "fault/checkpoint.h"
 #include "reference_miner.h"
@@ -207,6 +208,36 @@ TEST_P(DifferentialFuzz, TracedEqualsUntraced)
             ASSERT_EQ(op.trace, rt::kNoTrace);
         }
     }
+}
+
+TEST_P(DifferentialFuzz, TracedCoherenceStateEqualsUntraced)
+{
+    // Replays analyse only the requirements that can see pre-fragment
+    // state and write each fragment's coherence summary at its end.
+    // Edges catch a wrong summary only once a later operation reads
+    // the stale entry; this pins the state itself: after the program,
+    // the traced runtime's dependence-analyzer state and region forest
+    // must equal the untraced runtime's, byte for byte.
+    const FuzzCase fuzz = GetParam();
+    core::ApopheniaConfig config;
+    config.min_trace_length = fuzz.min_trace_length;
+    config.max_trace_length = fuzz.max_trace_length;
+    config.batchsize = fuzz.batchsize;
+    config.multi_scale_factor =
+        std::max<std::size_t>(fuzz.batchsize / 16, 8);
+
+    rt::Runtime traced_rt;
+    core::Apophenia fe(traced_rt, config);
+    RandomProgram(fuzz.seed).Run(fe);
+    fe.Flush();
+
+    rt::Runtime bare_rt;
+    BareTarget bare(bare_rt);
+    RandomProgram(fuzz.seed).Run(bare);
+
+    EXPECT_TRUE(test::CoherenceImage(traced_rt) ==
+                test::CoherenceImage(bare_rt))
+        << "coherence state diverged (seed " << fuzz.seed << ")";
 }
 
 TEST_P(DifferentialFuzz, PooledEagerDrainMatchesInlineDecisions)

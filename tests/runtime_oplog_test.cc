@@ -412,5 +412,60 @@ TEST(ZeroAlloc, StreamingSteadyStateIsStrictlyAllocationFree)
     EXPECT_EQ(rt.Log().RetiredCount(), 14096u);
 }
 
+TEST(ZeroAlloc, WarmPlanDrivenReplayIsAllocationFree)
+{
+    // A replay that follows its template's plan analyses a few
+    // requirements, copies the memoized edges, appends to the log and
+    // writes the fragment's coherence summary at EndTrace: once warm,
+    // none of it allocates.
+    RuntimeOptions options;
+    options.log_config.ops_per_block = 256;
+    options.log_config.payload_block_elems = 1024;
+    Runtime rt(options);
+    rt.EnableLogStreaming([](const OpView&) {});
+    const RegionId a = rt.CreateRegion();
+    const RegionId b = rt.CreateRegion();
+    const RegionId c = rt.CreateRegion();
+    // Every state the body reads it also writes, so no reader list
+    // grows across iterations.
+    const std::vector<TaskLaunch> body = {
+        {1, {{a, 0, Privilege::kReadWrite, 0}, {b, 0, Privilege::kReadOnly, 0}}},
+        {2, {{b, 0, Privilege::kReadWrite, 0}}},
+        {3, {{c, 0, Privilege::kReduce, 1}}},
+        {4, {{c, 0, Privilege::kReduce, 1}, {a, 0, Privilege::kReadOnly, 0}}},
+        {5, {{c, 0, Privilege::kWriteDiscard, 0}}},
+        {6, {{a, 0, Privilege::kReadOnly, 0}, {c, 0, Privilege::kReadOnly, 0}}},
+    };
+    std::vector<TaskLaunchView> views;
+    for (const TaskLaunch& launch : body) {
+        views.push_back(TaskLaunchView::Of(launch));
+    }
+    auto iterate = [&] {
+        rt.BeginTrace(1);
+        for (const TaskLaunchView& view : views) {
+            rt.ExecuteTask(view);
+        }
+        rt.EndTrace(1);
+    };
+    // Record, build the plan, and cycle the log's blocks.
+    for (int i = 0; i < 256; ++i) {
+        iterate();
+    }
+    const ReplayPlan& plan = rt.Traces().Find(1)->plan;
+    ASSERT_TRUE(plan.stamp.has_value());
+    ASSERT_FALSE(plan.summary.empty());
+    const std::size_t planned_before = plan.replays;
+
+    constexpr int kMeasured = 1000;
+    const std::uint64_t before = support::AllocationCount();
+    for (int i = 0; i < kMeasured; ++i) {
+        iterate();
+    }
+    EXPECT_EQ(support::AllocationCount() - before, 0u)
+        << "a warm plan-driven replay allocated";
+    EXPECT_EQ(plan.replays - planned_before,
+              static_cast<std::size_t>(kMeasured));
+}
+
 }  // namespace
 }  // namespace apo::rt

@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "coherence_image.h"
 #include "runtime/runtime.h"
 #include "support/rng.h"
 
@@ -385,6 +386,378 @@ TEST(Tracing, ReplayedGraphEqualsFreshAnalysisRandomized)
                 }
             });
     }
+}
+
+// ---------------------------------------------------------------------------
+// Replay plans: a replay analyses only the requirements that can see
+// state from before its fragment and writes the fragment's coherence
+// summary at EndTrace. Each case compares every op's edges and the
+// final coherence state with a runtime that analysed every launch.
+
+/** ExpectReplayMatchesFreshAnalysis, plus the coherence state (analyzer
+ * and forest checkpoint sections) at the end of the stream. */
+template <typename IssueFn>
+void ExpectPlannedReplayMatchesFreshAnalysis(IssueFn issue,
+                                             RuntimeOptions options = {})
+{
+    Runtime traced(options), fresh(options);
+    issue(traced, /*use_traces=*/true);
+    issue(fresh, /*use_traces=*/false);
+    ASSERT_EQ(traced.Log().size(), fresh.Log().size());
+    for (std::size_t i = 0; i < traced.Log().size(); ++i) {
+        EXPECT_EQ(traced.Log()[i].token, fresh.Log()[i].token) << "op " << i;
+        EXPECT_EQ(traced.Log()[i].dependences, fresh.Log()[i].dependences)
+            << "dependence divergence at op " << i;
+    }
+    EXPECT_GT(traced.Stats().tasks_replayed, 0u);
+    EXPECT_TRUE(test::CoherenceImage(traced) == test::CoherenceImage(fresh))
+        << "coherence state diverged";
+}
+
+/** The plan of trace `id` (the template must exist). */
+const ReplayPlan& PlanOf(const Runtime& rt, TraceId id)
+{
+    return rt.Traces().Find(id)->plan;
+}
+
+/** Begin trace `id`; true iff this replay follows the template's plan. */
+bool BeginTracePlanned(Runtime& rt, TraceId id)
+{
+    const TraceTemplate* t = rt.Traces().Find(id);
+    const std::size_t before = t == nullptr ? 0 : t->plan.replays;
+    rt.BeginTrace(id);
+    return t != nullptr && t->plan.replays == before + 1;
+}
+
+TEST(ReplayPlan, ReductionWithNewOperatorOnUnwrittenField)
+{
+    // The fragment never writes `a`, so its reductions apply live: the
+    // first one swaps the pre-fragment operator-1 reducers into
+    // prev_reducers, which the second one (and the next iteration's
+    // untraced reductions) must order against. `b` is written first,
+    // so its reduction is deferred and the summary must carry its
+    // operator over the pre-fragment one.
+    ExpectPlannedReplayMatchesFreshAnalysis([](Runtime& rt, bool use_traces) {
+        const RegionId a = rt.CreateRegion();
+        const RegionId b = rt.CreateRegion();
+        std::size_t planned = 0;
+        for (int iter = 0; iter < 6; ++iter) {
+            rt.ExecuteTask(Reduce(a, 1, 10));
+            rt.ExecuteTask(Reduce(a, 1, 10));
+            rt.ExecuteTask(Reduce(b, 1, 15));
+            if (use_traces) {
+                planned += BeginTracePlanned(rt, 1) ? 1 : 0;
+            }
+            rt.ExecuteTask(Reduce(a, 2, 11));
+            rt.ExecuteTask(Reduce(a, 2, 11));
+            rt.ExecuteTask(Read(a, 12));
+            rt.ExecuteTask(Write(b, 13));
+            rt.ExecuteTask(Reduce(b, 5, 14));
+            if (use_traces) {
+                rt.EndTrace(1);
+            }
+        }
+        if (use_traces) {
+            // The states predate the recording, so its plan holds
+            // from the first replay on.
+            EXPECT_EQ(planned, 5u);
+        }
+    });
+}
+
+TEST(ReplayPlan, ChildWrittenInsideParentTouchedOnlyOutside)
+{
+    // Inside the fragment the children are written, then read: the
+    // reads still see the parent's pre-fragment state (an aliasing,
+    // unwritten state), so they stay analysed with their own
+    // transitions deferred to the summary, which the parent-level
+    // operations between replays then read.
+    ExpectPlannedReplayMatchesFreshAnalysis([](Runtime& rt, bool use_traces) {
+        const RegionId parent = rt.CreateRegion();
+        const std::vector<RegionId> kids = rt.PartitionRegion(parent, 2);
+        std::size_t planned = 0;
+        for (int iter = 0; iter < 8; ++iter) {
+            rt.ExecuteTask(Read(parent, 20));
+            if (iter % 3 == 0) {
+                rt.ExecuteTask(Write(parent, 21));
+            }
+            if (use_traces) {
+                planned += BeginTracePlanned(rt, 2) ? 1 : 0;
+            }
+            rt.ExecuteTask(Write(kids[0], 22));
+            rt.ExecuteTask(Read(kids[0], 23));
+            rt.ExecuteTask(Reduce(kids[1], 4, 24));
+            rt.ExecuteTask(Write(kids[1], 25));
+            rt.ExecuteTask(Read(kids[1], 26));
+            rt.ExecuteTask(Reduce(kids[1], 4, 27));
+            if (use_traces) {
+                rt.EndTrace(2);
+            }
+        }
+        if (use_traces) {
+            EXPECT_EQ(planned, 6u);
+        }
+    });
+}
+
+/** The body the fallback cases replay: a write then a read (deferred),
+ * a reduction, a write-discard and a read. */
+std::vector<TaskLaunch> FallbackBody(RegionId a, RegionId b, RegionId c)
+{
+    return {Write(a, 30), Read(a, 31), Reduce(b, 2, 32),
+            TaskLaunch{33, {{c, 0, Privilege::kWriteDiscard, 0}}},
+            TaskLaunch{34, {{c, 0, Privilege::kReadOnly, 0},
+                            {a, 0, Privilege::kReadOnly, 0}}}};
+}
+
+TEST(ReplayPlan, FallbackMismatchAfterPlannedPrefix)
+{
+    RuntimeOptions options;
+    options.mismatch_policy = MismatchPolicy::kFallback;
+    ExpectPlannedReplayMatchesFreshAnalysis(
+        [](Runtime& rt, bool use_traces) {
+            const RegionId a = rt.CreateRegion();
+            const RegionId b = rt.CreateRegion();
+            const RegionId c = rt.CreateRegion();
+            const std::vector<TaskLaunch> body = FallbackBody(a, b, c);
+            for (int iter = 0; iter < 8; ++iter) {
+                rt.ExecuteTask(Read(c, 35));
+                if (use_traces) {
+                    const bool planned = BeginTracePlanned(rt, 3);
+                    EXPECT_EQ(planned, iter >= 2) << "iteration " << iter;
+                }
+                for (std::size_t k = 0; k < body.size(); ++k) {
+                    if (iter == 4 && k == 3) {
+                        // Deviates after a planned prefix of three.
+                        rt.ExecuteTask(Write(b, 36));
+                    }
+                    rt.ExecuteTask(body[k]);
+                }
+                if (use_traces) {
+                    rt.EndTrace(3);
+                }
+            }
+            if (use_traces) {
+                EXPECT_EQ(rt.Stats().trace_mismatches, 1u);
+                EXPECT_EQ(rt.Stats().tasks_rewound, 3u);
+            }
+        },
+        options);
+}
+
+TEST(ReplayPlan, FallbackShortReplayAfterPlannedPrefix)
+{
+    RuntimeOptions options;
+    options.mismatch_policy = MismatchPolicy::kFallback;
+    ExpectPlannedReplayMatchesFreshAnalysis(
+        [](Runtime& rt, bool use_traces) {
+            const RegionId a = rt.CreateRegion();
+            const RegionId b = rt.CreateRegion();
+            const RegionId c = rt.CreateRegion();
+            const std::vector<TaskLaunch> body = FallbackBody(a, b, c);
+            for (int iter = 0; iter < 8; ++iter) {
+                rt.ExecuteTask(Read(c, 35));
+                if (use_traces) {
+                    EXPECT_EQ(BeginTracePlanned(rt, 3), iter >= 2)
+                        << "iteration " << iter;
+                }
+                // Iteration 4 ends after a planned prefix of four.
+                const std::size_t length = iter == 4 ? 4 : body.size();
+                for (std::size_t k = 0; k < length; ++k) {
+                    rt.ExecuteTask(body[k]);
+                }
+                if (use_traces) {
+                    rt.EndTrace(3);
+                }
+            }
+            if (use_traces) {
+                EXPECT_EQ(rt.Stats().trace_mismatches, 1u);
+                EXPECT_EQ(rt.Stats().tasks_rewound, 4u);
+            }
+        },
+        options);
+}
+
+TEST(ReplayPlan, RegionOperationsInsideAnOpenReplay)
+{
+    // A create, a partition and a destroy, each issued in the middle of
+    // a replay that began under its plan: the deferred transitions of
+    // the prefix are applied and the fragment finishes under full
+    // analysis; the changed forest forces the next replay to rebuild.
+    ExpectPlannedReplayMatchesFreshAnalysis([](Runtime& rt, bool use_traces) {
+        const RegionId a = rt.CreateRegion();
+        const RegionId b = rt.CreateRegion();
+        RegionId extra{0};
+        std::vector<RegionId> parts;
+        for (int iter = 0; iter < 12; ++iter) {
+            const bool region_op = iter == 4 || iter == 7 || iter == 10;
+            if (use_traces) {
+                const bool planned = BeginTracePlanned(rt, 4);
+                if (region_op) {
+                    EXPECT_TRUE(planned) << "iteration " << iter;
+                }
+            }
+            rt.ExecuteTask(Write(a, 40));
+            rt.ExecuteTask(Read(a, 41));
+            if (iter == 4) {
+                extra = rt.CreateRegion();
+            } else if (iter == 7) {
+                parts = rt.PartitionRegion(a, 2);
+            } else if (iter == 10) {
+                rt.DestroyRegion(extra);
+            }
+            rt.ExecuteTask(TaskLaunch{
+                42,
+                {{a, 0, Privilege::kReadOnly, 0},
+                 {b, 0, Privilege::kReadWrite, 0}}});
+            rt.ExecuteTask(Read(b, 43));
+            if (use_traces) {
+                rt.EndTrace(4);
+            }
+            if (!parts.empty()) {
+                rt.ExecuteTask(Write(parts[iter % 2], 44));
+            }
+        }
+    });
+}
+
+TEST(ReplayPlan, ForestChangeBetweenReplaysRebuildsThePlan)
+{
+    // No state is created, yet the forest changes what a requirement
+    // reads: x's id is freed and reused as a child of p, so the read
+    // of x, which the plan skipped (x is written first), now also sees
+    // p's pre-fragment writer. The forest stamp forces a rebuild.
+    ExpectPlannedReplayMatchesFreshAnalysis([](Runtime& rt, bool use_traces) {
+        const RegionId p = rt.CreateRegion();
+        const RegionId x = rt.CreateRegion();
+        rt.ExecuteTask(Write(p, 60));
+        rt.ExecuteTask(Write(x, 61));
+        auto fragment = [&] {
+            if (use_traces) {
+                rt.BeginTrace(5);
+            }
+            rt.ExecuteTask(Write(x, 62));
+            rt.ExecuteTask(Read(x, 63));
+            if (use_traces) {
+                rt.EndTrace(5);
+            }
+        };
+        for (int iter = 0; iter < 3; ++iter) {
+            fragment();
+        }
+        if (use_traces) {
+            EXPECT_EQ(PlanOf(rt, 5).replays, 2u);
+        }
+        rt.DestroyRegion(x);
+        ASSERT_EQ(rt.PartitionRegion(p, 1).front(), x);
+        rt.ExecuteTask(Write(p, 64));
+        for (int iter = 0; iter < 3; ++iter) {
+            fragment();
+        }
+    });
+}
+
+TEST(ReplayPlan, RecordingThatCreatesStatesRebuildsThenRuns)
+{
+    Runtime rt;
+    const RegionId a = rt.CreateRegion();
+    const RegionId b = rt.CreateRegion();
+    auto body = [&] {
+        rt.ExecuteTask(Write(a));
+        rt.ExecuteTask(Read(a));
+        rt.ExecuteTask(TaskLaunch{5,
+                                  {{a, 0, Privilege::kReadOnly, 0},
+                                   {b, 0, Privilege::kReadWrite, 0}}});
+    };
+    // The recording creates the states of a and b: no plan.
+    rt.BeginTrace(1);
+    body();
+    rt.EndTrace(1);
+    EXPECT_FALSE(PlanOf(rt, 1).stamp.has_value());
+    // The first replay analyses in full and builds the plan ...
+    EXPECT_FALSE(BeginTracePlanned(rt, 1));
+    body();
+    rt.EndTrace(1);
+    ASSERT_TRUE(PlanOf(rt, 1).stamp.has_value());
+    EXPECT_EQ(PlanOf(rt, 1).replays, 0u);
+    // ... the second runs it: only the write of a (it reads a's
+    // pre-fragment state) and b's read-write (b's) are analysed.
+    EXPECT_TRUE(BeginTracePlanned(rt, 1));
+    body();
+    rt.EndTrace(1);
+    EXPECT_EQ(PlanOf(rt, 1).replays, 1u);
+    ASSERT_EQ(PlanOf(rt, 1).steps.size(), 2u);
+    EXPECT_EQ(PlanOf(rt, 1).steps[0].offset, 0u);
+    EXPECT_EQ(PlanOf(rt, 1).steps[1].offset, 2u);
+    EXPECT_EQ(PlanOf(rt, 1).steps[1].requirement, 1u);
+    EXPECT_GT(rt.Traces().ResidentBytes(), 0u);
+
+    // A recording over existing states is planned from its first
+    // replay on.
+    rt.BeginTrace(2);
+    body();
+    rt.EndTrace(2);
+    EXPECT_TRUE(PlanOf(rt, 2).stamp.has_value());
+    EXPECT_TRUE(BeginTracePlanned(rt, 2));
+    body();
+    rt.EndTrace(2);
+}
+
+TEST(ReplayPlan, CheckpointAfterPlannedReplaysRebuildsOnRestore)
+{
+    auto iterate = [](Runtime& rt, int iter) {
+        const RegionId a{1}, b{2}, c{3};
+        rt.ExecuteTask(Read(c, 50 + iter % 2));
+        rt.BeginTrace(9);
+        for (const TaskLaunch& t : FallbackBody(a, b, c)) {
+            rt.ExecuteTask(t);
+        }
+        rt.EndTrace(9);
+    };
+    auto regions = [](Runtime& rt) {
+        for (int i = 0; i < 3; ++i) {
+            rt.CreateRegion();
+        }
+    };
+    constexpr int kCut = 5;
+    constexpr int kIterations = 10;
+    Runtime reference;
+    regions(reference);
+    for (int iter = 0; iter < kIterations; ++iter) {
+        iterate(reference, iter);
+    }
+
+    Runtime crashed;
+    regions(crashed);
+    for (int iter = 0; iter < kCut; ++iter) {
+        iterate(crashed, iter);
+    }
+    EXPECT_GT(PlanOf(crashed, 9).replays, 0u);
+    fault::CheckpointWriter writer;
+    crashed.SaveState(writer);
+    const std::size_t cut_ops = crashed.Log().size();
+
+    Runtime restored;
+    fault::CheckpointReader reader(writer.Image());
+    restored.LoadState(reader);
+    // Plans are derived state: the restored template has none, so its
+    // first replay rebuilds and the second runs the plan.
+    EXPECT_FALSE(PlanOf(restored, 9).stamp.has_value());
+    for (int iter = kCut; iter < kIterations; ++iter) {
+        iterate(restored, iter);
+    }
+    EXPECT_EQ(PlanOf(restored, 9).replays,
+              static_cast<std::size_t>(kIterations - kCut - 1));
+    ASSERT_EQ(restored.Log().size(), reference.Log().size());
+    for (std::size_t i = cut_ops; i < reference.Log().size(); ++i) {
+        EXPECT_EQ(restored.Log()[i].dependences, reference.Log()[i].dependences)
+            << "op " << i;
+        EXPECT_EQ(restored.Log()[i].mode, reference.Log()[i].mode);
+        EXPECT_EQ(restored.Log()[i].analysis_cost_us,
+                  reference.Log()[i].analysis_cost_us);
+    }
+    EXPECT_TRUE(test::CoherenceImage(restored) ==
+                test::CoherenceImage(reference));
 }
 
 TEST(Tracing, MismatchThrowsUnderStrictPolicy)
