@@ -1,5 +1,7 @@
 #include "strings/incremental.h"
 
+#include <algorithm>
+
 namespace apo::strings {
 
 IncrementalMiner::IncrementalMiner(const RepeatOptions& options)
@@ -23,8 +25,11 @@ IncrementalMiner::Mine(std::span<const Symbol> window,
     }
     // Alphabet hygiene: a drifting token population would grow the
     // persistent table (and with it the SA-IS bucket arrays) without
-    // bound. Reset once it far exceeds what one window can reference.
-    if (table_.DistinctSymbols() > 2 * n + 64) {
+    // bound. Reset once it far exceeds what the largest window mined
+    // so far can reference; a short window after a long one must not
+    // throw away the alphabet the next long window needs again.
+    largest_window_ = std::max(largest_window_, n);
+    if (table_.DistinctSymbols() > 2 * largest_window_ + 64) {
         table_.Clear();
         ++table_resets_;
     }
@@ -33,9 +38,11 @@ IncrementalMiner::Mine(std::span<const Symbol> window,
     scratch.compressed[n] = 0;  // SA-IS sentinel
     SaisInto(scratch.compressed, table_.AlphabetSize(), scratch.sa,
              scratch.suffix);
-    ComputeLcpInto(window, scratch.sa, scratch.lcp, scratch.inverse);
-    FindRepeatsFromSa(window, scratch.sa, scratch.lcp, options_, scratch,
-                      out);
+    // scratch.sa[0] is the sentinel suffix.
+    const std::span<const SuffixIndex> sa =
+        std::span<const SuffixIndex>(scratch.sa).subspan(1);
+    ComputeLcpInto(window, sa, scratch.lcp, scratch.inverse);
+    FindRepeatsFromSa(window, sa, scratch.lcp, options_, scratch, out);
 }
 
 }  // namespace apo::strings

@@ -17,14 +17,27 @@
  * grown to the largest window, a mined window allocates only the
  * repeats it emits: each Repeat's `tokens` and `starts`.
  *
+ * Alphabet hygiene: a drifting token population (TorchSWE's pool
+ * allocations) would grow the table, and with it the SA-IS bucket
+ * arrays, without bound. Mine clears the table when it holds more than
+ * 2L + 64 symbols, where L is the longest window this miner has mined
+ * so far, so the table stays within a small multiple of `batchsize`.
+ * The yardstick is L, not the current window: the ruler schedule and
+ * the replay-anchored windows interleave 50-token windows with
+ * 5 000-token ones, and a rule keyed on the current window would clear
+ * the alphabet of any app with more than 164 symbols at every short
+ * window, only for the next long window to admit it all again.
+ *
  * Bit-identity guarantee: Mine produces exactly the repeat set
  * FindRepeats would. Suffix order depends only on the relative order
- * of symbols, which the RankTable preserves (see suffix_array.h), and
- * candidate selection is the same FindRepeatsFromSa.
+ * of symbols, which the RankTable preserves (see suffix_array.h),
+ * whatever symbols it holds or has forgotten, and candidate selection
+ * is the same FindRepeatsFromSa.
  */
 #ifndef APOPHENIA_STRINGS_INCREMENTAL_H
 #define APOPHENIA_STRINGS_INCREMENTAL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,6 +67,8 @@ class IncrementalMiner {
   private:
     RepeatOptions options_;
     RankTable table_;
+    /** The longest window mined so far: the reset rule's yardstick. */
+    std::size_t largest_window_ = 0;
     std::uint64_t table_resets_ = 0;
 };
 

@@ -4,160 +4,167 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <numeric>
 
 namespace apo::strings {
 
 namespace {
 
 /**
- * O(1) range-minimum queries over the LCP array after O(n log n)
- * sparse-table preprocessing. Used to tell in constant time whether two
- * candidates of one length share their content. The table is built
- * into caller-owned level storage, which only ever grows, so repeated
- * constructions over windows of varying size reuse the buffers.
+ * Range minima over the LCP array with an O(n) build: the minimum of
+ * every kBlock-entry block, and a sparse table over those block minima
+ * (level j holds the minimum of 2^j blocks from each start). A query
+ * scans the partial blocks at its two ends, at most 2 * kBlock
+ * entries, and reads two table entries for the whole blocks between
+ * them. The table lives in caller-owned storage that keeps its
+ * capacity, so windows of varying size reuse it.
  */
-class LcpRmq {
+class LcpBlockMin {
   public:
-    LcpRmq(const std::vector<std::size_t>& lcp,
-           std::vector<std::vector<std::size_t>>& levels)
-        : table_(levels)
+    static constexpr std::size_t kBlock = 64;
+
+    LcpBlockMin(std::span<const SuffixIndex> lcp,
+                std::vector<SuffixIndex>& table)
+        : lcp_(lcp), blocks_((lcp.size() + kBlock - 1) / kBlock)
     {
-        const std::size_t n = lcp.size();
-        if (n == 0) {
-            return;
+        const unsigned levels = std::bit_width(blocks_);
+        table.resize(levels * blocks_);
+        for (std::size_t b = 0; b < blocks_; ++b) {
+            table[b] = ScanMin(b * kBlock,
+                               std::min(lcp.size(), (b + 1) * kBlock));
         }
-        const unsigned num_levels = std::bit_width(n);
-        // Level j only answers queries of span 2^j, so it needs just
-        // n - 2^j + 1 entries — sizing each level (instead of a full
-        // copy of the LCP array per level) halves the preprocessing
-        // memory overall. Levels past num_levels are left in place for
-        // the next, longer window.
-        if (table_.size() < num_levels) {
-            table_.resize(num_levels);
-        }
-        table_[0] = lcp;
-        for (unsigned j = 1; j < num_levels; ++j) {
-            const std::size_t span = std::size_t{1} << j;
-            table_[j].resize(n - span + 1);
-            for (std::size_t i = 0; i + span <= n; ++i) {
-                table_[j][i] = std::min(table_[j - 1][i],
-                                        table_[j - 1][i + span / 2]);
+        for (unsigned j = 1; j < levels; ++j) {
+            const std::size_t half = std::size_t{1} << (j - 1);
+            SuffixIndex* const level = table.data() + j * blocks_;
+            const SuffixIndex* const below = level - blocks_;
+            for (std::size_t i = 0; i + 2 * half <= blocks_; ++i) {
+                level[i] = std::min(below[i], below[i + half]);
             }
         }
+        table_ = table.data();
     }
 
     /** Minimum of lcp[lo..hi] inclusive; requires lo <= hi. */
-    std::size_t Min(std::size_t lo, std::size_t hi) const
+    SuffixIndex Min(std::size_t lo, std::size_t hi) const
     {
-        const unsigned j = std::bit_width(hi - lo + 1) - 1;
-        return std::min(table_[j][lo],
-                        table_[j][hi + 1 - (std::size_t{1} << j)]);
+        const std::size_t first = lo / kBlock, last = hi / kBlock;
+        if (first == last) {
+            return ScanMin(lo, hi + 1);
+        }
+        SuffixIndex min = std::min(ScanMin(lo, (first + 1) * kBlock),
+                                   ScanMin(last * kBlock, hi + 1));
+        if (first + 1 < last) {
+            // Whole blocks first + 1 .. last - 1: two overlapping
+            // power-of-two spans of the table.
+            const std::size_t span = last - first - 1;
+            const unsigned j = std::bit_width(span) - 1;
+            const SuffixIndex* const level = table_ + j * blocks_;
+            min = std::min({min, level[first + 1],
+                            level[last - (std::size_t{1} << j)]});
+        }
+        return min;
     }
 
   private:
-    std::vector<std::vector<std::size_t>>& table_;
+    SuffixIndex ScanMin(std::size_t begin, std::size_t end) const
+    {
+        return *std::min_element(lcp_.begin() + begin, lcp_.begin() + end);
+    }
+
+    std::span<const SuffixIndex> lcp_;
+    std::size_t blocks_;
+    const SuffixIndex* table_ = nullptr;
 };
 
-/** Stable counting sort of `in` into `out` by `key(c)` in [0, num_keys). */
-template <typename Key>
-void
-CountingSort(const std::vector<RepeatCandidate>& in, std::size_t num_keys,
-             Key key, std::vector<std::size_t>& counts,
-             std::vector<RepeatCandidate>& out)
+#ifndef NDEBUG
+/**
+ * Whether selection may consume `b` right after `a` in the order of a
+ * comparison sort by (length desc, content, start), with content
+ * compared token by token rather than through the LCP structure.
+ * `same_run` says that `b` continues `a`'s run, which needs equal
+ * content; a new run of the same length needs greater content.
+ */
+bool
+ConsumedInOrder(std::span<const Symbol> s, const RepeatCandidate& a,
+                const RepeatCandidate& b, bool same_run)
 {
-    counts.assign(num_keys + 1, 0);
-    for (const RepeatCandidate& c : in) {
-        ++counts[key(c) + 1];
+    if (a.length != b.length) {
+        return !same_run && a.length > b.length;
     }
-    for (std::size_t k = 1; k <= num_keys; ++k) {
-        counts[k] += counts[k - 1];  // counts[k]: first slot of key k
+    const std::span<const Symbol> x = s.subspan(a.start, a.length);
+    const std::span<const Symbol> y = s.subspan(b.start, b.length);
+    if (same_run) {
+        return std::equal(x.begin(), x.end(), y.begin()) && a.start <= b.start;
     }
-    out.resize(in.size());
-    for (const RepeatCandidate& c : in) {
-        out[counts[key(c)]++] = c;
-    }
+    return std::lexicographical_compare(x.begin(), x.end(), y.begin(),
+                                        y.end());
 }
+#endif
 
 }  // namespace
 
 void
-FindRepeatsFromSa(std::span<const Symbol> s, const std::vector<std::size_t>& sa,
-                  const std::vector<std::size_t>& lcp,
+FindRepeatsFromSa(std::span<const Symbol> s, std::span<const SuffixIndex> sa,
+                  std::span<const SuffixIndex> lcp,
                   const RepeatOptions& options, RepeatsScratch& scratch,
                   std::vector<Repeat>& out)
 {
     out.clear();
     const std::size_t n = s.size();
     const std::size_t min_len = std::max<std::size_t>(options.min_length, 1);
+    const std::size_t min_occurrences =
+        std::max<std::size_t>(options.min_occurrences, 1);
     assert(RepeatsViable(n, options));
 
-    scratch.rank.resize(n);
-    std::vector<std::size_t>& rank = scratch.rank;
-    for (std::size_t i = 0; i < n; ++i) {
-        rank[sa[i]] = i;
-    }
-    const LcpRmq rmq(lcp, scratch.rmq_levels);
-
-    // Length of the common prefix of the suffixes at positions a and b.
-    auto common_prefix = [&](std::size_t a, std::size_t b) -> std::size_t {
-        if (a == b) {
-            return n - a;
-        }
-        const auto [lo, hi] = std::minmax(rank[a], rank[b]);
-        return rmq.Min(lo, hi - 1);
-    };
-
-    // Candidate generation: one pass over adjacent suffix-array pairs
-    // (paper Algorithm 2, lines 4-14).
-    std::vector<RepeatCandidate>& candidates = scratch.candidates;
-    candidates.clear();
-    candidates.reserve(2 * n);
+    // Candidate generation (paper Algorithm 2, lines 4-14): adjacent
+    // suffix-array pair i yields two disjoint occurrences of one
+    // length, pair_length[i] (0: none). Two disjoint occurrences fit
+    // in the window, so no length exceeds n / 2; pairs are counted
+    // under the key max_len - length.
+    const std::size_t max_len = n / 2;
+    std::vector<SuffixIndex>& pair_length = scratch.pair_length;
+    std::vector<SuffixIndex>& length_counts = scratch.length_counts;
+    pair_length.resize(n - 1);
+    length_counts.assign(max_len - min_len + 2, 0);
     for (std::size_t i = 0; i + 1 < n; ++i) {
         const std::size_t p = lcp[i];
-        if (p < min_len) {
-            continue;
-        }
-        std::size_t s1 = sa[i], s2 = sa[i + 1];
-        if (s1 > s2) {
-            std::swap(s1, s2);  // the overlap case assumes s1 < s2
-        }
-        if (s1 + p <= s2) {
-            // The two occurrences of the shared prefix do not overlap.
-            candidates.push_back({p, s1});
-            candidates.push_back({p, s2});
-        } else {
-            // Overlapping occurrences: the shared prefix is periodic
-            // with period d = s2 - s1. Emit two adjacent, disjoint
-            // copies of the longest usable multiple of the period.
-            const std::size_t d = s2 - s1;
-            std::size_t l = (p + d) / 2;
-            l -= l % d;
-            if (l >= min_len) {
-                candidates.push_back({l, s1});
-                candidates.push_back({l, s1 + l});
+        std::size_t length = 0;
+        if (p >= min_len) {
+            const auto [s1, s2] = std::minmax(sa[i], sa[i + 1]);
+            if (s1 + p <= s2) {
+                // The two occurrences of the shared prefix are
+                // disjoint: (p, s1) and (p, s2).
+                length = p;
+            } else {
+                // Overlapping occurrences: the shared prefix is
+                // periodic with period d = s2 - s1. Take two adjacent,
+                // disjoint copies of the longest usable multiple of the
+                // period: (l, s1) and (l, s1 + l).
+                const std::size_t d = s2 - s1;
+                std::size_t l = (p + d) / 2;
+                l -= l % d;
+                length = l >= min_len ? l : 0;
             }
+        }
+        assert(length <= max_len);
+        pair_length[i] = static_cast<SuffixIndex>(length);
+        if (length != 0) {
+            ++length_counts[max_len - length + 1];
         }
     }
 
-    // Order by decreasing length, then by substring content, then by
-    // increasing start position. Two stable counting passes (suffix
-    // rank, then decreasing length) give length-then-rank order; the
-    // candidates of one length that share content lie in one SA
-    // interval, so they now form a contiguous run, which is sorted by
-    // start when the selection below reaches it.
-    CountingSort(
-        candidates, n, [&](const RepeatCandidate& c) { return rank[c.start]; },
-        scratch.counts, scratch.staged);
-    CountingSort(
-        scratch.staged, n,
-        [&](const RepeatCandidate& c) { return n - c.length; },
-        scratch.counts, candidates);
-    auto same_content = [&](const RepeatCandidate& a,
-                            const RepeatCandidate& b) {
-        return a.length == b.length &&
-               (a.start == b.start ||
-                common_prefix(a.start, b.start) >= a.length);
-    };
+    // Order the pairs by decreasing length in one stable counting
+    // pass: length_counts[k] becomes the first slot of key k.
+    std::partial_sum(length_counts.begin(), length_counts.end(),
+                     length_counts.begin());
+    std::vector<SuffixIndex>& pairs = scratch.pairs;
+    pairs.resize(length_counts.back());
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        if (pair_length[i] != 0) {
+            pairs[length_counts[max_len - pair_length[i]]++] =
+                static_cast<SuffixIndex>(i);
+        }
+    }
 
     // Greedy selection of non-overlapping occurrences (lines 16-20),
     // one content run at a time so that each distinct substring is
@@ -171,55 +178,85 @@ FindRepeatsFromSa(std::span<const Symbol> s, const std::vector<std::size_t>& sa,
         return (taken[i / 64] >> (i % 64)) & 1;
     };
     auto cover = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            taken[i / 64] |= std::uint64_t{1} << (i % 64);
+        const std::size_t last = (end - 1) / 64;
+        std::uint64_t mask = ~std::uint64_t{0} << (begin % 64);
+        for (std::size_t w = begin / 64; w < last; ++w) {
+            taken[w] |= mask;
+            mask = ~std::uint64_t{0};
         }
+        taken[last] |= mask & (~std::uint64_t{0} >> (63 - (end - 1) % 64));
     };
-    std::vector<std::size_t>& group_starts = scratch.group_starts;
-    for (std::size_t lo = 0; lo < candidates.size();) {
-        std::size_t hi = lo + 1;
-        while (hi < candidates.size() &&
-               same_content(candidates[hi - 1], candidates[hi])) {
-            ++hi;
-        }
-        std::sort(candidates.begin() + lo, candidates.begin() + hi,
+#ifndef NDEBUG
+    RepeatCandidate last_consumed;
+    bool consumed_any = false;
+#endif
+    // Choose a run's survivors in start order, each re-tested: an
+    // earlier one may cover a later one.
+    std::vector<RepeatCandidate>& run = scratch.run;
+    std::vector<SuffixIndex>& chosen = scratch.chosen;
+    auto select_run = [&] {
+        std::sort(run.begin(), run.end(),
                   [](const RepeatCandidate& a, const RepeatCandidate& b) {
                       return a.start < b.start;
                   });
-        group_starts.clear();
-        for (std::size_t k = lo; k < hi; ++k) {
-            const std::size_t b = candidates[k].start;
-            const std::size_t e = b + candidates[k].length;
-            if (!covered(b) && !covered(e - 1)) {
-                cover(b, e);
-                group_starts.push_back(b);
+        chosen.clear();
+        for (std::size_t k = 0; k < run.size(); ++k) {
+            const RepeatCandidate& c = run[k];
+#ifndef NDEBUG
+            assert(!consumed_any ||
+                   ConsumedInOrder(s, last_consumed, c, k > 0));
+            last_consumed = c;
+            consumed_any = true;
+#endif
+            if (!covered(c.start) && !covered(c.start + c.length - 1)) {
+                cover(c.start, c.start + c.length);
+                chosen.push_back(c.start);
             }
         }
-        if (group_starts.size() >= options.min_occurrences) {
-            const RepeatCandidate& head = candidates[lo];
+        if (chosen.size() >= min_occurrences) {
             Repeat r;
-            r.tokens.assign(s.begin() + head.start,
-                            s.begin() + head.start + head.length);
-            r.starts.assign(group_starts.begin(), group_starts.end());
+            const std::span<const Symbol> tokens =
+                s.subspan(run.front().start, run.front().length);
+            r.tokens.assign(tokens.begin(), tokens.end());
+            r.starts.assign(chosen.begin(), chosen.end());
             out.push_back(std::move(r));
         }
-        lo = hi;
-    }
+        run.clear();
+    };
 
-#ifndef NDEBUG
-    // The selection consumed candidates in the order of a comparison
-    // sort by (length desc, content, start): content order is suffix
-    // rank order, and equal content falls back to the start.
-    for (std::size_t k = 1; k < candidates.size(); ++k) {
-        const RepeatCandidate& a = candidates[k - 1];
-        const RepeatCandidate& b = candidates[k];
-        assert(a.length >= b.length);
-        if (a.length == b.length) {
-            assert(same_content(a, b) ? a.start <= b.start
-                                      : rank[a.start] < rank[b.start]);
+    // Both candidates of pair i hold a prefix shared by the suffixes
+    // of ranks i and i + 1, so a content run is the pairs of one length
+    // whose ranks lie in one LCP interval: contiguous in pair order.
+    // The run's head pair h and a later pair i (h < i) of the same
+    // length share content iff no LCP between them falls below it.
+    const LcpBlockMin lcp_min(lcp, scratch.lcp_blocks);
+    std::size_t head = 0;
+    run.clear();
+    for (const SuffixIndex i : pairs) {
+        const SuffixIndex length = pair_length[i];
+        const auto [s1, s2] = std::minmax(sa[i], sa[i + 1]);
+        for (const SuffixIndex start :
+             {s1, s1 + lcp[i] <= s2 ? s2 : s1 + length}) {
+            // Coverage-first: coverage only grows, so a candidate with
+            // a covered end can never be chosen; drop it before any
+            // content test or sort.
+            if (covered(start) || covered(start + length - 1)) {
+                continue;
+            }
+            if (!run.empty() &&
+                (run.front().length != length ||
+                 (head != i && lcp_min.Min(head, i - 1) < length))) {
+                select_run();
+            }
+            if (run.empty()) {
+                head = i;
+            }
+            run.push_back({length, start});
         }
     }
-#endif
+    if (!run.empty()) {
+        select_run();
+    }
 }
 
 void
@@ -232,8 +269,10 @@ FindRepeatsInto(std::span<const Symbol> s, const RepeatOptions& options,
     }
     BuildSuffixArrayInto(s, scratch.sa, scratch.suffix,
                          options.suffix_algorithm);
-    ComputeLcpInto(s, scratch.sa, scratch.lcp, scratch.inverse);
-    FindRepeatsFromSa(s, scratch.sa, scratch.lcp, options, scratch, out);
+    const std::span<const SuffixIndex> sa =
+        std::span<const SuffixIndex>(scratch.sa).subspan(1);
+    ComputeLcpInto(s, sa, scratch.lcp, scratch.inverse);
+    FindRepeatsFromSa(s, sa, scratch.lcp, options, scratch, out);
 }
 
 RepeatsScratch&

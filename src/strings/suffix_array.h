@@ -26,7 +26,11 @@
  *    `multi_scale_factor` tokens, forever) reaches a fixed point where
  *    construction performs zero heap allocations per window.
  *
- * Both layers produce bit-identical outputs for the same input.
+ * Both layers produce bit-identical outputs for the same input. The
+ * `*Into` layer works in 32-bit indices (`SuffixIndex`), which halves
+ * the memory its passes move; a mined window is at most `batchsize`
+ * tokens, and every `*Into` entry point throws std::length_error on an
+ * input too long for them.
  */
 #ifndef APOPHENIA_STRINGS_SUFFIX_ARRAY_H
 #define APOPHENIA_STRINGS_SUFFIX_ARRAY_H
@@ -44,6 +48,9 @@ using Symbol = std::uint64_t;
 
 /** A sequence of symbols: the tokenized task stream. */
 using Sequence = std::vector<Symbol>;
+
+/** A position or rank in the `*Into` layer's suffix arrays. */
+using SuffixIndex = std::uint32_t;
 
 /** Which suffix-array construction to use. */
 enum class SuffixAlgorithm {
@@ -96,10 +103,10 @@ class SuffixWorkspace {
     std::unique_ptr<Rep> rep_;
 
     friend void BuildSuffixArrayInto(std::span<const Symbol>,
-                                     std::vector<std::size_t>&,
+                                     std::vector<SuffixIndex>&,
                                      SuffixWorkspace&, SuffixAlgorithm);
     friend void SaisInto(std::span<const std::uint32_t>, std::size_t,
-                         std::vector<std::size_t>&, SuffixWorkspace&);
+                         std::vector<SuffixIndex>&, SuffixWorkspace&);
 };
 
 /**
@@ -112,26 +119,31 @@ std::vector<std::size_t> BuildSuffixArray(
     SuffixAlgorithm algorithm = SuffixAlgorithm::kSais);
 
 /**
- * Scratch-reusing BuildSuffixArray: writes the suffix array of `s` into
- * `sa` (resized to |s|), drawing all temporaries from `workspace`.
- * Output is bit-identical to BuildSuffixArray(s, algorithm).
+ * Scratch-reusing BuildSuffixArray, drawing all temporaries from
+ * `workspace`. Writes |s| + 1 entries into `sa`: sa[0] is |s|, the
+ * empty suffix, which sorts before every other, and sa[1..] is the
+ * suffix array of `s`, bit-identical to BuildSuffixArray(s,
+ * algorithm). SA-IS produces that layout directly, so the suffix
+ * array is `std::span(sa).subspan(1)` and never copied.
  */
 void BuildSuffixArrayInto(std::span<const Symbol> s,
-                          std::vector<std::size_t>& sa,
+                          std::vector<SuffixIndex>& sa,
                           SuffixWorkspace& workspace,
                           SuffixAlgorithm algorithm = SuffixAlgorithm::kSais);
 
 /**
  * SA-IS over a caller-compressed sequence. `ranks_with_sentinel` holds
  * values in [1, alphabet) followed by a single trailing 0 sentinel (the
- * unique smallest symbol). Writes the suffix array of the real (non-
- * sentinel) suffixes into `sa`, exactly as BuildSuffixArray would for
- * the uncompressed sequence — callers that maintain their own
- * order-preserving rank compression (the incremental miner's persistent
- * rank table) use this to skip the per-call compression sort.
+ * unique smallest symbol). Writes the suffix array of every suffix,
+ * the sentinel's included, into `sa` (resized to
+ * |ranks_with_sentinel|): sa[0] is the sentinel suffix, and sa[1..] is
+ * exactly what BuildSuffixArray returns for the uncompressed sequence.
+ * Callers that maintain their own order-preserving rank compression
+ * (the incremental miner's persistent rank table) use this to skip the
+ * per-call compression sort.
  */
 void SaisInto(std::span<const std::uint32_t> ranks_with_sentinel,
-              std::size_t alphabet, std::vector<std::size_t>& sa,
+              std::size_t alphabet, std::vector<SuffixIndex>& sa,
               SuffixWorkspace& workspace);
 
 /**
@@ -146,13 +158,14 @@ std::vector<std::size_t> ComputeLcp(const Sequence& s,
                                     const std::vector<std::size_t>& sa);
 
 /**
- * Scratch-reusing ComputeLcp: writes the LCP array into `lcp` using
- * `inverse_scratch` for the rank-inverse table. Bit-identical output.
+ * Scratch-reusing ComputeLcp over the suffix array `sa` of `s`: writes
+ * the LCP array into `lcp` using `inverse_scratch` for the rank-inverse
+ * table. Bit-identical output.
  */
 void ComputeLcpInto(std::span<const Symbol> s,
-                    const std::vector<std::size_t>& sa,
-                    std::vector<std::size_t>& lcp,
-                    std::vector<std::size_t>& inverse_scratch);
+                    std::span<const SuffixIndex> sa,
+                    std::vector<SuffixIndex>& lcp,
+                    std::vector<SuffixIndex>& inverse_scratch);
 
 /**
  * Rank-compress a 64-bit symbol sequence to a dense alphabet
@@ -183,8 +196,12 @@ std::size_t RankCompressInto(std::span<const Symbol> s,
  * one built over per-window RankCompress output.
  *
  * The payoff: once a finder's alphabet has been admitted, compressing
- * a window is a lookup per token; the sort runs only over symbols the
- * table has not seen before.
+ * a window is a hash lookup per token. An open-addressing index maps
+ * each admitted symbol to its rank (linear probing, at most half full,
+ * multiplicative hash). Admitting symbols shifts the ranks above them,
+ * so the sort, the merge and an index rebuild run only in a call that
+ * meets symbols the table has not seen before; any other call reads
+ * the index and allocates nothing.
  */
 class RankTable {
   public:
@@ -204,10 +221,25 @@ class RankTable {
     std::size_t AlphabetSize() const { return sorted_.size() + 1; }
 
     /** Forget all admitted symbols (alphabet-hygiene reset). */
-    void Clear() { sorted_.clear(); }
+    void Clear();
 
   private:
+    /** One index slot; rank 0 marks it empty. */
+    struct Slot {
+        Symbol symbol = 0;
+        std::uint32_t rank = 0;
+    };
+
+    /** The rank of `symbol`, or 0 if the table has not admitted it. */
+    std::uint32_t Find(Symbol symbol) const;
+    /** The index slot where `symbol`'s probe sequence starts. */
+    std::size_t Home(Symbol symbol) const;
+    /** Re-index sorted_ after an admission. */
+    void RebuildIndex();
+
     std::vector<Symbol> sorted_;  ///< admitted symbols, ascending
+    std::vector<Slot> index_;     ///< symbol → rank, power-of-two size
+    unsigned index_shift_ = 64;   ///< 64 - log2(index_.size())
     std::vector<Symbol> fresh_;   ///< scratch: this call's new symbols
     std::vector<Symbol> merged_;  ///< scratch: merge staging
 };

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "api/frontend.h"
+#include "app_streams.h"
 #include "apps/cfd.h"
 #include "apps/flexflow.h"
 #include "apps/htr.h"
@@ -227,24 +228,7 @@ core::ApopheniaConfig SmallConfig()
     return config;
 }
 
-/** The token stream `iters` iterations of App issue, untraced. */
-template <typename App, typename Options>
-std::vector<rt::TokenHash> AppStream(Options options, std::size_t iters)
-{
-    rt::Runtime runtime;
-    api::UntracedFrontend sink(runtime);
-    App app(options);
-    app.Setup(sink);
-    for (std::size_t i = 0; i < iters; ++i) {
-        app.Iteration(sink, i, false);
-    }
-    sink.Flush();
-    std::vector<rt::TokenHash> stream;
-    for (std::size_t i = 0; i < runtime.Log().size(); ++i) {
-        stream.push_back(runtime.Log()[i].token);
-    }
-    return stream;
-}
+using test::AppStream;
 
 TEST(ReferenceMiner, S3dJobsMatch)
 {

@@ -17,9 +17,11 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "app_streams.h"
 #include "strings/identifiers.h"
 #include "strings/incremental.h"
 #include "strings/repeats.h"
@@ -136,6 +138,39 @@ TEST(IncrementalMiner, AllDistinctTokensResetTheTableAndStayCorrect)
     EXPECT_GT(miner.TableResets(), 0u);
 }
 
+TEST(IncrementalMiner, ShortWindowsKeepALargeAlphabet)
+{
+    // The analysis loop interleaves ruler windows of up to 5 000 tokens
+    // with replay-anchored windows that start at 2 * min_length = 50
+    // tokens and double. HTR on the 4x4 machine references far more
+    // symbols than 2 * 50 + 64, so a reset rule keyed on the current
+    // window would clear the table at every short window; keyed on the
+    // largest window mined so far, it never fires here.
+    const RepeatOptions options{.min_length = 25, .min_occurrences = 2};
+    IncrementalMiner miner(options);
+    const std::vector<rt::TokenHash> stream =
+        test::AppStream<apps::HtrApplication>(
+            apps::HtrOptions{.machine = test::FourByFourMachine()}, 60);
+    ASSERT_GT(std::set<Symbol>(stream.begin(), stream.end()).size(),
+              2 * 50 + 64u);
+    std::vector<Sequence> windows;
+    std::size_t anchored = 50;
+    for (const std::span<const Symbol> ruler :
+         test::RulerWindows(stream, 250, 5000)) {
+        windows.emplace_back(ruler.begin(), ruler.end());
+        // An anchored window ending at the same token.
+        const std::size_t end = static_cast<std::size_t>(
+            ruler.data() + ruler.size() - stream.data());
+        const std::size_t length = std::min(anchored, end);
+        windows.emplace_back(stream.begin() + (end - length),
+                             stream.begin() + end);
+        anchored = anchored >= 5000 ? 50 : std::min<std::size_t>(
+                                               2 * anchored, 5000);
+    }
+    DifferentialRun(windows, options, miner);
+    EXPECT_EQ(miner.TableResets(), 0u);
+}
+
 TEST(IncrementalMiner, SingleTokenRuns)
 {
     const RepeatOptions options{.min_length = 4, .min_occurrences = 2};
@@ -224,7 +259,7 @@ TEST(RankTable, OrderPreservationMakesSuffixArraysIdentical)
     RankTable table;
     SuffixWorkspace workspace;
     std::vector<std::uint32_t> ranks;
-    std::vector<std::size_t> sa;
+    std::vector<SuffixIndex> sa;
     support::Rng rng(11);
 
     std::vector<Sequence> windows;
@@ -237,7 +272,10 @@ TEST(RankTable, OrderPreservationMakesSuffixArraysIdentical)
         table.CompressInto(w, ranks.data());
         ranks[w.size()] = 0;
         SaisInto(ranks, table.AlphabetSize(), sa, workspace);
-        EXPECT_EQ(sa, BuildSuffixArray(w, SuffixAlgorithm::kSais));
+        ASSERT_EQ(sa.size(), w.size() + 1);
+        EXPECT_EQ(sa[0], w.size());  // the sentinel suffix sorts first
+        EXPECT_EQ(std::vector<std::size_t>(sa.begin() + 1, sa.end()),
+                  BuildSuffixArray(w, SuffixAlgorithm::kSais));
     }
 }
 
@@ -261,7 +299,7 @@ TEST(ScratchOverloads, MatchTheConvenienceLayerBitForBit)
     SuffixWorkspace workspace;
     RepeatsScratch repeats_scratch;
     TandemScratch tandem_scratch;
-    std::vector<std::size_t> sa, lcp, inverse;
+    std::vector<SuffixIndex> sa, lcp, inverse;
     std::vector<std::uint32_t> ranks;
     std::vector<Symbol> sorted;
     std::vector<Repeat> repeats, tandems;
@@ -287,10 +325,18 @@ TEST(ScratchOverloads, MatchTheConvenienceLayerBitForBit)
         for (const SuffixAlgorithm algorithm :
              {SuffixAlgorithm::kSais, SuffixAlgorithm::kPrefixDoubling}) {
             BuildSuffixArrayInto(s, sa, workspace, algorithm);
-            EXPECT_EQ(sa, BuildSuffixArray(s, algorithm));
+            ASSERT_EQ(sa.size(), s.size() + 1);
+            EXPECT_EQ(sa[0], s.size());  // the empty suffix sorts first
+            EXPECT_EQ(std::vector<std::size_t>(sa.begin() + 1, sa.end()),
+                      BuildSuffixArray(s, algorithm));
         }
-        ComputeLcpInto(s, sa, lcp, inverse);
-        EXPECT_EQ(lcp, ComputeLcp(s, sa));
+        const std::span<const SuffixIndex> suffixes =
+            std::span<const SuffixIndex>(sa).subspan(1);
+        ComputeLcpInto(s, suffixes, lcp, inverse);
+        const std::vector<std::size_t> wide(suffixes.begin(),
+                                            suffixes.end());
+        EXPECT_EQ(std::vector<std::size_t>(lcp.begin(), lcp.end()),
+                  ComputeLcp(s, wide));
         FindRepeatsInto(s, options, repeats_scratch, repeats);
         ExpectRepeatsEqual(repeats, FindRepeats(s, options), "repeats");
         FindTandemRepeatsInto(s, 3, tandem_scratch, tandems);

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <bit>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 
+#include "app_streams.h"
 #include "strings/identifiers.h"
 #include "strings/repeats.h"
 #include "support/intervals.h"
@@ -283,6 +285,12 @@ class ReferenceLcpRmq {
     std::vector<std::vector<std::size_t>> table_;
 };
 
+/** The reference's candidate occurrence, in full-width indices. */
+struct ReferenceCandidate {
+    std::size_t length = 0;
+    std::size_t start = 0;
+};
+
 /** Algorithm 2 with a comparison-sorted candidate order and
  * IntervalSet selection: the reference FindRepeats must match. */
 std::vector<Repeat> ReferenceFindRepeats(const Sequence& s,
@@ -312,7 +320,7 @@ std::vector<Repeat> ReferenceFindRepeats(const Sequence& s,
         return rmq.Min(lo, hi - 1);
     };
 
-    std::vector<RepeatCandidate> candidates;
+    std::vector<ReferenceCandidate> candidates;
     candidates.reserve(2 * n);
     for (std::size_t i = 0; i + 1 < n; ++i) {
         const std::size_t p = lcp[i];
@@ -345,7 +353,7 @@ std::vector<Repeat> ReferenceFindRepeats(const Sequence& s,
     // increasing start position. Content comparison is O(1) via the
     // LCP range-minimum structure.
     std::sort(candidates.begin(), candidates.end(),
-              [&](const RepeatCandidate& a, const RepeatCandidate& b) {
+              [&](const ReferenceCandidate& a, const ReferenceCandidate& b) {
                   if (a.length != b.length) {
                       return a.length > b.length;
                   }
@@ -365,13 +373,14 @@ std::vector<Repeat> ReferenceFindRepeats(const Sequence& s,
     // grouping consecutive equal-content candidates so that each
     // distinct substring is emitted once (the deduplication step).
     support::IntervalSet chosen;
-    auto same_group = [&](const RepeatCandidate& a, const RepeatCandidate& b) {
+    auto same_group = [&](const ReferenceCandidate& a,
+                          const ReferenceCandidate& b) {
         return a.length == b.length &&
                (a.start == b.start ||
                 common_prefix(a.start, b.start) >= a.length);
     };
     std::vector<std::size_t> group_starts;
-    const RepeatCandidate* group_head = nullptr;
+    const ReferenceCandidate* group_head = nullptr;
     auto flush_group = [&] {
         if (group_head == nullptr ||
             group_starts.size() < options.min_occurrences) {
@@ -389,7 +398,7 @@ std::vector<Repeat> ReferenceFindRepeats(const Sequence& s,
         out.push_back(std::move(r));
         group_starts.clear();
     };
-    for (const RepeatCandidate& c : candidates) {
+    for (const ReferenceCandidate& c : candidates) {
         if (group_head != nullptr && !same_group(*group_head, c)) {
             flush_group();
             group_head = nullptr;
@@ -409,26 +418,40 @@ std::vector<Repeat> ReferenceFindRepeats(const Sequence& s,
     return out;
 }
 
+/** FindRepeats equals the reference in tokens, starts and order at
+ * `options`. */
+void ExpectMatchesReferenceAt(const Sequence& s, const RepeatOptions& options,
+                              const std::string& label)
+{
+    const std::size_t min_length = options.min_length;
+    const std::size_t min_occurrences = options.min_occurrences;
+    const std::vector<Repeat> got = FindRepeats(s, options);
+    const std::vector<Repeat> want = ReferenceFindRepeats(s, options);
+    ASSERT_EQ(got.size(), want.size())
+        << label << " min_length " << min_length << " min_occurrences "
+        << min_occurrences;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].tokens, want[i].tokens)
+            << label << " repeat " << i << " min_length " << min_length
+            << " min_occurrences " << min_occurrences;
+        ASSERT_EQ(got[i].starts, want[i].starts)
+            << label << " repeat " << i << " min_length " << min_length
+            << " min_occurrences " << min_occurrences;
+    }
+}
+
 /** FindRepeats equals the reference in tokens, starts and order, at
  * every (min_length, min_occurrences) the oracle sweeps. */
 void ExpectMatchesReference(const Sequence& s, const std::string& label)
 {
     for (const std::size_t min_length : {2, 3, 5, 25}) {
         for (const std::size_t min_occurrences : {1, 2}) {
-            const RepeatOptions options{.min_length = min_length,
-                                        .min_occurrences = min_occurrences};
-            const std::vector<Repeat> got = FindRepeats(s, options);
-            const std::vector<Repeat> want = ReferenceFindRepeats(s, options);
-            ASSERT_EQ(got.size(), want.size())
-                << label << " min_length " << min_length
-                << " min_occurrences " << min_occurrences;
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                ASSERT_EQ(got[i].tokens, want[i].tokens)
-                    << label << " repeat " << i << " min_length "
-                    << min_length << " min_occurrences " << min_occurrences;
-                ASSERT_EQ(got[i].starts, want[i].starts)
-                    << label << " repeat " << i << " min_length "
-                    << min_length << " min_occurrences " << min_occurrences;
+            ExpectMatchesReferenceAt(s,
+                                     {.min_length = min_length,
+                                      .min_occurrences = min_occurrences},
+                                     label);
+            if (::testing::Test::HasFatalFailure()) {
+                return;
             }
         }
     }
@@ -481,6 +504,78 @@ TEST(FindRepeatsOracle, AdversarialWordsMatchReference)
     ExpectMatchesReference(alternating, "alternating");
     ExpectMatchesReference(opposite_ends, "opposite ends");
     ExpectMatchesReference(split_run, "split run");
+}
+
+TEST(FindRepeatsOracle, AppRulerWindowsMatchReference)
+{
+    // The windows the analysis loop mines: ruler windows of 250-5 000
+    // tokens over each bundled application's stream on the artifact's
+    // 4x4 machine, at the artifact's minimum trace length.
+    const RepeatOptions options{.min_length = 25, .min_occurrences = 2};
+    for (const test::NamedStream& stream : test::FourByFourAppStreams()) {
+        ASSERT_GE(stream.tokens.size(), 8000u) << stream.app;
+        std::size_t w = 0, repeats = 0, longest = 0;
+        for (const std::span<const Symbol> window :
+             test::RulerWindows(stream.tokens, 250, 5000)) {
+            const Sequence s(window.begin(), window.end());
+            ExpectMatchesReferenceAt(
+                s, options, stream.app + " window " + std::to_string(w++));
+            if (HasFatalFailure()) {
+                return;
+            }
+            repeats += FindRepeats(s, options).size();
+            longest = std::max(longest, s.size());
+        }
+        EXPECT_EQ(longest, 5000u) << stream.app;
+        EXPECT_GT(repeats, 0u) << stream.app;
+    }
+}
+
+TEST(FindRepeatsOracle, SurvivingCandidatesMatchReference)
+{
+    // Motifs of the minimum length that share a prefix, each occurring
+    // tens to hundreds of times between filler tokens that never
+    // repeat. No longer repeat covers a motif occurrence, so at
+    // min_length 25 every candidate survives the coverage filter, and
+    // a motif's run spans as many suffix ranks as it has occurrences:
+    // its content tests reach across several 64-entry LCP blocks, and
+    // the LCP between two motifs' runs (the shared prefix) ends them.
+    support::Rng rng(20261018);
+    Symbol filler = 1'000'000;
+    for (int round = 0; round < 24; ++round) {
+        const std::size_t motif_length = rng.UniformInt(25, 27);
+        const std::size_t shared = rng.UniformInt(0, motif_length - 1);
+        const Sequence prefix = RandomSeq(rng, shared, 3);
+        std::vector<Sequence> motifs(rng.UniformInt(1, 4));
+        for (Sequence& motif : motifs) {
+            motif = prefix;
+            const Sequence tail = RandomSeq(rng, motif_length - shared, 3);
+            motif.insert(motif.end(), tail.begin(), tail.end());
+        }
+        const std::size_t n = rng.UniformInt(3000, 5000);
+        Sequence s;
+        while (s.size() < n) {
+            // Skewed weights: the first motif dominates.
+            const std::size_t pick =
+                rng.Bernoulli(0.6) ? 0 : rng.UniformInt(0, motifs.size() - 1);
+            const Sequence& motif = motifs[pick];
+            s.insert(s.end(), motif.begin(), motif.end());
+            for (std::size_t k = rng.UniformInt(1, 3); k > 0; --k) {
+                s.push_back(filler++);
+            }
+        }
+        ExpectMatchesReference(s, "round " + std::to_string(round));
+        if (HasFatalFailure()) {
+            return;
+        }
+        // The dominant motif's run alone spans 30+ ranks.
+        std::size_t widest = 0;
+        for (const Repeat& r :
+             FindRepeats(s, {.min_length = 25, .min_occurrences = 2})) {
+            widest = std::max(widest, r.starts.size());
+        }
+        EXPECT_GE(widest, 30u);
+    }
 }
 
 }  // namespace

@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "app_streams.h"
 #include "strings/suffix_array.h"
 #include "support/rng.h"
 #include "test_util.h"
@@ -160,6 +162,29 @@ TEST(SuffixArray, SuffixArrayIsAPermutation)
     std::sort(sa.begin(), sa.end());
     for (std::size_t i = 0; i < sa.size(); ++i) {
         ASSERT_EQ(sa[i], i);
+    }
+}
+
+TEST(SuffixArray, AppWindowsMatchNaiveOracle)
+{
+    // Windows the analysis loop mines, of 250 to 2 000 tokens: periodic
+    // task streams drive SA-IS through its deepest recursion, over
+    // each application's own alphabet.
+    for (const test::NamedStream& stream : test::FourByFourAppStreams()) {
+        const std::vector<std::span<const Symbol>> windows =
+            test::RulerWindows(stream.tokens, 250, 2000);
+        for (const std::size_t k : {1, 2, 4, 8}) {
+            ASSERT_LE(k, windows.size()) << stream.app;
+            const Sequence s(windows[k - 1].begin(), windows[k - 1].end());
+            const auto expected = NaiveSuffixArray(s);
+            EXPECT_EQ(BuildSuffixArray(s, SuffixAlgorithm::kSais), expected)
+                << stream.app << " window " << k;
+            EXPECT_EQ(BuildSuffixArray(s, SuffixAlgorithm::kPrefixDoubling),
+                      expected)
+                << stream.app << " window " << k;
+            EXPECT_EQ(ComputeLcp(s, expected), NaiveLcp(s, expected))
+                << stream.app << " window " << k;
+        }
     }
 }
 
