@@ -548,16 +548,17 @@ main(int argc, char** argv)
         }
     }
 
-    // The engine sweep: serial PR-4 baseline, then the parallel
-    // engine + shared mining cache at jobs {1, 4, hardware}.
+    // The engine sweep: the serial baseline, then the parallel
+    // engine + shared mining cache at jobs {1, 4, hardware}. The
+    // hardware row is written even where it repeats jobs = 4:
+    // bench_compare matches rows by index, so every host must write
+    // the same row layout.
     const std::size_t hw = bench::HardwareConcurrency();
     std::vector<EngineRow> engine;
     engine.push_back(RunEngineCell(1, /*cache=*/false));
     engine.push_back(RunEngineCell(1, /*cache=*/true));
     engine.push_back(RunEngineCell(4, /*cache=*/true));
-    if (hw != 4) {
-        engine.push_back(RunEngineCell(hw, /*cache=*/true));
-    }
+    engine.push_back(RunEngineCell(hw, /*cache=*/true));
     const double serial_ms = engine[0].wall_ms;
     const double speedup_jobs4 = serial_ms / engine[2].wall_ms;
     const double speedup_hw = serial_ms / engine.back().wall_ms;

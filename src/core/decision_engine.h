@@ -20,7 +20,8 @@
  * Soundness stays with the nodes: each keeps its incremental
  * `sim::StreamDigest` and the cluster compares it against the
  * decision runtime's digest at every batch barrier; a diverged node
- * is quarantined and falls back to a local engine (sim/cluster.h).
+ * is rebuilt from a checkpoint plus the retained decision tail, or
+ * evicted if it diverges again (sim/cluster.h).
  *
  * Memory discipline matches the rest of the issue path: staged
  * launches live in a recycled power-of-two ring of materialized

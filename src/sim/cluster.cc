@@ -67,7 +67,6 @@ StreamDigest::Of(const rt::OperationLog& log)
 
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options),
-      mining_cache_(options.mining_cache_windows),
       // Never more threads than nodes: the fan-out unit is one node,
       // so extra workers could only park at every barrier.
       jobs_(std::min(ResolveJobs(options.jobs),
@@ -77,9 +76,6 @@ Cluster::Cluster(const ClusterOptions& options)
 {
     if (options_.coordination.nodes == 0) {
         options_.coordination.nodes = 1;
-    }
-    if (options_.max_batch_tasks == 0) {
-        options_.max_batch_tasks = 1;
     }
     slack_ = options_.coordination.initial_slack;
     const std::size_t n_nodes = options_.coordination.nodes;
@@ -209,7 +205,7 @@ Cluster::DoExecuteTask(const rt::TaskLaunchView& launch)
     // byte-identical to stepping every node at every task. In
     // shared-decision mode the engine's retention ring IS the batch
     // buffer (the decider needs the launches past the barrier for
-    // trace firing and quarantined-node feeding).
+    // trace firing).
     if (engine_ != nullptr) {
         engine_->Buffer(launch);
     } else {
@@ -245,8 +241,8 @@ Cluster::ProcessBatch()
         phase_ = NodePhase::kStep;
         team_.Run(nodes_.size());
         if (engine_ != nullptr) {
-            CheckDigests();
             RetainDecisionTail();
+            CheckDigests();
             engine_->Retire();
         }
         batch_count_ = 0;
@@ -287,16 +283,7 @@ Cluster::RunNodePhase(std::size_t n)
         }
         const std::uint64_t t0 = NowNs();
         if (engine_ != nullptr) {
-            if (!node.quarantined) {
-                ApplyDecisions(n);
-            } else {
-                // The quarantined node re-decides locally from the
-                // raw launches the engine retained for this batch.
-                for (std::size_t i = 0; i < batch_count_; ++i) {
-                    node.front_end->ExecuteTask(
-                        NodeLaunchView(n, batch_base_ + i));
-                }
-            }
+            ApplyDecisions(n);
         } else {
             for (std::size_t i = 0; i < batch_count_; ++i) {
                 const BatchedLaunch& buffered = batch_[i];
@@ -318,11 +305,7 @@ Cluster::RunNodePhase(std::size_t n)
       case NodePhase::kDrainAndFlush: {
         const std::uint64_t t0 = NowNs();
         if (engine_ != nullptr) {
-            if (!node.quarantined) {
-                ApplyDecisions(n);
-            } else {
-                node.front_end->Flush();
-            }
+            ApplyDecisions(n);
         } else {
             for (std::size_t k = 0; k < ingest_count_; ++k) {
                 node.front_end->IngestOldestJob();
@@ -371,8 +354,8 @@ Cluster::CheckDigests()
 {
     // Advance the incremental digests to the current barrier (the
     // streaming consumers already did; retained mode folds the new
-    // log suffix here, each op exactly once) and compare every
-    // healthy node against the decision runtime's reference.
+    // log suffix here, each op exactly once) and compare every live
+    // node against the decision runtime's reference.
     if (!options_.stream_logs) {
         const rt::OperationLog& log = engine_->DecisionRuntime().Log();
         for (; engine_cursor_ < log.size(); ++engine_cursor_) {
@@ -381,7 +364,7 @@ Cluster::CheckDigests()
     }
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
         NodeState& node = *nodes_[n];
-        if (node.quarantined || node.crashed) {
+        if (node.crashed) {
             continue;
         }
         if (!options_.stream_logs) {
@@ -391,27 +374,24 @@ Cluster::CheckDigests()
                 node.digest.Consume(log[node.digest_cursor]);
             }
         }
-        if (!(node.digest == engine_digest_)) {
-            Quarantine(n);
+        if (node.digest == engine_digest_) {
+            node.healed = false;
+        } else if (resync_enabled_ && !node.healed) {
+            // Heal through the rejoin path: the retained tail already
+            // holds this barrier's decisions.
+            RejoinNode(n);
+            node.healed = true;
+            ++fault_stats_.heals;
+        } else {
+            // Diverged again right after its heal, or no tail to heal
+            // from: evict. The runtime goes as in a crash, for good;
+            // the digest stays frozen, so the divergence stays visible.
+            node.runtime.reset();
+            node.crashed = true;
+            node.evicted = true;
+            ++fault_stats_.evictions;
         }
     }
-}
-
-void
-Cluster::Quarantine(std::size_t n)
-{
-    // The node's stream diverged from the broadcast's reference: the
-    // shared decisions are no longer known-sound for it. Fall back to
-    // local decision-making — a cold Apophenia over the node's own
-    // runtime (kEagerDrain: self-contained deterministic ingestion,
-    // outside the cluster-wide coordination) — and stop checking its
-    // digest; the healthy nodes continue bit-identically.
-    NodeState& node = *nodes_[n];
-    node.quarantined = true;
-    ++fallbacks_;
-    node.front_end = std::make_unique<core::Apophenia>(
-        *node.runtime, options_.config, nullptr, nullptr);
-    node.front_end->SetIngestMode(core::IngestMode::kEagerDrain);
 }
 
 void
@@ -422,8 +402,7 @@ Cluster::UpdateHorizon()
     // tasks (new jobs are agreed at launch + slack and slack never
     // shrinks), capped so the batch buffer stays small.
     std::uint64_t step = std::max<std::uint64_t>(1, slack_);
-    step = std::min<std::uint64_t>(
-        step, static_cast<std::uint64_t>(options_.max_batch_tasks));
+    step = std::min(step, kMaxBatchTasks);
     horizon_ = tasks_issued_ + step;
     if (!schedule_.empty()) {
         const JobSchedule& next = schedule_.front();
@@ -608,8 +587,7 @@ Cluster::IngestDueJobs()
     if (ingest_count_ > 0) {
         if (engine_ != nullptr) {
             // One coordinated ingestion, on the decider (timed: part
-            // of the shared decision path). Quarantined nodes ingest
-            // eagerly inside their local engines instead.
+            // of the shared decision path).
             const std::uint64_t t0 = NowNs();
             for (std::size_t k = 0; k < ingest_count_; ++k) {
                 engine_->Decider().IngestOldestJob();
@@ -639,8 +617,7 @@ Cluster::DoFlush()
     if (engine_ != nullptr) {
         // Drain the remaining coordinated jobs into the decider and
         // flush it — the final decisions land in the broadcast log —
-        // then fan the last apply (or, quarantined, a local flush)
-        // out to the nodes.
+        // then fan the last apply out to the nodes.
         const std::uint64_t t0 = NowNs();
         const std::size_t remaining = schedule_.size();
         for (std::size_t k = 0; k < remaining; ++k) {
@@ -651,8 +628,8 @@ Cluster::DoFlush()
         decisions_broadcast_ += engine_->Decisions().size();
         phase_ = NodePhase::kDrainAndFlush;
         team_.Run(nodes_.size());
-        CheckDigests();
         RetainDecisionTail();
+        CheckDigests();
         engine_->Retire();
     } else {
         ingest_count_ = schedule_.size();
@@ -671,7 +648,6 @@ Cluster::DecisionCost() const
     stats.shared = engine_ != nullptr;
     stats.batches = batches_;
     stats.decisions = decisions_broadcast_;
-    stats.fallbacks = fallbacks_;
     std::uint64_t node_total = 0;
     for (const std::uint64_t ns : node_ns_) {
         node_total += ns;
@@ -726,52 +702,21 @@ Cluster::ApplyMembershipEvents(std::uint64_t at)
         NodeState& node = *nodes_[event.node];
         if (!node.crashed && node.runtime != nullptr &&
             event.crash_at_task <= at && at < event.rejoin_at_task) {
-            // The node's process dies: runtime and (any fallback)
-            // engine are gone. Its latency rng keeps drawing in
-            // ScheduleNewJobs so the roster-wide schedule — and with
-            // it every healthy node's behaviour — stays bit-identical
-            // to a churn-free run.
+            // The node's process dies. Its latency rng keeps drawing
+            // in ScheduleNewJobs so the roster-wide schedule — and
+            // with it every healthy node's behaviour — stays
+            // bit-identical to a churn-free run.
             node.runtime.reset();
-            node.front_end.reset();
             node.crashed = true;
-            node.quarantined = false;
+            node.healed = false;
             ++fault_stats_.crashes;
         }
-        if (node.crashed && event.rejoin_at_task <= at) {
+        if (node.crashed && !node.evicted &&
+            event.rejoin_at_task <= at) {
             RejoinNode(event.node);
             ++fault_stats_.rejoins;
         }
     }
-    // Transient corruption heals once the injection window has
-    // passed: resync the quarantined node from a healthy peer.
-    if (options_.fault.enabled && resync_enabled_ &&
-        options_.fault.until_task != UINT64_MAX &&
-        at >= options_.fault.until_task) {
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            if (nodes_[n]->quarantined) {
-                RejoinNode(n);
-                ++fault_stats_.heals;
-            }
-        }
-    }
-}
-
-void
-Cluster::ResyncQuarantined(std::size_t i)
-{
-    if (engine_ == nullptr || !resync_enabled_) {
-        throw rt::RuntimeUsageError(
-            "Cluster::ResyncQuarantined requires the shared decision "
-            "engine with tail retention (a fault plan, fault "
-            "injection, or a checkpoint interval)");
-    }
-    ProcessBatch();
-    if (!nodes_[i]->quarantined) {
-        throw rt::RuntimeUsageError(
-            "Cluster::ResyncQuarantined: node is not quarantined");
-    }
-    RejoinNode(i);
-    ++fault_stats_.heals;
 }
 
 void
@@ -819,12 +764,13 @@ Cluster::RecordRegionEvent(ReplayEvent event)
 void
 Cluster::TakeCheckpoint()
 {
-    // Any healthy node's state serves every future rejoiner: healthy
-    // nodes are bit-identical by the barrier digest check that just
-    // ran (their digests equal the decision runtime's).
+    // Any live node's state serves every future rejoiner: live nodes
+    // are bit-identical by the barrier digest check that just ran
+    // (their digests equal the decision runtime's, or they were healed
+    // to it).
     const NodeState* source = nullptr;
     for (const auto& node : nodes_) {
-        if (!node->crashed && !node->quarantined) {
+        if (!node->crashed) {
             source = node.get();
             break;
         }
@@ -853,7 +799,7 @@ Cluster::TakeCheckpoint()
     fault_stats_.total_checkpoint_bytes += checkpoint_image_.size();
     // The virtual-time cost model: writing the image pauses every
     // alive node. Digests and decisions are unaffected.
-    const double pause = options_.checkpoint_pause_tasks_per_kb *
+    const double pause = kCheckpointPauseTasksPerKb *
                          static_cast<double>(checkpoint_image_.size()) /
                          1024.0;
     fault_stats_.checkpoint_pause_tasks += pause;
@@ -873,7 +819,6 @@ Cluster::RejoinNode(std::size_t n)
     // streaming mode when LoadState checks it).
     node.runtime =
         std::make_unique<rt::Runtime>(options_.runtime_options);
-    node.front_end.reset();
     if (options_.stream_logs) {
         AttachStreamConsumer(node);
     }
@@ -922,14 +867,12 @@ Cluster::RejoinNode(std::size_t n)
     }
     fault_stats_.tail_events_replayed += tail_.size();
     node.crashed = false;
-    node.quarantined = false;
     // Cost model: the cluster stalls while the rejoiner installs the
     // image and catches up through the tail.
     const double stall =
-        options_.checkpoint_pause_tasks_per_kb *
+        kCheckpointPauseTasksPerKb *
             static_cast<double>(checkpoint_image_.size()) / 1024.0 +
-        options_.resync_tasks_per_event *
-            static_cast<double>(tail_.size());
+        kResyncTasksPerEvent * static_cast<double>(tail_.size());
     fault_stats_.recovery_stall_tasks += stall;
     for (std::size_t k = 0; k < nodes_.size(); ++k) {
         if (!nodes_[k]->crashed) {

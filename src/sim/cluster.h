@@ -50,8 +50,8 @@
  * class computes centrally), so the cluster batches the issued stream
  * up to the next point at which the serial schedule could act — the
  * front job's due position, bounded by the current slack and
- * `ClusterOptions::max_batch_tasks` — and fans the per-node advance
- * loops over a `support::TaskTeam` with a barrier at every batch end.
+ * `kMaxBatchTasks` — and fans the per-node advance loops over a
+ * `support::TaskTeam` with a barrier at every batch end.
  * Scheduling and ingestion decisions stay on the driving thread, so
  * every observable (digests, CoordinationStats, NodeMetrics, the
  * per-node rng draws) is byte-identical to the serial schedule at any
@@ -81,8 +81,7 @@
  * digests are bit-identical to per-node engines. Soundness is not
  * assumed: each node's incremental StreamDigest is compared against
  * the decision runtime's at every barrier, and a diverged node is
- * quarantined — it falls back to a cold local Apophenia (counted in
- * DecisionStats::fallbacks) while the healthy nodes continue
+ * healed or evicted (below) while the healthy nodes continue
  * bit-identically.
  *
  * **Elastic membership (fault::).** A `ClusterOptions::FaultPlan`
@@ -93,11 +92,20 @@
  * checkpoint and replays the decision tail retained since it, after
  * which its incremental digest — restored from the image and advanced
  * by the replay — re-enters the per-barrier soundness check. The same
- * resync path heals quarantined (diverged) nodes. The coordination
+ * path is the one recovery for a diverged node: the barrier whose
+ * digest check detects it rebuilds it from the newest checkpoint plus
+ * the retained tail, which already holds that barrier's decisions
+ * (`FaultStats::heals`). A node that diverges again at the next
+ * barrier after its heal is evicted, and so is any diverged node of a
+ * cluster that retains no tail (no fault plan, injection or
+ * checkpoint interval: only a bug can diverge a node there). Eviction
+ * drops the runtime as a crash does, for good
+ * (`FaultStats::evictions`); the evicted node's digest stays frozen,
+ * so StreamDigestsAgree() reports the divergence. The coordination
  * schedule remains a function of the full fixed roster, so healthy
  * nodes run bit-identically to a churn-free run; checkpoint writes
  * and resync stalls are charged to the virtual clocks only (see the
- * cost model in ClusterOptions and `FaultStats`).
+ * cost model in Cluster and `FaultStats`).
  */
 #ifndef APOPHENIA_SIM_CLUSTER_H
 #define APOPHENIA_SIM_CLUSTER_H
@@ -161,16 +169,12 @@ struct DecisionStats {
     std::uint64_t decision_ns = 0;
     /** Shared mode only: summed nanoseconds the nodes spent applying
      * broadcast decisions (per-node mode folds the equivalent work
-     * into decision_ns). Quarantined nodes' local-engine time lands
-     * here too. */
+     * into decision_ns). */
     std::uint64_t apply_ns = 0;
     /** Safe-horizon batch barriers executed. */
     std::uint64_t batches = 0;
     /** Decision events broadcast (0 in per-node mode). */
     std::uint64_t decisions = 0;
-    /** Nodes quarantined after a StreamDigest divergence (each fell
-     * back to a local decision engine). */
-    std::uint64_t fallbacks = 0;
 };
 
 /** Per-node observables of one cluster run. */
@@ -260,21 +264,14 @@ struct ClusterOptions {
      * always clamped to the node count. Every value yields
      * byte-identical results; 1 is the serial schedule run inline. */
     std::size_t jobs = 0;
-    /** Upper bound on buffered launches between barriers (caps the
-     * batch storage when the agreed slack grows large). Any positive
-     * value is result-identical; it trades barrier frequency against
-     * buffer memory. */
-    std::size_t max_batch_tasks = 256;
-    /** Share one content-addressed mining cache across the nodes so
-     * identical history windows are mined once cluster-wide (see
+    /** Per-node mode: share one content-addressed mining cache (the
+     * default core::MiningCache bound) across the nodes so identical
+     * history windows are mined once cluster-wide (see
      * core/mining_cache.h); when false each node's finder keeps a
-     * private memo. Behaviour-invariant; wall-clock only. */
+     * private memo. Inert under shared decisions, where the one
+     * decider probes external_mining_cache or its private memo.
+     * Behaviour-invariant; wall-clock only. */
     bool share_mining_cache = true;
-    /** Published windows the cache retains (evicted in
-     * core::MiningCache::kEvictionPolicy order beyond it; 0 =
-     * unbounded). Bounds cache memory on unbounded streams — an
-     * evicted window that recurs is simply re-mined. */
-    std::size_t mining_cache_windows = 1024;
     /** Use the shared decision engine (see file comment): one decider
      * consumes the stream once and the nodes apply its broadcast
      * decisions, with per-barrier digest checks. Active only when
@@ -290,11 +287,9 @@ struct ClusterOptions {
     /** Test-only fault injection: on absolute stream indices in
      * [from_task, until_task), node `node` applies launches with
      * their token XORed by `token_xor` — a corrupted replica. The
-     * digest check must detect and quarantine it (shared-decision
-     * mode). A finite `until_task` makes the corruption transient:
-     * once the stream passes it, the cluster heals the quarantined
-     * node by peer resync (checkpoint install + decision-tail
-     * replay) at the next barrier. */
+     * digest check must detect it (shared-decision mode) and heal it,
+     * or evict it if the corruption outlasts its heal (see the file
+     * comment). */
     struct FaultInjection {
         bool enabled = false;
         std::size_t node = 0;
@@ -333,15 +328,6 @@ struct ClusterOptions {
      * with no image they replay the full tail from stream start.
      * Requires the shared decision engine. */
     std::uint64_t checkpoint_interval_tasks = 0;
-
-    /** Virtual-time model of checkpoint/recovery cost. Writing a
-     * checkpoint pauses every alive node for `pause_per_kb` virtual
-     * tasks per KiB of image; a rejoin stalls the whole cluster for
-     * the install (same per-KiB rate) plus `resync_per_event` virtual
-     * tasks per replayed decision-tail event. Purely an output model:
-     * digests and decisions are unaffected. */
-    double checkpoint_pause_tasks_per_kb = 0.25;
-    double resync_tasks_per_event = 0.05;
 };
 
 /** Aggregate fault-tolerance accounting of one cluster run. */
@@ -351,10 +337,13 @@ struct FaultStats {
     std::uint64_t total_checkpoint_bytes = 0;
     std::uint64_t crashes = 0;
     std::uint64_t rejoins = 0;  ///< scheduled rejoins (crash recovery)
-    std::uint64_t heals = 0;    ///< quarantine resyncs (divergence recovery)
+    std::uint64_t heals = 0;    ///< rejoins at a diverging barrier
+    /** Nodes dropped for good: diverged again right after a heal, or
+     * diverged in a cluster that retains no decision tail. */
+    std::uint64_t evictions = 0;
     std::uint64_t tail_events_replayed = 0;
     /** Virtual tasks charged to alive nodes for checkpoint writes and
-     * for resync stalls (see the cost model in ClusterOptions). */
+     * for resync stalls (see the cost model in Cluster). */
     double checkpoint_pause_tasks = 0.0;
     double recovery_stall_tasks = 0.0;
 };
@@ -386,8 +375,7 @@ class Cluster final : public api::Frontend {
     std::size_t Nodes() const { return nodes_.size(); }
     /** Node i's front-end engine. Per-node mode only — in shared-
      * decision mode the nodes host no engine (the decider makes every
-     * decision; see Decider()) unless node i was quarantined into its
-     * local fallback engine. */
+     * decision; see Decider()). */
     core::Apophenia& Node(std::size_t i)
     {
         if (nodes_[i]->front_end == nullptr) {
@@ -406,8 +394,8 @@ class Cluster final : public api::Frontend {
     {
         if (nodes_[i]->runtime == nullptr) {
             throw rt::RuntimeUsageError(
-                "Cluster::NodeRuntime: node is crashed (see the fault "
-                "plan)");
+                "Cluster::NodeRuntime: node is down (crashed by the "
+                "fault plan, or evicted)");
         }
         return *nodes_[i]->runtime;
     }
@@ -435,19 +423,13 @@ class Cluster final : public api::Frontend {
     {
         return engine_ != nullptr ? &engine_->DecisionRuntime() : nullptr;
     }
-    /** Decision-path cost/fallback accounting (both modes). */
+    /** Decision-path cost accounting (both modes). */
     DecisionStats DecisionCost() const;
-    /** True iff node i diverged and was quarantined into a local
-     * fallback engine. */
-    bool NodeQuarantined(std::size_t i) const
-    {
-        return nodes_[i]->quarantined;
-    }
 
     // -- Fault tolerance (fault::) ------------------------------------------
 
-    /** True iff node i is currently crashed (between its fault-plan
-     * crash and rejoin points). */
+    /** True iff node i is currently down: between its fault-plan
+     * crash and rejoin points, or evicted. */
     bool NodeCrashed(std::size_t i) const { return nodes_[i]->crashed; }
     /** Checkpoint / membership accounting. */
     const FaultStats& FaultRecovery() const { return fault_stats_; }
@@ -456,18 +438,6 @@ class Cluster final : public api::Frontend {
     {
         return checkpoint_image_;
     }
-    /**
-     * Resync a quarantined node from a healthy peer right now: its
-     * diverged runtime is discarded and rebuilt from the newest
-     * checkpoint plus the retained decision tail, after which it
-     * rejoins the shared-decision broadcast (counted in
-     * FaultStats::heals). Requires the shared decision engine with
-     * tail retention (a fault plan, fault injection, or a checkpoint
-     * interval). Throws rt::RuntimeUsageError if node i is not
-     * quarantined.
-     */
-    void ResyncQuarantined(std::size_t i);
-
     const CoordinationStats& Coordination() const { return stats_; }
     const std::vector<NodeMetrics>& PerNode() const { return metrics_; }
     const ClusterOptions& Options() const { return options_; }
@@ -522,9 +492,8 @@ class Cluster final : public api::Frontend {
         /** Null while the node is crashed (its process is gone);
          * rebuilt from a peer checkpoint on rejoin. */
         std::unique_ptr<rt::Runtime> runtime;
-        /** Per-node mode: the node's Apophenia. Shared-decision mode:
-         * null until the node is quarantined, then its local fallback
-         * engine. */
+        /** Per-node mode: the node's Apophenia. Null in
+         * shared-decision mode. */
         std::unique_ptr<core::Apophenia> front_end;
         support::Rng latency_rng;
         StreamDigest digest;  ///< fed by the streaming consumer
@@ -532,8 +501,11 @@ class Cluster final : public api::Frontend {
          * folds (shared-decision mode keeps the digest incremental
          * without streaming). */
         std::size_t digest_cursor = 0;
-        bool quarantined = false;
         bool crashed = false;
+        bool evicted = false;  ///< crashed for good (never rejoins)
+        /** Healed at the last digest check: set when a divergence
+         * rejoins it, cleared by the next matching check. */
+        bool healed = false;
         rt::OperationLog::Consumer extra;  ///< harness attachment
 
         NodeState(const rt::RuntimeOptions& rt_options, std::uint64_t seed)
@@ -593,11 +565,11 @@ class Cluster final : public api::Frontend {
     /** Replay the decider's broadcast decisions into node n's
      * runtime (team body, shared mode). */
     void ApplyDecisions(std::size_t n);
-    /** Barrier soundness check: every healthy node's incremental
+    /** Barrier soundness check: every live node's incremental
      * digest must equal the decision runtime's; a diverged node is
-     * quarantined. */
+     * healed or evicted (see the file comment). Call after
+     * RetainDecisionTail(), so a heal replays this barrier too. */
     void CheckDigests();
-    void Quarantine(std::size_t n);
 
     // -- Fault-tolerance helpers (fault::) ----------------------------------
 
@@ -624,8 +596,8 @@ class Cluster final : public api::Frontend {
     /** Attach the streaming digest consumer to the node's (fresh or
      * restored) runtime. */
     void AttachStreamConsumer(NodeState& node);
-    /** Process fault-plan crashes/rejoins (and transient-injection
-     * heals) due at stream position `at`. */
+    /** Process fault-plan crashes/rejoins due at stream position
+     * `at` (an evicted node never rejoins). */
     void ApplyMembershipEvents(std::uint64_t at);
     /** Materialize the current decision round into the retained tail
      * (call before Retire()). */
@@ -637,6 +609,19 @@ class Cluster final : public api::Frontend {
     /** Rebuild node n from the newest checkpoint + retained tail and
      * return it to the shared-decision broadcast. */
     void RejoinNode(std::size_t n);
+
+    /** Cap on buffered launches between barriers when the agreed
+     * slack grows large. Any positive value is result-identical; it
+     * trades barrier frequency against buffer memory. */
+    static constexpr std::uint64_t kMaxBatchTasks = 256;
+    /** Virtual-time model of checkpoint/recovery cost. Writing a
+     * checkpoint pauses every alive node for this many virtual tasks
+     * per KiB of image; a rejoin stalls the whole cluster for the
+     * install (same per-KiB rate) plus kResyncTasksPerEvent per
+     * replayed decision-tail event. Purely an output model: digests
+     * and decisions are unaffected. */
+    static constexpr double kCheckpointPauseTasksPerKb = 0.25;
+    static constexpr double kResyncTasksPerEvent = 0.05;
 
     ClusterOptions options_;
     core::MiningCache mining_cache_;
@@ -665,7 +650,6 @@ class Cluster final : public api::Frontend {
     std::vector<std::uint64_t> node_ns_;
     std::uint64_t decisions_broadcast_ = 0;
     std::uint64_t batches_ = 0;
-    std::uint64_t fallbacks_ = 0;
 
     // -- Fault-tolerance state (see ClusterOptions) -------------------------
     /** True when the run retains the decision tail (a fault plan,

@@ -294,7 +294,6 @@ ExperimentStack::Finish(const std::vector<std::size_t>& boundaries)
     result.decision_apply_ns = decisions.apply_ns;
     result.decision_batches = decisions.batches;
     result.decisions_broadcast = decisions.decisions;
-    result.decision_fallbacks = decisions.fallbacks;
     const StreamDigest digest = cluster_->NodeDigest(0);
     result.stream_digest = digest.Value();
     result.stream_digest_ops = digest.Count();

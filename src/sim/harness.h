@@ -111,9 +111,11 @@ struct ExperimentOptions {
      * replicas > 1 (ClusterOptions::jobs: 0 = APO_JOBS env override,
      * else hardware_concurrency; every value is byte-identical). */
     std::size_t cluster_jobs = 0;
-    /** Share one content-addressed mining cache across the cluster's
-     * nodes (behaviour-invariant dedup of the replicated mining work;
-     * see core/mining_cache.h). */
+    /** Per-node replicated runs (shared_decisions == false): share one
+     * content-addressed mining cache across the cluster's nodes
+     * (behaviour-invariant dedup of the replicated mining work; see
+     * core/mining_cache.h). Inert under shared decisions, whose one
+     * decider mines each window once anyway. */
     bool share_mining_cache = true;
     /** Replicated kAuto runs: one shared decision engine drives every
      * node instead of per-node engines (ClusterOptions::
@@ -152,11 +154,12 @@ struct ExperimentResult {
     /** Operations drained through the streaming consumer on node 0
      * (0 when retained). */
     std::size_t log_retired_ops = 0;
-    /** Shared-mining-cache counters (replicated runs; zero when the
-     * cache is off). Every mining-job probe is a hit (another node's
-     * result adopted) or a miss (mined locally); `windows` counts
-     * published mining runs, so misses == windows certifies each
-     * distinct window was mined once cluster-wide. */
+    /** Shared-mining-cache counters (per-node replicated runs; zero
+     * when the cache is off or under shared decisions). Every
+     * mining-job probe is a hit (another node's result adopted) or a
+     * miss (mined locally); `windows` counts published mining runs,
+     * so misses == windows certifies each distinct window was mined
+     * once cluster-wide. */
     std::uint64_t mining_cache_hits = 0;
     std::uint64_t mining_cache_misses = 0;
     std::size_t mining_cache_windows = 0;
@@ -174,9 +177,9 @@ struct ExperimentResult {
      * replicated); nonzero only under a finite
      * rt::RuntimeOptions::max_trace_templates. */
     std::uint64_t trace_cache_evictions = 0;
-    /** Evictions from the shared mining cache (replicated runs;
-     * policy: core::MiningCache::kEvictionPolicy) — nonzero only
-     * under a finite mining_cache_windows bound, the analogue of
+    /** Evictions from the shared mining cache (per-node replicated
+     * runs; policy: core::MiningCache::kEvictionPolicy) — nonzero only
+     * past the cache's window bound, the analogue of
      * trace_cache_evictions for mining memo retention. */
     std::uint64_t mining_cache_evictions = 0;
     /** Rolling digest of the ingested candidate sets (the decider's
@@ -188,13 +191,12 @@ struct ExperimentResult {
      * sim::DecisionStats): whether the shared decision engine drove
      * the nodes, the cluster-wide decision nanoseconds (the quantity
      * the decision_cost bench shows flat in N for the shared engine),
-     * broadcast/batch counts, and digest-divergence fallbacks. */
+     * and broadcast/batch counts. */
     bool shared_decisions = false;
     std::uint64_t decision_ns = 0;
     std::uint64_t decision_apply_ns = 0;
     std::uint64_t decision_batches = 0;
     std::uint64_t decisions_broadcast = 0;
-    std::uint64_t decision_fallbacks = 0;
 };
 
 /**

@@ -4,8 +4,7 @@
 
 namespace apo::support {
 
-WorkerPool::WorkerPool(std::size_t num_threads, std::size_t max_queue)
-    : max_queue_(max_queue)
+WorkerPool::WorkerPool(std::size_t num_threads)
 {
     if (num_threads == 0) {
         num_threads = 1;
@@ -19,16 +18,10 @@ WorkerPool::WorkerPool(std::size_t num_threads, std::size_t max_queue)
 WorkerPool::~WorkerPool()
 {
     {
-        std::unique_lock lock(mutex_);
+        std::lock_guard lock(mutex_);
         shutting_down_ = true;
-        work_available_.notify_all();
-        // Release backpressured submitters, then wait until they have
-        // left Submit: the mutex and condition variables must not be
-        // destroyed under a thread still blocked on them.
-        space_available_.notify_all();
-        space_available_.wait(lock,
-                              [this] { return waiting_submitters_ == 0; });
     }
+    work_available_.notify_all();
     for (auto& t : threads_) {
         t.join();
     }
@@ -38,24 +31,7 @@ void
 WorkerPool::Submit(std::function<void()> job)
 {
     {
-        std::unique_lock lock(mutex_);
-        if (max_queue_ != 0) {
-            ++waiting_submitters_;
-            space_available_.wait(lock, [this] {
-                return shutting_down_ || queue_.size() < max_queue_;
-            });
-            --waiting_submitters_;
-            idle_.notify_all();  // Drain also waits on submitters
-            if (shutting_down_) {
-                // Unblock the destructor, and run the job here: the
-                // workers may already have observed an empty queue and
-                // exited, so enqueueing could silently drop it.
-                space_available_.notify_all();
-                lock.unlock();
-                job();
-                return;
-            }
-        }
+        std::lock_guard lock(mutex_);
         queue_.push_back(std::move(job));
     }
     work_available_.notify_one();
@@ -65,12 +41,8 @@ void
 WorkerPool::Drain()
 {
     std::unique_lock lock(mutex_);
-    // A backpressure-blocked submitter counts as submitted work: its
-    // job must run before Drain may return.
-    idle_.wait(lock, [this] {
-        return queue_.empty() && in_flight_ == 0 &&
-               waiting_submitters_ == 0;
-    });
+    idle_.wait(lock,
+               [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
 void
@@ -89,7 +61,6 @@ WorkerPool::WorkerLoop()
             queue_.pop_front();
             ++in_flight_;
         }
-        space_available_.notify_one();
         job();
         {
             std::lock_guard lock(mutex_);
@@ -99,8 +70,8 @@ WorkerPool::WorkerLoop()
     }
 }
 
-PooledExecutor::PooledExecutor(std::size_t num_threads, std::size_t max_queue)
-    : pool_(num_threads, max_queue)
+PooledExecutor::PooledExecutor(std::size_t num_threads)
+    : pool_(num_threads)
 {
 }
 

@@ -82,17 +82,10 @@ class InlineExecutor final : public Executor {
  * A fixed-size pool of background worker threads consuming a FIFO job
  * queue. Models Legion's background worker threads that Apophenia's
  * history-mining jobs execute on (paper section 6.3).
- *
- * Submission is optionally bounded: with `max_queue > 0`, Submit()
- * blocks while `max_queue` jobs are already waiting, providing
- * backpressure so a producer outrunning the pool cannot hoard memory.
- * A submitter blocked when the pool shuts down is released and runs
- * its job on its own thread, so no accepted job is ever dropped.
  */
 class WorkerPool final : public Executor {
   public:
-    explicit WorkerPool(std::size_t num_threads = 2,
-                        std::size_t max_queue = 0);
+    explicit WorkerPool(std::size_t num_threads = 2);
     ~WorkerPool() override;
 
     WorkerPool(const WorkerPool&) = delete;
@@ -102,27 +95,14 @@ class WorkerPool final : public Executor {
     void Submit(std::function<void()> job) override;
     void Drain() override;
 
-    /** Submitters currently blocked on backpressure (tests use this
-     * to synchronize with a Submit they expect to block). */
-    std::size_t BlockedSubmitters()
-    {
-        std::lock_guard lock(mutex_);
-        return waiting_submitters_;
-    }
-
   private:
     void WorkerLoop();
 
     std::mutex mutex_;
     std::condition_variable work_available_;
     std::condition_variable idle_;
-    std::condition_variable space_available_;
     std::deque<std::function<void()>> queue_;
     std::size_t in_flight_ = 0;
-    std::size_t max_queue_ = 0;  ///< 0 = unbounded
-    /** Submitters blocked on backpressure; the destructor waits for
-     * them to leave before tearing down the synchronization state. */
-    std::size_t waiting_submitters_ = 0;
     bool shutting_down_ = false;
     std::vector<std::thread> threads_;
 };
@@ -139,8 +119,7 @@ class WorkerPool final : public Executor {
  */
 class PooledExecutor final : public Executor {
   public:
-    explicit PooledExecutor(std::size_t num_threads = 2,
-                            std::size_t max_queue = 0);
+    explicit PooledExecutor(std::size_t num_threads = 2);
     ~PooledExecutor() override;
 
     PooledExecutor(const PooledExecutor&) = delete;

@@ -81,8 +81,9 @@ struct TraceService::Tenant {
     /** Issued-task count at the end of each completed iteration. */
     std::vector<std::size_t> boundaries;
     /** Issue-latency (virtual ticks) and wall-clock service-time
-     * (nanoseconds, grant → iteration return) reservoirs: fixed
-     * memory however long the run (see LatencyReservoir). */
+     * (nanoseconds, grant → iteration return) reservoirs of the
+     * default capacity: fixed memory however long the run (see
+     * LatencyReservoir). */
     LatencyReservoir latencies;
     LatencyReservoir wall_ns;
     std::size_t completed = 0;
@@ -102,13 +103,11 @@ struct TraceService::Tenant {
 
     Tenant(TenantOptions tenant_options, rt::TokenHash tenant_namespace,
            const sim::ExperimentOptions& experiment,
-           core::MiningCache* mining_cache, std::size_t reservoir_capacity)
+           core::MiningCache* mining_cache)
         : options(std::move(tenant_options)),
           name_space(tenant_namespace),
           stack(experiment, mining_cache),
-          session(stack.Front(), tenant_namespace),
-          latencies(reservoir_capacity),
-          wall_ns(reservoir_capacity)
+          session(stack.Front(), tenant_namespace)
     {
     }
 
@@ -232,8 +231,7 @@ DeficitWeightedFairPolicy::Charge(std::size_t tenant, std::uint64_t tasks)
 
 TraceService::TraceService(ServiceOptions options)
     : options_(std::move(options)),
-      cache_(std::make_unique<core::MiningCache>(
-          options_.max_cache_windows))
+      cache_(std::make_unique<core::MiningCache>())
 {
 }
 
@@ -274,8 +272,7 @@ TraceService::AddTenant(TenantOptions tenant)
     experiment.replication = options_.replication;
     tenants_.push_back(std::make_unique<Tenant>(
         std::move(tenant), name_space, experiment,
-        options_.share_mining_cache ? cache_.get() : nullptr,
-        options_.latency_reservoir_capacity));
+        options_.share_mining_cache ? cache_.get() : nullptr));
     return tenants_.size() - 1;
 }
 

@@ -263,12 +263,11 @@ struct ServiceOptions {
      * evictions surface in TenantStats::trace_cache_evictions. */
     std::size_t max_trace_templates = 0;
     rt::OperationLog::Config log_config;
-    /** Share one content-addressed MiningCache across all tenants'
-     * finders (the cross-tenant dedup substrate). Off = per-tenant
-     * mining, no sharing — the isolation baseline. */
+    /** Share one content-addressed MiningCache (the default
+     * core::MiningCache window bound) across all tenants' finders (the
+     * cross-tenant dedup substrate). Off = per-tenant mining, no
+     * sharing — the isolation baseline. */
     bool share_mining_cache = true;
-    /** Retention bound of the shared cache (see MiningCache). */
-    std::size_t max_cache_windows = 1024;
     /** Coordination tuning of replicated tenants (`nodes` comes from
      * TenantOptions::replicas). */
     sim::CoordinationOptions replication;
@@ -313,10 +312,6 @@ struct ServiceOptions {
      * degrading raises the service's throughput ceiling under
      * overload. 1.0 = no capacity gain. */
     double degraded_task_cost = 0.5;
-    /** Capacity of the per-tenant issue-latency reservoirs (virtual
-     * and wall-clock) — the fixed memory that replaced the unbounded
-     * per-iteration sample vectors. */
-    std::size_t latency_reservoir_capacity = 1024;
 };
 
 /** Per-tenant accounting of one service run. */

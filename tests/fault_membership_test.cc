@@ -5,11 +5,12 @@
  * a healthy peer — newest checkpoint + retained decision tail — after
  * which every node's stream digest must equal the churn-free run's,
  * bit for bit; healthy nodes must never notice the churn. The same
- * resync path heals transiently corrupted (quarantined) replicas,
- * automatically when the injection window closes and manually via
- * ResyncQuarantined(). Misuse (bad fault plans, touching a crashed
- * node) is a typed rt::RuntimeUsageError; malformed checkpoint images
- * are a typed fault::CheckpointError.
+ * path heals a corrupted replica at the barrier that detects its
+ * divergence; a replica that diverges again right after its heal is
+ * evicted for good, even past a fault-plan rejoin point. Misuse (bad
+ * fault plans, touching a crashed node) is a typed
+ * rt::RuntimeUsageError; malformed checkpoint images are a typed
+ * fault::CheckpointError.
  */
 #include <gtest/gtest.h>
 
@@ -222,76 +223,123 @@ TEST(ElasticMembership, WithoutCheckpointsRejoinReplaysTheFullTail)
     EXPECT_EQ(DigestsOf(churned), want);
 }
 
-TEST(ElasticMembership, TransientCorruptionQuarantinesThenHeals)
+/** Corruption runs and their clean reference share the kFallback
+ * mismatch policy: the corrupted replica replays against templates
+ * recorded from its corrupted stream, so deviations must degrade,
+ * not throw (Legion's fallback mode). The two configurations then
+ * differ only in the injection. */
+sim::ClusterOptions CorruptionOptions(bool streaming = false)
 {
-    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
-    const apps::S3dOptions app_options{.machine = machine};
-    // The corrupted replica replays against templates recorded from
-    // its corrupted stream; deviations must degrade, not throw
-    // (Legion's fallback mode). Same policy in the reference run so
-    // the two configurations differ only in the injection.
-    sim::ClusterOptions reference_options = BaseOptions(3, false);
-    reference_options.runtime_options.mismatch_policy =
-        rt::MismatchPolicy::kFallback;
-    sim::Cluster reference(reference_options);
-    const std::uint64_t total =
-        Drive<apps::S3dApplication>(reference, app_options, 30);
-    const auto want = DigestsOf(reference);
-
-    sim::ClusterOptions options = reference_options;
-    options.checkpoint_interval_tasks = 300;
-    options.fault.enabled = true;
-    options.fault.node = 1;
-    options.fault.from_task = total / 4;
-    options.fault.until_task = total / 2;
-    options.fault.token_xor = 0xdeadbeefULL;
-    sim::Cluster churned(options);
-    Drive<apps::S3dApplication>(churned, app_options, 30);
-
-    // The corrupted replica was detected (quarantined), then healed
-    // by peer resync once the injection window closed — and the final
-    // streams are the clean run's.
-    EXPECT_GE(churned.FaultRecovery().heals, 1u);
-    EXPECT_FALSE(churned.NodeQuarantined(1));
-    EXPECT_EQ(DigestsOf(churned), want);
-    EXPECT_TRUE(churned.StreamDigestsAgree());
+    sim::ClusterOptions options = BaseOptions(3, streaming);
+    options.runtime_options.mismatch_policy = rt::MismatchPolicy::kFallback;
+    return options;
 }
 
-TEST(ElasticMembership, ManualResyncHealsAQuarantinedNode)
+/** Corrupt node 1's launches on stream indices [from, until). */
+void CorruptNode1(sim::ClusterOptions& options, std::uint64_t from,
+                  std::uint64_t until)
+{
+    options.fault.enabled = true;
+    options.fault.node = 1;
+    options.fault.from_task = from;
+    options.fault.until_task = until;
+    options.fault.token_xor = 0xdeadbeefULL;
+}
+
+TEST(ElasticMembership, OneCorruptedTaskHealsAtTheDetectingBarrier)
 {
     apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
     const apps::S3dOptions app_options{.machine = machine};
-    sim::ClusterOptions reference_options = BaseOptions(3, false);
-    reference_options.runtime_options.mismatch_policy =
-        rt::MismatchPolicy::kFallback;  // see the transient test
-    sim::Cluster reference(reference_options);
+    sim::Cluster reference(CorruptionOptions());
     const std::uint64_t total =
         Drive<apps::S3dApplication>(reference, app_options, 30);
     const auto want = DigestsOf(reference);
 
-    // A corruption window that never closes before end of stream:
-    // no auto-heal, the node stays quarantined through Flush.
-    sim::ClusterOptions options = reference_options;
-    options.fault.enabled = true;
-    options.fault.node = 1;
-    options.fault.from_task = total / 4;
-    options.fault.until_task = total * 10;
-    options.fault.token_xor = 0xfeedULL;
+    for (const bool streaming : {false, true}) {
+        for (const std::uint64_t interval : {0u, 300u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "streaming " << streaming << ", interval "
+                         << interval);
+            sim::ClusterOptions options = CorruptionOptions(streaming);
+            options.checkpoint_interval_tasks = interval;
+            CorruptNode1(options, total / 4, total / 4 + 1);
+            sim::Cluster churned(options);
+            Drive<apps::S3dApplication>(churned, app_options, 30);
+
+            // Detected and rebuilt at the barrier covering the
+            // corrupted task; the next barrier's check passes, so no
+            // eviction, and the final streams are the clean run's.
+            EXPECT_EQ(churned.FaultRecovery().heals, 1u);
+            EXPECT_EQ(churned.FaultRecovery().evictions, 0u);
+            EXPECT_FALSE(churned.NodeCrashed(1));
+            EXPECT_EQ(DigestsOf(churned), want);
+            EXPECT_TRUE(churned.StreamDigestsAgree());
+        }
+    }
+}
+
+TEST(ElasticMembership, PersistentCorruptionHealsOnceThenEvicts)
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    const apps::S3dOptions app_options{.machine = machine};
+    sim::Cluster reference(CorruptionOptions());
+    const std::uint64_t total =
+        Drive<apps::S3dApplication>(reference, app_options, 30);
+    const auto want = DigestsOf(reference);
+
+    for (const std::uint64_t until : {total / 2, std::uint64_t{UINT64_MAX}}) {
+        SCOPED_TRACE(until);
+        sim::ClusterOptions options = CorruptionOptions();
+        CorruptNode1(options, total / 4, until);
+        sim::Cluster churned(options);
+        Drive<apps::S3dApplication>(churned, app_options, 30);
+
+        // Healed at the detecting barrier, diverged again at the next
+        // one: evicted, and it stays down.
+        EXPECT_EQ(churned.FaultRecovery().heals, 1u);
+        EXPECT_EQ(churned.FaultRecovery().evictions, 1u);
+        EXPECT_TRUE(churned.NodeCrashed(1));
+        EXPECT_THROW(churned.NodeRuntime(1), rt::RuntimeUsageError);
+        // The healthy nodes never notice; the evicted node's frozen
+        // digest keeps the divergence visible.
+        const auto got = DigestsOf(churned);
+        EXPECT_EQ(got[0], want[0]);
+        EXPECT_EQ(got[2], want[2]);
+        EXPECT_FALSE(churned.StreamDigestsAgree());
+    }
+}
+
+TEST(ElasticMembership, EvictionOutlastsAFaultPlanRejoinPoint)
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    const apps::S3dOptions app_options{.machine = machine};
+    sim::Cluster reference(CorruptionOptions());
+    const std::uint64_t total =
+        Drive<apps::S3dApplication>(reference, app_options, 30);
+    const auto want = DigestsOf(reference);
+
+    // Node 1 crashes and rejoins early, then a corruption that never
+    // ends hits it. Its plan's rejoin point lies behind every later
+    // barrier, yet the eviction must stand.
+    sim::ClusterOptions options = CorruptionOptions();
+    options.checkpoint_interval_tasks = 300;
+    options.fault_plan.events.push_back(
+        {.node = 1, .crash_at_task = total / 8,
+         .rejoin_at_task = total / 4});
+    CorruptNode1(options, total / 2, UINT64_MAX);
     sim::Cluster churned(options);
     Drive<apps::S3dApplication>(churned, app_options, 30);
-    ASSERT_TRUE(churned.NodeQuarantined(1));
+
+    const sim::FaultStats& fault = churned.FaultRecovery();
+    EXPECT_EQ(fault.crashes, 1u);
+    EXPECT_EQ(fault.rejoins, 1u);
+    EXPECT_EQ(fault.heals, 1u);
+    EXPECT_EQ(fault.evictions, 1u);
+    EXPECT_TRUE(churned.NodeCrashed(1));
+    const auto got = DigestsOf(churned);
+    EXPECT_EQ(got[0], want[0]);
+    EXPECT_EQ(got[2], want[2]);
     EXPECT_FALSE(churned.StreamDigestsAgree());
-
-    // Operator-initiated recovery (no checkpoint interval: the full
-    // decision tail from stream start carries the whole resync).
-    churned.ResyncQuarantined(1);
-    EXPECT_FALSE(churned.NodeQuarantined(1));
-    EXPECT_EQ(churned.FaultRecovery().heals, 1u);
-    EXPECT_EQ(DigestsOf(churned), want);
-    EXPECT_TRUE(churned.StreamDigestsAgree());
-
-    // Healthy nodes cannot be "resynced".
-    EXPECT_THROW(churned.ResyncQuarantined(0), rt::RuntimeUsageError);
 }
 
 TEST(ElasticMembership, FaultPlanValidation)
