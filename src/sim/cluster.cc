@@ -37,6 +37,17 @@ ResolveJobs(std::size_t jobs)
     return hw > 0 ? hw : 1;
 }
 
+/** Retained mode: fold `log`'s rows from `cursor` on into `digest`
+ * (a streaming consumer folds each row as it retires instead). */
+void
+FoldLog(const rt::OperationLog& log, std::size_t& cursor,
+        StreamDigest& digest)
+{
+    for (; cursor < log.size(); ++cursor) {
+        digest.Consume(log[cursor]);
+    }
+}
+
 }  // namespace
 
 std::string_view
@@ -357,10 +368,8 @@ Cluster::CheckDigests()
     // log suffix here, each op exactly once) and compare every live
     // node against the decision runtime's reference.
     if (!options_.stream_logs) {
-        const rt::OperationLog& log = engine_->DecisionRuntime().Log();
-        for (; engine_cursor_ < log.size(); ++engine_cursor_) {
-            engine_digest_.Consume(log[engine_cursor_]);
-        }
+        FoldLog(engine_->DecisionRuntime().Log(), engine_cursor_,
+                engine_digest_);
     }
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
         NodeState& node = *nodes_[n];
@@ -368,11 +377,7 @@ Cluster::CheckDigests()
             continue;
         }
         if (!options_.stream_logs) {
-            const rt::OperationLog& log = node.runtime->Log();
-            for (; node.digest_cursor < log.size();
-                 ++node.digest_cursor) {
-                node.digest.Consume(log[node.digest_cursor]);
-            }
+            FoldLog(node.runtime->Log(), node.digest_cursor, node.digest);
         }
         if (node.digest == engine_digest_) {
             node.healed = false;
@@ -673,10 +678,8 @@ Cluster::NodeDigest(std::size_t i) const
     // folded yet. On a never-restored node the cursor starts at zero,
     // so this equals StreamDigest::Of(log).
     StreamDigest digest = node.digest;
-    const rt::OperationLog& log = node.runtime->Log();
-    for (std::size_t at = node.digest_cursor; at < log.size(); ++at) {
-        digest.Consume(log[at]);
-    }
+    std::size_t at = node.digest_cursor;
+    FoldLog(node.runtime->Log(), at, digest);
     return digest;
 }
 
@@ -767,7 +770,7 @@ Cluster::TakeCheckpoint()
     // Any live node's state serves every future rejoiner: live nodes
     // are bit-identical by the barrier digest check that just ran
     // (their digests equal the decision runtime's, or they were healed
-    // to it).
+    // to it), and every live digest covers its node's whole log.
     const NodeState* source = nullptr;
     for (const auto& node : nodes_) {
         if (!node->crashed) {
@@ -866,6 +869,12 @@ Cluster::RejoinNode(std::size_t n)
         }
     }
     fault_stats_.tail_events_replayed += tail_.size();
+    if (!options_.stream_logs) {
+        // Fold the replayed rows now, as a streaming consumer does: a
+        // node healed at a barrier may be that barrier's checkpoint
+        // source, whose image must pair its digest with its runtime.
+        FoldLog(node.runtime->Log(), node.digest_cursor, node.digest);
+    }
     node.crashed = false;
     // Cost model: the cluster stalls while the rejoiner installs the
     // image and catches up through the tail.

@@ -394,8 +394,11 @@ class Cluster final : public api::Frontend {
     {
         if (nodes_[i]->runtime == nullptr) {
             throw rt::RuntimeUsageError(
-                "Cluster::NodeRuntime: node is down (crashed by the "
-                "fault plan, or evicted)");
+                nodes_[i]->evicted
+                    ? "Cluster::NodeRuntime: node was evicted (its "
+                      "stream digest diverged from the shared decisions)"
+                    : "Cluster::NodeRuntime: node is down (crashed by "
+                      "the fault plan)");
         }
         return *nodes_[i]->runtime;
     }

@@ -179,7 +179,9 @@ ExperimentStack::ResidentBytes() const
         return resident;
     }
     for (std::size_t n = 0; n < cluster_->Nodes(); ++n) {
-        add(cluster_->NodeRuntime(n));
+        if (!cluster_->NodeCrashed(n)) {  // an evicted node holds none
+            add(cluster_->NodeRuntime(n));
+        }
     }
     if (const rt::Runtime* decision = cluster_->DecisionRuntime()) {
         add(*decision);
@@ -273,9 +275,11 @@ ExperimentStack::Finish(const std::vector<std::size_t>& boundaries)
     result.coordination = cluster_->Coordination();
     result.node_metrics = cluster_->PerNode();
     for (std::size_t n = 0; n < cluster_->Nodes(); ++n) {
-        result.log_peak_resident_bytes = std::max(
-            result.log_peak_resident_bytes,
-            cluster_->NodeRuntime(n).Log().PeakResidentBytes());
+        if (!cluster_->NodeCrashed(n)) {
+            result.log_peak_resident_bytes = std::max(
+                result.log_peak_resident_bytes,
+                cluster_->NodeRuntime(n).Log().PeakResidentBytes());
+        }
         if (!shared) {
             add_finder_stats(cluster_->Node(n).Finder());
         }

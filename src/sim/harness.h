@@ -141,7 +141,8 @@ struct ExperimentResult {
     api::FrontendStats frontend_stats;
     /** Control-replication safety: all nodes issued bit-identical
      * streams, verified through the incremental per-node
-     * StreamDigest (trivially true when replicas == 1). */
+     * StreamDigest (trivially true when replicas == 1). False when
+     * a barrier evicted a diverged node (see sim::Cluster). */
     bool streams_identical = true;
     CoordinationStats coordination;  ///< zeros unless replicated
     /** Per-node virtual clocks, stalls and agreement misses (empty
@@ -226,10 +227,18 @@ class ExperimentStack {
      * it); nullptr when replicated or untraced. */
     core::Apophenia* SingleEngine() { return apophenia_.get(); }
     /** The runtime whose log the simulator executes (node 0's when
-     * replicated: the stream agreement makes it representative). */
+     * replicated: the stream agreement makes it representative; the
+     * first live node's if a divergence evicted node 0). */
     const rt::Runtime& ObservedRuntime() const
     {
-        return cluster_ != nullptr ? cluster_->NodeRuntime(0) : *runtime_;
+        if (cluster_ == nullptr) {
+            return *runtime_;
+        }
+        std::size_t n = 0;
+        while (n + 1 < cluster_->Nodes() && cluster_->NodeCrashed(n)) {
+            ++n;
+        }
+        return cluster_->NodeRuntime(n);
     }
     const Cluster* ReplicaCluster() const { return cluster_.get(); }
     /** The single front end's or shared decider's private mining memo;

@@ -235,12 +235,12 @@ sim::ClusterOptions CorruptionOptions(bool streaming = false)
     return options;
 }
 
-/** Corrupt node 1's launches on stream indices [from, until). */
-void CorruptNode1(sim::ClusterOptions& options, std::uint64_t from,
-                  std::uint64_t until)
+/** Corrupt `node`'s launches on stream indices [from, until). */
+void CorruptNode(sim::ClusterOptions& options, std::size_t node,
+                 std::uint64_t from, std::uint64_t until)
 {
     options.fault.enabled = true;
-    options.fault.node = 1;
+    options.fault.node = node;
     options.fault.from_task = from;
     options.fault.until_task = until;
     options.fault.token_xor = 0xdeadbeefULL;
@@ -262,7 +262,7 @@ TEST(ElasticMembership, OneCorruptedTaskHealsAtTheDetectingBarrier)
                          << interval);
             sim::ClusterOptions options = CorruptionOptions(streaming);
             options.checkpoint_interval_tasks = interval;
-            CorruptNode1(options, total / 4, total / 4 + 1);
+            CorruptNode(options, 1, total / 4, total / 4 + 1);
             sim::Cluster churned(options);
             Drive<apps::S3dApplication>(churned, app_options, 30);
 
@@ -290,7 +290,7 @@ TEST(ElasticMembership, PersistentCorruptionHealsOnceThenEvicts)
     for (const std::uint64_t until : {total / 2, std::uint64_t{UINT64_MAX}}) {
         SCOPED_TRACE(until);
         sim::ClusterOptions options = CorruptionOptions();
-        CorruptNode1(options, total / 4, until);
+        CorruptNode(options, 1, total / 4, until);
         sim::Cluster churned(options);
         Drive<apps::S3dApplication>(churned, app_options, 30);
 
@@ -326,7 +326,7 @@ TEST(ElasticMembership, EvictionOutlastsAFaultPlanRejoinPoint)
     options.fault_plan.events.push_back(
         {.node = 1, .crash_at_task = total / 8,
          .rejoin_at_task = total / 4});
-    CorruptNode1(options, total / 2, UINT64_MAX);
+    CorruptNode(options, 1, total / 2, UINT64_MAX);
     sim::Cluster churned(options);
     Drive<apps::S3dApplication>(churned, app_options, 30);
 
@@ -340,6 +340,40 @@ TEST(ElasticMembership, EvictionOutlastsAFaultPlanRejoinPoint)
     EXPECT_EQ(got[0], want[0]);
     EXPECT_EQ(got[2], want[2]);
     EXPECT_FALSE(churned.StreamDigestsAgree());
+}
+
+TEST(ElasticMembership, HealedCheckpointSourceWritesAMatchingDigest)
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    const apps::S3dOptions app_options{.machine = machine};
+    sim::Cluster reference(CorruptionOptions());
+    Drive<apps::S3dApplication>(reference, app_options, 30);
+    const auto want = DigestsOf(reference);
+
+    // The first checkpoint falls due at the barrier covering task 299
+    // (no trace is open that early), so node 0 is healed there and is
+    // that checkpoint's source. Node 1 then crashes and rejoins from
+    // that image before the next one: the image's digest must cover
+    // the rows the heal replayed, or node 1 diverges and is evicted.
+    for (const bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streaming" : "retained");
+        sim::ClusterOptions options = CorruptionOptions(streaming);
+        options.checkpoint_interval_tasks = 300;
+        CorruptNode(options, 0, 299, 300);
+        options.fault_plan.events.push_back(
+            {.node = 1, .crash_at_task = 300, .rejoin_at_task = 500});
+        sim::Cluster churned(options);
+        Drive<apps::S3dApplication>(churned, app_options, 30);
+
+        const sim::FaultStats& fault = churned.FaultRecovery();
+        EXPECT_EQ(fault.heals, 1u);
+        EXPECT_EQ(fault.crashes, 1u);
+        EXPECT_EQ(fault.rejoins, 1u);
+        EXPECT_EQ(fault.evictions, 0u);
+        EXPECT_GE(fault.checkpoints_taken, 1u);
+        EXPECT_EQ(DigestsOf(churned), want);
+        EXPECT_TRUE(churned.StreamDigestsAgree());
+    }
 }
 
 TEST(ElasticMembership, FaultPlanValidation)

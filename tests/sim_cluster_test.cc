@@ -181,8 +181,9 @@ TEST(StreamDigest, DetectsDeliberateDivergence)
 {
     // Per-node engines: the divergence is injected through Node(1)'s
     // own front end, which shared-decision mode doesn't host. (The
-    // shared-mode divergence path is core_decision_test's
-    // fault-injection case.)
+    // shared-mode divergence path is fault_membership_test's
+    // OneCorruptedTaskHealsAtTheDetectingBarrier and
+    // PersistentCorruptionHealsOnceThenEvicts.)
     ClusterOptions options = SmallClusterOptions(2);
     options.shared_decisions = false;
     Cluster fe(options);

@@ -11,6 +11,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/cfd.h"
 #include "apps/flexflow.h"
@@ -101,6 +102,49 @@ TEST(ReplicatedHarness, ThreeNodesStayIdentical)
     const auto result = sim::RunExperiment(app, options);
     EXPECT_TRUE(result.streams_identical);
     EXPECT_GT(result.replayed_fraction, 0.0);
+}
+
+TEST(ReplicatedHarness, DivergedReplicaIsEvictedAndReported)
+{
+    // A harness cluster keeps no decision tail, so only a bug can
+    // diverge a replica, and the first barrier after it evicts the
+    // node. The run must still be reported (streams_identical false),
+    // whichever node diverged, node 0 included.
+    sim::ExperimentOptions options = ReplicatedOptions(30);
+    options.replicas = 3;
+    apps::S3dApplication clean_app(
+        apps::S3dOptions{.machine = SmallMachine()});
+    const auto clean = sim::RunExperiment(clean_app, options);
+    for (const std::size_t rogue : {0u, 1u}) {
+        SCOPED_TRACE(rogue);
+        sim::ExperimentStack stack(options);
+        api::Frontend& front = stack.Front();
+        apps::S3dApplication app(apps::S3dOptions{.machine = SmallMachine()});
+        app.Setup(front);
+        // Drive one node outside the cluster front end: the bug the
+        // barrier digest check exists to catch.
+        const sim::Cluster& cluster = *stack.ReplicaCluster();
+        const_cast<rt::Runtime&>(cluster.NodeRuntime(rogue))
+            .ExecuteTask(rt::TaskLaunch{999, {}});
+        std::vector<std::size_t> boundaries;
+        for (std::size_t iter = 0; iter < options.iterations; ++iter) {
+            app.Iteration(front, iter, /*manual_tracing=*/false);
+            boundaries.push_back(
+                static_cast<std::size_t>(front.Stats().tasks_executed));
+        }
+        front.Flush();
+        EXPECT_GT(stack.ResidentBytes(), 0u);
+        const sim::ExperimentResult result = stack.Finish(boundaries);
+
+        EXPECT_FALSE(result.streams_identical);
+        EXPECT_TRUE(cluster.NodeCrashed(rogue));
+        EXPECT_EQ(cluster.FaultRecovery().evictions, 1u);
+        EXPECT_EQ(cluster.FaultRecovery().heals, 0u);
+        EXPECT_THROW(cluster.NodeRuntime(rogue), rt::RuntimeUsageError);
+        // The report describes a live node, which ran the clean stream.
+        EXPECT_EQ(result.total_tasks, clean.total_tasks);
+        EXPECT_EQ(result.frontend_stats.tasks_executed, result.total_tasks);
+    }
 }
 
 TEST(ReplicatedHarness, UntracedReplicationRunsWithTracingDisabled)
