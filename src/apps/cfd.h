@@ -55,13 +55,9 @@ class CfdApplication final : public Application {
     double KernelUs() const;
 
   private:
-    /** Elementwise array operation producing a fresh array. */
-    DistArray PointwiseOp(api::Frontend& fe, std::string_view name,
-                          const DistArray& a, const DistArray& b,
-                          double exec_scale);
     /** Stencil operation (reads neighbour shards) producing a fresh
      * array. */
-    DistArray StencilOp(api::Frontend& fe, std::string_view name,
+    DistArray StencilOp(api::Frontend& fe, rt::TaskId task_id,
                         const DistArray& a, const DistArray& b,
                         double exec_scale);
     void ResidualCheck(api::Frontend& fe, std::size_t iter);

@@ -14,11 +14,21 @@ namespace {
 // and that experts pick traces with lower replay overhead).
 constexpr rt::TraceId kManualSegmentBase = 77003;
 
+constexpr rt::TaskId kLoadBatch = rt::TaskIdOf("ff_load_batch");
+constexpr rt::TaskId kUpdate = rt::TaskIdOf("ff_update");
+constexpr rt::TaskId kLoss = rt::TaskIdOf("ff_loss");
+
 }  // namespace
 
 FlexFlowApplication::FlexFlowApplication(FlexFlowOptions options)
     : options_(options)
 {
+    for (std::size_t l = 0; l < options_.layers; ++l) {
+        forward_ids_.push_back(
+            rt::TaskIdOf("ff_forward_" + std::to_string(l)));
+        backward_ids_.push_back(
+            rt::TaskIdOf("ff_backward_" + std::to_string(l)));
+    }
 }
 
 double
@@ -55,7 +65,7 @@ FlexFlowApplication::Iteration(api::Frontend& fe, std::size_t iter,
     // Batch loading stays outside the manual trace (I/O cannot be
     // memoized).
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("ff_load_batch", g, exec * 0.05)
+        builder_.Start(kLoadBatch, g, exec * 0.05)
             .Add(input_.Write(g))
             .LaunchOn(fe);
     }
@@ -64,10 +74,9 @@ FlexFlowApplication::Iteration(api::Frontend& fe, std::size_t iter,
     // the previous activation shard.
     auto forward_range = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t l = lo; l < hi; ++l) {
-            const std::string name = "ff_forward_" + std::to_string(l);
             const DistArray& prev = l == 0 ? input_ : activations_[l - 1];
             for (std::uint32_t g = 0; g < gpus; ++g) {
-                builder_.Start(name, g, exec)
+                builder_.Start(forward_ids_[l], g, exec)
                     .Add(weights_[l].Read(0))
                     .Add(prev.Read(g))
                     .Add(activations_[l].Write(g))
@@ -79,9 +88,8 @@ FlexFlowApplication::Iteration(api::Frontend& fe, std::size_t iter,
     // (commutative across GPUs — Legion's reduction privilege).
     auto backward_range = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t l = hi; l-- > lo;) {
-            const std::string name = "ff_backward_" + std::to_string(l);
             for (std::uint32_t g = 0; g < gpus; ++g) {
-                builder_.Start(name, g, exec * 1.6)
+                builder_.Start(backward_ids_[l], g, exec * 1.6)
                     .Add(activations_[l].Read(g))
                     .Add(weights_[l].Read(0))
                     .Add(gradients_[l].Reduce(0, /*op=*/1))
@@ -93,7 +101,7 @@ FlexFlowApplication::Iteration(api::Frontend& fe, std::size_t iter,
     // gradient; its cost models the all-reduce fan-in.
     auto updates = [&] {
         for (std::size_t l = 0; l < layers; ++l) {
-            builder_.Start("ff_update", static_cast<std::uint32_t>(l % gpus),
+            builder_.Start(kUpdate, static_cast<std::uint32_t>(l % gpus),
                         exec * 0.2 + options_.allreduce_per_gpu_us *
                                          static_cast<double>(gpus))
                 .Add(gradients_[l].ReadWrite(0))
@@ -127,7 +135,7 @@ FlexFlowApplication::Iteration(api::Frontend& fe, std::size_t iter,
     // stopping, logging): a blocking future read that drains the
     // pipeline — the reason replay latency is exposed under strong
     // scaling (figure 8).
-    builder_.Start("ff_loss", 0, exec * 0.05)
+    builder_.Start(kLoss, 0, exec * 0.05)
         .Blocking()
         .Add(activations_[layers - 1].Read(0))
         .LaunchOn(fe);

@@ -55,6 +55,8 @@ class FlexFlowApplication final : public Application {
 
   private:
     FlexFlowOptions options_;
+    std::vector<rt::TaskId> forward_ids_;   ///< per layer
+    std::vector<rt::TaskId> backward_ids_;  ///< per layer
     std::vector<DistArray> weights_;      ///< replicated per layer
     std::vector<DistArray> gradients_;    ///< reduced per layer
     std::vector<DistArray> activations_;  ///< sharded per layer

@@ -8,9 +8,24 @@ namespace {
 
 constexpr rt::TraceId kHtrManualTrace = 77002;
 
+constexpr rt::TaskId kPrimitives = rt::TaskIdOf("htr_primitives");
+constexpr rt::TaskId kUpdate = rt::TaskIdOf("htr_update");
+constexpr rt::TaskId kAverage = rt::TaskIdOf("htr_average");
+
 }  // namespace
 
-HtrApplication::HtrApplication(HtrOptions options) : options_(options) {}
+HtrApplication::HtrApplication(HtrOptions options) : options_(options)
+{
+    // Kernel identities differ per slot so the token stream
+    // distinguishes them (as distinct task ids do); name them once.
+    for (std::size_t stage = 0; stage < options_.stages; ++stage) {
+        for (std::size_t k = 0; k < options_.kernels_per_stage; ++k) {
+            kernel_ids_.push_back(rt::TaskIdOf(
+                "htr_kernel_" + std::to_string(stage) + "_" +
+                std::to_string(k)));
+        }
+    }
+}
 
 double
 HtrApplication::KernelUs() const
@@ -43,20 +58,19 @@ HtrApplication::Stage(api::Frontend& fe, std::size_t stage)
         static_cast<std::uint32_t>(options_.machine.GpuCount());
     const double exec = KernelUs();
     // Primitive recovery, then a battery of physics kernels, then the
-    // conservative update. Kernel identities differ per slot so the
-    // token stream distinguishes them (as distinct task ids do).
+    // conservative update.
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("htr_primitives", g, exec * 0.3)
+        builder_.Start(kPrimitives, g, exec * 0.3)
             .Add(conserved_.Read(g))
             .Add(primitive_.Write(g))
             .LaunchOn(fe);
     }
     for (std::size_t k = 0; k < options_.kernels_per_stage; ++k) {
-        const std::string name =
-            "htr_kernel_" + std::to_string(stage) + "_" + std::to_string(k);
+        const rt::TaskId kernel_id =
+            kernel_ids_[stage * options_.kernels_per_stage + k];
         const bool stencil = k % 2 == 0;  // alternating stencil kernels
         for (std::uint32_t g = 0; g < gpus; ++g) {
-            auto& kernel = builder_.Start(name, g, exec);
+            auto& kernel = builder_.Start(kernel_id, g, exec);
             kernel.Add(primitive_.Read(g));
             if (stencil && g > 0) {
                 kernel.Add(primitive_.Read(g - 1));
@@ -70,7 +84,7 @@ HtrApplication::Stage(api::Frontend& fe, std::size_t stage)
         }
     }
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("htr_update", g, exec * 0.5)
+        builder_.Start(kUpdate, g, exec * 0.5)
             .Add(fluxes_.Read(g))
             .Add(sources_.Read(g))
             .Add(conserved_.ReadWrite(g))
@@ -84,7 +98,7 @@ HtrApplication::Statistics(api::Frontend& fe)
     const std::uint32_t gpus =
         static_cast<std::uint32_t>(options_.machine.GpuCount());
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("htr_average", g, KernelUs() * 0.2)
+        builder_.Start(kAverage, g, KernelUs() * 0.2)
             .Add(conserved_.Read(g))
             .Add(stats_.Reduce(g, /*op=*/1))
             .LaunchOn(fe);

@@ -12,6 +12,8 @@
 #ifndef APOPHENIA_APPS_HTR_H
 #define APOPHENIA_APPS_HTR_H
 
+#include <vector>
+
 #include "apps/app.h"
 #include "apps/array.h"
 
@@ -51,6 +53,9 @@ class HtrApplication final : public Application {
     void Statistics(api::Frontend& fe);
 
     HtrOptions options_;
+    /** Task id of physics kernel k of stage s, at
+     * [s * kernels_per_stage + k]. */
+    std::vector<rt::TaskId> kernel_ids_;
     DistArray conserved_;  ///< flow state
     DistArray primitive_;  ///< derived primitive variables
     DistArray fluxes_;     ///< face fluxes

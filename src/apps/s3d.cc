@@ -7,6 +7,14 @@ namespace {
 /** Fixed trace id used by the hand-annotated port. */
 constexpr rt::TraceId kS3dManualTrace = 77001;
 
+constexpr rt::TaskId kExchange = rt::TaskIdOf("s3d_exchange");
+constexpr rt::TaskId kChemistry = rt::TaskIdOf("s3d_chemistry");
+constexpr rt::TaskId kDiffusion = rt::TaskIdOf("s3d_diffusion");
+constexpr rt::TaskId kUpdate = rt::TaskIdOf("s3d_update");
+constexpr rt::TaskId kToFortran = rt::TaskIdOf("s3d_to_fortran");
+constexpr rt::TaskId kMpiDriver = rt::TaskIdOf("s3d_mpi_driver");
+constexpr rt::TaskId kFromFortran = rt::TaskIdOf("s3d_from_fortran");
+
 }  // namespace
 
 S3dApplication::S3dApplication(S3dOptions options) : options_(options) {}
@@ -43,7 +51,7 @@ S3dApplication::RkStage(api::Frontend& fe)
     const double exec = KernelUs();
     for (std::uint32_t g = 0; g < gpus; ++g) {
         // Ghost-zone exchange: read own and neighbour state slices.
-        auto& exchange = builder_.Start("s3d_exchange", g, exec * 0.2);
+        auto& exchange = builder_.Start(kExchange, g, exec * 0.2);
         exchange.Add(state_.Read(g));
         if (g > 0) {
             exchange.Add(state_.Read(g - 1));
@@ -55,20 +63,20 @@ S3dApplication::RkStage(api::Frontend& fe)
         exchange.LaunchOn(fe);
     }
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("s3d_chemistry", g, exec)
+        builder_.Start(kChemistry, g, exec)
             .Add(state_.Read(g))
             .Add(chem_.Write(g))
             .LaunchOn(fe);
     }
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("s3d_diffusion", g, exec * 0.8)
+        builder_.Start(kDiffusion, g, exec * 0.8)
             .Add(halo_.Read(g))
             .Add(chem_.Read(g))
             .Add(rhs_.Write(g))
             .LaunchOn(fe);
     }
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("s3d_update", g, exec * 0.4)
+        builder_.Start(kUpdate, g, exec * 0.4)
             .Add(rhs_.Read(g))
             .Add(state_.ReadWrite(g))
             .LaunchOn(fe);
@@ -82,13 +90,13 @@ S3dApplication::Handoff(api::Frontend& fe)
         static_cast<std::uint32_t>(options_.machine.GpuCount());
     // Stage the state into the buffer the Fortran driver reads.
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("s3d_to_fortran", g, KernelUs() * 0.15)
+        builder_.Start(kToFortran, g, KernelUs() * 0.15)
             .Add(state_.Read(g))
             .Add(fortran_.Write(g))
             .LaunchOn(fe);
     }
     // The MPI driver runs as one serial operation over the buffer.
-    auto& driver = builder_.Start("s3d_mpi_driver", 0,
+    auto& driver = builder_.Start(kMpiDriver, 0,
                        KernelUs() * 0.1 *
                            static_cast<double>(options_.machine.nodes));
     for (std::uint32_t g = 0; g < gpus; ++g) {
@@ -97,7 +105,7 @@ S3dApplication::Handoff(api::Frontend& fe)
     driver.LaunchOn(fe);
     // The driver's results feed back into the state.
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("s3d_from_fortran", g, KernelUs() * 0.15)
+        builder_.Start(kFromFortran, g, KernelUs() * 0.15)
             .Add(fortran_.Read(g))
             .Add(state_.ReadWrite(g))
             .LaunchOn(fe);

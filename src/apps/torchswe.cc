@@ -4,9 +4,22 @@
 
 namespace apo::apps {
 
+namespace {
+
+constexpr rt::TaskId kCfl = rt::TaskIdOf("swe_cfl");
+constexpr rt::TaskId kStep = rt::TaskIdOf("swe_step");
+
+}  // namespace
+
 TorchSweApplication::TorchSweApplication(TorchSweOptions options)
     : options_(options)
 {
+    for (std::size_t f = 0; f < options_.fields; ++f) {
+        for (std::size_t op = 0; op < options_.ops_per_field; ++op) {
+            op_ids_.push_back(rt::TaskIdOf(
+                "swe_op_" + std::to_string(f) + "_" + std::to_string(op)));
+        }
+    }
 }
 
 double
@@ -67,12 +80,12 @@ TorchSweApplication::Iteration(api::Frontend& fe, std::size_t iter,
     for (std::size_t f = 0; f < options_.fields; ++f) {
         DistArray current = state_[f];
         for (std::size_t op = 0; op < options_.ops_per_field; ++op) {
-            const std::string name =
-                "swe_op_" + std::to_string(f) + "_" + std::to_string(op);
+            const rt::TaskId op_id =
+                op_ids_[f * options_.ops_per_field + op];
             const bool stencil = op % 2 == 0;
             DistArray out = Alloc(fe);
             for (std::uint32_t g = 0; g < gpus; ++g) {
-                auto& task = builder_.Start(name, g, exec);
+                auto& task = builder_.Start(op_id, g, exec);
                 task.Add(current.Read(g));
                 if (stencil && g > 0) {
                     task.Add(current.Read(g - 1));
@@ -97,12 +110,12 @@ TorchSweApplication::Iteration(api::Frontend& fe, std::size_t iter,
     // shards; its cost grows with participant count.
     DistArray dt = Alloc(fe);
     for (std::uint32_t g = 0; g < gpus; ++g) {
-        builder_.Start("swe_cfl", g, exec * 0.2)
+        builder_.Start(kCfl, g, exec * 0.2)
             .Add(state_[0].Read(g))
             .Add(dt.Reduce(g, /*op=*/2))
             .LaunchOn(fe);
     }
-    auto& step = builder_.Start("swe_step", 0,
+    auto& step = builder_.Start(kStep, 0,
                      options_.collective_per_gpu_us *
                          static_cast<double>(gpus));
     step.Add(dt.Read(0));

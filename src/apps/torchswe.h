@@ -73,6 +73,9 @@ class TorchSweApplication final : public Application {
     void Release(DistArray dead);
 
     TorchSweOptions options_;
+    /** Task id of array operation `op` of field `f`, at
+     * [f * ops_per_field + op]. */
+    std::vector<rt::TaskId> op_ids_;
     std::vector<DistArray> state_;  ///< one array per field
     std::vector<DistArray> pool_;   ///< released arrays awaiting reuse
     std::size_t regions_created_ = 0;

@@ -32,12 +32,21 @@ SpansMatch(const HistorySnapshot& snapshot, const rt::TokenHash* window,
 MiningCache::Key
 MiningCache::KeyOf(const HistorySnapshot& snapshot)
 {
-    std::uint64_t h = kKeySeed;
+    // Token i of the window folds into lane i mod 4, so the four
+    // HashCombine chains overlap instead of each round waiting on the
+    // last. Lanes follow the window position, not the block spans, so
+    // a window keys alike however its spans split it.
+    std::uint64_t lanes[4] = {kKeySeed, kKeySeed, kKeySeed, kKeySeed};
+    std::size_t i = 0;
     for (const HistorySnapshot::Span& span : snapshot.Spans()) {
-        for (std::size_t i = 0; i < span.length; ++i) {
-            h = support::HashCombine(h, span.data[i]);
+        for (std::size_t k = 0; k < span.length; ++k, ++i) {
+            lanes[i % 4] = support::HashCombine(lanes[i % 4], span.data[k]);
         }
     }
+    const std::uint64_t h = support::HashCombine(
+        support::HashCombine(support::HashCombine(lanes[0], lanes[1]),
+                             lanes[2]),
+        lanes[3]);
     return Key{h, snapshot.Size()};
 }
 

@@ -103,9 +103,10 @@ class MiningCache {
     {
     }
 
-    /** Content address of a window: the same incremental HashCombine
-     * fold the stream digests use, over the window's tokens, plus the
-     * length as a cheap first-stage check. */
+    /** Content address of a window: four interleaved HashCombine
+     * lanes over the window's tokens (token i in lane i mod 4),
+     * combined once at the end, plus the length as a cheap first-stage
+     * check. */
     struct Key {
         std::uint64_t hash = 0;
         std::size_t length = 0;

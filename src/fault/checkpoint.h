@@ -72,7 +72,9 @@ enum class SectionTag : std::uint64_t {
 std::string_view SectionName(SectionTag tag);
 
 inline constexpr std::uint64_t kCheckpointMagic = 0x41504f434b505431ULL;
-inline constexpr std::uint64_t kCheckpointVersion = 2;
+/** Version 3: the stream digest's per-operation fold changed, and
+ * cluster images carry raw digest state. */
+inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /**
  * Serializes state into an in-memory checkpoint image.

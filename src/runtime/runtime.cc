@@ -13,15 +13,11 @@ Runtime::Runtime(RuntimeOptions options)
     if (options_.nodes == 0) {
         options_.nodes = 1;
     }
-    analyzer_.SetForest(&forest_);
-}
-
-double
-Runtime::ScaledAnalysisUs() const
-{
     const double nodes = static_cast<double>(options_.nodes);
-    return options_.costs.analysis_us *
-           (1.0 + options_.costs.analysis_scale_factor * std::log2(nodes));
+    scaled_analysis_us_ =
+        options_.costs.analysis_us *
+        (1.0 + options_.costs.analysis_scale_factor * std::log2(nodes));
+    analyzer_.SetForest(&forest_);
 }
 
 void

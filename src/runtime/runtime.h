@@ -198,8 +198,9 @@ class Runtime {
     const CostModel& Costs() const { return options_.costs; }
     std::size_t Nodes() const { return options_.nodes; }
 
-    /** α adjusted for machine size (see CostModel::analysis_scale_factor). */
-    double ScaledAnalysisUs() const;
+    /** α adjusted for machine size (see CostModel::analysis_scale_factor);
+     * computed once at construction. */
+    double ScaledAnalysisUs() const { return scaled_analysis_us_; }
 
     /** True when no trace is open — the precondition of SaveState.
      * Periodic checkpointers poll this to defer a snapshot that would
@@ -276,6 +277,7 @@ class Runtime {
     void ForestChanging();
 
     RuntimeOptions options_;
+    double scaled_analysis_us_ = 0.0;  ///< see ScaledAnalysisUs()
     RegionAllocator allocator_;
     RegionTreeForest forest_;
     DependenceAnalyzer analyzer_;

@@ -26,8 +26,9 @@ namespace apo::rt {
 /** Identifier of a registered task function. */
 using TaskId = std::uint64_t;
 
-/** Make a task id from a human-readable name. */
-inline TaskId TaskIdOf(std::string_view name)
+/** Make a task id from a human-readable name. Constant-evaluable, so
+ * a fixed name can be hashed once at compile time. */
+constexpr TaskId TaskIdOf(std::string_view name)
 {
     return support::Fnv1a(name);
 }
@@ -71,8 +72,8 @@ struct TaskLaunch {
 // the dependence analysis (and are traceable like tasks, paper
 // section 4.1 "straightforward handling of traceable operations that
 // are not tasks").
-inline const TaskId kFillTaskId = TaskIdOf("__fill__");
-inline const TaskId kCopyTaskId = TaskIdOf("__copy__");
+inline constexpr TaskId kFillTaskId = TaskIdOf("__fill__");
+inline constexpr TaskId kCopyTaskId = TaskIdOf("__copy__");
 
 /** A fill: overwrite one (region, field) with a constant. */
 inline TaskLaunch FillLaunch(RegionId region, FieldId field,

@@ -200,21 +200,34 @@ struct NodeMetrics {
  * every node certify the control-replication safety property without
  * retaining any log — feed it from the streaming-retire consumer.
  * Consume() is O(1 + edges) with zero allocations.
+ *
+ * Each operation is mixed in independent lanes — its token, its
+ * (mode, trace) pair, and each edge's (from, to, kind) together with
+ * the edge's position in the operation — so the rounds overlap
+ * instead of each waiting on the last. An edge enters one SplitMix64
+ * round through from·K1 + to·K2 + (position << 8 | kind); the odd
+ * multipliers make any single-field change move that input. The edge
+ * lane is a sum, and the position keeps it order-sensitive within
+ * the operation. The lanes are combined with the edge count, and only
+ * that one value is chained into the running state, which keeps the
+ * digest order-sensitive across operations.
  */
 class StreamDigest {
   public:
     void Consume(const rt::OpView& op)
     {
-        std::uint64_t h = support::HashCombine(state_, op.token);
-        h = support::HashCombine(h, static_cast<std::uint64_t>(op.mode));
-        h = support::HashCombine(h, op.trace);
+        const std::uint64_t token = support::SplitMix64(op.token);
+        const std::uint64_t tag = support::HashCombine(
+            static_cast<std::uint64_t>(op.mode), op.trace);
+        std::uint64_t edges = op.dependences.size();
+        std::uint64_t at = 0;
         for (const rt::Dependence& d : op.dependences) {
-            h = support::HashCombine(h, d.from);
-            h = support::HashCombine(h, d.to);
-            h = support::HashCombine(
-                h, static_cast<std::uint64_t>(d.kind));
+            edges += support::SplitMix64(
+                d.from * kFromMultiplier + d.to * kToMultiplier +
+                (at++ << 8 | static_cast<std::uint64_t>(d.kind)));
         }
-        state_ = h;
+        state_ = support::HashCombine(
+            state_, support::HashCombine(token ^ tag, edges));
         ++count_;
     }
 
@@ -240,6 +253,9 @@ class StreamDigest {
     static StreamDigest Of(const rt::OperationLog& log);
 
   private:
+    static constexpr std::uint64_t kFromMultiplier = 0x9e3779b97f4a7c15ULL;
+    static constexpr std::uint64_t kToMultiplier = 0xc2b2ae3d27d4eb4fULL;
+
     std::uint64_t state_ = 0x9e3779b97f4a7c15ULL;
     std::uint64_t count_ = 0;
 };

@@ -28,27 +28,20 @@ PipelineSimulator::PipelineSimulator(const PipelineOptions& options)
     gpu_free_.assign(num_gpus_, 0.0);
 }
 
-std::size_t
-PipelineSimulator::NodeOf(std::uint32_t shard) const
-{
-    // The analysis-resource index clamp of the original simulator.
-    return std::min<std::size_t>(options_.machine.NodeOf(shard),
-                                 num_nodes_ - 1);
-}
-
-// Schedule execution of one op given its analysis-ready time.
+// Schedule execution of one op given its analysis-ready time. `node`
+// is the op's unclamped machine node (MachineConfig::NodeOf(shard)).
 void
 PipelineSimulator::ExecuteOp(std::size_t index, std::uint32_t shard,
-                             double execution_us, bool blocking,
+                             std::uint32_t node, double execution_us,
+                             bool blocking,
                              std::span<const rt::Dependence> deps,
                              double analysis_ready)
 {
     const std::size_t gpu = std::min<std::size_t>(shard, num_gpus_ - 1);
-    const std::size_t node = options_.machine.NodeOf(shard);
     double ready = analysis_ready;
     for (const rt::Dependence& d : deps) {
         double dep_done = result_.finish_us[d.from];
-        if (options_.machine.NodeOf(shards_[d.from]) != node) {
+        if (nodes_[d.from] != node) {
             dep_done += cross_latency_;  // data crosses the network
         }
         ready = std::max(ready, dep_done);
@@ -58,7 +51,7 @@ PipelineSimulator::ExecuteOp(std::size_t index, std::uint32_t shard,
     assert(index == result_.finish_us.size());
     (void)index;
     result_.finish_us.push_back(finish);
-    shards_.push_back(shard);
+    nodes_.push_back(node);
     gpu_free_[gpu] = finish;
     result_.makespan_us = std::max(result_.makespan_us, finish);
     if (blocking) {
@@ -75,7 +68,9 @@ PipelineSimulator::ProcessSequential(const rt::OpView& op)
     // execution events, only region metadata) — up to the
     // operation window (-lg:window), which bounds in-flight state.
     app_time_ = std::max(app_time_, app_gate_) + launch_us_;
-    const std::size_t n = NodeOf(op.launch.shard);
+    const std::uint32_t node = static_cast<std::uint32_t>(
+        options_.machine.NodeOf(op.launch.shard));
+    const std::size_t n = AnalysisNode(node);
     // A skewed node pays the factor on both its analysis and its
     // execution of the task (kNone is exactly 1.0).
     const double factor = options_.skew.Factor(n, op.index);
@@ -85,7 +80,7 @@ PipelineSimulator::ProcessSequential(const rt::OpView& op)
                          result_.finish_us[op.index - options_.window]);
     }
     analysis_free_[n] = start + op.analysis_cost_us * factor;
-    ExecuteOp(op.index, op.launch.shard,
+    ExecuteOp(op.index, op.launch.shard, node,
               op.launch.execution_us * factor, op.launch.blocking,
               op.dependences, analysis_free_[n]);
 }
@@ -103,7 +98,7 @@ PipelineSimulator::FlushFragment()
     for (const FragOp& op : fragment_) {
         app_time_ = std::max(app_time_, app_gate_) + launch_us_;
         arrival = app_time_;
-        node_tasks_[NodeOf(op.shard)] += 1;
+        node_tasks_[AnalysisNode(op.node)] += 1;
     }
     // (2) Each node replays its shard of the fragment as one
     // block on its analysis resource; the fragment's tasks
@@ -128,14 +123,14 @@ PipelineSimulator::FlushFragment()
         analysis_free_[n] = node_done_[n];
     }
     for (const FragOp& op : fragment_) {
-        ExecuteOp(op.index, op.shard,
-                  op.execution_us *
-                      options_.skew.Factor(NodeOf(op.shard), op.index),
+        const std::size_t n = AnalysisNode(op.node);
+        ExecuteOp(op.index, op.shard, op.node,
+                  op.execution_us * options_.skew.Factor(n, op.index),
                   op.blocking,
                   std::span<const rt::Dependence>(
                       frag_deps_.data() + op.dep_begin,
                       frag_deps_.data() + op.dep_end),
-                  node_done_[NodeOf(op.shard)]);
+                  node_done_[n]);
     }
     in_fragment_ = false;
     fragment_.clear();
@@ -148,6 +143,8 @@ PipelineSimulator::BufferFragOp(const rt::OpView& op)
     FragOp frag;
     frag.index = op.index;
     frag.shard = op.launch.shard;
+    frag.node = static_cast<std::uint32_t>(
+        options_.machine.NodeOf(op.launch.shard));
     frag.execution_us = op.launch.execution_us;
     frag.blocking = op.launch.blocking;
     frag.dep_begin = frag_deps_.size();

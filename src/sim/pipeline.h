@@ -32,6 +32,7 @@
 #ifndef APOPHENIA_SIM_PIPELINE_H
 #define APOPHENIA_SIM_PIPELINE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -80,7 +81,7 @@ struct PipelineResult {
  * extent is known — then Finish() flushes the trailing fragment and
  * yields the result. Suitable as an OperationLog streaming-retire
  * consumer: nothing of the operation is referenced after Consume()
- * returns (the per-op history it keeps — finish time and shard — is a
+ * returns (the per-op history it keeps — finish time and node — is a
  * few bytes per operation).
  */
 class PipelineSimulator {
@@ -96,15 +97,21 @@ class PipelineSimulator {
     struct FragOp {
         std::size_t index = 0;
         std::uint32_t shard = 0;
+        std::uint32_t node = 0;  ///< machine node of `shard`, unclamped
         double execution_us = 0.0;
         bool blocking = false;
         std::size_t dep_begin = 0;  ///< span into frag_deps_
         std::size_t dep_end = 0;
     };
 
-    std::size_t NodeOf(std::uint32_t shard) const;
+    /** The analysis resource of a machine node: the node, clamped to
+     * the modelled node count. */
+    std::size_t AnalysisNode(std::uint32_t node) const
+    {
+        return std::min<std::size_t>(node, num_nodes_ - 1);
+    }
     void ExecuteOp(std::size_t index, std::uint32_t shard,
-                   double execution_us, bool blocking,
+                   std::uint32_t node, double execution_us, bool blocking,
                    std::span<const rt::Dependence> deps,
                    double analysis_ready);
     void ProcessSequential(const rt::OpView& op);
@@ -125,8 +132,9 @@ class PipelineSimulator {
     std::vector<double> analysis_free_;
     std::vector<double> gpu_free_;
     PipelineResult result_;
-    /** Shard of every processed op (cross-node dependence check). */
-    std::vector<std::uint32_t> shards_;
+    /** Machine node of every processed op, unclamped (the cross-node
+     * dependence check compares these instead of dividing shards). */
+    std::vector<std::uint32_t> nodes_;
 
     bool in_fragment_ = false;
     rt::TraceId fragment_trace_ = rt::kNoTrace;

@@ -15,6 +15,7 @@
 #include "core/apophenia.h"
 #include "fault/checkpoint.h"
 #include "sim/cluster.h"
+#include "streams_identical.h"
 #include "support/rng.h"
 
 namespace apo::core {
@@ -423,7 +424,8 @@ TEST(Apophenia, MatchStateSurvivesForcedFlushesFiresAndRestore)
     // it through every path that erases pointers — forced flushes of
     // an overfull pending buffer, fires of overlapping matches, and a
     // checkpoint restore mid-match — and pin the issued stream to the
-    // digest the full-scan matcher produced for the same input.
+    // digest the full-scan matcher produced for the same input (by the
+    // earlier digest fold, which the legacy oracle reproduces).
     ApopheniaConfig config = SmallConfig();
     config.max_pending = 24;
     const auto make_regions = [](Apophenia& fe) {
@@ -446,7 +448,9 @@ TEST(Apophenia, MatchStateSurvivesForcedFlushesFiresAndRestore)
         sim::StreamDigest::Of(reference_runtime.Log());
     EXPECT_GT(reference.Stats().forced_flushes, 0u);
     EXPECT_GT(reference.Stats().trace_replays, 0u);
-    EXPECT_EQ(want.Value(), 11318005712491931143ULL);
+    EXPECT_EQ(want.Value(), 6360632517214131569ULL);
+    EXPECT_EQ(test::LegacyStreamDigest::Of(reference_runtime.Log()).Value(),
+              11318005712491931143ULL);
 
     // Crash at the first quiescent point past the middle where a match
     // is in progress.
@@ -562,11 +566,14 @@ TEST(Apophenia, MatcherSurvivesManualIngestFlushesAndRestore)
     // extended under live ones. A pending bound of 16 forces flushes;
     // one of 32 is never hit and leaves matches to run long. Every
     // case also restores from a checkpoint at a random cut. The pins
-    // were captured from the per-token matcher this one replaced.
+    // were captured from the per-token matcher this one replaced; its
+    // stream digests by the earlier fold, which the legacy oracle
+    // reproduces over the same run's log.
     struct Pin {
         std::uint64_t seed;
         std::size_t max_pending;
         std::uint64_t stream_digest;
+        std::uint64_t legacy_stream_digest;
         std::uint64_t candidate_digest;
         std::uint64_t traces_fired;
         std::uint64_t launches_buffered;
@@ -574,18 +581,24 @@ TEST(Apophenia, MatcherSurvivesManualIngestFlushesAndRestore)
         std::uint64_t forced_flushes;
     };
     const Pin pins[] = {
-        {1, 16, 17779227227783649770ULL, 3702235778062888063ULL, 282, 2889,
-         17, 174},
-        {2, 16, 3275217861606977857ULL, 8795504900725735342ULL, 306, 2899,
-         17, 156},
-        {3, 16, 14460145854286799012ULL, 12333807757399270096ULL, 320, 2890,
-         17, 158},
-        {1, 32, 11031146025261611068ULL, 16503865283775365085ULL, 221, 2895,
-         25, 0},
-        {2, 32, 9426462342510857523ULL, 13567856476882457969ULL, 235, 2899,
-         25, 0},
-        {3, 32, 929960393791281738ULL, 7044398830970914277ULL, 245, 2893, 25,
-         0},
+        {1, 16, 2612460823853205921ULL,
+         17779227227783649770ULL, 3702235778062888063ULL, 282,
+         2889, 17, 174},
+        {2, 16, 10112172684922409114ULL,
+         3275217861606977857ULL, 8795504900725735342ULL, 306,
+         2899, 17, 156},
+        {3, 16, 2998284325551151307ULL,
+         14460145854286799012ULL, 12333807757399270096ULL, 320,
+         2890, 17, 158},
+        {1, 32, 1510550256503808939ULL,
+         11031146025261611068ULL, 16503865283775365085ULL, 221,
+         2895, 25, 0},
+        {2, 32, 6029181699492645795ULL,
+         9426462342510857523ULL, 13567856476882457969ULL, 235,
+         2899, 25, 0},
+        {3, 32, 8913520775748159312ULL,
+         929960393791281738ULL, 7044398830970914277ULL, 245,
+         2893, 25, 0},
     };
     ApopheniaConfig config = SmallConfig();
     config.min_trace_length = 3;
@@ -621,6 +634,8 @@ TEST(Apophenia, MatcherSurvivesManualIngestFlushesAndRestore)
         IssueWithManualIngest(fe, launches, 0, launches.size(), pin.seed);
         fe.Flush();
         expect_pinned(sim::StreamDigest::Of(runtime.Log()), fe, pin);
+        EXPECT_EQ(test::LegacyStreamDigest::Of(runtime.Log()).Value(),
+                  pin.legacy_stream_digest);
         EXPECT_GT(fe.Stats().trace_replays, 0u);
 
         // Cut at the first quiescent, mid-match point past a seeded

@@ -31,6 +31,7 @@
 #include "runtime/graph.h"
 #include "runtime/runtime.h"
 #include "sim/cluster.h"
+#include "stream_digest_properties.h"
 #include "support/executor.h"
 #include "support/rng.h"
 #include "svc/service.h"
@@ -208,6 +209,25 @@ TEST_P(DifferentialFuzz, TracedEqualsUntraced)
             ASSERT_EQ(op.trace, rt::kNoTrace);
         }
     }
+}
+
+TEST_P(DifferentialFuzz, StreamDigestSeesEverySingleChange)
+{
+    // The digest's properties (stream_digest_properties.h) over the
+    // traced run's log of every corpus program.
+    const FuzzCase fuzz = GetParam();
+    core::ApopheniaConfig config;
+    config.min_trace_length = fuzz.min_trace_length;
+    config.max_trace_length = fuzz.max_trace_length;
+    config.batchsize = fuzz.batchsize;
+    config.multi_scale_factor =
+        std::max<std::size_t>(fuzz.batchsize / 16, 8);
+
+    rt::Runtime traced_rt;
+    core::Apophenia fe(traced_rt, config);
+    RandomProgram(fuzz.seed).Run(fe);
+    fe.Flush();
+    test::ExpectDigestProperties(traced_rt.Log(), fuzz.seed);
 }
 
 TEST_P(DifferentialFuzz, TracedCoherenceStateEqualsUntraced)

@@ -37,6 +37,7 @@
 #include "sim/harness.h"
 #include "support/counting_allocator.h"
 #include "history_window.h"
+#include "stream_digest_properties.h"
 #include "streams_identical.h"
 
 namespace apo::sim {
@@ -257,6 +258,62 @@ TEST(StreamDigest, StreamingDigestEqualsRetainedDigest)
             << "node " << n;
         EXPECT_EQ(streaming.NodeDigest(n).Count(),
                   retained.NodeDigest(n).Count());
+    }
+}
+
+/** The retained runtime of `iterations` auto-traced iterations of
+ * App, so its log holds analysed, recorded and replayed operations. */
+template <typename App, typename Options>
+std::unique_ptr<rt::Runtime> TracedAppRuntime(const Options& options,
+                                              std::size_t iterations)
+{
+    auto runtime = std::make_unique<rt::Runtime>();
+    core::ApopheniaConfig config;
+    config.min_trace_length = 10;
+    config.batchsize = 1500;
+    config.multi_scale_factor = 100;
+    core::Apophenia fe(*runtime, config);
+    App app(options);
+    app.Setup(fe);
+    for (std::size_t iter = 0; iter < iterations; ++iter) {
+        app.Iteration(fe, iter, false);
+    }
+    fe.Flush();
+    return runtime;
+}
+
+TEST(StreamDigest, SeesEverySingleChangeOnAppLogs)
+{
+    // Over retained S3D, HTR and CFD logs: every single change to a
+    // folded field moves the digest, the streaming and restored folds
+    // equal Of(log), and Consume() allocates nothing.
+    const apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    std::vector<std::pair<std::string, std::unique_ptr<rt::Runtime>>> runs;
+    runs.emplace_back("s3d", TracedAppRuntime<apps::S3dApplication>(
+                                 apps::S3dOptions{.machine = machine}, 60));
+    runs.emplace_back("htr", TracedAppRuntime<apps::HtrApplication>(
+                                 apps::HtrOptions{.machine = machine}, 40));
+    runs.emplace_back("cfd", TracedAppRuntime<apps::CfdApplication>(
+                                 apps::CfdOptions{.machine = machine}, 80));
+    std::uint64_t seed = 1;
+    for (const auto& [app, runtime] : runs) {
+        SCOPED_TRACE(app);
+        const rt::OperationLog& log = runtime->Log();
+        ASSERT_GT(runtime->Stats().tasks_replayed, 0u);
+        const std::vector<std::size_t> ran =
+            test::ExpectDigestProperties(log, seed++);
+        for (std::size_t e = 0; e < ran.size(); ++e) {
+            EXPECT_GT(ran[e], 0u) << "edit " << e << " never applied";
+        }
+
+        StreamDigest digest;
+        const std::uint64_t before = support::AllocationCount();
+        for (std::size_t i = 0; i < log.size(); ++i) {
+            digest.Consume(log[i]);
+        }
+        EXPECT_EQ(support::AllocationCount(), before)
+            << "Consume() allocated";
+        EXPECT_EQ(digest, StreamDigest::Of(log));
     }
 }
 
