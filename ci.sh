@@ -51,6 +51,15 @@ cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # shared mining cache, private memo) even on small CI
 # machines. core_decision_test's 64-node shared-engine case fans one
 # decider's broadcast batches across the worker team.
+# Under shared decisions the decider's mining jobs run on that team's
+# workers between apply epochs, and each epoch's barrier waits only for
+# the workers that joined it: support_executor_stress_test races the
+# team's background-job queue against its epochs (late joiners, a
+# worker busy in a job, failures rethrown at Pump/Drain);
+# sim_cluster_test and core_decision_test pin that mining at explicit
+# jobs {1, 2, 8}, including a tight slack that makes the driving thread
+# run or wait for every job at its ingestion, and fault_membership_test
+# pins recovery at jobs 2 against 1.
 # core_incremental_test races four WorkerPool workers on one finder's
 # private memo.
 # svc_service_test's pooled-executor case drives every tenant's mining

@@ -18,9 +18,11 @@
  * above) and prints the simulated outcome. Every `-lg:` flag from the
  * paper's appendix A.7 is honored.
  */
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "apps/flexflow.h"
@@ -52,30 +54,46 @@ main(int argc, char** argv)
     core::ApopheniaConfig config;
     try {
         config = core::ParseApopheniaFlags(args);
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            const std::string& flag = args[i];
+            // The flag's value: a whole decimal number of at least
+            // `min` (a machine needs a node and a GPU per node).
+            auto value = [&](std::size_t min) {
+                if (i + 1 >= args.size()) {
+                    throw std::invalid_argument(flag + " expects a value");
+                }
+                const std::string& text = args[++i];
+                std::size_t parsed = 0;
+                const auto [end, ec] = std::from_chars(
+                    text.data(), text.data() + text.size(), parsed);
+                if (ec != std::errc() || end != text.data() + text.size()) {
+                    throw std::invalid_argument(
+                        flag + " expects a number, got '" + text + "'");
+                }
+                if (parsed < min) {
+                    throw std::invalid_argument(
+                        flag + " expects at least " + std::to_string(min) +
+                        ", got " + text);
+                }
+                return parsed;
+            };
+            if (flag == "--warmup") {
+                warmup = value(0);
+            } else if (flag == "-ll:gpu") {
+                gpus_per_node = value(1);
+            } else if (flag == "-N" || flag == "--nodes") {
+                nodes = value(1);
+            } else if (flag == "-ll:util" || flag == "-ll:csize" ||
+                       flag == "-ll:fsize" || flag == "-ll:zsize") {
+                (void)value(0);  // accepted for artifact compatibility
+            } else {
+                std::fprintf(stderr, "unknown argument: %s\n", flag.c_str());
+                return 2;
+            }
+        }
     } catch (const std::exception& e) {
         std::fprintf(stderr, "flag error: %s\n", e.what());
         return 2;
-    }
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto value = [&]() {
-            return i + 1 < args.size()
-                       ? static_cast<std::size_t>(
-                             std::atoi(args[++i].c_str()))
-                       : 0;
-        };
-        if (args[i] == "--warmup") {
-            warmup = value();
-        } else if (args[i] == "-ll:gpu") {
-            gpus_per_node = value();
-        } else if (args[i] == "-N" || args[i] == "--nodes") {
-            nodes = value();
-        } else if (args[i] == "-ll:util" || args[i] == "-ll:csize" ||
-                   args[i] == "-ll:fsize" || args[i] == "-ll:zsize") {
-            (void)value();  // accepted for artifact compatibility
-        } else {
-            std::fprintf(stderr, "unknown argument: %s\n", args[i].c_str());
-            return 2;
-        }
     }
 
     apps::FlexFlowOptions app_options;

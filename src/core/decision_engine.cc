@@ -4,9 +4,10 @@ namespace apo::core {
 
 DecisionEngine::DecisionEngine(const ApopheniaConfig& config,
                                const rt::RuntimeOptions& runtime_options,
-                               MiningCache* mining_cache)
+                               MiningCache* mining_cache,
+                               support::Executor* executor)
     : runtime_(runtime_options),
-      decider_(runtime_, config, nullptr, mining_cache)
+      decider_(runtime_, config, executor, mining_cache)
 {
     // Barrier-driven by construction: the owner settles ingestion
     // positions (coordinated across nodes) before DecideStaged().

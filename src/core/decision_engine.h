@@ -33,6 +33,13 @@
  * decision log fills), the owner applies Decisions() to each node via
  * LaunchAt(), then Retire() drops the decided ring prefix and clears
  * the log. FlushDecider() ends the stream.
+ *
+ * Mining runs on the executor the owner passes in. The decider never
+ * ingests on its own (IngestMode::kManual): the owner calls
+ * Decider().IngestOldestJob() at each job's agreed stream position,
+ * which runs the job there if it is still queued and waits if a
+ * worker is running it. Decisions are therefore the same under any
+ * executor; only where the mining time is spent changes.
  */
 #ifndef APOPHENIA_CORE_DECISION_ENGINE_H
 #define APOPHENIA_CORE_DECISION_ENGINE_H
@@ -61,10 +68,15 @@ class DecisionEngine {
      * @param mining_cache optional shared mining memo for the
      *        decider's finder (e.g. the service-wide cross-tenant
      *        cache); behaviour-invariant, see mining_cache.h.
+     * @param executor runs the decider's mining jobs (the cluster
+     *        passes its worker team); nullptr mines inline. Not
+     *        owned; must outlive the engine. Behaviour-invariant:
+     *        jobs are ingested only where the owner settles it.
      */
     DecisionEngine(const ApopheniaConfig& config,
                    const rt::RuntimeOptions& runtime_options,
-                   MiningCache* mining_cache = nullptr);
+                   MiningCache* mining_cache = nullptr,
+                   support::Executor* executor = nullptr);
 
     // -- Issue path ----------------------------------------------------------
 

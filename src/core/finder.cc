@@ -145,7 +145,12 @@ TraceFinder::TraceFinder(const ApopheniaConfig& config,
 TraceFinder::~TraceFinder()
 {
     // Workers hold raw pointers into inflight_; none may survive us.
-    executor_->Drain();
+    // Every job body keeps its own failure, so a drain can only
+    // rethrow another submitter's, which is not ours to report.
+    try {
+        executor_->Drain();
+    } catch (...) {
+    }
 }
 
 void
@@ -223,15 +228,23 @@ TraceFinder::LaunchAnalysis(std::size_t slice_length, std::uint64_t now)
     job->id = stats_.jobs_launched++;
     job->issued_at = now;
     job->slice_length = slice_length;
+    job->started.store(false, std::memory_order_relaxed);
     job->done.store(false, std::memory_order_relaxed);
+    job->error = nullptr;
     stats_.tokens_analyzed += slice_length;
 
     // Zero-copy hand-off: the job references the history blocks; the
     // worker materializes them off the application's critical path.
     history_.SnapshotLastN(slice_length, job->snapshot);
-    executor_->Submit(
-        [this, job] { RunJob(*job); },
-        [job] { job->done.store(true, std::memory_order_release); });
+    executor_->Submit([this, job] {
+        job->started.store(true, std::memory_order_relaxed);
+        try {
+            RunJob(*job);
+        } catch (...) {
+            job->error = std::current_exception();
+        }
+        job->done.store(true, std::memory_order_release);
+    });
 }
 
 void
@@ -308,12 +321,18 @@ const AnalysisJob&
 TraceFinder::WaitOldestJob()
 {
     AnalysisJob& job = *inflight_.front();
-    // Pump so deferred executors (PooledExecutor) can deliver the
-    // completion on this thread; with an eager executor this spins
-    // until the worker signals.
+    // A job still queued heads its executor's queue (every older job
+    // was ingested or abandoned), so pumping lets a TaskTeam run it on
+    // this thread. A job a worker has started is waited for, not
+    // overtaken by pumping a younger one.
     while (!job.done.load(std::memory_order_acquire)) {
-        executor_->Pump();
+        if (!job.started.load(std::memory_order_relaxed)) {
+            executor_->Pump();
+        }
         std::this_thread::yield();
+    }
+    if (job.error) {
+        std::rethrow_exception(job.error);
     }
     return job;
 }

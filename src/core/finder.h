@@ -25,11 +25,12 @@
  * Launching a job is zero-copy: the history lives in shared
  * append-only blocks (history.h) and a job holds a refcounted
  * HistorySnapshot of its slice, materializing it on the worker thread.
- * Jobs are recycled through a free pool, and completion is signalled
- * through the executor's per-job completion callback rather than by
- * the caller polling job state. Ingestion remains strictly in launch
- * order — the deterministic stream-position ingestion contract the
- * control-replicated cluster front-end (sim/cluster.h) depends on.
+ * Jobs are recycled through a free pool. A job's body marks it started
+ * and, last of all, done, on whichever thread runs it; a failure is
+ * kept on the job and rethrown when the job is ingested. Ingestion
+ * remains strictly in launch order — the deterministic
+ * stream-position ingestion contract the control-replicated cluster
+ * front-end (sim/cluster.h) depends on.
  */
 #ifndef APOPHENIA_CORE_FINDER_H
 #define APOPHENIA_CORE_FINDER_H
@@ -37,6 +38,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -87,9 +89,15 @@ struct AnalysisJob {
      * namespace (another tenant's mining). */
     bool memo_hit = false;
     bool memo_cross = false;
-    /** Completion flag, set (release) by the executor's completion
-     * callback once `results` is set. */
+    /** Set when the job body starts, on the thread that runs it; a
+     * job not yet started still waits in its executor's queue. */
+    std::atomic<bool> started{false};
+    /** Completion flag, set (release) as the job body's last access,
+     * once `results` or `error` is set. */
     std::atomic<bool> done{false};
+    /** What the job body threw, if anything; rethrown on the thread
+     * that ingests the job (WaitOldestJob). */
+    std::exception_ptr error;
 
     const std::vector<CandidateTrace>& Results() const { return *results; }
 };
@@ -144,7 +152,8 @@ class TraceFinder {
      * `batchsize` tokens. */
     static constexpr std::size_t kPrivateMemoWindows = 8;
 
-    /** Waits for in-flight jobs: no worker may outlive the jobs. */
+    /** Waits for in-flight jobs: no worker may outlive the jobs. A
+     * failure the executor's drain rethrows is dropped here. */
     ~TraceFinder();
 
     TraceFinder(const TraceFinder&) = delete;
@@ -184,8 +193,11 @@ class TraceFinder {
         const std::function<void(const PendingJobInfo&)>& visit) const;
 
     /** Block until the oldest pending job (which must exist) has
-     * completed, pumping the executor as needed, and return it. The
-     * reference stays valid until ReleaseOldestJob(). */
+     * completed and return it. While the job is still queued, the
+     * executor is pumped (a TaskTeam then runs the job on this
+     * thread); once a worker has started it, this only waits. A job
+     * whose body threw rethrows that exception here. The reference
+     * stays valid until ReleaseOldestJob(). */
     const AnalysisJob& WaitOldestJob();
 
     /** Recycle the oldest pending job after its results have been

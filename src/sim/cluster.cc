@@ -119,9 +119,13 @@ Cluster::Cluster(const ClusterOptions& options)
                                  options_.fault.enabled ||
                                  options_.checkpoint_interval_tasks > 0);
     if (shared) {
+        // The decider mines on the team: its workers run the queued
+        // jobs between apply epochs, and IngestDueJobs ingests each at
+        // its agreed position (running it there if no worker has). A
+        // caller-only team (jobs_ == 1) runs every job inline.
         engine_ = std::make_unique<core::DecisionEngine>(
             options_.config, options_.runtime_options,
-            options_.external_mining_cache);
+            options_.external_mining_cache, &team_);
         if (options_.stream_logs) {
             engine_->DecisionRuntime().EnableLogStreaming(
                 [this](const rt::OpView& op) {
@@ -145,10 +149,10 @@ Cluster::Cluster(const ClusterOptions& options)
         auto node = std::make_unique<NodeState>(
             options_.runtime_options,
             options_.coordination.seed * 7919 + n);
-        // Inline executor keeps the mining computation deterministic;
-        // completion *timing* is simulated by the coordinator. In
-        // shared-decision mode the node hosts no engine at all — it
-        // applies the decider's broadcast.
+        // Per-node engines mine inline; completion *timing* is
+        // simulated by the coordinator either way. In shared-decision
+        // mode the node hosts no engine at all — it applies the
+        // decider's broadcast.
         if (!shared) {
             node->front_end = std::make_unique<core::Apophenia>(
                 *node->runtime, options_.config, nullptr, cache);
@@ -243,7 +247,8 @@ Cluster::ProcessBatch()
         ++batches_;
         if (engine_ != nullptr) {
             // Decide once on the driving thread (the timed quantity
-            // that stays flat in N), then fan the broadcast out.
+            // that stays flat in N; the mining jobs it launches only
+            // queue on the team), then fan the broadcast out.
             const std::uint64_t t0 = NowNs();
             engine_->DecideStaged();
             decision_ns_ += NowNs() - t0;
@@ -592,7 +597,9 @@ Cluster::IngestDueJobs()
     if (ingest_count_ > 0) {
         if (engine_ != nullptr) {
             // One coordinated ingestion, on the decider (timed: part
-            // of the shared decision path).
+            // of the shared decision path, including the run of a job
+            // no worker has started, or the wait for one still
+            // running).
             const std::uint64_t t0 = NowNs();
             for (std::size_t k = 0; k < ingest_count_; ++k) {
                 engine_->Decider().IngestOldestJob();

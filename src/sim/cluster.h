@@ -57,7 +57,8 @@
  * per-node rng draws) is byte-identical to the serial schedule at any
  * thread count, including jobs = 1 (which runs inline). The thread
  * count comes from `ClusterOptions::jobs` (0 = the APO_JOBS
- * environment override, else hardware_concurrency).
+ * environment override, else hardware_concurrency), and the cluster
+ * starts no other thread.
  *
  * **Shared mining cache.** In a control-replicated run every node
  * mines the same windows of the same stream; a cluster-wide
@@ -78,7 +79,14 @@
  * the same safe-horizon batches — which the team fan-out merely
  * *applies* to each node's runtime. Total decision cost becomes O(1)
  * in N; the issued streams, digests, CoordinationStats and candidate
- * digests are bit-identical to per-node engines. Soundness is not
+ * digests are bit-identical to per-node engines. The decider mines
+ * asynchronously (paper section 4.3) on the same team: its jobs queue
+ * there and idle workers run them between apply epochs, whose barrier
+ * waits only for the workers that joined, so mining overlaps the
+ * fan-out instead of running before it. Each job is still ingested at
+ * its agreed position — the driving thread runs it there if no worker
+ * has started it and waits if one is running it — so the decisions
+ * are the same at every thread count. Soundness is not
  * assumed: each node's incremental StreamDigest is compared against
  * the decision runtime's at every barrier, and a diverged node is
  * healed or evicted (below) while the healthy nodes continue
@@ -165,7 +173,9 @@ struct DecisionStats {
      * decider's feed + coordinated-ingest + flush time on the driving
      * thread, or (per-node mode) the summed per-node engine time —
      * the quantity that grows ~linearly in N with per-node engines
-     * and stays ~flat with the shared engine. */
+     * and stays ~flat with the shared engine. With jobs >= 2 the
+     * shared decider's mining that overlaps the apply fan-out is not
+     * in it; a job run or waited for at its ingestion is. */
     std::uint64_t decision_ns = 0;
     /** Shared mode only: summed nanoseconds the nodes spent applying
      * broadcast decisions (per-node mode folds the equivalent work
@@ -274,11 +284,14 @@ struct ClusterOptions {
      * of stream length. Extra consumers (the harness's simulator)
      * attach via AddLogConsumer before the first launch. */
     bool stream_logs = false;
-    /** Threads driving the per-node advance loops (the parallel
-     * engine; see file comment). 0 = the APO_JOBS environment
+    /** Threads of the cluster, the driving thread included: they run
+     * the per-node advance loops (the parallel engine; see file
+     * comment) and, under shared decisions, the decider's mining
+     * jobs between those loops. 0 = the APO_JOBS environment
      * variable if set, else std::thread::hardware_concurrency();
      * always clamped to the node count. Every value yields
-     * byte-identical results; 1 is the serial schedule run inline. */
+     * byte-identical results; 1 is the serial schedule run inline,
+     * mining included. */
     std::size_t jobs = 0;
     /** Per-node mode: share one content-addressed mining cache (the
      * default core::MiningCache bound) across the nodes so identical
@@ -645,7 +658,10 @@ class Cluster final : public api::Frontend {
     ClusterOptions options_;
     core::MiningCache mining_cache_;
     std::size_t jobs_ = 1;    ///< resolved ClusterOptions::jobs
-    support::TaskTeam team_;  ///< per-node fan-out (jobs_ threads)
+    /** Per-node fan-out (jobs_ threads) and the shared decider's
+     * mining executor. Declared before engine_, so the decider's
+     * finder drains it before it is destroyed. */
+    support::TaskTeam team_;
     /** Non-null iff the run uses the shared decision engine. */
     std::unique_ptr<core::DecisionEngine> engine_;
     /** Incremental digest of the decision runtime's stream — the

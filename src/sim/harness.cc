@@ -47,6 +47,12 @@ ExperimentStack::ExperimentStack(const ExperimentOptions& options,
                                  core::MiningCache* mining_cache)
     : options_(options)
 {
+    if (options.machine.nodes == 0 || options.machine.gpus_per_node == 0) {
+        throw rt::RuntimeUsageError(
+            "sim::ExperimentStack: the machine needs at least one node "
+            "and one GPU per node (the pipeline model maps each shard "
+            "to shard / gpus_per_node)");
+    }
     const bool streaming = options.log_mode == LogMode::kStreaming;
     const bool reduce = options.auto_config.inline_transitive_reduction;
     if (streaming && reduce && options.auto_config.window == 0) {

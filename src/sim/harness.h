@@ -96,8 +96,10 @@ struct ExperimentOptions {
      * sim::Cluster (kAuto traces on every node; kUntraced runs the
      * nodes with tracing disabled; kManual is rejected with a typed
      * rt::RuntimeUsageError — the cluster front end drops
-     * annotations). Replicated mining is always inline; completion
-     * *timing* is what `replication` and `skew` simulate. */
+     * annotations). Per-node engines mine inline and a shared
+     * decider on the cluster's own threads (`cluster_jobs`); both
+     * ingest at the agreed positions, and completion *timing* is what
+     * `replication` and `skew` simulate. */
     std::size_t replicas = 1;
     /** Coordination tuning when replicas > 1 (`nodes` is overridden
      * by `replicas`). */
@@ -211,8 +213,9 @@ class ExperimentStack {
   public:
     /** `mining_cache` (borrowed, may be null) is the kAuto engine's
      * memo: the single front end's, or the cluster's external cache.
-     * Throws rt::RuntimeUsageError for kManual with replicas > 1 and
-     * for a streaming inline reduction without a window. */
+     * Throws rt::RuntimeUsageError for kManual with replicas > 1, for
+     * a streaming inline reduction without a window, and for a
+     * machine with no nodes or no GPUs per node. */
     explicit ExperimentStack(const ExperimentOptions& options,
                              core::MiningCache* mining_cache = nullptr);
     ExperimentStack(const ExperimentStack&) = delete;

@@ -7,7 +7,9 @@
  * section 4.3: "Asynchronous analysis of task histories is important to
  * avoid stalling the application"). In Legion these jobs run on the
  * runtime's background worker threads; here they run on a small worker
- * pool. An inline executor is provided for deterministic testing.
+ * pool or, in the cluster simulation, on the worker team that also
+ * fans out its per-node loops. An inline executor is provided for
+ * deterministic testing.
  *
  * Completion is event-driven rather than polled: every job may carry a
  * completion callback. Where and when the callback runs is the
@@ -20,6 +22,9 @@
  *    and Drain() points. After Drain() returns, every submitted job's
  *    callback has run: completion observation is deterministic at
  *    drain points even though execution is concurrent.
+ *  - TaskTeam: on the thread that ran the job — one of the team's
+ *    workers between index-loop epochs, or the owner inside Pump() or
+ *    Drain().
  */
 #ifndef APOPHENIA_SUPPORT_EXECUTOR_H
 #define APOPHENIA_SUPPORT_EXECUTOR_H
@@ -155,7 +160,7 @@ class PooledExecutor final : public Executor {
 /**
  * A fixed team of threads for data-parallel index loops, built for the
  * cluster simulation's per-node stepping: the *same* body runs over a
- * dense index range, many times, with a full barrier after each range.
+ * dense index range, many times, with a barrier after each range.
  *
  * Unlike WorkerPool::Submit (one std::function allocation + queue node
  * per job), the body is installed once and each Run() merely republishes
@@ -167,13 +172,26 @@ class PooledExecutor final : public Executor {
  * degenerates to an inline loop, so a jobs=1 configuration is exactly
  * the serial schedule. Indices are claimed from a shared atomic
  * counter; the body must be safe to invoke concurrently for distinct
- * indices. Run() returns only after every index has been processed and
- * every worker has quiesced (the barrier).
+ * indices.
+ *
+ * The team is also an Executor for background jobs: Submit() queues a
+ * job in a FIFO that idle workers run *between* Run() epochs (a worker
+ * that finds an epoch open joins it first). A Run() epoch is joined
+ * only by the workers idle while it is open; its barrier waits for
+ * those alone, so a worker inside a long job never holds up a Run(),
+ * and a worker that wakes after the epoch closed claims none of its
+ * indices. Pump() runs the oldest queued job on the calling thread;
+ * Drain() runs the queued jobs there and then waits for the workers'
+ * running ones. A job that throws on a worker is captured and rethrown
+ * by the next Pump() or Drain() on the owner's thread. TaskTeam(1)
+ * runs each job inline at Submit(), as InlineExecutor does.
  */
-class TaskTeam {
+class TaskTeam final : public Executor {
   public:
     explicit TaskTeam(std::size_t threads = 1);
-    ~TaskTeam();
+    /** Workers finish every queued job before they exit; a failure
+     * no Pump() or Drain() collected is dropped. */
+    ~TaskTeam() override;
 
     TaskTeam(const TaskTeam&) = delete;
     TaskTeam& operator=(const TaskTeam&) = delete;
@@ -182,32 +200,55 @@ class TaskTeam {
      * not be called while a Run() is in flight. */
     void SetBody(std::function<void(std::size_t)> body);
 
-    /** Invoke body(i) for every i in [0, count), on the workers plus
-     * the calling thread; returns after all indices completed. If any
-     * invocation throws, the first exception is captured, the barrier
-     * still completes (no worker outlives a Run over state it
-     * borrows), and the exception is rethrown here on the caller. */
+    /** Invoke body(i) for every i in [0, count), on the calling thread
+     * plus the workers that join the epoch; returns after all indices
+     * completed. If any invocation throws, the first exception is
+     * captured, the barrier still completes (no joined worker outlives
+     * a Run over state it borrows), and the exception is rethrown here
+     * on the caller. */
     void Run(std::size_t count);
 
-    /** Total threads participating in a Run (workers + caller). */
+    /** Total threads that can take part in a Run (workers + caller). */
     std::size_t Threads() const { return workers_.size() + 1; }
+
+    // -- Background jobs (Executor) ------------------------------------------
+
+    using Executor::Submit;
+    /** Queue `job` for the workers (run inline on a caller-only team). */
+    void Submit(std::function<void()> job) override;
+    /** Rethrow a failure captured on a worker, else run the oldest
+     * queued job (if any) on this thread. */
+    void Pump() override;
+    /** Run every queued job on this thread, wait until no worker runs
+     * one, then rethrow the first failure of any of them. */
+    void Drain() override;
 
   private:
     void WorkerLoop();
     /** body_(i) with the first thrown exception captured into
      * error_ (rethrown by Run after the barrier). */
     void Invoke(std::size_t i);
+    /** Pop the oldest queued job and run it with `lock` (on mutex_,
+     * held on entry and on return) released; returns what it threw. */
+    std::exception_ptr RunFront(std::unique_lock<std::mutex>& lock);
 
     std::function<void(std::size_t)> body_;
     std::mutex mutex_;
-    std::condition_variable start_;
+    /** Wakes workers: an epoch opened, a job was queued, or shutdown. */
+    std::condition_variable wake_;
+    /** Wakes the owner: the epoch's joined workers left, or the last
+     * running background job finished. */
     std::condition_variable done_;
-    std::uint64_t epoch_ = 0;     ///< bumped per Run; wakes workers
+    std::uint64_t epoch_ = 0;     ///< bumped per Run
+    bool open_ = false;           ///< the current epoch takes joiners
     std::size_t count_ = 0;       ///< index range of the current epoch
-    std::size_t running_ = 0;     ///< workers still inside the epoch
+    std::size_t joined_ = 0;      ///< workers still inside the epoch
     bool shutting_down_ = false;
     std::exception_ptr error_;    ///< first failure of this epoch
     std::atomic<std::size_t> next_{0};  ///< shared index claim counter
+    std::deque<std::function<void()>> jobs_;  ///< queued, FIFO
+    std::size_t jobs_running_ = 0;  ///< dequeued, not yet finished
+    std::exception_ptr job_error_;  ///< first worker-side job failure
     std::vector<std::thread> workers_;
 };
 

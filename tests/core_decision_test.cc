@@ -14,14 +14,24 @@
  *  - shared-decision replicated runs are bit-identical to per-node
  *    runs across every application skeleton, every skew model and
  *    parallel-engine thread count;
+ *  - the decider's mining on the cluster's worker team changes
+ *    nothing at jobs {2, 8} against inline mining at jobs 1, also
+ *    when every job falls due at the next barrier; a mining job that
+ *    fails surfaces as its exception where it is ingested, and the
+ *    decider drains its queued jobs before its executor goes;
  *  - a 64-node streaming run broadcasts from one decider while every
  *    node stays under the resident-log ceiling.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/cfd.h"
@@ -35,6 +45,7 @@
 #include "sim/cluster.h"
 #include "sim/harness.h"
 #include "support/counting_allocator.h"
+#include "support/executor.h"
 #include "streams_identical.h"
 
 namespace apo::sim {
@@ -488,6 +499,167 @@ TEST(SharedDecisionMatrix, FlexFlow)
     apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
     ExpectSharedMatchesPerNode<apps::FlexFlowApplication>(
         apps::FlexFlowOptions{.machine = machine}, 40, "flexflow");
+}
+
+// ---------------------------------------------------------------------------
+// The decider's mining on the cluster's worker team: explicit thread
+// counts, so a one-core host still runs the workers.
+
+template <typename App, typename Options>
+void ExpectSameAtEveryJobCount(Options app_options, std::size_t iterations,
+                               std::string_view label)
+{
+    // Default slack leaves most jobs to the worker; a slack of one
+    // task with one-task, jitter-free latencies makes every job fall
+    // due at the very next barrier, so the driving thread runs the
+    // job itself or waits for the worker running it.
+    for (const bool tight : {false, true}) {
+        SCOPED_TRACE(std::string(label) + (tight ? "/tight" : "/default"));
+        ExperimentOptions options = ClusterExperiment(8, iterations);
+        options.machine = app_options.machine;
+        options.log_mode = LogMode::kStreaming;
+        if (tight) {
+            options.replication.initial_slack = 1;
+            options.replication.mean_latency_tasks = 1.0;
+            options.replication.jitter = 0.0;
+        } else {
+            options.skew = SkewOf(SkewKind::kJitter);
+        }
+        options.cluster_jobs = 1;
+        App reference_app(app_options);
+        const ExperimentResult reference =
+            RunExperiment(reference_app, options);
+        EXPECT_TRUE(reference.shared_decisions);
+        EXPECT_GT(reference.replayed_fraction, 0.0);
+        EXPECT_GT(reference.apophenia_stats.jobs_ingested, 0u);
+        if (tight) {
+            EXPECT_EQ(reference.coordination.late_jobs, 0u);
+            EXPECT_EQ(reference.coordination.final_slack, 1u);
+        }
+        for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
+            SCOPED_TRACE(jobs);
+            options.cluster_jobs = jobs;
+            App app(app_options);
+            const ExperimentResult result = RunExperiment(app, options);
+            ExpectSameResult(result, reference);
+            EXPECT_EQ(result.decision_batches, reference.decision_batches);
+            EXPECT_EQ(result.decisions_broadcast,
+                      reference.decisions_broadcast);
+            for (std::size_t n = 0; n < result.node_metrics.size(); ++n) {
+                EXPECT_EQ(result.node_metrics[n].max_stall_tasks,
+                          reference.node_metrics[n].max_stall_tasks);
+            }
+        }
+    }
+}
+
+TEST(SharedDecisionThreads, S3dMatchesInlineMining)
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    ExpectSameAtEveryJobCount<apps::S3dApplication>(
+        apps::S3dOptions{.machine = machine}, 40, "s3d");
+}
+
+TEST(SharedDecisionThreads, HtrMatchesInlineMining)
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    ExpectSameAtEveryJobCount<apps::HtrApplication>(
+        apps::HtrOptions{.machine = machine}, 40, "htr");
+}
+
+/** Forwards jobs to a TaskTeam, but replaces the `fail_at`'th job
+ * (counting from 0) with one that throws instead of mining. */
+class FailingExecutor final : public support::Executor {
+  public:
+    FailingExecutor(support::TaskTeam& team, int fail_at)
+        : team_(&team), fail_at_(fail_at)
+    {
+    }
+    using Executor::Submit;
+    void Submit(std::function<void()> job) override
+    {
+        if (submitted_++ == fail_at_) {
+            team_->Submit([] { throw std::runtime_error("mining failed"); });
+        } else {
+            team_->Submit(std::move(job));
+        }
+    }
+    void Pump() override { team_->Pump(); }
+    void Drain() override { team_->Drain(); }
+
+  private:
+    support::TaskTeam* team_;
+    int fail_at_;
+    int submitted_ = 0;
+};
+
+TEST(DecisionEngine, AFailedMiningJobSurfacesAtItsIngestion)
+{
+    // Declared before the engine, so the decider's finder drains the
+    // team before the team goes.
+    support::TaskTeam team(2);
+    FailingExecutor executor(team, /*fail_at=*/1);
+    const rt::RuntimeOptions rt_options;
+    core::DecisionEngine engine(SmallConfig(), rt_options, nullptr,
+                                &executor);
+    const rt::RegionId a = engine.DecisionRuntime().CreateRegion();
+    const rt::RegionId b = engine.DecisionRuntime().CreateRegion();
+    for (int i = 0; i < 200; ++i) {
+        const rt::TaskLaunch launch{
+            static_cast<rt::TaskId>(100 + i % 10),
+            {{i % 2 == 0 ? a : b, 0, rt::Privilege::kReadWrite, 0}}};
+        engine.Buffer(rt::TaskLaunchView::Of(launch));
+    }
+    engine.DecideStaged();
+    core::Apophenia& decider = engine.Decider();
+    ASSERT_GE(decider.PendingJobCount(), 2u);
+    // Job 0 mined normally; job 1's failure is rethrown on this
+    // thread when it is ingested, whether a worker ran it or this
+    // thread did — never std::terminate, never a hang.
+    EXPECT_NO_THROW(decider.IngestOldestJob());
+    try {
+        decider.IngestOldestJob();
+        ADD_FAILURE() << "the failed job was ingested";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "mining failed");
+    }
+}
+
+TEST(DecisionEngine, DrainsItsQueuedJobsBeforeTheTeamGoes)
+{
+    // The team's only worker is held inside a job while the decider
+    // launches its mining jobs, so they are still queued when the
+    // engine is destroyed. Its finder must run or wait out every one
+    // of them first: a job left behind would run on freed state once
+    // the worker is released (the sanitizer legs flag it).
+    support::TaskTeam team(2);
+    std::atomic<bool> busy{false};
+    std::atomic<bool> release{false};
+    team.Submit([&] {
+        busy.store(true);
+        while (!release.load()) {
+            std::this_thread::yield();
+        }
+    });
+    while (!busy.load()) {
+        std::this_thread::yield();
+    }
+    const rt::RuntimeOptions rt_options;
+    auto engine = std::make_unique<core::DecisionEngine>(
+        SmallConfig(), rt_options, nullptr, &team);
+    const rt::RegionId region = engine->DecisionRuntime().CreateRegion();
+    for (int i = 0; i < 200; ++i) {
+        engine->Buffer(rt::TaskLaunchView::Of(rt::TaskLaunch{
+            static_cast<rt::TaskId>(100 + i % 10),
+            {{region, static_cast<rt::FieldId>(i % 3),
+              rt::Privilege::kReadWrite, 0}}}));
+    }
+    engine->DecideStaged();
+    ASSERT_GE(engine->Decider().PendingJobCount(), 2u);
+    EXPECT_FALSE(engine->Decider().OldestJobDone());
+    release.store(true);
+    engine.reset();
+    team.Drain();
 }
 
 // ---------------------------------------------------------------------------

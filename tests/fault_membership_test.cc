@@ -7,7 +7,9 @@
  * bit for bit; healthy nodes must never notice the churn. The same
  * path heals a corrupted replica at the barrier that detects its
  * divergence; a replica that diverges again right after its heal is
- * evicted for good, even past a fault-plan rejoin point. Misuse (bad
+ * evicted for good, even past a fault-plan rejoin point. Recovery
+ * comes out the same whether the shared decider mines inline (jobs 1)
+ * or on the cluster's worker team (jobs 2). Misuse (bad
  * fault plans, touching a crashed node) is a typed
  * rt::RuntimeUsageError; malformed checkpoint images are a typed
  * fault::CheckpointError.
@@ -373,6 +375,105 @@ TEST(ElasticMembership, HealedCheckpointSourceWritesAMatchingDigest)
         EXPECT_GE(fault.checkpoints_taken, 1u);
         EXPECT_EQ(DigestsOf(churned), want);
         EXPECT_TRUE(churned.StreamDigestsAgree());
+    }
+}
+
+/** Everything a fault scenario reports, for comparing thread counts. */
+struct ScenarioOutcome {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> digests;
+    std::vector<bool> crashed;
+    std::uint64_t candidate_digest = 0;
+    sim::FaultStats fault;
+    sim::CoordinationStats coordination;
+    std::vector<sim::NodeMetrics> per_node;
+    sim::DecisionStats decisions;
+};
+
+TEST(ElasticMembership, RecoveryMatchesAcrossMiningThreads)
+{
+    // The shared decider mines on the cluster's team at jobs 2 and
+    // inline at jobs 1. A crash/rejoin, a heal and an eviction must
+    // come out the same either way: the checkpoints, tails and digest
+    // checks depend on the decisions, which depend only on the agreed
+    // ingestion positions.
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    const apps::S3dOptions app_options{.machine = machine};
+    sim::Cluster clean(CorruptionOptions());
+    const std::uint64_t total =
+        Drive<apps::S3dApplication>(clean, app_options, 30);
+
+    enum class Scenario { kCrashRejoin, kHeal, kEvict };
+    auto run = [&](Scenario scenario, std::size_t jobs) {
+        sim::ClusterOptions options = CorruptionOptions();
+        options.jobs = jobs;
+        switch (scenario) {
+          case Scenario::kCrashRejoin:
+            options.checkpoint_interval_tasks = 300;
+            options.fault_plan.events.push_back(
+                {.node = 1, .crash_at_task = total / 3,
+                 .rejoin_at_task = 2 * total / 3});
+            break;
+          case Scenario::kHeal:
+            CorruptNode(options, 1, total / 4, total / 4 + 1);
+            break;
+          case Scenario::kEvict:
+            CorruptNode(options, 1, total / 4, UINT64_MAX);
+            break;
+        }
+        sim::Cluster cluster(options);
+        Drive<apps::S3dApplication>(cluster, app_options, 30);
+        ScenarioOutcome out;
+        out.digests = DigestsOf(cluster);
+        for (std::size_t n = 0; n < cluster.Nodes(); ++n) {
+            out.crashed.push_back(cluster.NodeCrashed(n));
+        }
+        out.candidate_digest = cluster.Decider().CandidateDigest();
+        out.fault = cluster.FaultRecovery();
+        out.coordination = cluster.Coordination();
+        out.per_node = cluster.PerNode();
+        out.decisions = cluster.DecisionCost();
+        return out;
+    };
+    for (const Scenario scenario :
+         {Scenario::kCrashRejoin, Scenario::kHeal, Scenario::kEvict}) {
+        SCOPED_TRACE(static_cast<int>(scenario));
+        const ScenarioOutcome inline_run = run(scenario, 1);
+        const ScenarioOutcome team_run = run(scenario, 2);
+        EXPECT_EQ(inline_run.fault.crashes + inline_run.fault.heals, 1u);
+        EXPECT_EQ(inline_run.fault.evictions,
+                  scenario == Scenario::kEvict ? 1u : 0u);
+
+        EXPECT_EQ(team_run.digests, inline_run.digests);
+        EXPECT_EQ(team_run.crashed, inline_run.crashed);
+        EXPECT_EQ(team_run.candidate_digest, inline_run.candidate_digest);
+        const sim::FaultStats& a = team_run.fault;
+        const sim::FaultStats& b = inline_run.fault;
+        EXPECT_EQ(a.checkpoints_taken, b.checkpoints_taken);
+        EXPECT_EQ(a.last_checkpoint_bytes, b.last_checkpoint_bytes);
+        EXPECT_EQ(a.total_checkpoint_bytes, b.total_checkpoint_bytes);
+        EXPECT_EQ(a.crashes, b.crashes);
+        EXPECT_EQ(a.rejoins, b.rejoins);
+        EXPECT_EQ(a.heals, b.heals);
+        EXPECT_EQ(a.evictions, b.evictions);
+        EXPECT_EQ(a.tail_events_replayed, b.tail_events_replayed);
+        EXPECT_EQ(a.checkpoint_pause_tasks, b.checkpoint_pause_tasks);
+        EXPECT_EQ(a.recovery_stall_tasks, b.recovery_stall_tasks);
+        EXPECT_EQ(team_run.coordination.jobs_coordinated,
+                  inline_run.coordination.jobs_coordinated);
+        EXPECT_EQ(team_run.coordination.late_jobs,
+                  inline_run.coordination.late_jobs);
+        EXPECT_EQ(team_run.coordination.final_slack,
+                  inline_run.coordination.final_slack);
+        ASSERT_EQ(team_run.per_node.size(), inline_run.per_node.size());
+        for (std::size_t n = 0; n < team_run.per_node.size(); ++n) {
+            EXPECT_EQ(team_run.per_node[n].virtual_time_tasks,
+                      inline_run.per_node[n].virtual_time_tasks);
+            EXPECT_EQ(team_run.per_node[n].stall_tasks,
+                      inline_run.per_node[n].stall_tasks);
+        }
+        EXPECT_EQ(team_run.decisions.batches, inline_run.decisions.batches);
+        EXPECT_EQ(team_run.decisions.decisions,
+                  inline_run.decisions.decisions);
     }
 }
 

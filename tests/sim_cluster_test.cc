@@ -12,7 +12,9 @@
  *
  * The parallel execution engine's contracts are pinned here too: any
  * thread count (jobs ∈ {1, 2, 8}) yields byte-identical digests,
- * coordination stats and per-node metrics; a no-skew replicated run
+ * coordination stats and per-node metrics, also when the shared
+ * decider mines on the team and every job falls due at the next
+ * barrier; a no-skew replicated run
  * mines each history window exactly once cluster-wide (every other
  * node adopts from the shared mining cache); and the replicated
  * streaming issue path allocates nothing per launch in steady state
@@ -590,6 +592,78 @@ TEST(ParallelEngine, ClusterByteIdenticalAcrossJobCounts)
             EXPECT_EQ(pm.late_jobs, rm.late_jobs);
             EXPECT_DOUBLE_EQ(pm.stall_tasks, rm.stall_tasks);
             EXPECT_DOUBLE_EQ(pm.max_stall_tasks, rm.max_stall_tasks);
+        }
+    }
+}
+
+TEST(ParallelEngine, SharedDeciderMiningOnTheTeamMatchesInline)
+{
+    // Under shared decisions the decider's mining jobs queue on the
+    // team. Default slack leaves them to the workers; a slack of one
+    // task with one-task, jitter-free latencies makes every job fall
+    // due at the very next barrier, so the driving thread must run a
+    // job no worker has started or wait for the one a worker runs.
+    // Either way jobs {2, 8} must equal inline mining at jobs 1.
+    for (const bool tight : {false, true}) {
+        SCOPED_TRACE(tight ? "tight slack" : "default slack");
+        auto run = [tight](std::size_t jobs) {
+            ClusterOptions options = SmallClusterOptions(8);
+            options.jobs = jobs;
+            options.coordination.seed = 3;
+            if (tight) {
+                options.coordination.initial_slack = 1;
+                options.coordination.mean_latency_tasks = 1.0;
+                options.coordination.jitter = 0.0;
+            }
+            auto fe = std::make_unique<Cluster>(options);
+            DriveLoop(*fe, /*iterations=*/60, /*body=*/10);
+            return fe;
+        };
+        const auto reference = run(1);
+        ASSERT_TRUE(reference->SharedDecisions());
+        EXPECT_TRUE(reference->StreamDigestsAgree());
+        EXPECT_GT(reference->Decider().Stats().jobs_ingested, 0u);
+        EXPECT_GT(reference->Decider().Stats().trace_replays, 0u);
+        if (tight) {
+            EXPECT_EQ(reference->Coordination().late_jobs, 0u);
+            EXPECT_EQ(reference->Coordination().final_slack, 1u);
+        }
+        for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
+            SCOPED_TRACE(jobs);
+            const auto parallel = run(jobs);
+            EXPECT_EQ(parallel->Jobs(), jobs);
+            for (std::size_t n = 0; n < reference->Nodes(); ++n) {
+                EXPECT_EQ(parallel->NodeDigest(n).Value(),
+                          reference->NodeDigest(n).Value())
+                    << "node " << n;
+                EXPECT_EQ(parallel->NodeDigest(n).Count(),
+                          reference->NodeDigest(n).Count());
+            }
+            EXPECT_EQ(parallel->Decider().CandidateDigest(),
+                      reference->Decider().CandidateDigest());
+            EXPECT_EQ(parallel->Decider().Stats().jobs_ingested,
+                      reference->Decider().Stats().jobs_ingested);
+            EXPECT_EQ(parallel->Decider().Stats().trace_replays,
+                      reference->Decider().Stats().trace_replays);
+            const CoordinationStats& a = parallel->Coordination();
+            const CoordinationStats& b = reference->Coordination();
+            EXPECT_EQ(a.jobs_coordinated, b.jobs_coordinated);
+            EXPECT_EQ(a.late_jobs, b.late_jobs);
+            EXPECT_EQ(a.final_slack, b.final_slack);
+            EXPECT_EQ(a.peak_slack, b.peak_slack);
+            for (std::size_t n = 0; n < reference->Nodes(); ++n) {
+                const NodeMetrics& pm = parallel->PerNode()[n];
+                const NodeMetrics& rm = reference->PerNode()[n];
+                EXPECT_DOUBLE_EQ(pm.virtual_time_tasks,
+                                 rm.virtual_time_tasks);
+                EXPECT_EQ(pm.late_jobs, rm.late_jobs);
+                EXPECT_DOUBLE_EQ(pm.stall_tasks, rm.stall_tasks);
+                EXPECT_DOUBLE_EQ(pm.max_stall_tasks, rm.max_stall_tasks);
+            }
+            const DecisionStats pc = parallel->DecisionCost();
+            const DecisionStats rc = reference->DecisionCost();
+            EXPECT_EQ(pc.batches, rc.batches);
+            EXPECT_EQ(pc.decisions, rc.decisions);
         }
     }
 }

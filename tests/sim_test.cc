@@ -401,5 +401,24 @@ TEST(Harness, CoverageSeriesClimbsToPlateau)
     EXPECT_GT(result.coverage_series.back().second, 80.0);
 }
 
+TEST(Harness, ExperimentStackRejectsAMachineWithoutNodesOrGpus)
+{
+    // The pipeline model places shard s on node s / gpus_per_node, so
+    // an empty machine is a usage error, not a division by zero.
+    for (const bool replicated : {false, true}) {
+        SCOPED_TRACE(replicated);
+        ExperimentOptions options;
+        options.replicas = replicated ? 2 : 1;
+        options.machine.nodes = 0;
+        options.machine.gpus_per_node = 4;
+        EXPECT_THROW(ExperimentStack{options}, rt::RuntimeUsageError);
+        options.machine.nodes = 2;
+        options.machine.gpus_per_node = 0;
+        EXPECT_THROW(ExperimentStack{options}, rt::RuntimeUsageError);
+        options.machine.gpus_per_node = 1;
+        EXPECT_NO_THROW(ExperimentStack{options});
+    }
+}
+
 }  // namespace
 }  // namespace apo::sim
