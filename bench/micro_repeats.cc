@@ -507,8 +507,10 @@ SteadyMiningRun MeasureMineSlice(std::size_t tokens, int reps)
     return best;
 }
 
-/** Runs submitted jobs only when pumped, so a job body's allocations
- * can be counted apart from its launch. */
+/** Holds submitted jobs until drained, so the finder runs each job
+ * body when it is ingested and the body's allocations can be counted
+ * apart from its launch. The held closures run, as no-ops, at the
+ * finder's teardown drain. */
 class DeferredExecutor final : public support::Executor {
   public:
     using Executor::Submit;
@@ -516,14 +518,13 @@ class DeferredExecutor final : public support::Executor {
     {
         queue_.push_back(std::move(job));
     }
-    void Pump() override
+    void Drain() override
     {
         for (std::function<void()>& job : queue_) {
             job();
         }
         queue_.clear();
     }
-    void Drain() override { Pump(); }
 
   private:
     std::vector<std::function<void()>> queue_;

@@ -38,11 +38,12 @@ cmake -B build-asan -S . -DAPO_SANITIZE=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=Re
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "== sanitizers: TSan executor stress + cluster simulation (parallel engine, 8 worker threads) + shared decision engine + experiment stack + multi-tenant service =="
+echo "== sanitizers: TSan executor stress + cluster simulation (parallel engine, 8 worker threads) + shared decision engine + experiment stack + multi-tenant service + pooled fuzz corpus =="
 tsan_suites=(support_executor_stress_test sim_cluster_test core_incremental_test
              core_decision_test sim_test sim_replicated_test
              svc_service_test svc_overload_test
-             fault_checkpoint_test fault_membership_test)
+             fault_checkpoint_test fault_membership_test
+             fuzz_differential_test)
 cmake -B build-tsan -S . -DAPO_TSAN=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # APO_JOBS=8 forces every default-jobs cluster through the parallel
@@ -62,15 +63,20 @@ cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # pins recovery at jobs 2 against 1.
 # core_incremental_test races four WorkerPool workers on one finder's
 # private memo.
-# svc_service_test's pooled-executor case drives every tenant's mining
-# jobs through one PooledExecutor racing on the shared cross-tenant
-# cache; sim_test's and sim_replicated_test's pooled cases borrow a
-# PooledExecutor through the same sim::ExperimentStack wiring, and
+# A mining job belongs to whichever thread starts it first: a worker,
+# or the thread that ingests it (core/finder.h). fuzz_differential_test's
+# pooled case checks that claim rule corpus-wide: every program mines
+# on a WorkerPool and on a TaskTeam and must decide exactly as inline.
+# svc_service_test's pooled case drives every tenant's mining jobs
+# through one WorkerPool, then one TaskTeam, racing on the shared
+# cross-tenant cache; sim_test's and sim_replicated_test's pooled cases
+# borrow the same executors through sim::ExperimentStack, and
 # sim_replicated_test runs every app on the parallel cluster engine.
 # The fault_* suites run crash/checkpoint/resync through the
 # parallel engine's barriers (the ASan leg already covers them via the
-# full ctest above). svc_overload_test adds the watchdog's stuck-miner
-# abandonment and the MiningCache waiter-release rendezvous.
+# full ctest above). svc_overload_test adds an executor that runs
+# nothing until teardown, whose stale closures then run against
+# recycled jobs, and the MiningCache waiter-release rendezvous.
 tsan_regex="$(IFS='|'; echo "${tsan_suites[*]}")"
 APO_JOBS=8 ctest --test-dir build-tsan -R "^(${tsan_regex})\$" --output-on-failure -j "$JOBS"
 

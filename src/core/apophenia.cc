@@ -15,7 +15,6 @@ Apophenia::Apophenia(rt::Runtime& runtime, ApopheniaConfig config,
       executor_(executor != nullptr ? executor : &default_executor_),
       finder_(config_, *executor_, mining_cache),
       scorer_(config_),
-      ingest_mode_(config_.ingest_mode),
       wheel_(CandidateTrie::kChunkSize, kNoEvent)
 {
 }
@@ -56,7 +55,13 @@ Apophenia::DoExecuteTask(const rt::TaskLaunchView& launch)
     ++counter_;
     stats_.tasks_observed += 1;
     finder_.Observe(mining_token, counter_);
-    IngestReadyJobs();
+    if (!owner_ingests_) {
+        // Ingest every job at the task that launched it: the positions
+        // inline mining gives, under any executor.
+        while (finder_.PendingJobCount() > 0) {
+            IngestOldestJob();
+        }
+    }
     AdvancePointers(mining_token);
     if (!AnyPointerAlive() && held_.empty()) {
         // Fast path: no still-growing match and no queued replay can
@@ -101,31 +106,6 @@ Apophenia::ForwardFront()
         rt::TaskLaunchView::Of(front.launch, front.token));
     pending_pool_.push_back(std::move(front));
     pending_.pop_front();
-}
-
-void
-Apophenia::IngestReadyJobs()
-{
-    switch (ingest_mode_) {
-      case IngestMode::kManual:
-        return;
-      case IngestMode::kEagerDrain:
-        // Deterministic under any executor: wait for everything in
-        // flight, then ingest it all, exactly as InlineExecutor would
-        // have at this stream position.
-        if (finder_.PendingJobCount() > 0) {
-            executor_->Drain();
-        }
-        break;
-      case IngestMode::kOnCompletion:
-        // Event-driven: deliver any buffered completions, then ingest
-        // the completed prefix of the launch-order queue.
-        executor_->Pump();
-        break;
-    }
-    while (finder_.OldestJobDone()) {
-        IngestOldestJob();
-    }
 }
 
 /**
@@ -502,14 +482,6 @@ Apophenia::SetDegraded(bool degraded)
         ClearPointers();
     }
     degraded_ = degraded;
-}
-
-std::size_t
-Apophenia::AbandonStaleAnalyses(std::uint64_t max_age_tasks)
-{
-    const std::uint64_t cutoff =
-        counter_ > max_age_tasks ? counter_ - max_age_tasks : 0;
-    return finder_.AbandonJobsOlderThan(cutoff);
 }
 
 void

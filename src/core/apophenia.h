@@ -35,9 +35,13 @@
  *    scored by length × capped, decayed appearance count, with a bias
  *    toward already-replayed traces.
  *  - Deterministic ingestion (section 5.1): analysis results are
- *    ingested at task-stream positions only, in launch order; the
- *    IngestMode (config.h) picks those positions, and the cluster
- *    front-end (sim/cluster.h) coordinates them across nodes.
+ *    ingested at task-stream positions only, in launch order. A lone
+ *    front end ingests each job at the task that launched it, running
+ *    the job there if no executor worker has started it, so its
+ *    decisions are the same under any executor. The cluster
+ *    front-end (sim/cluster.h) takes ingestion over
+ *    (LeaveIngestionToOwner) and ingests at positions it coordinates
+ *    across nodes.
  */
 #ifndef APOPHENIA_CORE_APOPHENIA_H
 #define APOPHENIA_CORE_APOPHENIA_H
@@ -116,7 +120,9 @@ class Apophenia final : public api::Frontend {
      * @param config  front-end tuning; config.enabled == false makes
      *                this class a transparent pass-through.
      * @param executor runs mining jobs; defaults to an internal
-     *                inline executor (deterministic, synchronous).
+     *                inline executor. Behaviour-invariant: a job no
+     *                worker has started by its ingestion runs on the
+     *                ingesting thread.
      * @param mining_cache optional shared memo of mining results,
      *                content-addressed by the mined slice (see
      *                mining_cache.h); the cluster front-end shares one
@@ -145,9 +151,11 @@ class Apophenia final : public api::Frontend {
 
     // -- Analysis-ingestion control (replication support) -------------------
 
-    /** Override the configured ingestion mode (see IngestMode); the
-     * cluster front-end switches its nodes to kManual. */
-    void SetIngestMode(IngestMode mode) { ingest_mode_ = mode; }
+    /** Stop ingesting on issue: from now on only IngestOldestJob()
+     * ingests, at the stream positions the owner settles (the cluster
+     * front-end's agreed counts). Without it each job is ingested at
+     * the task that launched it. */
+    void LeaveIngestionToOwner() { owner_ingests_ = true; }
 
     /** Launched-but-not-ingested mining jobs. */
     std::size_t PendingJobCount() const
@@ -167,7 +175,8 @@ class Apophenia final : public api::Frontend {
     }
 
     /** Ingest the oldest pending job's candidates into the trie,
-     * waiting for its completion if necessary. The job must exist. */
+     * running it here if no worker has started it and waiting for the
+     * worker otherwise. The job must exist. */
     void IngestOldestJob();
 
     // -- Overload control (serving support) ---------------------------------
@@ -190,22 +199,9 @@ class Apophenia final : public api::Frontend {
     void SetDegraded(bool degraded);
     bool Degraded() const { return degraded_; }
 
-    /**
-     * Watchdog hook: abandon every in-flight analysis job older than
-     * `max_age_tasks` observed tasks that has not completed. The
-     * finder forgets the job (its candidates are never ingested);
-     * its worker keeps running harmlessly in the background and is
-     * reaped once done. Returns the number of jobs abandoned. Pair
-     * with MiningCache::AbandonInProgress() on the finder's memo
-     * (PrivateMemo(), or the shared cache) so waiters blocked on the
-     * stuck window are released too.
-     */
-    std::size_t AbandonStaleAnalyses(std::uint64_t max_age_tasks);
-
     /** The finder's private mining memo, or nullptr when it shares a
      * cache: the service's memory watermark counts its
-     * ResidentBytes(), halves it under pressure and releases its
-     * in-progress entries in the watchdog. */
+     * ResidentBytes() and halves it under pressure. */
     MiningCache* PrivateMemo() const { return finder_.PrivateMemo(); }
 
     // -- Decision broadcast (shared decision engine support) ----------------
@@ -245,9 +241,9 @@ class Apophenia final : public api::Frontend {
      * completed in-flight jobs) and the candidate trie. The
      * target runtime is NOT included — checkpoint it separately with
      * rt::Runtime::SaveState. Every in-flight mining job must have
-     * completed (guaranteed under the inline executor; otherwise
-     * drain first). @throws fault::CheckpointError on undone jobs or
-     * a degraded front-end.
+     * completed (always so for a front end that ingests on issue;
+     * an owner that ingests drains first). @throws
+     * fault::CheckpointError on undone jobs or a degraded front-end.
      */
     void SaveState(fault::CheckpointWriter& writer) const;
 
@@ -334,7 +330,6 @@ class Apophenia final : public api::Frontend {
         }
     }
 
-    void IngestReadyJobs();
     void AdvancePointers(rt::TokenHash token);
     void PushToken(rt::TokenHash token);
     void Arrive(MatchPointer& p);
@@ -361,7 +356,7 @@ class Apophenia final : public api::Frontend {
     CandidateTrie trie_;
     TraceScorer scorer_;
 
-    IngestMode ingest_mode_;
+    bool owner_ingests_ = false;  ///< see LeaveIngestionToOwner
     std::uint64_t counter_ = 0;  ///< tasks observed (absolute index + 1)
     std::deque<PendingTask> pending_;
     /** Recycled PendingTask storage: requirement vectors keep their

@@ -1,27 +1,25 @@
 #include "core/config.h"
 
+#include <charconv>
 #include <stdexcept>
 
 namespace apo::core {
 
 namespace {
 
+/** A decimal count: std::from_chars takes no sign, whitespace or
+ * out-of-range value, where std::stoull would wrap "-1" to 2^64-1. */
 std::size_t
 ParseCount(const std::string& flag, const std::string& value)
 {
-    std::size_t pos = 0;
-    unsigned long long parsed = 0;
-    try {
-        parsed = std::stoull(value, &pos);
-    } catch (const std::exception&) {
+    std::size_t parsed = 0;
+    const char* end = value.data() + value.size();
+    const auto [stop, ec] = std::from_chars(value.data(), end, parsed);
+    if (ec != std::errc() || stop != end) {
         throw std::invalid_argument(flag + " expects a number, got '" +
                                     value + "'");
     }
-    if (pos != value.size()) {
-        throw std::invalid_argument(flag + " expects a number, got '" +
-                                    value + "'");
-    }
-    return static_cast<std::size_t>(parsed);
+    return parsed;
 }
 
 }  // namespace
@@ -62,18 +60,6 @@ ParseApopheniaFlags(std::vector<std::string>& args)
             } else {
                 throw std::invalid_argument(
                     a + ": unknown identifier algorithm '" + v + "'");
-            }
-        } else if (a == "-lg:auto_trace:ingest_mode") {
-            const std::string v = value_of(i, a);
-            if (v == "on-completion") {
-                config.ingest_mode = IngestMode::kOnCompletion;
-            } else if (v == "eager-drain") {
-                config.ingest_mode = IngestMode::kEagerDrain;
-            } else if (v == "manual") {
-                config.ingest_mode = IngestMode::kManual;
-            } else {
-                throw std::invalid_argument(
-                    a + ": unknown ingest mode '" + v + "'");
             }
         } else if (a == "-lg:auto_trace:history_block_size") {
             config.history_block_size = ParseCount(a, value_of(i, a));

@@ -11,10 +11,16 @@
  *   -lg:auto_trace:identifier_algorithm <multi-scale|batched>
  *   -lg:auto_trace:repeats_algorithm <quick_matching_of_substrings|...>
  *
- * plus flags of this reproduction's asynchronous pipeline:
+ * plus one flag of this reproduction's asynchronous pipeline:
  *
- *   -lg:auto_trace:ingest_mode <on-completion|eager-drain|manual>
  *   -lg:auto_trace:history_block_size <N>
+ *
+ * and the runtime flags the performance model reads:
+ *
+ *   -lg:window <N>
+ *   -lg:inline_transitive_reduction
+ *
+ * Every <N> is a plain decimal count: no sign, no padding.
  *
  * The paper's experiments all run with one configuration (batchsize
  * 5000, multi-scale factor 250/500, min length 25); only FlexFlow
@@ -38,26 +44,6 @@ enum class IdentifierAlgorithm {
     /** Analyze the whole buffer only when it fills (the non-adaptive
      * strawman the paper argues against). */
     kBatched,
-};
-
-/** When completed mining jobs are ingested into the candidate trie.
- * Ingestion is always in launch order; the mode picks the stream
- * positions at which it happens. */
-enum class IngestMode {
-    /** Ingest a job as soon as its completion has been observed — the
-     * throughput mode. Positions depend on completion timing, which is
-     * nondeterministic under a concurrent executor (and deterministic
-     * under InlineExecutor, where jobs complete at launch). */
-    kOnCompletion,
-    /** Drain the executor whenever jobs are pending and ingest
-     * everything, at every token. Deterministic under *any* executor:
-     * ingestion positions equal InlineExecutor's. Used to cross-check
-     * pooled runs against inline runs. */
-    kEagerDrain,
-    /** Ingest only via Apophenia::IngestOldestJob(); the replicated
-     * front-end uses this to align ingestion positions across nodes
-     * (paper section 5.1). */
-    kManual,
 };
 
 /** Which repeat-mining algorithm the finder runs (section 4.2). */
@@ -95,7 +81,6 @@ struct ApopheniaConfig {
         IdentifierAlgorithm::kMultiScale;
     RepeatsAlgorithm repeats_algorithm =
         RepeatsAlgorithm::kQuickMatchingOfSubstrings;
-    IngestMode ingest_mode = IngestMode::kOnCompletion;
 
     /** Block size of the shared history ring: mining jobs reference
      * whole blocks instead of copying tokens, so launching a job costs

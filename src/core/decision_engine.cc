@@ -11,7 +11,7 @@ DecisionEngine::DecisionEngine(const ApopheniaConfig& config,
 {
     // Barrier-driven by construction: the owner settles ingestion
     // positions (coordinated across nodes) before DecideStaged().
-    decider_.SetIngestMode(IngestMode::kManual);
+    decider_.LeaveIngestionToOwner();
     decider_.SetDecisionSink(&decisions_);
 }
 

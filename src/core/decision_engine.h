@@ -35,11 +35,11 @@
  * the log. FlushDecider() ends the stream.
  *
  * Mining runs on the executor the owner passes in. The decider never
- * ingests on its own (IngestMode::kManual): the owner calls
- * Decider().IngestOldestJob() at each job's agreed stream position,
- * which runs the job there if it is still queued and waits if a
- * worker is running it. Decisions are therefore the same under any
- * executor; only where the mining time is spent changes.
+ * ingests on its own (Apophenia::LeaveIngestionToOwner): the owner
+ * calls Decider().IngestOldestJob() at each job's agreed stream
+ * position, which runs the job there if no worker has started it and
+ * waits for the worker otherwise. Decisions are therefore the same
+ * under any executor; only where the mining time is spent changes.
  */
 #ifndef APOPHENIA_CORE_DECISION_ENGINE_H
 #define APOPHENIA_CORE_DECISION_ENGINE_H

@@ -24,13 +24,17 @@
  *
  * Launching a job is zero-copy: the history lives in shared
  * append-only blocks (history.h) and a job holds a refcounted
- * HistorySnapshot of its slice, materializing it on the worker thread.
- * Jobs are recycled through a free pool. A job's body marks it started
- * and, last of all, done, on whichever thread runs it; a failure is
- * kept on the job and rethrown when the job is ingested. Ingestion
- * remains strictly in launch order — the deterministic
- * stream-position ingestion contract the control-replicated cluster
- * front-end (sim/cluster.h) depends on.
+ * HistorySnapshot of its slice, materializing it on the thread that
+ * runs it. Jobs are recycled through a free pool. A job belongs to
+ * whichever thread starts it first: an executor worker, or the thread
+ * that ingests it, which runs a job no worker has started rather than
+ * wait for one. The claim is keyed on the launch id, so the executor's
+ * closure of a job already claimed, or recycled and launched again,
+ * does nothing; no executor can strand an ingestion. A failure is kept
+ * on the job and rethrown when the job is ingested. Ingestion is
+ * strictly in launch order — the deterministic stream-position
+ * ingestion contract the control-replicated cluster front-end
+ * (sim/cluster.h) depends on.
  */
 #ifndef APOPHENIA_CORE_FINDER_H
 #define APOPHENIA_CORE_FINDER_H
@@ -55,6 +59,7 @@
 namespace apo::core {
 
 class MiningCache;
+class TraceFinder;
 
 /** A candidate trace produced by a mining job. */
 struct CandidateTrace {
@@ -64,9 +69,16 @@ struct CandidateTrace {
 };
 
 /** One asynchronous history-mining job. Owned and recycled by the
- * finder; workers receive a raw pointer valid until the job is
- * released (the finder drains its executor before destruction). */
+ * finder; executor closures hold a raw pointer to it, valid for the
+ * finder's lifetime (the finder drains its executor before
+ * destruction). */
 struct AnalysisJob {
+    explicit AnalysisJob(TraceFinder& owner) : finder(&owner) {}
+
+    /** The owning finder. Closures reach it through the job, so a
+     * closure (job, launch id) fits std::function's inline buffer and
+     * launching allocates no closure. */
+    TraceFinder* const finder;
     /** Stable id (launch order). */
     std::uint64_t id = 0;
     /** Task counter at which the job was launched. */
@@ -89,9 +101,9 @@ struct AnalysisJob {
      * namespace (another tenant's mining). */
     bool memo_hit = false;
     bool memo_cross = false;
-    /** Set when the job body starts, on the thread that runs it; a
-     * job not yet started still waits in its executor's queue. */
-    std::atomic<bool> started{false};
+    /** The launch id + 1 while no thread has started this launch's
+     * body, 0 once one has (TraceFinder::RunUnclaimed). */
+    std::atomic<std::uint64_t> unclaimed{0};
     /** Completion flag, set (release) as the job body's last access,
      * once `results` or `error` is set. */
     std::atomic<bool> done{false};
@@ -131,9 +143,6 @@ struct FinderStats {
     /** Always 0. Kept only because the end-to-end benchmark's
      * `core.finder.repair_frac` reads it. */
     std::uint64_t mining_repairs = 0;
-    /** Jobs the overload watchdog gave up on (AbandonJobsOlderThan):
-     * removed from the ingestion queue without ever being ingested. */
-    std::uint64_t jobs_abandoned = 0;
 };
 
 /** See file comment. */
@@ -152,8 +161,8 @@ class TraceFinder {
      * `batchsize` tokens. */
     static constexpr std::size_t kPrivateMemoWindows = 8;
 
-    /** Waits for in-flight jobs: no worker may outlive the jobs. A
-     * failure the executor's drain rethrows is dropped here. */
+    /** Drains the executor: no closure may outlive the jobs it points
+     * to. A failure the drain rethrows is dropped here. */
     ~TraceFinder();
 
     TraceFinder(const TraceFinder&) = delete;
@@ -192,29 +201,16 @@ class TraceFinder {
         std::uint64_t first_id,
         const std::function<void(const PendingJobInfo&)>& visit) const;
 
-    /** Block until the oldest pending job (which must exist) has
-     * completed and return it. While the job is still queued, the
-     * executor is pumped (a TaskTeam then runs the job on this
-     * thread); once a worker has started it, this only waits. A job
-     * whose body threw rethrows that exception here. The reference
-     * stays valid until ReleaseOldestJob(). */
+    /** Complete the oldest pending job (which must exist) and return
+     * it: run it on this thread if no worker has started it, else
+     * wait for the worker to finish it. A job whose body threw
+     * rethrows that exception here. The reference stays valid until
+     * ReleaseOldestJob(). */
     const AnalysisJob& WaitOldestJob();
 
     /** Recycle the oldest pending job after its results have been
      * consumed. Must follow WaitOldestJob(). */
     void ReleaseOldestJob();
-
-    /**
-     * Overload watchdog: drop every not-yet-completed in-flight job
-     * issued before task counter `cutoff` from the ingestion queue.
-     * Abandoned jobs' candidates are never ingested; their workers
-     * (which may be stuck on a slow executor) keep the job storage
-     * alive on an orphan list and are reaped back into the free pool
-     * once done. Completed jobs are never abandoned — their results
-     * are already paid for. Returns the number of jobs abandoned.
-     * Ingestion order of the surviving jobs is preserved.
-     */
-    std::size_t AbandonJobsOlderThan(std::uint64_t cutoff);
 
     const FinderStats& Stats() const { return stats_; }
 
@@ -237,13 +233,14 @@ class TraceFinder {
   private:
     void LaunchAnalysis(std::size_t slice_length, std::uint64_t now);
     AnalysisJob* AcquireJob();
-    /** The worker-side job body: probe the memo, else mine and
-     * publish. */
+    /** Run launch `id` of `job` on this thread, keeping what it
+     * throws, and mark it done; false, running nothing, if another
+     * thread started it first or the job has since been relaunched. */
+    bool RunUnclaimed(AnalysisJob& job, std::uint64_t id);
+    /** Probe the memo, else mine and publish. */
     void RunJob(AnalysisJob& job);
     /** Mine job.slice with the configured algorithm. */
     std::vector<CandidateTrace> Mine(const AnalysisJob& job);
-    /** Return a released or reaped job to the free pool. */
-    void Recycle(std::unique_ptr<AnalysisJob> job);
 
     const ApopheniaConfig* config_;
     support::Executor* executor_;
@@ -260,9 +257,6 @@ class TraceFinder {
     /** Recycled job storage (snapshot spans, slice and result
      * buffers keep their capacity). */
     std::vector<std::unique_ptr<AnalysisJob>> free_jobs_;
-    /** Abandoned jobs whose workers may still be running; reaped into
-     * free_jobs_ once done (see AbandonJobsOlderThan). */
-    std::vector<std::unique_ptr<AnalysisJob>> orphaned_;
     FinderStats stats_;
     /** Latest replay boundary, and the anchored-window length that
      * triggers the next anchored analysis (doubles each launch to

@@ -106,15 +106,9 @@ MiningCache::Publish(const Key& key, std::span<const rt::TokenHash> window,
     {
         std::lock_guard lock(mutex_);
         Entry& entry = entries_[key];
-        if (entry.ready) {
-            // Late publish: the watchdog abandoned this key while its
-            // miner was stuck, a released waiter re-mined the window
-            // and republished it first. Mining is a pure function of
-            // the window, so the slot already holds the same answer —
-            // keep it (first publication wins, the FIFO queue stays
-            // duplicate-free).
-            return stored;
-        }
+        // Only the key's miner publishes it, and nothing but its own
+        // Abandon drops an in-progress entry.
+        assert(!entry.ready);
         entry.window = std::move(stored_window);
         entry.results = stored;
         entry.ready = true;
@@ -205,22 +199,6 @@ MiningCache::EvictToResidentBytes(std::size_t target_bytes)
         ++evicted;
     }
     return evicted;
-}
-
-std::size_t
-MiningCache::AbandonInProgress()
-{
-    std::size_t abandoned = 0;
-    {
-        std::lock_guard lock(mutex_);
-        abandoned = std::erase_if(entries_, [](const auto& keyed) {
-            return !keyed.second.ready;
-        });
-    }
-    if (abandoned > 0) {
-        published_.notify_all();
-    }
-    return abandoned;
 }
 
 }  // namespace apo::core

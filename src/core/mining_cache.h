@@ -195,15 +195,6 @@ class MiningCache {
      * Stats::evictions. Returns the number of entries evicted. */
     std::size_t EvictToResidentBytes(std::size_t target_bytes);
 
-    /** Watchdog escape hatch: erase every in-progress (unpublished)
-     * entry and wake all waiters blocked on them, so a stuck miner
-     * can never hang the rendezvous forever. Each released waiter
-     * re-probes and becomes the window's miner itself; the abandoned
-     * miner's eventual late Publish onto a key that was since
-     * republished is tolerated and dropped (first publication wins).
-     * Returns the number of entries abandoned. */
-    std::size_t AbandonInProgress();
-
   private:
     struct Entry {
         bool ready = false;

@@ -156,7 +156,7 @@ Cluster::Cluster(const ClusterOptions& options)
         if (!shared) {
             node->front_end = std::make_unique<core::Apophenia>(
                 *node->runtime, options_.config, nullptr, cache);
-            node->front_end->SetIngestMode(core::IngestMode::kManual);
+            node->front_end->LeaveIngestionToOwner();
         }
         if (options_.stream_logs) {
             AttachStreamConsumer(*node);

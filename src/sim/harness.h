@@ -72,9 +72,9 @@ struct ExperimentOptions {
     rt::CostModel costs;
     core::ApopheniaConfig auto_config;  ///< used when mode == kAuto
     /** Runs the unreplicated kAuto front end's mining jobs; borrowed,
-     * must outlive the experiment. nullptr = inline (deterministic;
-     * every figure). A pooled executor decides like inline under
-     * kEagerDrain ingestion, not under kOnCompletion. */
+     * must outlive the experiment. nullptr = inline (every figure).
+     * Behaviour-invariant: the front end ingests each job at the task
+     * that launched it, so any executor decides like inline. */
     support::Executor* executor = nullptr;
     /** What a trace replay does when the stream deviates from the
      * template: throw (Legion's strict mode) or degrade that fragment
@@ -226,8 +226,8 @@ class ExperimentStack {
      * front end, the cluster's shared decider, or node 0's engine in
      * per-node mode; nullptr unless kAuto. */
     const core::Apophenia* Engine() const;
-    /** The unreplicated kAuto front end (degrade and watchdog act on
-     * it); nullptr when replicated or untraced. */
+    /** The unreplicated kAuto front end (degrade acts on it); nullptr
+     * when replicated or untraced. */
     core::Apophenia* SingleEngine() { return apophenia_.get(); }
     /** The runtime whose log the simulator executes (node 0's when
      * replicated: the stream agreement makes it representative; the

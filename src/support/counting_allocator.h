@@ -3,7 +3,7 @@
  * Counting replacements for the global allocation operators, for the
  * zero-allocation contracts of the api layer (the LaunchBuilder test
  * and the micro_repeats issue-path record both report allocations per
- * launch).
+ * launch), and a one-shot allocation failure for fault injection.
  *
  * Including this header REPLACES the program's global operator
  * new/delete: include it from exactly ONE translation unit of a
@@ -28,6 +28,17 @@ inline std::uint64_t AllocationCount()
     return g_allocation_count.load(std::memory_order_relaxed);
 }
 
+/** Armed by FailNextAllocation(). */
+inline std::atomic<bool> g_fail_next_allocation{false};
+
+/** Make the next allocation, on whichever thread makes it, throw
+ * std::bad_alloc: a failure injected into code a test cannot reach
+ * otherwise. */
+inline void FailNextAllocation()
+{
+    g_fail_next_allocation.store(true);
+}
+
 }  // namespace apo::support
 
 // GCC pairs the malloc in the replaced operator new with the free in
@@ -40,6 +51,10 @@ operator new(std::size_t size)
 {
     apo::support::g_allocation_count.fetch_add(1,
                                                std::memory_order_relaxed);
+    if (apo::support::g_fail_next_allocation.load() &&
+        apo::support::g_fail_next_allocation.exchange(false)) {
+        throw std::bad_alloc();
+    }
     if (void* p = std::malloc(size)) {
         return p;
     }

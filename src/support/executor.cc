@@ -70,71 +70,6 @@ WorkerPool::WorkerLoop()
     }
 }
 
-PooledExecutor::PooledExecutor(std::size_t num_threads)
-    : pool_(num_threads)
-{
-}
-
-PooledExecutor::~PooledExecutor()
-{
-    // Jobs may still be running; wait for them and deliver the
-    // remaining callbacks so no completion is silently dropped.
-    Drain();
-}
-
-void
-PooledExecutor::Submit(std::function<void()> job)
-{
-    Submit(std::move(job), [] {});
-}
-
-void
-PooledExecutor::Submit(std::function<void()> job,
-                       std::function<void()> on_complete)
-{
-    Ticket* ticket = nullptr;
-    {
-        std::lock_guard lock(mutex_);
-        tickets_.push_back(Ticket{std::move(on_complete), false});
-        // Stable address: tickets are popped only by the owner thread,
-        // and a ticket is popped only after the worker marked it done
-        // (i.e., after the worker's last access).
-        ticket = &tickets_.back();
-    }
-    pool_.Submit([this, ticket, job = std::move(job)] {
-        job();
-        std::lock_guard lock(mutex_);
-        ticket->done = true;
-    });
-}
-
-std::vector<std::function<void()>>
-PooledExecutor::TakeReadyPrefix()
-{
-    std::vector<std::function<void()>> ready;
-    std::lock_guard lock(mutex_);
-    while (!tickets_.empty() && tickets_.front().done) {
-        ready.push_back(std::move(tickets_.front().on_complete));
-        tickets_.pop_front();
-    }
-    return ready;
-}
-
-void
-PooledExecutor::Pump()
-{
-    for (auto& callback : TakeReadyPrefix()) {
-        callback();
-    }
-}
-
-void
-PooledExecutor::Drain()
-{
-    pool_.Drain();
-    Pump();
-}
-
 TaskTeam::TaskTeam(std::size_t threads)
 {
     if (threads <= 1) {

@@ -8,8 +8,13 @@
  * avoid stalling the application"). In Legion these jobs run on the
  * runtime's background worker threads; here they run on a small worker
  * pool or, in the cluster simulation, on the worker team that also
- * fans out its per-node loops. An inline executor is provided for
- * deterministic testing.
+ * fans out its per-node loops. An inline executor runs each job at
+ * submission.
+ *
+ * No front end depends on its executor for progress: the thread that
+ * ingests a mining job runs it itself if no worker has started it yet
+ * (core/finder.h), so a slow or stalled executor never holds up an
+ * ingestion beyond the job's own mining time.
  *
  * Completion is event-driven rather than polled: every job may carry a
  * completion callback. Where and when the callback runs is the
@@ -17,11 +22,6 @@
  *  - InlineExecutor: immediately after the job, on the calling thread.
  *  - WorkerPool: on the worker thread that ran the job (callers that
  *    share state with the callback must synchronize).
- *  - PooledExecutor: never concurrently — callbacks are buffered and
- *    delivered in submission order on the owner's thread, at Pump()
- *    and Drain() points. After Drain() returns, every submitted job's
- *    callback has run: completion observation is deterministic at
- *    drain points even though execution is concurrent.
  *  - TaskTeam: on the thread that ran the job — one of the team's
  *    workers between index-loop epochs, or the owner inside Pump() or
  *    Drain().
@@ -63,12 +63,11 @@ class Executor {
         });
     }
 
-    /** Deliver any buffered completion callbacks (see PooledExecutor);
-     * a no-op for executors that deliver completions eagerly. */
+    /** Let the calling thread make progress on queued work (a TaskTeam
+     * runs its oldest queued job here); a no-op by default. */
     virtual void Pump() {}
 
-    /** Block until every submitted job has finished and, for deferred
-     * executors, every completion callback has been delivered. */
+    /** Block until every submitted job has finished. */
     virtual void Drain() = 0;
 };
 
@@ -110,51 +109,6 @@ class WorkerPool final : public Executor {
     std::size_t in_flight_ = 0;
     bool shutting_down_ = false;
     std::vector<std::thread> threads_;
-};
-
-/**
- * A worker pool with deterministic completion delivery. Jobs execute
- * concurrently on an internal WorkerPool, but completion callbacks are
- * buffered and delivered on the owner's thread, always in submission
- * order: Pump() delivers callbacks for the longest prefix of submitted
- * jobs that have all finished; Drain() waits for everything and then
- * delivers every remaining callback. Because callbacks never run
- * concurrently with the owner, owner-side completion bookkeeping needs
- * no locking — this is what makes the pool usable outside tests.
- */
-class PooledExecutor final : public Executor {
-  public:
-    explicit PooledExecutor(std::size_t num_threads = 2);
-    ~PooledExecutor() override;
-
-    PooledExecutor(const PooledExecutor&) = delete;
-    PooledExecutor& operator=(const PooledExecutor&) = delete;
-
-    void Submit(std::function<void()> job) override;
-    void Submit(std::function<void()> job,
-                std::function<void()> on_complete) override;
-
-    /** Deliver completion callbacks for the longest all-done prefix of
-     * submitted jobs, in submission order, on this thread. */
-    void Pump() override;
-
-    /** Wait for all jobs, then deliver every pending callback (in
-     * submission order, on this thread). */
-    void Drain() override;
-
-  private:
-    /** One submitted job's completion record. */
-    struct Ticket {
-        std::function<void()> on_complete;
-        bool done = false;
-    };
-
-    /** Pop the longest done prefix under the lock; return callbacks. */
-    std::vector<std::function<void()>> TakeReadyPrefix();
-
-    WorkerPool pool_;
-    std::mutex mutex_;
-    std::deque<Ticket> tickets_;
 };
 
 /**

@@ -408,31 +408,8 @@ TraceService::ApplyOverloadControl(Tenant& tenant, std::uint64_t clock)
 }
 
 void
-TraceService::RunWatchdogAndHealth()
+TraceService::RunHealthMonitor()
 {
-    if (options_.analysis_timeout_tasks > 0) {
-        std::size_t abandoned = 0;
-        for (const auto& tenant : tenants_) {
-            if (core::Apophenia* engine = tenant->stack.SingleEngine()) {
-                abandoned += engine->AbandonStaleAnalyses(
-                    options_.analysis_timeout_tasks);
-            }
-        }
-        if (abandoned > 0) {
-            health_.watchdog_job_abandons += abandoned;
-            // A stuck job may hold an in-progress memo entry that
-            // other miners are waiting on: clear those so the waiters
-            // wake, re-probe and mine for themselves.
-            health_.watchdog_cache_abandons +=
-                cache_->AbandonInProgress();
-            for (const auto& tenant : tenants_) {
-                if (core::MiningCache* memo = tenant->stack.PrivateMemo()) {
-                    health_.watchdog_cache_abandons +=
-                        memo->AbandonInProgress();
-                }
-            }
-        }
-    }
     if (options_.memory_high_watermark_bytes == 0) {
         return;
     }
@@ -576,7 +553,7 @@ TraceService::Run()
             // harness's final Flush.
             tenant.session.Flush();
         }
-        RunWatchdogAndHealth();
+        RunHealthMonitor();
     }
     return AssembleResults(clock);
 }

@@ -274,9 +274,10 @@ struct ServiceOptions {
     /** Admission policy; borrowed. nullptr = internal round-robin. */
     AdmissionPolicy* policy = nullptr;
     /** Executor of every unreplicated tenant's mining jobs (the TSan
-     * configuration drives cross-tenant cache traffic through a
-     * PooledExecutor here); borrowed, must outlive the service.
-     * nullptr = deterministic inline mining. */
+     * leg drives cross-tenant cache traffic through a thread pool
+     * here); borrowed, must outlive the service. nullptr = inline
+     * mining. Behaviour-invariant: each tenant ingests a job at the
+     * task that launched it, running it there if no worker has. */
     support::Executor* executor = nullptr;
 
     // -- Overload control / health monitor ----------------------------------
@@ -298,13 +299,6 @@ struct ServiceOptions {
     std::size_t memory_high_watermark_bytes = 0;
     /** Hysteresis low watermark; 0 = half the high watermark. */
     std::size_t memory_low_watermark_bytes = 0;
-    /** Watchdog: after every grant, abandon analysis jobs stuck
-     * (launched, not completed) for more than this many of their
-     * tenant's observed tasks, and release mining-memo waiters
-     * (shared cache and private memos) blocked on in-progress entries
-     * (MiningCache::AbandonInProgress) so no waiter hangs on a stuck
-     * miner. 0 = watchdog off. */
-    std::uint64_t analysis_timeout_tasks = 0;
     /** Virtual-time cost of a degraded task relative to a traced-path
      * task: the degraded path skips mining, matching and replay
      * bookkeeping, so a degraded iteration advances the service clock
@@ -372,7 +366,7 @@ struct TenantStats {
 };
 
 /** Service-level health-monitor accounting of one run (all zero with
- * monitoring off — no watermark and no watchdog). */
+ * monitoring off, i.e. no watermark). */
 struct HealthStats {
     /** Resident-byte samples taken (one per granted iteration). */
     std::uint64_t samples = 0;
@@ -387,11 +381,6 @@ struct HealthStats {
     std::uint64_t pressure_cache_evictions = 0;
     /** kDegrade tenants force-degraded by memory pressure. */
     std::uint64_t forced_degrades = 0;
-    /** Watchdog: analysis jobs abandoned past analysis_timeout_tasks,
-     * and in-progress mining-memo entries cleared to release
-     * waiters. */
-    std::uint64_t watchdog_job_abandons = 0;
-    std::uint64_t watchdog_cache_abandons = 0;
 };
 
 /** Everything a bench reports about one service run. */
@@ -461,7 +450,7 @@ class TraceService {
      * configurations (see ServiceUsageError). */
     void ValidateForRun() const;
     void ApplyOverloadControl(Tenant& tenant, std::uint64_t clock);
-    void RunWatchdogAndHealth();
+    void RunHealthMonitor();
     ServiceResult AssembleResults(std::uint64_t virtual_time);
 
     ServiceOptions options_;

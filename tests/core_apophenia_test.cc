@@ -534,8 +534,9 @@ std::vector<rt::TaskLaunch> MotifStream(
     return launches;
 }
 
-/** Issue launches [from, to) into a kManual front-end, ingesting one
- * to three of the oldest pending jobs at about one position in eight.
+/** Issue launches [from, to) into a front-end that leaves ingestion to
+ * its owner, ingesting one to three of the oldest pending jobs at
+ * about one position in eight.
  * The draw is a pure function of the seed and the position, so a
  * restored front-end ingests exactly where the original would have. */
 void IssueWithManualIngest(Apophenia& fe,
@@ -543,6 +544,7 @@ void IssueWithManualIngest(Apophenia& fe,
                            std::size_t from, std::size_t to,
                            std::uint64_t seed)
 {
+    fe.LeaveIngestionToOwner();
     for (std::size_t i = from; i < to; ++i) {
         fe.ExecuteTask(launches[i]);
         const std::uint64_t roll =
@@ -604,7 +606,6 @@ TEST(Apophenia, MatcherSurvivesManualIngestFlushesAndRestore)
     config.min_trace_length = 3;
     config.max_trace_length = 24;  // long repeats split into several
     config.multi_scale_factor = 25;
-    config.ingest_mode = IngestMode::kManual;
     const auto make_regions = [](Apophenia& fe) {
         std::vector<rt::RegionId> regions;
         for (int i = 0; i < 16; ++i) {

@@ -50,7 +50,8 @@ TEST(Config, ParsesArtifactCommandLine)
                       "-lg:auto_trace:no_checkpoints",
                       "-lg:auto_trace:no_overload_control",
                       "-lg:auto_trace:no_incremental_mining",
-                      "-lg:auto_trace:incremental_ring_windows", "8"});
+                      "-lg:auto_trace:incremental_ring_windows", "8",
+                      "-lg:auto_trace:ingest_mode", "manual"});
     const ApopheniaConfig config = ParseApopheniaFlags(args);
     EXPECT_TRUE(config.enabled);
     EXPECT_EQ(config.min_trace_length, 25u);
@@ -66,7 +67,8 @@ TEST(Config, ParsesArtifactCommandLine)
         "-lg:auto_trace:no_checkpoints",
         "-lg:auto_trace:no_overload_control",
         "-lg:auto_trace:no_incremental_mining",
-        "-lg:auto_trace:incremental_ring_windows", "8"};
+        "-lg:auto_trace:incremental_ring_windows", "8",
+        "-lg:auto_trace:ingest_mode", "manual"};
     EXPECT_EQ(args, rest);
 }
 
@@ -127,6 +129,25 @@ TEST(Config, NumberWithTrailingGarbageRejected)
 {
     auto args = Args({"-lg:auto_trace:batchsize", "100x"});
     EXPECT_THROW(ParseApopheniaFlags(args), std::invalid_argument);
+}
+
+TEST(Config, NegativeAndPaddedNumbersRejected)
+{
+    // std::stoull accepted all of these, wrapping "-1" to 2^64-1.
+    const std::pair<const char*, const char*> cases[] = {
+        {"-lg:auto_trace:batchsize", "-1"},
+        {"-lg:auto_trace:multi_scale_factor", "-250"},
+        {"-lg:auto_trace:history_block_size", "-512"},
+        {"-lg:window", "-1"},
+        {"-lg:auto_trace:batchsize", " 5000"},
+    };
+    for (const auto& [flag, value] : cases) {
+        SCOPED_TRACE(testing::Message() << flag << " '" << value << "'");
+        auto args = Args({flag, value});
+        EXPECT_THROW(ParseApopheniaFlags(args), std::invalid_argument);
+    }
+    auto args = Args({"-lg:auto_trace:batchsize", "5000"});
+    EXPECT_EQ(ParseApopheniaFlags(args).batchsize, 5000u);
 }
 
 }  // namespace

@@ -27,7 +27,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
+#include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -136,7 +137,7 @@ TEST(DecisionEngine, MirrorsADirectApopheniaBitForBit)
 
     rt::Runtime ref_rt(rt_options);
     core::Apophenia ref(ref_rt, config);
-    ref.SetIngestMode(core::IngestMode::kManual);
+    ref.LeaveIngestionToOwner();
 
     core::DecisionEngine engine(config, rt_options);
     rt::Runtime node_rt(rt_options);
@@ -567,41 +568,39 @@ TEST(SharedDecisionThreads, HtrMatchesInlineMining)
         apps::HtrOptions{.machine = machine}, 40, "htr");
 }
 
-/** Forwards jobs to a TaskTeam, but replaces the `fail_at`'th job
- * (counting from 0) with one that throws instead of mining. */
-class FailingExecutor final : public support::Executor {
+/** Holds a TaskTeam's only worker inside a job until released or
+ * destroyed, so the jobs submitted meanwhile stay queued. Declare it
+ * after the engine that borrows the team: the engine's teardown drain
+ * waits for the held job. */
+class HeldWorker {
   public:
-    FailingExecutor(support::TaskTeam& team, int fail_at)
-        : team_(&team), fail_at_(fail_at)
+    explicit HeldWorker(support::TaskTeam& team)
     {
-    }
-    using Executor::Submit;
-    void Submit(std::function<void()> job) override
-    {
-        if (submitted_++ == fail_at_) {
-            team_->Submit([] { throw std::runtime_error("mining failed"); });
-        } else {
-            team_->Submit(std::move(job));
+        team.Submit([this] {
+            busy_.store(true);
+            while (!released_.load()) {
+                std::this_thread::yield();
+            }
+        });
+        while (!busy_.load()) {
+            std::this_thread::yield();
         }
     }
-    void Pump() override { team_->Pump(); }
-    void Drain() override { team_->Drain(); }
+    ~HeldWorker() { Release(); }
+    HeldWorker(const HeldWorker&) = delete;
+    HeldWorker& operator=(const HeldWorker&) = delete;
+
+    void Release() { released_.store(true); }
 
   private:
-    support::TaskTeam* team_;
-    int fail_at_;
-    int submitted_ = 0;
+    std::atomic<bool> busy_{false};
+    std::atomic<bool> released_{false};
 };
 
-TEST(DecisionEngine, AFailedMiningJobSurfacesAtItsIngestion)
+/** Stage 200 launches into `engine` and decide them: the decider
+ * launches its first mining jobs. */
+void DecideTwoHundredLaunches(core::DecisionEngine& engine)
 {
-    // Declared before the engine, so the decider's finder drains the
-    // team before the team goes.
-    support::TaskTeam team(2);
-    FailingExecutor executor(team, /*fail_at=*/1);
-    const rt::RuntimeOptions rt_options;
-    core::DecisionEngine engine(SmallConfig(), rt_options, nullptr,
-                                &executor);
     const rt::RegionId a = engine.DecisionRuntime().CreateRegion();
     const rt::RegionId b = engine.DecisionRuntime().CreateRegion();
     for (int i = 0; i < 200; ++i) {
@@ -611,17 +610,37 @@ TEST(DecisionEngine, AFailedMiningJobSurfacesAtItsIngestion)
         engine.Buffer(rt::TaskLaunchView::Of(launch));
     }
     engine.DecideStaged();
-    core::Apophenia& decider = engine.Decider();
-    ASSERT_GE(decider.PendingJobCount(), 2u);
-    // Job 0 mined normally; job 1's failure is rethrown on this
-    // thread when it is ingested, whether a worker ran it or this
-    // thread did — never std::terminate, never a hang.
-    EXPECT_NO_THROW(decider.IngestOldestJob());
-    try {
-        decider.IngestOldestJob();
-        ADD_FAILURE() << "the failed job was ingested";
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "mining failed");
+}
+
+TEST(DecisionEngine, AFailedMiningJobSurfacesAtItsIngestion)
+{
+    // Job 1's body fails at its first allocation (a miss in the
+    // memo). The failure is kept on the job and rethrown on the
+    // thread that ingests it, whether a worker ran the job or that
+    // thread did: never std::terminate, never a hang.
+    for (const bool on_worker : {false, true}) {
+        SCOPED_TRACE(on_worker ? "run by a worker" : "run at ingestion");
+        support::TaskTeam team(2);
+        const rt::RuntimeOptions rt_options;
+        core::DecisionEngine engine(SmallConfig(), rt_options, nullptr,
+                                    &team);
+        HeldWorker held(team);
+        DecideTwoHundredLaunches(engine);
+        core::Apophenia& decider = engine.Decider();
+        ASSERT_GE(decider.PendingJobCount(), 2u);
+        // Job 0 is mined normally, on this thread.
+        EXPECT_NO_THROW(decider.IngestOldestJob());
+        support::FailNextAllocation();
+        if (on_worker) {
+            // The worker skips job 0's stale closure and runs job 1.
+            held.Release();
+            while (!decider.OldestJobDone()) {
+                std::this_thread::yield();
+            }
+        }
+        EXPECT_THROW(decider.IngestOldestJob(), std::bad_alloc);
+        // The failure belongs to the job, not to one ingestion.
+        EXPECT_THROW(decider.IngestOldestJob(), std::bad_alloc);
     }
 }
 
@@ -633,31 +652,14 @@ TEST(DecisionEngine, DrainsItsQueuedJobsBeforeTheTeamGoes)
     // of them first: a job left behind would run on freed state once
     // the worker is released (the sanitizer legs flag it).
     support::TaskTeam team(2);
-    std::atomic<bool> busy{false};
-    std::atomic<bool> release{false};
-    team.Submit([&] {
-        busy.store(true);
-        while (!release.load()) {
-            std::this_thread::yield();
-        }
-    });
-    while (!busy.load()) {
-        std::this_thread::yield();
-    }
     const rt::RuntimeOptions rt_options;
     auto engine = std::make_unique<core::DecisionEngine>(
         SmallConfig(), rt_options, nullptr, &team);
-    const rt::RegionId region = engine->DecisionRuntime().CreateRegion();
-    for (int i = 0; i < 200; ++i) {
-        engine->Buffer(rt::TaskLaunchView::Of(rt::TaskLaunch{
-            static_cast<rt::TaskId>(100 + i % 10),
-            {{region, static_cast<rt::FieldId>(i % 3),
-              rt::Privilege::kReadWrite, 0}}}));
-    }
-    engine->DecideStaged();
+    HeldWorker held(team);
+    DecideTwoHundredLaunches(*engine);
     ASSERT_GE(engine->Decider().PendingJobCount(), 2u);
     EXPECT_FALSE(engine->Decider().OldestJobDone());
-    release.store(true);
+    held.Release();
     engine.reset();
     team.Drain();
 }

@@ -4,8 +4,9 @@
  *
  *  - the zero-allocation contracts (this TU owns the counting
  *    allocator — see support/counting_allocator.h): a warm
- *    private-memo hit allocates nothing, and a warm mined window
- *    allocates only the repeats it emits;
+ *    private-memo hit, from its launch through its ingestion,
+ *    allocates nothing, and a warm mined window allocates only the
+ *    repeats it emits;
  *  - the reference miner as the spec: over every bundled
  *    application's token stream, at namespace 0 and a salted one,
  *    with a private memo and a shared one, every ingested job's
@@ -45,28 +46,6 @@
 namespace apo {
 namespace {
 
-/** Runs submitted jobs only when pumped, so a test can count a job
- * body's allocations apart from its launch. */
-class DeferredExecutor final : public support::Executor {
-  public:
-    using Executor::Submit;
-    void Submit(std::function<void()> job) override
-    {
-        queue_.push_back(std::move(job));
-    }
-    void Pump() override
-    {
-        for (std::function<void()>& job : queue_) {
-            job();
-        }
-        queue_.clear();
-    }
-    void Drain() override { Pump(); }
-
-  private:
-    std::vector<std::function<void()>> queue_;
-};
-
 TEST(FinderMemo, WarmPrivateMemoHitAllocatesNothing)
 {
     // A period-8 stream mined every 256 tokens over the whole 256-token
@@ -76,17 +55,21 @@ TEST(FinderMemo, WarmPrivateMemoHitAllocatesNothing)
     config.min_trace_length = 8;
     config.batchsize = 256;
     config.identifier_algorithm = core::IdentifierAlgorithm::kBatched;
-    DeferredExecutor executor;
+    support::InlineExecutor executor;
     core::TraceFinder finder(config, executor);
     std::uint64_t now = 0;
     std::vector<std::uint64_t> allocations;
     for (int window = 0; window < 12; ++window) {
-        for (int i = 0; i < 256; ++i, ++now) {
+        for (int i = 0; i < 255; ++i, ++now) {
             finder.Observe(now % 8, now + 1);
         }
-        ASSERT_EQ(finder.PendingJobCount(), 1u);
-        // The job body (probe, adopt, complete) and its ingestion.
+        // The window's last token launches the job, whose closure and
+        // body (probe, adopt, complete) run inline; then its
+        // ingestion.
         const std::uint64_t before = support::AllocationCount();
+        finder.Observe(now % 8, now + 1);
+        ++now;
+        ASSERT_EQ(finder.PendingJobCount(), 1u);
         finder.WaitOldestJob();
         finder.ReleaseOldestJob();
         allocations.push_back(support::AllocationCount() - before);

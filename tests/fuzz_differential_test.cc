@@ -260,13 +260,15 @@ TEST_P(DifferentialFuzz, TracedCoherenceStateEqualsUntraced)
         << "coherence state diverged (seed " << fuzz.seed << ")";
 }
 
-TEST_P(DifferentialFuzz, PooledEagerDrainMatchesInlineDecisions)
+TEST_P(DifferentialFuzz, PooledMiningMatchesInlineDecisions)
 {
-    // The zero-copy pipeline's determinism contract: with eager-drain
-    // ingestion, a pooled executor (jobs actually mined on background
-    // worker threads) must reproduce the InlineExecutor's replay
-    // decisions exactly — same analysis modes, same trace ids, at the
-    // same stream positions.
+    // The ingestion rule's determinism contract: a front end ingests
+    // each mining job at the task that launched it, running the job
+    // there unless a worker started it first. So mining on background
+    // threads, a WorkerPool's or a TaskTeam's, must reproduce the
+    // InlineExecutor's decisions exactly: the same stream, analysis
+    // modes, trace ids and dependences, and the same candidates
+    // ingested at the same positions.
     const FuzzCase fuzz = GetParam();
     core::ApopheniaConfig config;
     config.min_trace_length = fuzz.min_trace_length;
@@ -280,72 +282,41 @@ TEST_P(DifferentialFuzz, PooledEagerDrainMatchesInlineDecisions)
     RandomProgram(fuzz.seed).Run(inline_fe);
     inline_fe.Flush();
 
-    core::ApopheniaConfig pooled_config = config;
-    pooled_config.ingest_mode = core::IngestMode::kEagerDrain;
-    rt::Runtime pooled_rt;
-    support::PooledExecutor pool(3);
-    core::Apophenia pooled_fe(pooled_rt, pooled_config, &pool);
-    RandomProgram(fuzz.seed).Run(pooled_fe);
-    pooled_fe.Flush();
+    // Both outlive every front end that borrows them.
+    support::WorkerPool pool(3);
+    support::TaskTeam team(3);
+    for (support::Executor* executor :
+         {static_cast<support::Executor*>(&pool),
+          static_cast<support::Executor*>(&team)}) {
+        SCOPED_TRACE(executor == &pool ? "WorkerPool" : "TaskTeam");
+        rt::Runtime pooled_rt;
+        core::Apophenia pooled_fe(pooled_rt, config, executor);
+        RandomProgram(fuzz.seed).Run(pooled_fe);
+        pooled_fe.Flush();
 
-    ASSERT_EQ(pooled_rt.Log().size(), inline_rt.Log().size());
-    for (std::size_t i = 0; i < pooled_rt.Log().size(); ++i) {
-        ASSERT_EQ(pooled_rt.Log()[i].token, inline_rt.Log()[i].token)
-            << "stream diverged at op " << i << " (seed " << fuzz.seed
-            << ")";
-        ASSERT_EQ(pooled_rt.Log()[i].mode, inline_rt.Log()[i].mode)
-            << "analysis mode diverged at op " << i << " (seed "
-            << fuzz.seed << ")";
-        ASSERT_EQ(pooled_rt.Log()[i].trace, inline_rt.Log()[i].trace)
-            << "trace decision diverged at op " << i << " (seed "
-            << fuzz.seed << ")";
-        ASSERT_EQ(pooled_rt.Log()[i].dependences,
-                  inline_rt.Log()[i].dependences)
-            << "graph diverged at op " << i << " (seed " << fuzz.seed
-            << ")";
-    }
-    EXPECT_EQ(pooled_fe.Stats().traces_fired,
-              inline_fe.Stats().traces_fired);
-    EXPECT_EQ(pooled_fe.Stats().jobs_ingested,
-              inline_fe.Stats().jobs_ingested);
-}
-
-TEST(DifferentialFuzzPooled, OnCompletionIngestionIsStillSafe)
-{
-    // Throughput mode: with on-completion ingestion, *when* candidates
-    // arrive depends on worker timing, so replay decisions are free to
-    // differ from inline — but the forwarded stream and the dependence
-    // graph must still match the untraced program exactly.
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        core::ApopheniaConfig config;
-        config.min_trace_length = 5;
-        config.max_trace_length = 5000;
-        config.batchsize = 800;
-        config.multi_scale_factor = 50;
-
-        rt::Runtime traced_rt;
-        support::WorkerPool pool(3);
-        {
-            core::Apophenia fe(traced_rt, config, &pool);
-            RandomProgram(seed).Run(fe);
-            fe.Flush();
-        }
-
-        rt::Runtime bare_rt;
-        BareTarget bare(bare_rt);
-        RandomProgram(seed).Run(bare);
-
-        ASSERT_EQ(traced_rt.Log().size(), bare_rt.Log().size());
-        for (std::size_t i = 0; i < traced_rt.Log().size(); ++i) {
-            ASSERT_EQ(traced_rt.Log()[i].token, bare_rt.Log()[i].token)
-                << "stream diverged at op " << i << " (seed " << seed
+        const rt::OperationLog& pooled = pooled_rt.Log();
+        const rt::OperationLog& inlined = inline_rt.Log();
+        ASSERT_EQ(pooled.size(), inlined.size());
+        for (std::size_t i = 0; i < pooled.size(); ++i) {
+            ASSERT_EQ(pooled[i].token, inlined[i].token)
+                << "stream diverged at op " << i << " (seed " << fuzz.seed
                 << ")";
-            ASSERT_EQ(traced_rt.Log()[i].dependences,
-                      bare_rt.Log()[i].dependences)
-                << "graph diverged at op " << i << " (seed " << seed
+            ASSERT_EQ(pooled[i].mode, inlined[i].mode)
+                << "analysis mode diverged at op " << i << " (seed "
+                << fuzz.seed << ")";
+            ASSERT_EQ(pooled[i].trace, inlined[i].trace)
+                << "trace decision diverged at op " << i << " (seed "
+                << fuzz.seed << ")";
+            ASSERT_EQ(pooled[i].dependences, inlined[i].dependences)
+                << "graph diverged at op " << i << " (seed " << fuzz.seed
                 << ")";
         }
-        EXPECT_EQ(traced_rt.Stats().trace_mismatches, 0u);
+        EXPECT_EQ(pooled_fe.CandidateDigest(), inline_fe.CandidateDigest());
+        EXPECT_EQ(pooled_fe.Stats().traces_fired,
+                  inline_fe.Stats().traces_fired);
+        EXPECT_EQ(pooled_fe.Stats().jobs_ingested,
+                  inline_fe.Stats().jobs_ingested);
+        EXPECT_EQ(pooled_rt.Stats().trace_mismatches, 0u);
     }
 }
 

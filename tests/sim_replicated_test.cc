@@ -208,24 +208,27 @@ void ExpectAllModes(Options app_options, std::size_t iterations)
         EXPECT_EQ(result.replayed_fraction, 0.0);
         EXPECT_EQ(result.runtime_stats.tasks_analyzed, result.total_tasks);
     }
-    // Apophenia, inline and pooled (eager-drain: decisions must be
-    // bit-identical to inline — PR 1's determinism contract).
+    // Apophenia, inline and mining on background threads: each job is
+    // ingested at the task that launched it, so the decisions must be
+    // bit-identical to inline.
     sim::ExperimentResult inline_result;
     {
         App app(app_options);
         sim::ExperimentOptions options = base;
         options.mode = sim::TracingMode::kAuto;
-        options.auto_config.ingest_mode = core::IngestMode::kEagerDrain;
         inline_result = sim::RunExperiment(app, options);
         EXPECT_GT(inline_result.replayed_fraction, 0.0);
     }
-    {
+    support::WorkerPool pool(2);
+    support::TaskTeam team(2);
+    for (support::Executor* executor :
+         {static_cast<support::Executor*>(&pool),
+          static_cast<support::Executor*>(&team)}) {
+        SCOPED_TRACE(executor == &pool ? "WorkerPool" : "TaskTeam");
         App app(app_options);
         sim::ExperimentOptions options = base;
         options.mode = sim::TracingMode::kAuto;
-        options.auto_config.ingest_mode = core::IngestMode::kEagerDrain;
-        support::PooledExecutor pool(2);
-        options.executor = &pool;
+        options.executor = executor;
         const auto pooled = sim::RunExperiment(app, options);
         EXPECT_EQ(pooled.stream_digest, inline_result.stream_digest);
         EXPECT_EQ(pooled.stream_digest_ops, inline_result.stream_digest_ops);

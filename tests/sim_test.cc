@@ -287,11 +287,12 @@ TEST(Harness, TracingBeatsUntracedWhenAnalysisBound)
               1.2 * manual.iterations_per_second);
 }
 
-TEST(Harness, PooledEagerDrainMatchesInlineExperiment)
+TEST(Harness, PooledMiningMatchesInlineExperiment)
 {
-    // The pooled experiment configuration with eager-drain ingestion
-    // must reproduce the inline (deterministic) figures exactly: same
-    // decisions, same simulated timeline.
+    // A front end ingests each mining job at the task that launched
+    // it, so an experiment that mines on background threads, a
+    // WorkerPool's or a TaskTeam's, must reproduce the inline figures
+    // exactly: same decisions, same simulated timeline.
     apps::S3dOptions app_options;
     app_options.machine.nodes = 1;
     app_options.machine.gpus_per_node = 4;
@@ -307,56 +308,40 @@ TEST(Harness, PooledEagerDrainMatchesInlineExperiment)
     apps::S3dApplication app_inline(app_options);
     const ExperimentResult inline_result =
         RunExperiment(app_inline, options);
+    EXPECT_GT(inline_result.replayed_fraction, 0.0);
 
-    apps::S3dApplication app_pooled(app_options);
-    support::PooledExecutor pool(3);
-    options.executor = &pool;
-    options.auto_config.ingest_mode = core::IngestMode::kEagerDrain;
-    const ExperimentResult pooled_result =
-        RunExperiment(app_pooled, options);
+    support::WorkerPool pool(3);
+    support::TaskTeam team(3);
+    for (support::Executor* executor :
+         {static_cast<support::Executor*>(&pool),
+          static_cast<support::Executor*>(&team)}) {
+        SCOPED_TRACE(executor == &pool ? "WorkerPool" : "TaskTeam");
+        apps::S3dApplication app_pooled(app_options);
+        options.executor = executor;
+        const ExperimentResult pooled_result =
+            RunExperiment(app_pooled, options);
 
-    EXPECT_EQ(pooled_result.stream_digest, inline_result.stream_digest);
-    EXPECT_EQ(pooled_result.stream_digest_ops,
-              inline_result.stream_digest_ops);
-    EXPECT_EQ(pooled_result.candidate_digest,
-              inline_result.candidate_digest);
-    EXPECT_DOUBLE_EQ(pooled_result.makespan_us, inline_result.makespan_us);
-    EXPECT_DOUBLE_EQ(pooled_result.iterations_per_second,
-                     inline_result.iterations_per_second);
-    EXPECT_DOUBLE_EQ(pooled_result.replayed_fraction,
-                     inline_result.replayed_fraction);
-    EXPECT_EQ(pooled_result.apophenia_stats.traces_fired,
-              inline_result.apophenia_stats.traces_fired);
-}
-
-TEST(Harness, PooledOnCompletionModeStillTraces)
-{
-    apps::S3dOptions app_options;
-    app_options.machine.nodes = 1;
-    app_options.machine.gpus_per_node = 4;
-    apps::S3dApplication app(app_options);
-
-    ExperimentOptions options;
-    options.machine = app_options.machine;
-    // Enough iterations that the pool keeps up with the issue path
-    // even as successive PRs keep making it faster (allocation-free
-    // builder, now the arena log append): ingestion timing decides
-    // *where* tracing engages, not *whether*. Raised 300 -> 900 after
-    // the columnar log sped the untraced path up again.
-    options.iterations = 900;
-    options.mode = TracingMode::kAuto;
-    support::PooledExecutor pool(3);
-    options.executor = &pool;
-    options.auto_config.min_trace_length = 10;
-    options.auto_config.batchsize = 2000;
-    options.auto_config.multi_scale_factor = 100;
-    const ExperimentResult result = RunExperiment(app, options);
-    // Ingestion timing is nondeterministic, but tracing must engage
-    // and the issued stream stays a valid program.
-    EXPECT_GT(result.replayed_fraction, 0.0);
-    EXPECT_EQ(result.total_tasks, result.runtime_stats.tasks_analyzed +
-                                      result.runtime_stats.tasks_recorded +
-                                      result.runtime_stats.tasks_replayed);
+        EXPECT_EQ(pooled_result.stream_digest, inline_result.stream_digest);
+        EXPECT_EQ(pooled_result.stream_digest_ops,
+                  inline_result.stream_digest_ops);
+        EXPECT_EQ(pooled_result.candidate_digest,
+                  inline_result.candidate_digest);
+        EXPECT_DOUBLE_EQ(pooled_result.makespan_us,
+                         inline_result.makespan_us);
+        EXPECT_DOUBLE_EQ(pooled_result.iterations_per_second,
+                         inline_result.iterations_per_second);
+        EXPECT_DOUBLE_EQ(pooled_result.replayed_fraction,
+                         inline_result.replayed_fraction);
+        EXPECT_EQ(pooled_result.apophenia_stats.traces_fired,
+                  inline_result.apophenia_stats.traces_fired);
+        EXPECT_EQ(pooled_result.apophenia_stats.jobs_ingested,
+                  inline_result.apophenia_stats.jobs_ingested);
+        // The issued stream stays a valid program.
+        EXPECT_EQ(pooled_result.total_tasks,
+                  pooled_result.runtime_stats.tasks_analyzed +
+                      pooled_result.runtime_stats.tasks_recorded +
+                      pooled_result.runtime_stats.tasks_replayed);
+    }
 }
 
 TEST(Harness, WarmupIsReportedForAutoMode)

@@ -1,12 +1,10 @@
 /**
  * @file
- * Concurrency stress tests for WorkerPool, PooledExecutor and
- * TaskTeam, TSan-friendly by construction: every assertion is on
- * state that is synchronized through the executors' own primitives or
- * atomics (configure with -DAPO_TSAN=ON to run the suite under
- * ThreadSanitizer). Covers concurrent Submit/Drain, shutdown with
- * jobs still in flight, the PooledExecutor's submission-order
- * completion delivery under adversarial completion timing, and the
+ * Concurrency stress tests for WorkerPool and TaskTeam, TSan-friendly
+ * by construction: every assertion is on state that is synchronized
+ * through the executors' own primitives or atomics (configure with
+ * -DAPO_TSAN=ON to run the suite under ThreadSanitizer). Covers
+ * concurrent Submit/Drain, shutdown with jobs still in flight, and the
  * TaskTeam's background jobs: drained in full, never holding up a
  * Run() barrier, never letting a late worker into a closed epoch,
  * inline on a caller-only team, and rethrown on the owner's thread.
@@ -65,67 +63,6 @@ TEST(WorkerPoolStress, ShutdownWithJobsInFlightRunsEverything)
         // Destructor runs with most jobs still queued or in flight.
     }
     EXPECT_EQ(ran.load(), kJobs);
-}
-
-TEST(PooledExecutorStress, CompletionsDeliverInSubmissionOrder)
-{
-    PooledExecutor exec(4);
-    // Jobs finish in scrambled order (tail jobs sleep least), but the
-    // callbacks must still be observed front to back.
-    constexpr int kJobs = 200;
-    std::vector<int> delivered;
-    for (int i = 0; i < kJobs; ++i) {
-        exec.Submit(
-            [i] {
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds((kJobs - i) % 7));
-            },
-            [i, &delivered] { delivered.push_back(i); });
-        if (i % 10 == 0) {
-            exec.Pump();  // interleave partial deliveries
-        }
-    }
-    exec.Drain();
-    ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kJobs));
-    for (int i = 0; i < kJobs; ++i) {
-        EXPECT_EQ(delivered[i], i);
-    }
-}
-
-TEST(PooledExecutorStress, DrainIsACompletionBarrier)
-{
-    PooledExecutor exec(3);
-    for (int round = 0; round < 50; ++round) {
-        int completions = 0;
-        for (int i = 0; i < 8; ++i) {
-            exec.Submit([] {}, [&completions] { ++completions; });
-        }
-        exec.Drain();
-        // After Drain, every submitted callback has run on this
-        // thread: `completions` needs no synchronization.
-        EXPECT_EQ(completions, 8);
-    }
-}
-
-TEST(PooledExecutorStress, DestructorDeliversOutstandingCompletions)
-{
-    std::atomic<int> jobs_ran{0};
-    int completions = 0;  // callbacks run on this thread only
-    {
-        PooledExecutor exec(2);
-        for (int i = 0; i < 32; ++i) {
-            exec.Submit(
-                [&jobs_ran] {
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(200));
-                    jobs_ran.fetch_add(1);
-                },
-                [&completions] { ++completions; });
-        }
-        // Destructor drains with work still in flight.
-    }
-    EXPECT_EQ(jobs_ran.load(), 32);
-    EXPECT_EQ(completions, 32);
 }
 
 // ---------------------------------------------------------------------------

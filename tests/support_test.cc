@@ -169,21 +169,6 @@ TEST(Executor, WorkerPoolRunsCompletionCallbacks)
     EXPECT_EQ(completions.load(), 50);
 }
 
-TEST(Executor, PooledExecutorDefersCompletionsToPump)
-{
-    PooledExecutor exec(2);
-    std::atomic<bool> job_ran{false};
-    bool completed = false;  // only ever touched on this thread
-    exec.Submit([&] { job_ran.store(true); }, [&] { completed = true; });
-    // The job finishes on a worker, but the completion waits for us.
-    while (!job_ran.load()) {
-        std::this_thread::yield();
-    }
-    EXPECT_FALSE(completed);
-    exec.Drain();
-    EXPECT_TRUE(completed);
-}
-
 TEST(Executor, WorkerPoolRunsAllJobs)
 {
     WorkerPool pool(4);

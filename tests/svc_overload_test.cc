@@ -19,10 +19,12 @@
  *    weights when the mix holds a shedding and a degrading tenant at
  *    sustained saturation, with no starvation and bounded shed-tenant
  *    latency;
- *  - the watchdog abandons analysis jobs stuck past
- *    analysis_timeout_tasks (a stalling executor cannot hang the
- *    service), and MiningCache::AbandonInProgress wakes waiters
- *    blocked on a stuck miner;
+ *  - an executor that runs nothing until it is drained cannot hang a
+ *    front end or the service: each job runs on the thread that
+ *    ingests it, the run reports the inline run's digests, and the
+ *    stale closures that run at teardown never mine a second time,
+ *    not even on recycled job storage; a miner's Abandon wakes the
+ *    waiters blocked on its window;
  *  - LatencyReservoir reports exact percentiles below capacity
  *    (bit-identical to the unbounded vectors it replaced) and never
  *    allocates after construction (counting-allocator pin);
@@ -49,7 +51,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/apophenia.h"
 #include "core/mining_cache.h"
+#include "sim/harness.h"
 #include "support/counting_allocator.h"
 #include "support/executor.h"
 #include "support/hash.h"
@@ -402,11 +406,11 @@ TEST(OverloadFairness, DeficitWeightedSharesUnderSaturation)
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog: a stuck executor cannot hang the service.
+// A stalled executor cannot hang a front end.
 
-/** Holds every submitted job un-run until Drain() — a mining backend
- * that never completes while the service runs, then floods its stale
- * publications at teardown (exercising the tolerant-publish path). */
+/** Holds every submitted job un-run until Drain(): a mining backend
+ * that never starts a job while the front end runs, then runs every
+ * stale closure at teardown. */
 class StallingExecutor final : public support::Executor {
   public:
     using support::Executor::Submit;
@@ -431,40 +435,124 @@ class StallingExecutor final : public support::Executor {
     std::vector<std::function<void()>> stalled_;
 };
 
-TEST(OverloadWatchdog, AbandonsStuckAnalyses)
+TEST(StalledExecutor, LoneFrontEndFinishesWithTheInlineDigests)
 {
-    constexpr std::size_t kIterations = 60;
-    // Destroyed after the service: the finder's teardown Drain() runs
-    // the stale jobs late, against already-abandoned state.
+    const auto run = [](support::Executor* executor) {
+        svc::SyntheticWorkload app(KernelOptions(31));
+        sim::ExperimentOptions options;
+        options.machine = TestMachine();
+        options.iterations = 60;
+        options.mode = sim::TracingMode::kAuto;
+        options.auto_config = OverloadServiceOptions().config;
+        options.executor = executor;
+        return sim::RunExperiment(app, options);
+    };
+    const sim::ExperimentResult inline_run = run(nullptr);
+    // Declared first, so it outlives the front end's teardown drain.
     StallingExecutor stalling;
-
-    svc::ServiceOptions options = OverloadServiceOptions();
-    options.config.min_trace_length = 5;
-    options.config.batchsize = 400;
-    options.config.multi_scale_factor = 50;
-    // Manual ingest: the service never waits on a stuck job's result.
-    options.config.ingest_mode = core::IngestMode::kManual;
-    options.executor = &stalling;
-    options.analysis_timeout_tasks = 200;
-    svc::TraceService service(std::move(options));
-
-    svc::SyntheticWorkload app(KernelOptions(31));
-    svc::TenantOptions tenant;
-    tenant.name = "stuck";
-    tenant.app = &app;
-    tenant.iterations = kIterations;
-    service.AddTenant(std::move(tenant));
-
-    // The run itself is the liveness assertion: with the watchdog off
-    // a stuck miner would pin its job slots forever.
-    const svc::ServiceResult result = service.Run();
-    EXPECT_EQ(result.tenants[0].iterations_completed, kIterations);
-    EXPECT_GT(result.health.watchdog_job_abandons, 0u);
-    EXPECT_GT(service.TenantEngine(0).Finder().jobs_abandoned, 0u);
-    EXPECT_GT(stalling.Stalled(), 0u);
+    // The run itself is the liveness assertion: the executor starts
+    // no job before the front end is torn down.
+    const sim::ExperimentResult stalled_run = run(&stalling);
+    EXPECT_GT(inline_run.replayed_fraction, 0.0);
+    EXPECT_EQ(stalled_run.stream_digest, inline_run.stream_digest);
+    EXPECT_EQ(stalled_run.stream_digest_ops, inline_run.stream_digest_ops);
+    EXPECT_EQ(stalled_run.candidate_digest, inline_run.candidate_digest);
+    EXPECT_EQ(stalled_run.apophenia_stats.jobs_ingested,
+              inline_run.apophenia_stats.jobs_ingested);
+    EXPECT_EQ(stalling.Stalled(), 0u);  // drained at teardown
 }
 
-TEST(MiningCacheOverload, AbandonInProgressReleasesWaiters)
+TEST(StalledExecutor, ServiceFinishesWithTheInlineDigests)
+{
+    constexpr std::size_t kIterations = 40;
+    // Declared first, so it outlives every tenant's teardown drain.
+    StallingExecutor stalling;
+    const auto run = [&](support::Executor* executor) {
+        std::vector<std::unique_ptr<svc::SyntheticWorkload>> apps;
+        svc::ServiceOptions options = OverloadServiceOptions();
+        options.executor = executor;
+        svc::TraceService service(std::move(options));
+        for (std::uint64_t t = 0; t < 3; ++t) {
+            apps.push_back(std::make_unique<svc::SyntheticWorkload>(
+                KernelOptions(31 + t)));
+            svc::TenantOptions tenant;
+            tenant.name = "t" + std::to_string(t);
+            tenant.app = apps.back().get();
+            tenant.iterations = kIterations;
+            service.AddTenant(std::move(tenant));
+        }
+        const svc::ServiceResult result = service.Run();
+        if (executor == &stalling) {
+            // Every job ran on the service's thread at its ingestion;
+            // the executor has started none of them.
+            EXPECT_GT(stalling.Stalled(), 0u);
+        }
+        return result;
+    };
+    const svc::ServiceResult inline_run = run(nullptr);
+    const svc::ServiceResult stalled_run = run(&stalling);
+    ASSERT_EQ(stalled_run.tenants.size(), 3u);
+    for (std::size_t t = 0; t < 3; ++t) {
+        SCOPED_TRACE(t);
+        const svc::TenantStats& stalled = stalled_run.tenants[t];
+        const svc::TenantStats& inlined = inline_run.tenants[t];
+        EXPECT_EQ(stalled.iterations_completed, kIterations);
+        EXPECT_EQ(stalled.stream_digest, inlined.stream_digest);
+        EXPECT_EQ(stalled.stream_digest_ops, inlined.stream_digest_ops);
+        EXPECT_EQ(stalled.candidate_digest, inlined.candidate_digest);
+    }
+    EXPECT_EQ(stalled_run.mining_cache.windows,
+              inline_run.mining_cache.windows);
+}
+
+TEST(StalledExecutor, StaleClosuresOfRecycledJobsNeverMine)
+{
+    // A small scale factor launches a job every 8 tasks. Each is
+    // ingested and recycled at the task that launched it, so its
+    // storage is launched again while the closures of its earlier
+    // launches still wait in the executor.
+    StallingExecutor stalling;
+    core::ApopheniaConfig config;
+    config.min_trace_length = 4;
+    config.batchsize = 256;
+    config.multi_scale_factor = 8;
+    rt::Runtime runtime;
+    core::Apophenia fe(runtime, config, &stalling);
+    const rt::RegionId a = fe.CreateRegion();
+    const rt::RegionId b = fe.CreateRegion();
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+        // The loop body changes every 1000 tasks, so windows are both
+        // memo hits and fresh mining.
+        fe.ExecuteTask(rt::TaskLaunch{
+            static_cast<rt::TaskId>(100 + i % 12 + 20 * (i / 1000)),
+            {{i % 2 == 0 ? a : b, 0, rt::Privilege::kReadWrite, 0}}});
+    }
+    fe.Flush();
+    const core::FinderStats& finder = fe.Finder();
+    ASSERT_GT(finder.jobs_launched, 400u);
+    EXPECT_GE(finder.jobs_recycled + 2, finder.jobs_launched);
+    EXPECT_GT(finder.mining_full, 0u);
+    EXPECT_GT(finder.mining_fast_path_hits, 0u);
+    EXPECT_EQ(finder.mining_full + finder.mining_fast_path_hits,
+              finder.jobs_launched);
+    EXPECT_EQ(stalling.Stalled(), finder.jobs_launched);
+    const core::MiningCache& memo = *fe.PrivateMemo();
+    const auto probes = [&] {
+        const core::MiningCache::Stats stats = memo.Snapshot();
+        return stats.hits + stats.misses;
+    };
+    EXPECT_EQ(probes(), finder.jobs_launched);
+
+    // Every stale closure runs now, most against storage since
+    // relaunched: none may probe the memo, let alone mine.
+    stalling.Drain();
+    EXPECT_EQ(stalling.Stalled(), 0u);
+    EXPECT_EQ(probes(), finder.jobs_launched);
+    EXPECT_EQ(finder.mining_full + finder.mining_fast_path_hits,
+              finder.jobs_launched);
+}
+
+TEST(MiningCacheOverload, AMinersAbandonReleasesItsWaiters)
 {
     core::MiningCache cache;
     const std::vector<rt::TokenHash> window = {11, 22, 33, 44, 55,
@@ -485,15 +573,17 @@ TEST(MiningCacheOverload, AbandonInProgressReleasesWaiters)
     });
 
     // The waiter blocks on the in-progress entry: nothing can release
-    // it but a publish, an abandon — or the watchdog sweep below.
+    // it but the miner's publish or, as here, its abandon (its mining
+    // threw).
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_FALSE(released.load());
 
-    EXPECT_EQ(cache.AbandonInProgress(), 1u);
+    cache.Abandon(key);
     waiter.join();
     EXPECT_TRUE(released.load());
     // The released waiter re-probed and claimed the window itself.
     EXPECT_TRUE(waiter_became_miner.load());
+    cache.Abandon(key);
 }
 
 // ---------------------------------------------------------------------------

@@ -551,17 +551,16 @@ TEST(AdmissionPolicy, DeficitWeightedFairHonorsWeights)
 }
 
 // ---------------------------------------------------------------------------
-// The pooled-executor configuration (the TSan leg's target): mining
-// jobs of all tenants run on shared background threads, racing on the
-// shared cache; with eager-drain ingestion the outcome must equal the
-// deterministic inline service bit for bit.
+// Mining on background threads (the TSan leg's target): every tenant's
+// jobs run on one shared pool or team, racing on the shared cache; each
+// tenant still ingests a job at the task that launched it, so the
+// outcome must equal the inline service bit for bit.
 
 TEST(ServiceConcurrency, PooledMiningMatchesInline)
 {
     auto run = [](support::Executor* executor) {
         svc::ServiceOptions service_options;
         service_options.config = TestConfig();
-        service_options.config.ingest_mode = core::IngestMode::kEagerDrain;
         service_options.executor = executor;
         svc::TraceService service(service_options);
         std::vector<std::unique_ptr<svc::SyntheticWorkload>> apps;
@@ -578,19 +577,25 @@ TEST(ServiceConcurrency, PooledMiningMatchesInline)
     };
 
     const svc::ServiceResult inline_run = run(nullptr);
-    support::PooledExecutor pool(4);
-    const svc::ServiceResult pooled_run = run(&pool);
-    ASSERT_EQ(pooled_run.tenants.size(), inline_run.tenants.size());
-    for (std::size_t t = 0; t < inline_run.tenants.size(); ++t) {
-        EXPECT_EQ(pooled_run.tenants[t].stream_digest,
-                  inline_run.tenants[t].stream_digest);
-        EXPECT_EQ(pooled_run.tenants[t].stream_digest_ops,
-                  inline_run.tenants[t].stream_digest_ops);
-        EXPECT_EQ(pooled_run.tenants[t].candidate_digest,
-                  inline_run.tenants[t].candidate_digest);
+    support::WorkerPool pool(4);
+    support::TaskTeam team(4);
+    for (support::Executor* executor :
+         {static_cast<support::Executor*>(&pool),
+          static_cast<support::Executor*>(&team)}) {
+        SCOPED_TRACE(executor == &pool ? "WorkerPool" : "TaskTeam");
+        const svc::ServiceResult pooled_run = run(executor);
+        ASSERT_EQ(pooled_run.tenants.size(), inline_run.tenants.size());
+        for (std::size_t t = 0; t < inline_run.tenants.size(); ++t) {
+            EXPECT_EQ(pooled_run.tenants[t].stream_digest,
+                      inline_run.tenants[t].stream_digest);
+            EXPECT_EQ(pooled_run.tenants[t].stream_digest_ops,
+                      inline_run.tenants[t].stream_digest_ops);
+            EXPECT_EQ(pooled_run.tenants[t].candidate_digest,
+                      inline_run.tenants[t].candidate_digest);
+        }
+        EXPECT_EQ(pooled_run.mining_cache.windows,
+                  inline_run.mining_cache.windows);
     }
-    EXPECT_EQ(pooled_run.mining_cache.windows,
-              inline_run.mining_cache.windows);
 }
 
 // ---------------------------------------------------------------------------
