@@ -11,9 +11,11 @@
  * the decision-tail replay volume. Every cell is digest-checked
  * against the baseline: churn and checkpointing must never perturb
  * the issued streams — the makespan is the *only* thing they may
- * move. The classic trade shows up directly: sparse checkpoints are
- * nearly free but make each recovery replay a long tail; dense
- * checkpoints pay steady pause time and shrink the tail.
+ * move. Every cell must also crash and rejoin once per planned
+ * failure, so a plan that never fires cannot pass as a recovery. The
+ * classic trade shows up directly: sparse checkpoints are nearly free
+ * but make each recovery replay a long tail; dense checkpoints pay
+ * steady pause time and shrink the tail.
  *
  * The results merge into BENCH_micro_repeats.json under the
  * "fig_recovery" key (run micro_repeats first; other records are
@@ -136,6 +138,7 @@ main(int argc, char** argv)
                 "ckpt_KiB", "tail_evts", "digest_ok");
     std::vector<CellResult> cells;
     bool all_match = true;
+    bool all_fired = true;
     for (const std::uint64_t interval : intervals) {
         for (const std::size_t failures : failure_counts) {
             sim::ClusterOptions options = BaseOptions();
@@ -156,6 +159,8 @@ main(int argc, char** argv)
                                     : 0.0;
             cell.fault = cluster.FaultRecovery();
             all_match = all_match && cell.digests_match_baseline;
+            all_fired = all_fired && cell.fault.crashes == failures &&
+                        cell.fault.rejoins == failures;
             std::printf(
                 "%9llu %8zu %14.1f %9.3f %6llu %9.1f %10llu %10s\n",
                 static_cast<unsigned long long>(cell.interval),
@@ -174,6 +179,12 @@ main(int argc, char** argv)
         std::fprintf(stderr,
                      "fig_recovery: a churned run's digests diverged "
                      "from the baseline\n");
+        return 1;
+    }
+    if (!all_fired) {
+        std::fprintf(stderr,
+                     "fig_recovery: a cell's crashes or rejoins differ "
+                     "from its failure count\n");
         return 1;
     }
 

@@ -56,7 +56,7 @@ cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # workers between apply epochs, and each epoch's barrier waits only for
 # the workers that joined it: support_executor_stress_test races the
 # team's background-job queue against its epochs (late joiners, a
-# worker busy in a job, failures rethrown at Pump/Drain);
+# worker busy in a job, failures rethrown at Drain);
 # sim_cluster_test and core_decision_test pin that mining at explicit
 # jobs {1, 2, 8}, including a tight slack that makes the driving thread
 # run or wait for every job at its ingestion, and fault_membership_test
@@ -98,7 +98,8 @@ fi
 #    differ at sustainable load, or if at 2x kShed/kDegrade fail to
 #    bound backlog and latency while kBlock shows the queueing cliff;
 #  - fig_recovery: fault-tolerance cost. Exits nonzero if any churned
-#    run's digests diverge from the failure-free baseline.
+#    run's digests diverge from the failure-free baseline, or if a
+#    cell's crashes or rejoins differ from its planned failures.
 for bench in micro_repeats fig_replication_scaling fig_multitenant \
              fig_overload fig_recovery; do
     if [ -x "build/$bench" ]; then

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <utility>
 
 namespace apo::core {
@@ -533,185 +532,6 @@ Apophenia::IngestOldestJob()
     stats_.jobs_ingested += 1;
     stats_.candidates_ingested += results.size();
     finder_.ReleaseOldestJob();
-}
-
-void
-Apophenia::SaveState(fault::CheckpointWriter& writer) const
-{
-    if (degraded_) {
-        // A degraded front-end keeps its window out of the finder; an
-        // image could only restore it un-degraded and mining.
-        throw fault::CheckpointError(
-            "Apophenia::SaveState on a degraded front-end");
-    }
-    writer.BeginSection(fault::SectionTag::kApophenia);
-    writer.U64(counter_);
-    writer.U64(pending_base_);
-    writer.U64(next_trace_id_);
-    writer.U64(candidate_digest_);
-    writer.U64(stats_.tasks_observed);
-    writer.U64(stats_.tasks_forwarded_traced);
-    writer.U64(stats_.tasks_forwarded_untraced);
-    writer.U64(stats_.traces_fired);
-    writer.U64(stats_.trace_records);
-    writer.U64(stats_.trace_replays);
-    writer.U64(stats_.jobs_ingested);
-    writer.U64(stats_.candidates_ingested);
-    writer.U64(stats_.forced_flushes);
-    writer.U64(stats_.launches_buffered);
-    writer.U64(stats_.pending_high_water);
-    writer.U64(pending_.size());
-    for (const PendingTask& task : pending_) {
-        writer.U64(task.token);
-        writer.U64(task.launch.task);
-        writer.U64(task.launch.requirements.size());
-        for (const rt::RegionRequirement& req :
-             task.launch.requirements) {
-            writer.U64(req.region.value);
-            writer.U64(req.field);
-            writer.U64(static_cast<std::uint64_t>(req.privilege));
-            writer.U64(req.redop);
-        }
-        writer.F64(task.launch.execution_us);
-        writer.U64(task.launch.shard);
-        writer.Bool(task.launch.blocking);
-        writer.Bool(task.launch.traceable);
-    }
-    // Match state re-walks out of the restored trie: a pointer is its
-    // start index (its node is the unique trie walk over the buffered
-    // tokens from there), a held match its [start, end) range. Only
-    // live pointers count: a copy of each is caught up to the newest
-    // token, so the image is the same whenever pointers last moved.
-    std::vector<std::uint64_t> live_starts;
-    for (std::size_t i = pointers_head_; i < pointers_.size(); ++i) {
-        MatchPointer p = pointers_[i];
-        if (p.node != CandidateTrie::kNoNode && CatchUp(p, counter_)) {
-            live_starts.push_back(p.start);
-        }
-    }
-    writer.U64(live_starts.size());
-    for (const std::uint64_t start : live_starts) {
-        writer.U64(start);
-    }
-    writer.U64(held_.size());
-    for (const CompletedMatch& m : held_) {
-        writer.U64(m.start);
-        writer.U64(m.end);
-    }
-    writer.EndSection();
-    finder_.SaveState(writer);
-    trie_.SaveState(writer);
-}
-
-void
-Apophenia::LoadState(fault::CheckpointReader& reader)
-{
-    if (counter_ != 0 || !pending_.empty() || !pointers_.empty() ||
-        !held_.empty()) {
-        throw fault::CheckpointError(
-            "Apophenia::LoadState requires a fresh front-end");
-    }
-    reader.BeginSection(fault::SectionTag::kApophenia);
-    counter_ = reader.U64();
-    pending_base_ = reader.U64();
-    next_trace_id_ = reader.U64();
-    candidate_digest_ = reader.U64();
-    stats_.tasks_observed = reader.U64();
-    stats_.tasks_forwarded_traced = reader.U64();
-    stats_.tasks_forwarded_untraced = reader.U64();
-    stats_.traces_fired = reader.U64();
-    stats_.trace_records = reader.U64();
-    stats_.trace_replays = reader.U64();
-    stats_.jobs_ingested = reader.U64();
-    stats_.candidates_ingested = reader.U64();
-    stats_.forced_flushes = reader.U64();
-    stats_.launches_buffered = reader.U64();
-    stats_.pending_high_water = reader.U64();
-    const std::uint64_t pending = reader.U64();
-    for (std::uint64_t i = 0; i < pending; ++i) {
-        PendingTask task;
-        task.token = reader.U64();
-        task.launch.task = reader.U64();
-        const std::uint64_t reqs = reader.Count();
-        task.launch.requirements.reserve(reqs);
-        for (std::uint64_t r = 0; r < reqs; ++r) {
-            rt::RegionRequirement req;
-            req.region = rt::RegionId{reader.U64()};
-            req.field = static_cast<rt::FieldId>(reader.U64());
-            req.privilege = static_cast<rt::Privilege>(reader.U64());
-            req.redop = static_cast<rt::ReductionOpId>(reader.U64());
-            task.launch.requirements.push_back(req);
-        }
-        task.launch.execution_us = reader.F64();
-        task.launch.shard = static_cast<std::uint32_t>(reader.U64());
-        task.launch.blocking = reader.Bool();
-        task.launch.traceable = reader.Bool();
-        pending_.push_back(std::move(task));
-    }
-    // Fire and flush pop the pending front by absolute index.
-    if (pending_base_ + pending_.size() != counter_) {
-        throw fault::CheckpointError(
-            "checkpoint pending buffer does not end at the task counter");
-    }
-    std::vector<std::uint64_t> active_starts(reader.Count());
-    for (std::uint64_t& start : active_starts) {
-        start = reader.U64();
-    }
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> held_ranges(
-        reader.Count());
-    for (auto& [start, end] : held_ranges) {
-        start = reader.U64();
-        end = reader.U64();
-    }
-    reader.EndSection();
-    finder_.LoadState(reader);
-    trie_.LoadState(reader);
-
-    // Re-walk the restored trie over the buffered tokens. Every live
-    // match spans traceable launches only (an untraceable launch's
-    // unique per-occurrence mining token kills every pointer), so the
-    // buffered real tokens are exactly the tokens the pointers were
-    // advanced with.
-    const auto walk = [&](std::uint64_t from, std::uint64_t to) {
-        if (from < pending_base_ || from >= to ||
-            to > pending_base_ + pending_.size()) {
-            throw fault::CheckpointError(
-                "checkpoint match range lies outside the pending buffer");
-        }
-        CandidateTrie::NodeId node = CandidateTrie::kRoot;
-        for (std::uint64_t i = from; i < to; ++i) {
-            node = trie_.Step(node, pending_[i - pending_base_].token);
-            if (node == CandidateTrie::kNoNode) {
-                throw fault::CheckpointError(
-                    "checkpoint match state does not re-walk the "
-                    "restored trie");
-            }
-        }
-        return node;
-    };
-    // The matcher keeps pointers_ strictly sorted by start.
-    if (std::ranges::adjacent_find(active_starts, std::greater_equal<>{}) !=
-        active_starts.end()) {
-        throw fault::CheckpointError(
-            "checkpoint match pointers are not sorted by start");
-    }
-    // Every restored pointer is caught up, so the window starts empty
-    // at the counter.
-    window_base_ = counter_;
-    for (const std::uint64_t start : active_starts) {
-        pointers_.push_back(
-            MatchPointer{walk(start, counter_), start, counter_});
-    }
-    ScheduleAll();
-    for (const auto& [start, end] : held_ranges) {
-        CandidateStats* stats = trie_.CandidateAt(walk(start, end));
-        if (stats == nullptr) {
-            throw fault::CheckpointError(
-                "checkpoint held match has no candidate in the "
-                "restored trie");
-        }
-        held_.push_back(CompletedMatch{stats, start, end});
-    }
 }
 
 }  // namespace apo::core

@@ -28,9 +28,9 @@
  *    stream, at the token where the run ends. In between it lags, and
  *    is caught up only where a decision needs it: the front queries
  *    (is any match alive, may the oldest held match fire, how much of
- *    the pending prefix can go), a change of the trie's shape, and
- *    SaveState. Per-token work follows run ends, not live pointers,
- *    and every decision equals that of a per-token sweep.
+ *    the pending prefix can go) and a change of the trie's shape.
+ *    Per-token work follows run ends, not live pointers, and every
+ *    decision equals that of a per-token sweep.
  *  - Exploration/exploitation (section 4.3): completed candidates are
  *    scored by length × capped, decayed appearance count, with a bias
  *    toward already-replayed traces.
@@ -58,7 +58,6 @@
 #include "core/finder.h"
 #include "core/mining_cache.h"
 #include "core/trie.h"
-#include "fault/checkpoint.h"
 #include "runtime/runtime.h"
 #include "support/executor.h"
 
@@ -192,9 +191,7 @@ class Apophenia final : public api::Frontend {
      * finder state equals that of a stream that simply never
      * contained the degraded window. Counted in
      * ApopheniaStats::tasks_degraded. No-op when already in the
-     * requested state. A degraded front-end cannot be checkpointed
-     * (degrade is a transient overload posture, not decision state):
-     * SaveState throws.
+     * requested state.
      */
     void SetDegraded(bool degraded);
     bool Degraded() const { return degraded_; }
@@ -230,31 +227,6 @@ class Apophenia final : public api::Frontend {
     rt::Runtime& Target() { return *runtime_; }
     const ApopheniaConfig& Config() const { return config_; }
     std::size_t PendingTasks() const { return pending_.size(); }
-
-    // -- Checkpoint/restore --------------------------------------------------
-
-    /**
-     * Serialize the front-end's complete decision state: replay
-     * cursors (task counter, pending buffer with its buffered
-     * launches, active match pointers, held matches, next trace id),
-     * stats, the candidate digest, the finder (history ring and
-     * completed in-flight jobs) and the candidate trie. The
-     * target runtime is NOT included — checkpoint it separately with
-     * rt::Runtime::SaveState. Every in-flight mining job must have
-     * completed (always so for a front end that ingests on issue;
-     * an owner that ingests drains first). @throws
-     * fault::CheckpointError on undone jobs or a degraded front-end.
-     */
-    void SaveState(fault::CheckpointWriter& writer) const;
-
-    /** Restore onto a freshly constructed front-end with an identical
-     * config (and a runtime restored to the matching stream
-     * position). Active pointers and held matches are rebuilt by
-     * re-walking the restored trie over the buffered tokens, so the
-     * restored replayer continues bit-identically.
-     * @throws fault::CheckpointError on a used front-end or a
-     *   malformed image. */
-    void LoadState(fault::CheckpointReader& reader);
 
   protected:
     // -- api::Frontend: the intercepted issue path --------------------------

@@ -39,32 +39,6 @@ EmitChunked(const strings::Repeat& repeat, const ApopheniaConfig& config,
     }
 }
 
-void
-SaveCandidates(fault::CheckpointWriter& writer,
-               const std::vector<CandidateTrace>& candidates)
-{
-    writer.U64(candidates.size());
-    for (const CandidateTrace& c : candidates) {
-        writer.VecU64(c.tokens);
-        writer.F64(c.occurrences);
-    }
-}
-
-std::vector<CandidateTrace>
-LoadCandidates(fault::CheckpointReader& reader)
-{
-    std::vector<CandidateTrace> candidates;
-    const std::uint64_t count = reader.Count();
-    candidates.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        CandidateTrace c;
-        c.tokens = reader.VecU64();
-        c.occurrences = reader.F64();
-        candidates.push_back(std::move(c));
-    }
-    return candidates;
-}
-
 }  // namespace
 
 std::vector<CandidateTrace>
@@ -368,82 +342,6 @@ TraceFinder::ReleaseOldestJob()
     job->snapshot.Clear();
     job->results = nullptr;
     free_jobs_.push_back(std::move(job));
-}
-
-void
-TraceFinder::SaveState(fault::CheckpointWriter& writer) const
-{
-    for (const auto& job : inflight_) {
-        if (!job->done.load(std::memory_order_acquire)) {
-            throw fault::CheckpointError(
-                "TraceFinder::SaveState requires every in-flight mining "
-                "job to have completed (drain the executor first)");
-        }
-    }
-    writer.BeginSection(fault::SectionTag::kTraceFinder);
-    writer.U64(sample_counter_);
-    writer.U64(anchor_);
-    writer.U64(anchor_next_len_);
-    writer.U64(stats_.tokens_observed);
-    writer.U64(stats_.jobs_launched);
-    writer.U64(stats_.tokens_analyzed);
-    writer.U64(stats_.candidates_produced);
-    writer.U64(stats_.jobs_recycled);
-    writer.U64(stats_.mining_fast_path_hits);
-    writer.U64(stats_.mining_full);
-    writer.U64(stats_.mining_cache_hits);
-    writer.U64(stats_.mining_cache_cross_hits);
-    writer.U64(inflight_.size());
-    for (const auto& job : inflight_) {
-        writer.U64(job->id);
-        writer.U64(job->issued_at);
-        writer.U64(job->slice_length);
-        writer.Bool(job->memo_hit);
-        writer.Bool(job->memo_cross);
-        SaveCandidates(writer, job->Results());
-    }
-    writer.EndSection();
-    history_.SaveState(writer);
-}
-
-void
-TraceFinder::LoadState(fault::CheckpointReader& reader)
-{
-    if (stats_.tokens_observed != 0 || !inflight_.empty()) {
-        throw fault::CheckpointError(
-            "TraceFinder::LoadState requires a fresh finder");
-    }
-    reader.BeginSection(fault::SectionTag::kTraceFinder);
-    sample_counter_ = reader.U64();
-    anchor_ = reader.U64();
-    anchor_next_len_ = reader.U64();
-    stats_.tokens_observed = reader.U64();
-    stats_.jobs_launched = reader.U64();
-    stats_.tokens_analyzed = reader.U64();
-    stats_.candidates_produced = reader.U64();
-    stats_.jobs_recycled = reader.U64();
-    stats_.mining_fast_path_hits = reader.U64();
-    stats_.mining_full = reader.U64();
-    stats_.mining_cache_hits = reader.U64();
-    stats_.mining_cache_cross_hits = reader.U64();
-    const std::uint64_t jobs = reader.U64();
-    for (std::uint64_t i = 0; i < jobs; ++i) {
-        // Restored jobs are completed results awaiting ingestion at
-        // their coordinated stream positions; the mining itself never
-        // reruns.
-        inflight_.push_back(std::make_unique<AnalysisJob>(*this));
-        AnalysisJob& job = *inflight_.back();
-        job.id = reader.U64();
-        job.issued_at = reader.U64();
-        job.slice_length = reader.U64();
-        job.memo_hit = reader.Bool();
-        job.memo_cross = reader.Bool();
-        job.results = std::make_shared<const std::vector<CandidateTrace>>(
-            LoadCandidates(reader));
-        job.done.store(true, std::memory_order_release);
-    }
-    reader.EndSection();
-    history_.LoadState(reader);
 }
 
 }  // namespace apo::core

@@ -51,7 +51,6 @@
 
 #include "core/config.h"
 #include "core/history.h"
-#include "fault/checkpoint.h"
 #include "runtime/task.h"
 #include "strings/incremental.h"
 #include "support/executor.h"
@@ -218,17 +217,6 @@ class TraceFinder {
      * passed in): the service's memory watermark counts, halves and
      * unblocks it. */
     MiningCache* PrivateMemo() const { return private_memo_.get(); }
-
-    /** Checkpoint hooks: sampling cursors, anchors, stats, the
-     * history ring, and every in-flight job as a completed result
-     * (id, issue position, candidates, memo outcome) — every job must
-     * have completed (drain the executor first); throws
-     * fault::CheckpointError otherwise. LoadState restores onto a
-     * fresh finder built with an identical config. The memo is not
-     * part of the image: a restored finder starts with a cold memo
-     * and makes the same decisions. */
-    void SaveState(fault::CheckpointWriter& writer) const;
-    void LoadState(fault::CheckpointReader& reader);
 
   private:
     void LaunchAnalysis(std::size_t slice_length, std::uint64_t now);

@@ -47,43 +47,4 @@ HistoryRing::SnapshotLastN(std::size_t length, HistorySnapshot& out) const
     out.size_ = length;
 }
 
-void
-HistoryRing::SaveState(fault::CheckpointWriter& writer) const
-{
-    writer.BeginSection(fault::SectionTag::kHistoryRing);
-    writer.U64(block_size_);
-    writer.U64(capacity_);
-    std::vector<rt::TokenHash> live;
-    live.reserve(stored_);
-    for (const std::shared_ptr<TokenBlock>& block : blocks_) {
-        live.insert(live.end(), block->Data(),
-                    block->Data() + block->Size());
-    }
-    writer.VecU64(live);
-    writer.EndSection();
-}
-
-void
-HistoryRing::LoadState(fault::CheckpointReader& reader)
-{
-    if (stored_ != 0) {
-        throw fault::CheckpointError(
-            "HistoryRing::LoadState requires an empty ring");
-    }
-    reader.BeginSection(fault::SectionTag::kHistoryRing);
-    if (reader.U64() != block_size_ || reader.U64() != capacity_) {
-        throw fault::CheckpointError(
-            "checkpoint history geometry does not match the restoring "
-            "ring");
-    }
-    const std::vector<rt::TokenHash> live = reader.VecU64();
-    reader.EndSection();
-    // The live count is the saved stored_ (the sum of the block
-    // sizes), and re-appending never trips eviction below it, so the
-    // restored ring ends in exactly the checkpointed state.
-    for (const rt::TokenHash token : live) {
-        Append(token);
-    }
-}
-
 }  // namespace apo::core

@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "fault/checkpoint.h"
 #include "runtime/task.h"
 
 namespace apo::core {
@@ -120,13 +119,6 @@ class HistoryRing {
      * tokens.
      */
     void SnapshotLastN(std::size_t length, HistorySnapshot& out) const;
-
-    /** Checkpoint hooks: the live window tokens (every token still
-     * held in a block). Restore re-appends them into an empty ring,
-     * which reproduces the exact block layout — eviction only ever
-     * drops whole blocks, so the oldest live token is block-aligned. */
-    void SaveState(fault::CheckpointWriter& writer) const;
-    void LoadState(fault::CheckpointReader& reader);
 
   private:
     std::deque<std::shared_ptr<TokenBlock>> blocks_;

@@ -45,17 +45,14 @@
 #include <vector>
 
 #include "core/config.h"
-#include "fault/checkpoint.h"
 #include "runtime/task.h"
 #include "runtime/trace.h"
 #include "support/hash.h"
 
 namespace apo::core {
 
-/** Statistics and identity of one candidate trace. */
+/** Statistics of one candidate trace. */
 struct CandidateStats {
-    /** Stable identifier, assigned at first insertion. */
-    std::uint64_t id = 0;
     /** Number of tokens in the candidate. */
     std::size_t length = 0;
     /** Occurrence count (decayed lazily; see Appearances()). */
@@ -163,16 +160,6 @@ class CandidateTrie {
      * every run is shorter than this. */
     static constexpr std::size_t kChunkSize = 1024;
 
-    /** Checkpoint hooks: every candidate's token path plus its full
-     * statistics (id, decayed count, last-seen stamp, trace id,
-     * replay count) and the id counter. Restore re-inserts the paths
-     * into an empty trie — node ids may come out in a different pool
-     * order, but every observable (Step walks, num_children, runs,
-     * candidate stats) is identical, so a restored replayer makes
-     * bit-identical decisions. */
-    void SaveState(fault::CheckpointWriter& writer) const;
-    void LoadState(fault::CheckpointReader& reader);
-
   private:
     static constexpr unsigned kChunkBits = std::countr_zero(kChunkSize);
     static constexpr NodeId kChunkMask = kChunkSize - 1;
@@ -198,14 +185,9 @@ class CandidateTrie {
     /** Append a node whose incoming edge carries `token`. */
     NodeId NewNode(rt::TokenHash token);
 
-    /** Walk `tokens` from the root, creating missing nodes (the
-     * shared path step of Insert and LoadState). Records the walked
-     * ids, root first, in path_. */
+    /** Walk `tokens` from the root, creating missing nodes. Records
+     * the walked ids, root first, in path_. */
     Node& WalkOrCreate(std::span<const rt::TokenHash> tokens);
-
-    /** End a new candidate at `node`, WalkOrCreate's last result, and
-     * refresh the runs. */
-    CandidateStats& AddCandidate(Node& node);
 
     /** Recompute the runs along path_ after a candidate was added
      * there. Only path_'s nodes changed (new nodes, a new edge, the
@@ -245,7 +227,6 @@ class CandidateTrie {
     /** Every candidate's statistics, in creation order; the stats
      * never move, so callers may hold them. */
     std::vector<std::unique_ptr<CandidateStats>> candidates_;
-    std::uint64_t next_id_ = 1;
 };
 
 /** The paper's trace-selection scoring function. */

@@ -58,11 +58,6 @@ SectionName(SectionTag tag)
             return "dependence-analyzer";
         case SectionTag::kTraceCache: return "trace-cache";
         case SectionTag::kRuntime: return "runtime";
-        case SectionTag::kCandidateTrie: return "candidate-trie";
-        case SectionTag::kHistoryRing: return "history-ring";
-        case SectionTag::kTraceFinder: return "trace-finder";
-        case SectionTag::kApophenia: return "apophenia";
-        case SectionTag::kStreamDigest: return "stream-digest";
         case SectionTag::kClusterNode: return "cluster-node";
     }
     return "unknown";

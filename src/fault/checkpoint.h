@@ -1,13 +1,17 @@
 /**
  * @file
- * Durable finder-state snapshots: the serialization substrate of the
+ * Durable runtime snapshots: the serialization substrate of the
  * fault-tolerance layer.
  *
  * A checkpoint is a versioned, length-prefixed binary image of one
- * node's finder state (operation-log cursor, trace cache, candidate
- * trie, history ring, Apophenia replay cursors, stream digest). No
- * mining memo is part of it: a restored finder starts with a cold
- * memo and makes the same decisions. The format is deliberately dumb: a fixed
+ * replica's runtime: its operation log, region allocator and forest,
+ * dependence analyzer and trace cache (rt::Runtime::SaveState), after
+ * the cluster's node section, which carries the replica's stream
+ * digest (sim/cluster.h). No front end is part of it. A replica's
+ * decisions follow from the task stream and the agreed ingestion
+ * positions, so a rejoining replica installs the newest image and
+ * replays the broadcast decisions retained since; a lone front end
+ * has no restart path. The format is deliberately dumb: a fixed
  * header, then a sequence of tagged sections, each carrying its
  * payload length and a checksum of the payload bytes. Readers verify
  * the magic, the version, every section tag they open, and every
@@ -15,13 +19,12 @@
  * truncated or bit-flipped image surfaces as a typed CheckpointError
  * instead of undefined behaviour.
  *
- * The layer sits directly above support/ so every other layer (core,
- * runtime, sim, svc) can expose SaveState/LoadState hooks without new
- * dependency edges. All integers are stored as fixed-width 64-bit
- * little-endian values; doubles are bit-cast through uint64_t — the
- * restore path must be bit-exact, not merely approximately equal,
- * because restored state has to re-converge to bit-identical replay
- * decisions.
+ * The layer sits directly above support/ so the runtime and sim
+ * layers can expose SaveState/LoadState hooks without new dependency
+ * edges. All integers are stored as fixed-width 64-bit little-endian
+ * values; doubles are bit-cast through uint64_t — the restore path
+ * must be bit-exact, not merely approximately equal, because a
+ * restored replica has to re-converge to bit-identical streams.
  */
 #ifndef APOPHENIA_FAULT_CHECKPOINT_H
 #define APOPHENIA_FAULT_CHECKPOINT_H
@@ -50,7 +53,8 @@ class CheckpointError : public std::runtime_error {
 };
 
 /** Section tags. The tag is written into the image, so renumbering is
- * a format change (bump kCheckpointVersion). */
+ * a format change (bump kCheckpointVersion). Tags 7 to 13 are retired:
+ * no image carries them. */
 enum class SectionTag : std::uint64_t {
     kOperationLog = 1,
     kRegionAllocator = 2,
@@ -58,11 +62,6 @@ enum class SectionTag : std::uint64_t {
     kDependenceAnalyzer = 4,
     kTraceCache = 5,
     kRuntime = 6,
-    kCandidateTrie = 7,
-    kHistoryRing = 8,
-    kTraceFinder = 10,
-    kApophenia = 11,
-    kStreamDigest = 12,
     kClusterNode = 14,
 };
 

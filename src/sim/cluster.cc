@@ -627,9 +627,12 @@ Cluster::DoFlush()
     // The stall metrics describe in-stream agreement points only.
     ProcessBatch();
     if (engine_ != nullptr) {
-        // Drain the remaining coordinated jobs into the decider and
-        // flush it — the final decisions land in the broadcast log —
-        // then fan the last apply out to the nodes.
+        // The flush is a barrier too: fire the fault-plan points that
+        // fell inside the last batch. Then drain the remaining
+        // coordinated jobs into the decider and flush it — the final
+        // decisions land in the broadcast log — and fan the last apply
+        // out to the nodes.
+        ApplyMembershipEvents(tasks_issued_);
         const std::uint64_t t0 = NowNs();
         const std::size_t remaining = schedule_.size();
         for (std::size_t k = 0; k < remaining; ++k) {
@@ -707,11 +710,16 @@ Cluster::StreamDigestsAgree() const
 void
 Cluster::ApplyMembershipEvents(std::uint64_t at)
 {
+    // This barrier takes the points that fell due since the previous
+    // one, so each fires exactly once: a point inside a batch fires at
+    // the next barrier, and one inside the last batch at the flush.
+    const auto due = [&](std::uint64_t point) {
+        return events_from_ <= point && point <= at;
+    };
     for (const ClusterOptions::FaultEvent& event :
          options_.fault_plan.events) {
         NodeState& node = *nodes_[event.node];
-        if (!node.crashed && node.runtime != nullptr &&
-            event.crash_at_task <= at && at < event.rejoin_at_task) {
+        if (!node.crashed && due(event.crash_at_task)) {
             // The node's process dies. Its latency rng keeps drawing
             // in ScheduleNewJobs so the roster-wide schedule — and
             // with it every healthy node's behaviour — stays
@@ -721,12 +729,12 @@ Cluster::ApplyMembershipEvents(std::uint64_t at)
             node.healed = false;
             ++fault_stats_.crashes;
         }
-        if (node.crashed && !node.evicted &&
-            event.rejoin_at_task <= at) {
+        if (node.crashed && !node.evicted && due(event.rejoin_at_task)) {
             RejoinNode(event.node);
             ++fault_stats_.rejoins;
         }
     }
+    events_from_ = at + 1;
 }
 
 void

@@ -331,13 +331,16 @@ struct ClusterOptions {
     // -- Elastic membership (fault::) ---------------------------------------
 
     /** One scheduled crash/rejoin of the fault plan. The node crashes
-     * (its runtime is destroyed) at the barrier covering stream index
-     * `crash_at_task` and, if `rejoin_at_task` is finite, rejoins at
-     * the barrier covering that index by resyncing from a healthy
-     * peer: it installs the newest cluster checkpoint and replays the
-     * retained decision tail since it. Healthy nodes continue
-     * bit-identically to a churn-free run — the coordination schedule
-     * keeps drawing every roster member's latency, crashed or not. */
+     * (its runtime is destroyed) at the first barrier at or after
+     * stream index `crash_at_task`: the one that starts the first
+     * batch at or past it, or else the flush. If `rejoin_at_task` is
+     * finite, the node rejoins at the first barrier at or after that
+     * index, which may be the crash's own, by resyncing from a
+     * healthy peer: it installs the newest cluster checkpoint and
+     * replays the retained decision tail since it. A point past the
+     * final flush never fires. Healthy nodes continue bit-identically
+     * to a churn-free run — the coordination schedule keeps drawing
+     * every roster member's latency, crashed or not. */
     struct FaultEvent {
         std::size_t node = 0;
         std::uint64_t crash_at_task = 0;
@@ -628,8 +631,8 @@ class Cluster final : public api::Frontend {
     /** Attach the streaming digest consumer to the node's (fresh or
      * restored) runtime. */
     void AttachStreamConsumer(NodeState& node);
-    /** Process fault-plan crashes/rejoins due at stream position
-     * `at` (an evicted node never rejoins). */
+    /** Fire the fault-plan crashes and rejoins due by the barrier at
+     * stream position `at` (an evicted node never rejoins). */
     void ApplyMembershipEvents(std::uint64_t at);
     /** Materialize the current decision round into the retained tail
      * (call before Retire()). */
@@ -693,6 +696,9 @@ class Cluster final : public api::Frontend {
     std::vector<ReplayEvent> tail_;  ///< decisions since the checkpoint
     std::vector<std::uint8_t> checkpoint_image_;
     std::uint64_t checkpoint_task_ = 0;  ///< stream position of the image
+    /** The first stream index whose fault-plan points are still to
+     * fire: the previous barrier's position plus one. */
+    std::uint64_t events_from_ = 0;
     FaultStats fault_stats_;
 
     // -- Parallel-engine batch state (see file comment) ---------------------

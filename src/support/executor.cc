@@ -200,20 +200,6 @@ TaskTeam::RunFront(std::unique_lock<std::mutex>& lock)
 }
 
 void
-TaskTeam::Pump()
-{
-    std::unique_lock lock(mutex_);
-    std::exception_ptr error = std::exchange(job_error_, nullptr);
-    if (!error && !jobs_.empty()) {
-        error = RunFront(lock);
-    }
-    if (error) {
-        lock.unlock();
-        std::rethrow_exception(error);
-    }
-}
-
-void
 TaskTeam::Drain()
 {
     std::exception_ptr first;
@@ -278,7 +264,7 @@ TaskTeam::WorkerLoop()
         }
         std::exception_ptr error = RunFront(lock);
         if (!job_error_) {
-            job_error_ = error;  // rethrown by the owner's Pump or Drain
+            job_error_ = error;  // rethrown by the owner's Drain
         }
     }
 }

@@ -16,15 +16,14 @@
  * (core/finder.h), so a slow or stalled executor never holds up an
  * ingestion beyond the job's own mining time.
  *
- * Completion is event-driven rather than polled: every job may carry a
- * completion callback. Where and when the callback runs is the
- * executor's defining property:
- *  - InlineExecutor: immediately after the job, on the calling thread.
- *  - WorkerPool: on the worker thread that ran the job (callers that
- *    share state with the callback must synchronize).
- *  - TaskTeam: on the thread that ran the job — one of the team's
- *    workers between index-loop epochs, or the owner inside Pump() or
- *    Drain().
+ * A job may carry a completion callback, which runs right after it on
+ * the thread that ran it:
+ *  - InlineExecutor: the calling thread, at submission.
+ *  - WorkerPool: a worker thread (callers that share state with the
+ *    callback must synchronize).
+ *  - TaskTeam: one of the team's workers between index-loop epochs,
+ *    or the owner inside Drain().
+ * The front ends register none: an ingestion waits on its job itself.
  */
 #ifndef APOPHENIA_SUPPORT_EXECUTOR_H
 #define APOPHENIA_SUPPORT_EXECUTOR_H
@@ -63,8 +62,8 @@ class Executor {
         });
     }
 
-    /** Let the calling thread make progress on queued work (a TaskTeam
-     * runs its oldest queued job here); a no-op by default. */
+    /** Let the calling thread make progress on queued work. A no-op:
+     * no executor here needs it, and a wrapping executor forwards it. */
     virtual void Pump() {}
 
     /** Block until every submitted job has finished. */
@@ -134,17 +133,17 @@ class WorkerPool final : public Executor {
  * only by the workers idle while it is open; its barrier waits for
  * those alone, so a worker inside a long job never holds up a Run(),
  * and a worker that wakes after the epoch closed claims none of its
- * indices. Pump() runs the oldest queued job on the calling thread;
- * Drain() runs the queued jobs there and then waits for the workers'
- * running ones. A job that throws on a worker is captured and rethrown
- * by the next Pump() or Drain() on the owner's thread. TaskTeam(1)
- * runs each job inline at Submit(), as InlineExecutor does.
+ * indices. The owner runs queued jobs only in Drain(), which runs them
+ * on the calling thread and then waits for the workers' running ones.
+ * A job that throws on a worker is captured and rethrown by the
+ * owner's next Drain(). TaskTeam(1) runs each job inline at Submit(),
+ * as InlineExecutor does.
  */
 class TaskTeam final : public Executor {
   public:
     explicit TaskTeam(std::size_t threads = 1);
     /** Workers finish every queued job before they exit; a failure
-     * no Pump() or Drain() collected is dropped. */
+     * no Drain() collected is dropped. */
     ~TaskTeam() override;
 
     TaskTeam(const TaskTeam&) = delete;
@@ -170,9 +169,6 @@ class TaskTeam final : public Executor {
     using Executor::Submit;
     /** Queue `job` for the workers (run inline on a caller-only team). */
     void Submit(std::function<void()> job) override;
-    /** Rethrow a failure captured on a worker, else run the oldest
-     * queued job (if any) on this thread. */
-    void Pump() override;
     /** Run every queued job on this thread, wait until no worker runs
      * one, then rethrow the first failure of any of them. */
     void Drain() override;

@@ -9,11 +9,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/apophenia.h"
-#include "fault/checkpoint.h"
 #include "sim/cluster.h"
 #include "streams_identical.h"
 #include "support/rng.h"
@@ -417,83 +415,33 @@ std::vector<rt::TaskLaunch> NoisyLoop(const std::vector<rt::RegionId>& regions,
     return launches;
 }
 
-TEST(Apophenia, MatchStateSurvivesForcedFlushesFiresAndRestore)
+TEST(Apophenia, MatchStateSurvivesForcedFlushesAndFires)
 {
     // The matcher keeps its active pointers sorted by start and its
     // fire and flush decisions read only the front of that order. Run
-    // it through every path that erases pointers — forced flushes of
-    // an overfull pending buffer, fires of overlapping matches, and a
-    // checkpoint restore mid-match — and pin the issued stream to the
-    // digest the full-scan matcher produced for the same input (by the
-    // earlier digest fold, which the legacy oracle reproduces).
+    // it through the paths that erase pointers — forced flushes of an
+    // overfull pending buffer and fires of overlapping matches — and
+    // pin the issued stream to the digest the full-scan matcher
+    // produced for the same input (by the earlier digest fold, which
+    // the legacy oracle reproduces).
     ApopheniaConfig config = SmallConfig();
     config.max_pending = 24;
-    const auto make_regions = [](Apophenia& fe) {
-        std::vector<rt::RegionId> regions;
-        for (int i = 0; i < 12; ++i) {
-            regions.push_back(fe.CreateRegion());
-        }
-        return regions;
-    };
-
-    rt::Runtime reference_runtime;
-    Apophenia reference(reference_runtime, config);
-    const std::vector<rt::RegionId> regions = make_regions(reference);
-    const std::vector<rt::TaskLaunch> launches = NoisyLoop(regions, 150);
-    for (const rt::TaskLaunch& launch : launches) {
-        reference.ExecuteTask(launch);
+    rt::Runtime runtime;
+    Apophenia fe(runtime, config);
+    std::vector<rt::RegionId> regions;
+    for (int i = 0; i < 12; ++i) {
+        regions.push_back(fe.CreateRegion());
     }
-    reference.Flush();
-    const sim::StreamDigest want =
-        sim::StreamDigest::Of(reference_runtime.Log());
-    EXPECT_GT(reference.Stats().forced_flushes, 0u);
-    EXPECT_GT(reference.Stats().trace_replays, 0u);
-    EXPECT_EQ(want.Value(), 6360632517214131569ULL);
-    EXPECT_EQ(test::LegacyStreamDigest::Of(reference_runtime.Log()).Value(),
+    for (const rt::TaskLaunch& launch : NoisyLoop(regions, 150)) {
+        fe.ExecuteTask(launch);
+    }
+    fe.Flush();
+    EXPECT_GT(fe.Stats().forced_flushes, 0u);
+    EXPECT_GT(fe.Stats().trace_replays, 0u);
+    EXPECT_EQ(sim::StreamDigest::Of(runtime.Log()).Value(),
+              6360632517214131569ULL);
+    EXPECT_EQ(test::LegacyStreamDigest::Of(runtime.Log()).Value(),
               11318005712491931143ULL);
-
-    // Crash at the first quiescent point past the middle where a match
-    // is in progress.
-    auto crashed_runtime = std::make_unique<rt::Runtime>();
-    auto crashed = std::make_unique<Apophenia>(*crashed_runtime, config);
-    ASSERT_EQ(make_regions(*crashed), regions);
-    std::size_t at = 0;
-    while (at < launches.size() &&
-           (at < launches.size() / 2 || crashed->PendingTasks() == 0 ||
-            !crashed_runtime->Quiescent())) {
-        crashed->ExecuteTask(launches[at++]);
-    }
-    ASSERT_LT(at, launches.size()) << "no mid-match cut point";
-    fault::CheckpointWriter writer;
-    crashed_runtime->SaveState(writer);
-    crashed->SaveState(writer);
-    const std::vector<std::uint8_t> image = writer.TakeImage();
-    const std::size_t cut_ops = crashed_runtime->Log().size();
-    sim::StreamDigest got = sim::StreamDigest::Of(crashed_runtime->Log());
-    crashed.reset();
-    crashed_runtime.reset();
-
-    rt::Runtime restored_runtime;
-    Apophenia restored(restored_runtime, config);
-    fault::CheckpointReader reader(image);
-    restored_runtime.LoadState(reader);
-    restored.LoadState(reader);
-    EXPECT_TRUE(reader.AtEnd());
-    EXPECT_GT(restored.PendingTasks(), 0u);
-    for (; at < launches.size(); ++at) {
-        restored.ExecuteTask(launches[at]);
-    }
-    restored.Flush();
-    const rt::OperationLog& log = restored_runtime.Log();
-    for (std::size_t i = cut_ops; i < log.size(); ++i) {
-        got.Consume(log[i]);
-    }
-    EXPECT_EQ(got.Value(), want.Value());
-    EXPECT_EQ(got.Count(), want.Count());
-    EXPECT_EQ(restored.Stats().forced_flushes,
-              reference.Stats().forced_flushes);
-    EXPECT_EQ(restored.Stats().traces_fired, reference.Stats().traces_fired);
-    EXPECT_EQ(restored.CandidateDigest(), reference.CandidateDigest());
 }
 
 /** A stream over four motifs: A, B, C, and A2 — A with its fourth task
@@ -534,18 +482,16 @@ std::vector<rt::TaskLaunch> MotifStream(
     return launches;
 }
 
-/** Issue launches [from, to) into a front-end that leaves ingestion to
- * its owner, ingesting one to three of the oldest pending jobs at
- * about one position in eight.
- * The draw is a pure function of the seed and the position, so a
- * restored front-end ingests exactly where the original would have. */
+/** Issue `launches` into a front-end that leaves ingestion to its
+ * owner, ingesting one to three of the oldest pending jobs at about
+ * one position in eight. The draw is a pure function of the seed and
+ * the position. */
 void IssueWithManualIngest(Apophenia& fe,
                            const std::vector<rt::TaskLaunch>& launches,
-                           std::size_t from, std::size_t to,
                            std::uint64_t seed)
 {
     fe.LeaveIngestionToOwner();
-    for (std::size_t i = from; i < to; ++i) {
+    for (std::size_t i = 0; i < launches.size(); ++i) {
         fe.ExecuteTask(launches[i]);
         const std::uint64_t roll =
             support::SplitMix64(seed ^ (i * 0x9e3779b97f4a7c15ULL));
@@ -559,15 +505,14 @@ void IssueWithManualIngest(Apophenia& fe,
     }
 }
 
-TEST(Apophenia, MatcherSurvivesManualIngestFlushesAndRestore)
+TEST(Apophenia, MatcherSurvivesManualIngestAndFlushes)
 {
     // Adversarial schedules for the run-at-a-time matcher. Jobs are
     // ingested at random stream positions, so candidates land while
     // pointers lag inside their runs: new branches and candidates
     // appear ahead of (and behind) lagging pointers, and leaves are
     // extended under live ones. A pending bound of 16 forces flushes;
-    // one of 32 is never hit and leaves matches to run long. Every
-    // case also restores from a checkpoint at a random cut. The pins
+    // one of 32 is never hit and leaves matches to run long. The pins
     // were captured from the per-token matcher this one replaced; its
     // stream digests by the earlier fold, which the legacy oracle
     // reproduces over the same run's log.
@@ -606,22 +551,6 @@ TEST(Apophenia, MatcherSurvivesManualIngestFlushesAndRestore)
     config.min_trace_length = 3;
     config.max_trace_length = 24;  // long repeats split into several
     config.multi_scale_factor = 25;
-    const auto make_regions = [](Apophenia& fe) {
-        std::vector<rt::RegionId> regions;
-        for (int i = 0; i < 16; ++i) {
-            regions.push_back(fe.CreateRegion());
-        }
-        return regions;
-    };
-    const auto expect_pinned = [](const sim::StreamDigest& digest,
-                                  const Apophenia& fe, const Pin& pin) {
-        EXPECT_EQ(digest.Value(), pin.stream_digest);
-        EXPECT_EQ(fe.CandidateDigest(), pin.candidate_digest);
-        EXPECT_EQ(fe.Stats().traces_fired, pin.traces_fired);
-        EXPECT_EQ(fe.Stats().launches_buffered, pin.launches_buffered);
-        EXPECT_EQ(fe.Stats().pending_high_water, pin.pending_high_water);
-        EXPECT_EQ(fe.Stats().forced_flushes, pin.forced_flushes);
-    };
     for (const Pin& pin : pins) {
         SCOPED_TRACE(testing::Message() << "seed " << pin.seed
                                         << ", max_pending "
@@ -629,219 +558,24 @@ TEST(Apophenia, MatcherSurvivesManualIngestFlushesAndRestore)
         config.max_pending = pin.max_pending;
         rt::Runtime runtime;
         Apophenia fe(runtime, config);
-        const std::vector<rt::RegionId> regions = make_regions(fe);
-        const std::vector<rt::TaskLaunch> launches =
-            MotifStream(regions, pin.seed);
-        IssueWithManualIngest(fe, launches, 0, launches.size(), pin.seed);
+        std::vector<rt::RegionId> regions;
+        for (int i = 0; i < 16; ++i) {
+            regions.push_back(fe.CreateRegion());
+        }
+        IssueWithManualIngest(fe, MotifStream(regions, pin.seed),
+                              pin.seed);
         fe.Flush();
-        expect_pinned(sim::StreamDigest::Of(runtime.Log()), fe, pin);
+        EXPECT_EQ(sim::StreamDigest::Of(runtime.Log()).Value(),
+                  pin.stream_digest);
         EXPECT_EQ(test::LegacyStreamDigest::Of(runtime.Log()).Value(),
                   pin.legacy_stream_digest);
+        EXPECT_EQ(fe.CandidateDigest(), pin.candidate_digest);
+        EXPECT_EQ(fe.Stats().traces_fired, pin.traces_fired);
+        EXPECT_EQ(fe.Stats().launches_buffered, pin.launches_buffered);
+        EXPECT_EQ(fe.Stats().pending_high_water, pin.pending_high_water);
+        EXPECT_EQ(fe.Stats().forced_flushes, pin.forced_flushes);
         EXPECT_GT(fe.Stats().trace_replays, 0u);
-
-        // Cut at the first quiescent, mid-match point past a seeded
-        // position, and finish the stream on a restored front-end.
-        auto cut_runtime = std::make_unique<rt::Runtime>();
-        auto cut = std::make_unique<Apophenia>(*cut_runtime, config);
-        ASSERT_EQ(make_regions(*cut), regions);
-        const std::size_t start =
-            launches.size() / 4 +
-            support::SplitMix64(pin.seed) % (launches.size() / 2);
-        std::size_t at = 0;
-        while (at < start || cut->PendingTasks() == 0 ||
-               !cut_runtime->Quiescent()) {
-            ASSERT_LT(at, launches.size()) << "no mid-match cut point";
-            IssueWithManualIngest(*cut, launches, at, at + 1, pin.seed);
-            ++at;
-        }
-        fault::CheckpointWriter writer;
-        cut_runtime->SaveState(writer);
-        cut->SaveState(writer);
-        const std::vector<std::uint8_t> image = writer.TakeImage();
-        sim::StreamDigest digest = sim::StreamDigest::Of(cut_runtime->Log());
-        const std::size_t cut_ops = cut_runtime->Log().size();
-        cut.reset();
-        cut_runtime.reset();
-
-        rt::Runtime restored_runtime;
-        Apophenia restored(restored_runtime, config);
-        fault::CheckpointReader reader(image);
-        restored_runtime.LoadState(reader);
-        restored.LoadState(reader);
-        IssueWithManualIngest(restored, launches, at, launches.size(),
-                              pin.seed);
-        restored.Flush();
-        const rt::OperationLog& log = restored_runtime.Log();
-        for (std::size_t i = cut_ops; i < log.size(); ++i) {
-            digest.Consume(log[i]);
-        }
-        expect_pinned(digest, restored, pin);
     }
-}
-
-// Byte offsets in an image whose first section is Apophenia's: the
-// image header (magic, version), then the section's tag, payload
-// length and checksum.
-constexpr std::size_t kSectionLengthAt = 24;
-constexpr std::size_t kSectionChecksumAt = 32;
-constexpr std::size_t kPayloadAt = 40;
-
-std::uint64_t ReadWord(const std::vector<std::uint8_t>& image,
-                       std::size_t at)
-{
-    std::uint64_t value = 0;
-    for (std::size_t b = 0; b < 8; ++b) {
-        value |= std::uint64_t{image[at + b]} << (8 * b);
-    }
-    return value;
-}
-
-void WriteWord(std::vector<std::uint8_t>& image, std::size_t at,
-               std::uint64_t value)
-{
-    for (std::size_t b = 0; b < 8; ++b) {
-        image[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
-    }
-}
-
-/** Recompute the first section's checksum after an edit. */
-void Reseal(std::vector<std::uint8_t>& image)
-{
-    const std::span<const std::uint8_t> payload(
-        image.data() + kPayloadAt, ReadWord(image, kSectionLengthAt));
-    WriteWord(image, kSectionChecksumAt, fault::ChecksumBytes(payload));
-}
-
-/** Byte offset of the active-pointer count in Apophenia's section:
- * after 15 counter words and the buffered launches. */
-std::size_t ActivePointersAt(const std::vector<std::uint8_t>& image)
-{
-    fault::CheckpointReader reader(image);
-    reader.BeginSection(fault::SectionTag::kApophenia);
-    std::size_t words = 0;
-    const auto next = [&] {
-        ++words;
-        return reader.U64();
-    };
-    for (int i = 0; i < 15; ++i) {
-        next();
-    }
-    const std::uint64_t pending = next();
-    for (std::uint64_t t = 0; t < pending; ++t) {
-        next();  // token
-        next();  // task
-        const std::uint64_t reqs = next();
-        for (std::uint64_t w = 0; w < 4 * reqs + 4; ++w) {
-            next();  // requirements, execution_us, shard, flags
-        }
-    }
-    return kPayloadAt + 8 * words;
-}
-
-TEST(Apophenia, RestoreRejectsMisorderedMatchPointers)
-{
-    // Restored match pointers must satisfy what the matcher assumes of
-    // them: sorted by start and inside the pending buffer. An image
-    // with valid checksums can still break that.
-    const ApopheniaConfig config = SmallConfig();
-    rt::Runtime runtime;
-    Apophenia fe(runtime, config);
-    std::vector<rt::RegionId> regions;
-    for (int i = 0; i < 12; ++i) {
-        regions.push_back(fe.CreateRegion());
-    }
-    std::vector<std::uint8_t> image;
-    std::size_t active_at = 0;
-    for (const rt::TaskLaunch& launch : NoisyLoop(regions, 150)) {
-        fe.ExecuteTask(launch);
-        if (fe.PendingTasks() == 0) {
-            continue;
-        }
-        fault::CheckpointWriter writer;
-        fe.SaveState(writer);
-        image = writer.TakeImage();
-        active_at = ActivePointersAt(image);
-        if (ReadWord(image, active_at) >= 2) {
-            break;
-        }
-    }
-    ASSERT_GE(ReadWord(image, active_at), 2u) << "no two live matches";
-
-    const auto load = [&config](std::vector<std::uint8_t> edited) {
-        Reseal(edited);
-        rt::Runtime fresh_runtime;
-        Apophenia fresh(fresh_runtime, config);
-        fault::CheckpointReader reader(edited);
-        fresh.LoadState(reader);
-    };
-    EXPECT_NO_THROW(load(image));
-
-    const std::size_t first = active_at + 8;
-    const std::size_t second = active_at + 16;
-    std::vector<std::uint8_t> swapped = image;
-    WriteWord(swapped, first, ReadWord(image, second));
-    WriteWord(swapped, second, ReadWord(image, first));
-    EXPECT_THROW(load(swapped), fault::CheckpointError);
-
-    std::vector<std::uint8_t> before_buffer = image;
-    WriteWord(before_buffer, first, 0);  // forwarded long ago
-    EXPECT_THROW(load(before_buffer), fault::CheckpointError);
-
-    // A count the section cannot hold is rejected, not allocated.
-    std::vector<std::uint8_t> huge = image;
-    WriteWord(huge, active_at, std::uint64_t{1} << 40);
-    EXPECT_THROW(load(huge), fault::CheckpointError);
-}
-
-TEST(Apophenia, RestoreRejectsAPendingBufferOffTheCounter)
-{
-    // Fire and flush pop the pending buffer by absolute index, so it
-    // must end at the task counter — even in an image with no match
-    // pointers to re-walk.
-    const ApopheniaConfig config = SmallConfig();
-    rt::Runtime runtime;
-    Apophenia fe(runtime, config);
-    LoopApp app(fe, 10);
-    app.Iteration();
-    ASSERT_EQ(fe.PendingTasks(), 0u);
-    fault::CheckpointWriter writer;
-    fe.SaveState(writer);
-    const std::vector<std::uint8_t> image = writer.TakeImage();
-    ASSERT_EQ(ReadWord(image, ActivePointersAt(image)), 0u);
-
-    const auto load = [&config](std::vector<std::uint8_t> edited) {
-        Reseal(edited);
-        rt::Runtime fresh_runtime;
-        Apophenia fresh(fresh_runtime, config);
-        fault::CheckpointReader reader(edited);
-        fresh.LoadState(reader);
-    };
-    EXPECT_NO_THROW(load(image));
-    // The section opens with the task counter and the pending base.
-    std::vector<std::uint8_t> behind = image;
-    WriteWord(behind, kPayloadAt + 8, ReadWord(image, kPayloadAt + 8) - 3);
-    EXPECT_THROW(load(behind), fault::CheckpointError);
-    std::vector<std::uint8_t> ahead = image;
-    WriteWord(ahead, kPayloadAt, ReadWord(image, kPayloadAt) + 1);
-    EXPECT_THROW(load(ahead), fault::CheckpointError);
-}
-
-TEST(Apophenia, DegradedFrontEndRefusesToCheckpoint)
-{
-    // An image cannot carry the degraded posture: it would restore a
-    // front-end that mines the window the original kept out of the
-    // finder.
-    rt::Runtime runtime;
-    Apophenia fe(runtime, SmallConfig());
-    LoopApp app(fe, 10);
-    app.Iteration();
-    fe.SetDegraded(true);
-    app.Iteration();
-    fault::CheckpointWriter degraded;
-    EXPECT_THROW(fe.SaveState(degraded), fault::CheckpointError);
-    fe.SetDegraded(false);
-    fault::CheckpointWriter resumed;
-    EXPECT_NO_THROW(fe.SaveState(resumed));
 }
 
 }  // namespace

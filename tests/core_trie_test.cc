@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the candidate trie (against a map oracle, and through its
- * checkpoint hooks), trace scoring, and the trace finder's sampling
- * schedule and mining jobs.
+ * Tests for the candidate trie (against a map oracle), trace scoring,
+ * and the trace finder's sampling schedule and mining jobs.
  */
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "core/finder.h"
 #include "core/trie.h"
-#include "fault/checkpoint.h"
 #include "support/executor.h"
 #include "support/rng.h"
 
@@ -171,13 +169,6 @@ void ExpectMatchesOracle(const CandidateTrie& trie, const Oracle& oracle)
     }
 }
 
-std::vector<std::uint8_t> Save(const CandidateTrie& trie)
-{
-    fault::CheckpointWriter writer;
-    trie.SaveState(writer);
-    return writer.TakeImage();
-}
-
 TEST(Trie, RandomInsertsMatchAMapOracle)
 {
     support::Rng rng(42);
@@ -213,22 +204,6 @@ TEST(Trie, RandomInsertsMatchAMapOracle)
     EXPECT_GT(branch_points, 0u);
     EXPECT_GT(long_runs, 0u);
     EXPECT_GT(trie.At(kRoot).num_children, 1u);
-
-    // Checkpoint round trip: equal walks, byte-identical re-save.
-    const std::vector<std::uint8_t> image = Save(trie);
-    CandidateTrie restored;
-    fault::CheckpointReader reader(image);
-    restored.LoadState(reader);
-    EXPECT_TRUE(reader.AtEnd());
-    ExpectMatchesOracle(restored, oracle);
-    for (const auto& [path, count] : oracle) {
-        const CandidateStats* a = trie.CandidateAt(Walk(trie, path));
-        const CandidateStats* b = restored.CandidateAt(Walk(restored, path));
-        ASSERT_NE(b, nullptr);
-        EXPECT_EQ(a->id, b->id);
-        EXPECT_EQ(a->last_seen, b->last_seen);
-    }
-    EXPECT_EQ(Save(restored), image);
 }
 
 TEST(Trie, NewBranchOnAUnaryNodeKeepsItsFirstChild)
@@ -287,73 +262,12 @@ TEST(Trie, RunsStopAtCandidatesBranchesAndChunkEnds)
     EXPECT_EQ(trie.Find(off_run), nullptr);
 }
 
-/** A hand-built trie image holding one candidate per path. The
- * framing and checksums are valid, so only LoadState's semantic
- * checks can reject it. */
-std::vector<std::uint8_t> TrieImage(const std::vector<Path>& paths,
-                                    const std::vector<std::uint64_t>& lengths)
-{
-    fault::CheckpointWriter writer;
-    writer.BeginSection(fault::SectionTag::kCandidateTrie);
-    writer.U64(paths.size() + 1);  // next id
-    writer.U64(paths.size());
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-        writer.VecU64(paths[i]);
-        writer.U64(i + 1);       // id
-        writer.U64(lengths[i]);  // length
-        writer.F64(2.0);         // count
-        writer.U64(0);           // last seen
-        writer.U64(rt::kNoTrace);
-        writer.U64(0);  // replays
-    }
-    writer.EndSection();
-    return writer.TakeImage();
-}
-
-void ExpectLoadRejects(const std::vector<std::uint8_t>& image)
-{
-    CandidateTrie trie;
-    fault::CheckpointReader reader(image);
-    EXPECT_THROW(trie.LoadState(reader), fault::CheckpointError);
-}
-
-TEST(TrieCheckpoint, HandBuiltImageLoads)
-{
-    const std::vector<std::uint8_t> image =
-        TrieImage({Tokens({1, 2, 3}), Tokens({1, 2})}, {3, 2});
-    CandidateTrie trie;
-    fault::CheckpointReader reader(image);
-    trie.LoadState(reader);
-    EXPECT_EQ(trie.NumCandidates(), 2u);
-    const auto* stats = trie.CandidateAt(Walk(trie, Tokens({1, 2, 3})));
-    ASSERT_NE(stats, nullptr);
-    EXPECT_EQ(stats->length, 3u);
-}
-
-TEST(TrieCheckpoint, RejectsAnEmptyCandidatePath)
-{
-    ExpectLoadRejects(TrieImage({Tokens({1, 2}), Path{}}, {2, 0}));
-}
-
-TEST(TrieCheckpoint, RejectsALengthThatDiffersFromThePath)
-{
-    ExpectLoadRejects(TrieImage({Tokens({1, 2, 3})}, {2}));
-    ExpectLoadRejects(TrieImage({Tokens({1, 2, 3})}, {4}));
-}
-
-TEST(TrieCheckpoint, RejectsARepeatedPath)
-{
-    ExpectLoadRejects(TrieImage({Tokens({1, 2}), Tokens({1, 2})}, {2, 2}));
-}
-
 TEST(Scorer, PrefersLongTraces)
 {
     ApopheniaConfig config;
     TraceScorer scorer(config);
-    CandidateStats short_trace{.id = 1, .length = 10, .count = 4,
-                               .last_seen = 0};
-    CandidateStats long_trace{.id = 2, .length = 100, .count = 4,
-                              .last_seen = 0};
+    CandidateStats short_trace{.length = 10, .count = 4, .last_seen = 0};
+    CandidateStats long_trace{.length = 100, .count = 4, .last_seen = 0};
     EXPECT_GT(scorer.Score(long_trace, 0), scorer.Score(short_trace, 0));
 }
 
@@ -362,8 +276,8 @@ TEST(Scorer, CountIsCapped)
     ApopheniaConfig config;
     config.score_count_cap = 16.0;
     TraceScorer scorer(config);
-    CandidateStats a{.id = 1, .length = 10, .count = 16, .last_seen = 0};
-    CandidateStats b{.id = 2, .length = 10, .count = 1000, .last_seen = 0};
+    CandidateStats a{.length = 10, .count = 16, .last_seen = 0};
+    CandidateStats b{.length = 10, .count = 1000, .last_seen = 0};
     EXPECT_DOUBLE_EQ(scorer.Score(a, 0), scorer.Score(b, 0));
 }
 
@@ -372,7 +286,7 @@ TEST(Scorer, CountDecaysWithInactivity)
     ApopheniaConfig config;
     config.score_decay_half_life = 1000.0;
     TraceScorer scorer(config);
-    CandidateStats c{.id = 1, .length = 10, .count = 8, .last_seen = 0};
+    CandidateStats c{.length = 10, .count = 8, .last_seen = 0};
     const double fresh = scorer.Score(c, 0);
     const double stale = scorer.Score(c, 2000);  // two half-lives
     EXPECT_DOUBLE_EQ(stale, fresh / 4.0);
@@ -382,7 +296,7 @@ TEST(Scorer, ReplayedTraceGetsBonus)
 {
     ApopheniaConfig config;
     TraceScorer scorer(config);
-    CandidateStats a{.id = 1, .length = 10, .count = 4, .last_seen = 0};
+    CandidateStats a{.length = 10, .count = 4, .last_seen = 0};
     CandidateStats b = a;
     b.replays = 1;
     EXPECT_GT(scorer.Score(b, 0), scorer.Score(a, 0));

@@ -1,18 +1,19 @@
 /**
  * @file
- * Elastic-membership tests (PR: fault tolerance): scheduled node
- * crashes and rejoins on sim::Cluster. A rejoining node resyncs from
- * a healthy peer — newest checkpoint + retained decision tail — after
- * which every node's stream digest must equal the churn-free run's,
- * bit for bit; healthy nodes must never notice the churn. The same
- * path heals a corrupted replica at the barrier that detects its
- * divergence; a replica that diverges again right after its heal is
- * evicted for good, even past a fault-plan rejoin point. Recovery
- * comes out the same whether the shared decider mines inline (jobs 1)
- * or on the cluster's worker team (jobs 2). Misuse (bad
- * fault plans, touching a crashed node) is a typed
- * rt::RuntimeUsageError; malformed checkpoint images are a typed
- * fault::CheckpointError.
+ * Elastic-membership tests: scheduled node crashes and rejoins on
+ * sim::Cluster, over S3D, HTR and CFD. A crash or rejoin point fires
+ * at the first barrier at or after it, the end-of-stream flush
+ * included. A rejoining node resyncs from a healthy peer — newest
+ * checkpoint + retained decision tail — after which every node's
+ * stream digest must equal the churn-free run's, bit for bit;
+ * healthy nodes must never notice the churn. The same path heals a
+ * corrupted replica at the barrier that detects its divergence; a
+ * replica that diverges again right after its heal is evicted for
+ * good, even past a fault-plan rejoin point. Recovery comes out the
+ * same whether the shared decider mines inline (jobs 1) or on the
+ * cluster's worker team (jobs 2). Misuse (bad fault plans, touching a
+ * crashed node) is a typed rt::RuntimeUsageError; malformed
+ * checkpoint images are a typed fault::CheckpointError.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/cfd.h"
 #include "apps/htr.h"
 #include "apps/s3d.h"
 #include "fault/checkpoint.h"
@@ -108,6 +110,16 @@ void ExpectCrashRejoinMatchesChurnFree(const Options& app_options,
     EXPECT_EQ(DigestsOf(churned), want);
     EXPECT_TRUE(churned.StreamDigestsAgree());
     EXPECT_FALSE(churned.NodeCrashed(1));
+    // Cumulative runtime accounting re-converges too: the rejoiner's
+    // restored counters plus what its tail replay added.
+    for (std::size_t n = 0; n < churned.Nodes(); ++n) {
+        const rt::RuntimeStats& got = churned.NodeRuntime(n).Stats();
+        const rt::RuntimeStats& ref = reference.NodeRuntime(n).Stats();
+        EXPECT_EQ(got.tasks_replayed, ref.tasks_replayed) << "node " << n;
+        EXPECT_EQ(got.traces_recorded, ref.traces_recorded) << "node " << n;
+        EXPECT_EQ(got.trace_mismatches, 0u) << "node " << n;
+    }
+    EXPECT_GT(churned.NodeRuntime(1).Stats().tasks_replayed, 0u);
     const sim::FaultStats& fault = churned.FaultRecovery();
     EXPECT_EQ(fault.crashes, 1u);
     EXPECT_EQ(fault.rejoins, 1u);
@@ -144,6 +156,70 @@ TEST(ElasticMembership, HtrCrashRejoinStreaming)
     apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
     ExpectCrashRejoinMatchesChurnFree<apps::HtrApplication>(
         apps::HtrOptions{.machine = machine}, 30, true);
+}
+
+TEST(ElasticMembership, CfdCrashRejoinRetained)
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    ExpectCrashRejoinMatchesChurnFree<apps::CfdApplication>(
+        apps::CfdOptions{.machine = machine}, 80, false);
+}
+
+TEST(ElasticMembership, CfdCrashRejoinStreaming)
+{
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    ExpectCrashRejoinMatchesChurnFree<apps::CfdApplication>(
+        apps::CfdOptions{.machine = machine}, 80, true);
+}
+
+TEST(ElasticMembership, PointsBetweenBarriersFireAtTheNextOne)
+{
+    // A barrier falls at every batch start and at the flush. A crash
+    // or rejoin point between two barriers fires at the later one, so
+    // a window holding no batch start crashes and rejoins the node at
+    // the same barrier, and points inside the last batch fire at the
+    // flush. Each must still recover to the churn-free digests.
+    apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    const apps::S3dOptions app_options{.machine = machine};
+    for (const bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streaming" : "retained");
+        sim::Cluster reference(BaseOptions(3, streaming));
+        const std::uint64_t total =
+            Drive<apps::S3dApplication>(reference, app_options, 30);
+        const auto want = DigestsOf(reference);
+
+        const std::pair<std::uint64_t, std::uint64_t> windows[] = {
+            {100, 150}, {300, 400}, {100, 101}, {300, 301},
+            {500, 501}, {700, 701}, {total - 2, total - 1},
+        };
+        for (const auto& [crash, rejoin] : windows) {
+            SCOPED_TRACE(testing::Message()
+                         << "crash " << crash << ", rejoin " << rejoin);
+            sim::ClusterOptions options = BaseOptions(3, streaming);
+            options.checkpoint_interval_tasks = 300;
+            options.fault_plan.events.push_back(
+                {.node = 1, .crash_at_task = crash,
+                 .rejoin_at_task = rejoin});
+            sim::Cluster churned(options);
+            Drive<apps::S3dApplication>(churned, app_options, 30);
+
+            EXPECT_EQ(churned.FaultRecovery().crashes, 1u);
+            EXPECT_EQ(churned.FaultRecovery().rejoins, 1u);
+            EXPECT_FALSE(churned.NodeCrashed(1));
+            EXPECT_EQ(DigestsOf(churned), want);
+            EXPECT_TRUE(churned.StreamDigestsAgree());
+        }
+
+        // A crash inside the last batch with no rejoin takes the node
+        // down at the flush.
+        sim::ClusterOptions options = BaseOptions(3, streaming);
+        options.fault_plan.events.push_back(
+            {.node = 1, .crash_at_task = total - 1});
+        sim::Cluster churned(options);
+        Drive<apps::S3dApplication>(churned, app_options, 30);
+        EXPECT_EQ(churned.FaultRecovery().crashes, 1u);
+        EXPECT_TRUE(churned.NodeCrashed(1));
+    }
 }
 
 TEST(ElasticMembership, MultipleStaggeredFailuresAllRecover)

@@ -20,13 +20,13 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unordered_map>
 
 #include "coherence_image.h"
 #include "core/apophenia.h"
-#include "fault/checkpoint.h"
 #include "reference_miner.h"
 #include "runtime/graph.h"
 #include "runtime/runtime.h"
@@ -463,12 +463,6 @@ class OpReplayer {
     }
 
     bool Done() const { return at_ >= ops_->size(); }
-    std::size_t Position() const { return at_; }
-
-    /** Point subsequent Steps at another front end. The virtual→real
-     * region map carries over: a restored front end's deterministic
-     * allocator reproduces the same real ids the crashed one held. */
-    void Rebind(api::Frontend& fe) { fe_ = &fe; }
 
     void Step()
     {
@@ -599,13 +593,15 @@ TEST_P(DifferentialFuzz, MultiTenantServiceEqualsIndependentRuns)
     }
 }
 
-TEST_P(DifferentialFuzz, CheckpointRestartAtRandomCutIsBitIdentical)
+TEST_P(DifferentialFuzz, CrashAndRejoinAtRandomCutMatchesChurnFree)
 {
-    // The fault:: round-trip property over the whole differential
-    // corpus: crash the front end at a seeded random cut point,
-    // checkpoint, restore onto a fresh runtime + Apophenia, finish
-    // the program — tokens, modes, trace ids, dependence edges and
-    // the candidate digest must equal the uninterrupted run's.
+    // Runtime images at random cuts over the whole corpus, on the path
+    // that restores them: node 1 of a 3-node shared-decision cluster
+    // crashes at a seeded cut and rejoins halfway from there to the
+    // end of the stream, installing the newest checkpoint and
+    // replaying the decision tail retained since it. Every node's
+    // stream and the decider's candidates must equal a churn-free
+    // cluster's.
     const FuzzCase fuzz = GetParam();
     core::ApopheniaConfig config;
     config.min_trace_length = fuzz.min_trace_length;
@@ -614,82 +610,48 @@ TEST_P(DifferentialFuzz, CheckpointRestartAtRandomCutIsBitIdentical)
     config.multi_scale_factor =
         std::max<std::size_t>(fuzz.batchsize / 16, 8);
 
-    RecordingTarget recorder;
-    RandomProgram(fuzz.seed).Run(recorder);
-    const std::vector<RecordedOp> program = recorder.Take();
-    ASSERT_GT(program.size(), 8u);
-
-    // Uninterrupted reference run.
-    rt::Runtime ref_rt;
-    core::Apophenia ref_fe(ref_rt, config);
-    {
-        OpReplayer replayer(ref_fe, program);
-        while (!replayer.Done()) {
-            replayer.Step();
+    const auto run = [&](sim::ClusterOptions options) {
+        options.coordination.nodes = 3;
+        options.config = config;
+        auto cluster = std::make_unique<sim::Cluster>(options);
+        RandomProgram(fuzz.seed).Run(*cluster);
+        cluster->Flush();
+        cluster->DrainLogStreams();
+        return cluster;
+    };
+    const auto digests_of = [](const sim::Cluster& cluster) {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> digests;
+        for (std::size_t n = 0; n < cluster.Nodes(); ++n) {
+            const sim::StreamDigest d = cluster.NodeDigest(n);
+            digests.emplace_back(d.Value(), d.Count());
         }
-        ref_fe.Flush();
-    }
-    const sim::StreamDigest want = sim::StreamDigest::Of(ref_rt.Log());
+        return digests;
+    };
+    for (const bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streaming" : "retained");
+        sim::ClusterOptions options;
+        options.stream_logs = streaming;
+        const auto reference = run(options);
+        const std::uint64_t total = reference->Stats().tasks_executed;
 
-    // Crash run: a seeded random cut, advanced to the next quiescent
-    // point (Runtime::SaveState is illegal mid-trace).
-    support::Rng cut_rng(fuzz.seed * 9176 + 11);
-    const std::size_t cut = static_cast<std::size_t>(cut_rng.UniformInt(
-        program.size() / 4, (3 * program.size()) / 4));
-    auto crashed_rt = std::make_unique<rt::Runtime>();
-    auto crashed_fe =
-        std::make_unique<core::Apophenia>(*crashed_rt, config);
-    OpReplayer replayer(*crashed_fe, program);
-    while (replayer.Position() < cut) {
-        replayer.Step();
-    }
-    while (!crashed_rt->Quiescent() && !replayer.Done()) {
-        replayer.Step();
-    }
-    ASSERT_TRUE(crashed_rt->Quiescent());
+        support::Rng cut_rng(fuzz.seed * 9176 + 11);
+        const std::uint64_t cut =
+            cut_rng.UniformInt(total / 4, 3 * total / 4);
+        options.checkpoint_interval_tasks =
+            std::max<std::uint64_t>(total / 8, 16);
+        options.fault_plan.events.push_back(
+            {.node = 1, .crash_at_task = cut,
+             .rejoin_at_task = cut + (total - cut) / 2});
+        const auto churned = run(options);
 
-    fault::CheckpointWriter writer;
-    crashed_rt->SaveState(writer);
-    crashed_fe->SaveState(writer);
-    const std::vector<std::uint8_t> image = writer.TakeImage();
-    const std::size_t cut_ops = crashed_rt->Log().size();
-    sim::StreamDigest digest = sim::StreamDigest::Of(crashed_rt->Log());
-    crashed_fe.reset();
-    crashed_rt.reset();
-
-    // Restore and finish.
-    rt::Runtime restored_rt;
-    core::Apophenia restored_fe(restored_rt, config);
-    fault::CheckpointReader reader(image);
-    restored_rt.LoadState(reader);
-    restored_fe.LoadState(reader);
-    EXPECT_TRUE(reader.AtEnd());
-    replayer.Rebind(restored_fe);
-    while (!replayer.Done()) {
-        replayer.Step();
+        const sim::FaultStats& fault = churned->FaultRecovery();
+        EXPECT_EQ(fault.crashes, 1u) << "cut " << cut << " of " << total;
+        EXPECT_EQ(fault.rejoins, 1u);
+        EXPECT_TRUE(churned->StreamDigestsAgree());
+        EXPECT_EQ(digests_of(*churned), digests_of(*reference));
+        EXPECT_EQ(churned->Decider().CandidateDigest(),
+                  reference->Decider().CandidateDigest());
     }
-    restored_fe.Flush();
-
-    ASSERT_EQ(restored_rt.Log().size(), ref_rt.Log().size());
-    for (std::size_t i = cut_ops; i < restored_rt.Log().size(); ++i) {
-        ASSERT_EQ(restored_rt.Log()[i].token, ref_rt.Log()[i].token)
-            << "stream diverged at op " << i << " (seed " << fuzz.seed
-            << ", cut " << cut_ops << ")";
-        ASSERT_EQ(restored_rt.Log()[i].mode, ref_rt.Log()[i].mode)
-            << "analysis mode diverged at op " << i;
-        ASSERT_EQ(restored_rt.Log()[i].trace, ref_rt.Log()[i].trace)
-            << "trace decision diverged at op " << i;
-        ASSERT_EQ(restored_rt.Log()[i].dependences,
-                  ref_rt.Log()[i].dependences)
-            << "graph diverged at op " << i;
-    }
-    for (std::size_t at = cut_ops; at < restored_rt.Log().size(); ++at) {
-        digest.Consume(restored_rt.Log()[at]);
-    }
-    EXPECT_EQ(digest.Value(), want.Value());
-    EXPECT_EQ(digest.Count(), want.Count());
-    EXPECT_EQ(restored_fe.CandidateDigest(), ref_fe.CandidateDigest());
-    EXPECT_EQ(restored_rt.Stats().trace_mismatches, 0u);
 }
 
 std::vector<FuzzCase> MakeCases()

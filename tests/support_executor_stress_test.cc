@@ -101,7 +101,7 @@ TEST(TaskTeamJobs, QueuedJobsAllFinishByDrain)
             team.Run(8);  // epochs interleave with the queue
         }
         if (i % 97 == 0) {
-            team.Pump();  // the owner helps now and then
+            team.Drain();  // the owner helps now and then
         }
     }
     team.Drain();
@@ -196,16 +196,15 @@ TEST(TaskTeamJobs, CallerOnlyTeamRunsSubmitInline)
         ran = true;
         ran_on = std::this_thread::get_id();
     });
-    // Done before Submit returned: no Pump, no Drain.
+    // Done before Submit returned: no Drain.
     EXPECT_TRUE(ran);
     EXPECT_EQ(ran_on, owner);
     EXPECT_THROW(team.Submit([] { throw std::runtime_error("inline"); }),
                  std::runtime_error);
-    EXPECT_NO_THROW(team.Pump());
     EXPECT_NO_THROW(team.Drain());
 }
 
-TEST(TaskTeamJobs, AThrowingJobIsRethrownOnThePumpingOrDrainingThread)
+TEST(TaskTeamJobs, AThrowingJobIsRethrownOnTheDrainingThread)
 {
     auto message_of = [](auto&& call) {
         try {
@@ -218,37 +217,37 @@ TEST(TaskTeamJobs, AThrowingJobIsRethrownOnThePumpingOrDrainingThread)
     TaskTeam team(2);  // one worker
 
     // Run on the worker: captured there, rethrown by the owner's next
-    // Pump, and only once.
+    // Drain, and only once.
     std::atomic<bool> threw{false};
     team.Submit([&threw] {
         threw.store(true);
         throw std::runtime_error("worker job");
     });
     ASSERT_TRUE(AwaitFlag(threw));
-    EXPECT_EQ(message_of([&] {
-                  // Until the worker has published its capture.
-                  const auto deadline = std::chrono::steady_clock::now() +
-                                        std::chrono::seconds(5);
-                  while (std::chrono::steady_clock::now() < deadline) {
-                      team.Pump();
-                      std::this_thread::yield();
-                  }
-              }),
-              "worker job");
-    EXPECT_NO_THROW(team.Pump());
+    EXPECT_EQ(message_of([&] { team.Drain(); }), "worker job");
+    EXPECT_NO_THROW(team.Drain());
 
-    // Still queued while the worker is busy: Pump runs it on the owner
-    // and it propagates from there.
+    // Still queued while the worker is busy: Drain runs it on the
+    // owner and it propagates from there, once the worker's job (which
+    // it releases) has finished.
+    const std::thread::id owner = std::this_thread::get_id();
     std::atomic<bool> busy{false};
     std::atomic<bool> release{false};
+    std::atomic<bool> released_in_time{false};
     team.Submit([&] {
         busy.store(true);
-        AwaitFlag(release);
+        released_in_time.store(AwaitFlag(release));
     });
     ASSERT_TRUE(AwaitFlag(busy));
-    team.Submit([] { throw std::runtime_error("pumped job"); });
-    EXPECT_EQ(message_of([&] { team.Pump(); }), "pumped job");
-    release.store(true);
+    std::thread::id ran_on;
+    team.Submit([&] {
+        ran_on = std::this_thread::get_id();
+        release.store(true);
+        throw std::runtime_error("owner job");
+    });
+    EXPECT_EQ(message_of([&] { team.Drain(); }), "owner job");
+    EXPECT_EQ(ran_on, owner);
+    EXPECT_TRUE(released_in_time.load());
 
     // Drain rethrows the first failure after every job has finished.
     std::atomic<int> ran{0};
