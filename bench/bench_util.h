@@ -177,19 +177,15 @@ inline unsigned HardwareConcurrency()
  * `"apo_jobs": J` when the APO_JOBS thread-count override is set to
  * a positive number — a record produced under an override is only
  * comparable to records produced under the same one, so the override
- * is pinned in the record rather than silently shaping it. (A set
- * but non-numeric/zero APO_JOBS is ignored here exactly as the
- * engine ignores it.) No trailing comma. */
+ * is pinned in the record rather than silently shaping it. The value
+ * is read by sim::ParseJobs, as the engine reads it, so one it ignores
+ * is ignored here too. No trailing comma. */
 inline std::string ConcurrencyJson()
 {
     std::string out = "\"hardware_concurrency\": " +
                       std::to_string(HardwareConcurrency());
-    if (const char* jobs = std::getenv("APO_JOBS")) {
-        char* end = nullptr;
-        const unsigned long value = std::strtoul(jobs, &end, 10);
-        if (end != jobs && *end == '\0' && value > 0) {
-            out += ", \"apo_jobs\": " + std::to_string(value);
-        }
+    if (const std::size_t jobs = sim::ParseJobs(std::getenv("APO_JOBS"))) {
+        out += ", \"apo_jobs\": " + std::to_string(jobs);
     }
     return out;
 }

@@ -671,7 +671,6 @@ int RunLaunchPathRecord(const std::string& json_path)
         "    %s,\n"
         "    \"memo_tokens_per_sec\": %.0f,\n"
         "    \"mine_slice_tokens_per_sec\": %.0f,\n"
-        "    \"speedup\": %.3f,\n"
         "    \"memo_hit_rate\": %.3f,\n"
         "    \"allocs_per_window\": %.3f,\n"
         "    \"windows\": %llu,\n"
@@ -687,8 +686,8 @@ int RunLaunchPathRecord(const std::string& json_path)
         stream_digest.digest.launches_per_sec,
         stream_digest.digest.allocs_per_launch,
         apo::bench::ConcurrencyJson().c_str(), steady.memo.tokens_per_sec,
-        steady.mine_slice.tokens_per_sec, steady.speedup,
-        steady.memo.memo_hit_rate, steady.allocs_per_window,
+        steady.mine_slice.tokens_per_sec, steady.memo.memo_hit_rate,
+        steady.allocs_per_window,
         static_cast<unsigned long long>(steady.memo.windows),
         steady.identical ? "true" : "false");
     // This bench rewrites its own records wholesale and carries every

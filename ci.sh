@@ -38,10 +38,10 @@ cmake -B build-asan -S . -DAPO_SANITIZE=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=Re
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "== sanitizers: TSan executor stress + cluster simulation (parallel engine, 8 worker threads) + shared decision engine + experiment stack + multi-tenant service + pooled fuzz corpus =="
+echo "== sanitizers: TSan executor stress + cluster simulation (parallel engine, 8 worker threads) + shared decision engine + front end + experiment stack + multi-tenant service + pooled fuzz corpus =="
 tsan_suites=(support_executor_stress_test sim_cluster_test core_incremental_test
-             core_decision_test sim_test sim_replicated_test
-             svc_service_test svc_overload_test
+             core_decision_test core_apophenia_test sim_test
+             sim_replicated_test svc_service_test svc_overload_test
              fault_checkpoint_test fault_membership_test
              fuzz_differential_test)
 cmake -B build-tsan -S . -DAPO_TSAN=ON -DAPO_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
@@ -61,17 +61,18 @@ cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # jobs {1, 2, 8}, including a tight slack that makes the driving thread
 # run or wait for every job at its ingestion, and fault_membership_test
 # pins recovery at jobs 2 against 1.
-# core_incremental_test races four WorkerPool workers on one finder's
-# private memo.
+# core_incremental_test races four TaskTeam workers on one finder's
+# private memo, and core_apophenia_test's pooled case mines a lone
+# front end's jobs on a TaskTeam.
 # A mining job belongs to whichever thread starts it first: a worker,
 # or the thread that ingests it (core/finder.h). fuzz_differential_test's
 # pooled case checks that claim rule corpus-wide: every program mines
-# on a WorkerPool and on a TaskTeam and must decide exactly as inline.
+# on a TaskTeam and must decide exactly as inline.
 # svc_service_test's pooled case drives every tenant's mining jobs
-# through one WorkerPool, then one TaskTeam, racing on the shared
-# cross-tenant cache; sim_test's and sim_replicated_test's pooled cases
-# borrow the same executors through sim::ExperimentStack, and
-# sim_replicated_test runs every app on the parallel cluster engine.
+# through one TaskTeam, racing on the shared cross-tenant cache;
+# sim_test's and sim_replicated_test's pooled cases borrow a TaskTeam
+# through sim::ExperimentStack, and sim_replicated_test runs every app
+# on the parallel cluster engine.
 # The fault_* suites run crash/checkpoint/resync through the
 # parallel engine's barriers (the ASan leg already covers them via the
 # full ctest above). svc_overload_test adds an executor that runs

@@ -93,27 +93,13 @@ class LaunchBuilder {
         return *this;
     }
 
-    /** Fold a tenant token namespace into every launch token built
-     * here (see rt::FoldNamespace): the multi-tenant service gives
-     * each tenant a distinct salt so no two tenants ever share a
-     * token value. 0 (the default) is the identity — a builder
-     * without a namespace produces exactly the classic token. The
-     * namespace survives Start(); set it once per tenant. */
-    LaunchBuilder& Namespace(rt::TokenHash name_space)
-    {
-        namespace_ = name_space;
-        return *this;
-    }
-
-    rt::TokenHash GetNamespace() const { return namespace_; }
-
     /** The assembled launch as a view over this builder's arena.
      * Valid until the next Start(). */
     const rt::TaskLaunchView& View()
     {
         view_.requirements = requirements_.data();
         view_.requirement_count = requirements_.size();
-        view_.token = rt::FoldNamespace(namespace_, hash_);
+        view_.token = hash_;
         return view_;
     }
 
@@ -124,7 +110,6 @@ class LaunchBuilder {
     std::vector<rt::RegionRequirement> requirements_;  ///< the arena
     rt::TaskLaunchView view_;
     rt::TokenHash hash_ = 0;
-    rt::TokenHash namespace_ = 0;
 };
 
 }  // namespace apo::api

@@ -62,7 +62,7 @@ Apophenia::DoExecuteTask(const rt::TaskLaunchView& launch)
         }
     }
     AdvancePointers(mining_token);
-    if (!AnyPointerAlive() && held_.empty()) {
+    if (!AnyPointerAlive() && held_.Empty()) {
         // Fast path: no still-growing match and no queued replay can
         // cover this launch, so it is forwarded straight off the
         // caller's arena — no materialization, no allocation. Any
@@ -75,36 +75,19 @@ Apophenia::DoExecuteTask(const rt::TaskLaunchView& launch)
         stats_.tasks_forwarded_untraced += 1;
         return;
     }
-    Buffer(launch);
+    pending_.PushBack().Assign(launch);
+    stats_.launches_buffered += 1;
     stats_.pending_high_water =
-        std::max(stats_.pending_high_water, pending_.size());
+        std::max(stats_.pending_high_water, pending_.Size());
     MaybeFire();
 }
 
-void
-Apophenia::Buffer(const rt::TaskLaunchView& launch)
-{
-    PendingTask task;
-    if (!pending_pool_.empty()) {
-        task = std::move(pending_pool_.back());
-        pending_pool_.pop_back();
-    }
-    launch.MaterializeInto(task.launch);
-    task.token = launch.token;
-    pending_.push_back(std::move(task));
-    stats_.launches_buffered += 1;
-}
-
-/** Forward the oldest buffered launch untraced and recycle its
- * storage. */
+/** Forward the oldest buffered launch untraced; its slot is reused. */
 void
 Apophenia::ForwardFront()
 {
-    PendingTask& front = pending_.front();
-    runtime_->ExecuteTask(
-        rt::TaskLaunchView::Of(front.launch, front.token));
-    pending_pool_.push_back(std::move(front));
-    pending_.pop_front();
+    runtime_->ExecuteTask(pending_.Front().View());
+    pending_.PopFront();
 }
 
 /**
@@ -322,14 +305,14 @@ void
 Apophenia::ConsiderCompleted()
 {
     for (const CompletedMatch& m : completed_) {
-        if (held_.empty() || m.start >= held_.back().end) {
-            held_.push_back(m);  // disjoint successor: queue it
+        if (held_.Empty() || m.start >= held_.Back().end) {
+            held_.PushBack() = m;  // disjoint successor: queue it
             continue;
         }
         // Overlapping: `m` ends at the newest token, so it overlaps a
         // suffix of the held queue. Replace that suffix only if `m`
         // outscores the whole of it (SelectReplayTrace's heuristic).
-        std::size_t first_overlap = held_.size();
+        std::size_t first_overlap = held_.Size();
         double displaced_score = 0.0;
         while (first_overlap > 0 &&
                held_[first_overlap - 1].end > m.start) {
@@ -338,8 +321,10 @@ Apophenia::ConsiderCompleted()
                 *held_[first_overlap].stats, counter_);
         }
         if (scorer_.Score(*m.stats, counter_) > displaced_score) {
-            held_.erase(held_.begin() + first_overlap, held_.end());
-            held_.push_back(m);
+            while (held_.Size() > first_overlap) {
+                held_.PopBack();
+            }
+            held_.PushBack() = m;
         }
     }
 }
@@ -352,8 +337,8 @@ Apophenia::MaybeFire()
     // and can still advance) might supersede. pointers_ is in start
     // order, so only its prefix up to the match can block; the scan
     // catches up only the pointers it has to look at.
-    while (!held_.empty()) {
-        const CompletedMatch front = held_.front();
+    while (!held_.Empty()) {
+        const CompletedMatch front = held_.Front();
         bool blocked = false;
         for (std::size_t i = pointers_head_; i < pointers_.size(); ++i) {
             MatchPointer& p = pointers_[i];
@@ -368,7 +353,7 @@ Apophenia::MaybeFire()
         if (blocked) {
             break;
         }
-        held_.pop_front();
+        held_.PopFront();
         Fire(front);
     }
 
@@ -376,21 +361,21 @@ Apophenia::MaybeFire()
     std::uint64_t keep_from =
         AnyPointerAlive() ? pointers_[pointers_head_].start
                           : counter_;  // nothing matches before next token
-    if (!held_.empty()) {
-        keep_from = std::min(keep_from, held_.front().start);
+    if (!held_.Empty()) {
+        keep_from = std::min(keep_from, held_.Front().start);
     }
     FlushPrefixBelow(keep_from);
 
     // Bound the pending buffer (exploration must not hoard memory).
-    if (pending_.size() > config_.max_pending) {
+    if (pending_.Size() > config_.max_pending) {
         stats_.forced_flushes += 1;
-        if (!held_.empty()) {
-            const CompletedMatch front = held_.front();
-            held_.pop_front();
+        if (!held_.Empty()) {
+            const CompletedMatch front = held_.Front();
+            held_.PopFront();
             Fire(front);
         } else {
             const std::uint64_t target =
-                pending_base_ + pending_.size() / 2;
+                pending_base_ + pending_.Size() / 2;
             ErasePointersBelow(target);
             FlushPrefixBelow(target);
         }
@@ -409,12 +394,9 @@ Apophenia::Fire(const CompletedMatch& match)
     runtime_->BeginTrace(stats->trace_id);
     EmitMarker(Decision::Kind::kBegin, stats->trace_id, recording);
     for (std::uint64_t i = match.start; i < match.end; ++i) {
-        PendingTask& front = pending_.front();
-        runtime_->ExecuteTask(
-            rt::TaskLaunchView::Of(front.launch, front.token));
+        runtime_->ExecuteTask(pending_.Front().View());
         EmitTask(i);
-        pending_pool_.push_back(std::move(front));
-        pending_.pop_front();
+        pending_.PopFront();
     }
     pending_base_ = match.end;
     runtime_->EndTrace(stats->trace_id);
@@ -437,7 +419,7 @@ Apophenia::Fire(const CompletedMatch& match)
 void
 Apophenia::FlushPrefixBelow(std::uint64_t keep_from)
 {
-    while (pending_base_ < keep_from && !pending_.empty()) {
+    while (pending_base_ < keep_from && !pending_.Empty()) {
         ForwardFront();
         EmitTask(pending_base_);
         pending_base_ += 1;
@@ -451,12 +433,12 @@ Apophenia::DoFlush()
     if (!config_.enabled) {
         return;
     }
-    while (!held_.empty()) {
-        const CompletedMatch front = held_.front();
-        held_.pop_front();
+    while (!held_.Empty()) {
+        const CompletedMatch front = held_.Front();
+        held_.PopFront();
         Fire(front);
     }
-    FlushPrefixBelow(pending_base_ + pending_.size());
+    FlushPrefixBelow(pending_base_ + pending_.Size());
     ClearPointers();
 }
 
@@ -472,12 +454,12 @@ Apophenia::SetDegraded(bool degraded)
         // still fire (their tasks were already admitted), everything
         // else forwards untraced, and no active pointer survives into
         // the degraded window.
-        while (!held_.empty()) {
-            const CompletedMatch front = held_.front();
-            held_.pop_front();
+        while (!held_.Empty()) {
+            const CompletedMatch front = held_.Front();
+            held_.PopFront();
             Fire(front);
         }
-        FlushPrefixBelow(pending_base_ + pending_.size());
+        FlushPrefixBelow(pending_base_ + pending_.Size());
         ClearPointers();
     }
     degraded_ = degraded;

@@ -19,9 +19,10 @@
  *    tasks that can no longer be part of any candidate are forwarded
  *    immediately so the runtime pipeline stays busy. Forwarding is
  *    zero-copy: a launch is materialized off its caller-owned arena
- *    into the (pooled) pending buffer only when some still-growing
- *    match could actually hold it — the steady-state untraced forward
- *    path allocates nothing.
+ *    into the pending buffer only when some still-growing match could
+ *    actually hold it. The pending buffer and the held matches are
+ *    rings of recycled slots, so neither the untraced forward path
+ *    nor buffering and replaying allocates in steady state.
  *  - Matching runs a run at a time: a match pointer advances through
  *    a stretch of the trie with no branch and no candidate end (a
  *    run, see trie.h) in one bulk compare against the recent
@@ -47,7 +48,6 @@
 #define APOPHENIA_CORE_APOPHENIA_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -59,7 +59,9 @@
 #include "core/mining_cache.h"
 #include "core/trie.h"
 #include "runtime/runtime.h"
+#include "runtime/task.h"
 #include "support/executor.h"
+#include "support/slot_ring.h"
 
 namespace apo::core {
 
@@ -226,7 +228,7 @@ class Apophenia final : public api::Frontend {
     std::uint64_t CandidateDigest() const { return candidate_digest_; }
     rt::Runtime& Target() { return *runtime_; }
     const ApopheniaConfig& Config() const { return config_; }
-    std::size_t PendingTasks() const { return pending_.size(); }
+    std::size_t PendingTasks() const { return pending_.Size(); }
 
   protected:
     // -- api::Frontend: the intercepted issue path --------------------------
@@ -249,14 +251,6 @@ class Apophenia final : public api::Frontend {
     void DoFlush() override;
 
   private:
-    /** A buffered launch: materialized off the caller's arena, with
-     * the boundary-computed token carried along so forwarding never
-     * re-hashes. Pooled — see pending_pool_. */
-    struct PendingTask {
-        rt::TaskLaunch launch;
-        rt::TokenHash token = 0;
-    };
-
     /**
      * An in-progress match, advanced lazily: its path is the stream
      * slice [start, validated_through), which ends at trie node
@@ -314,7 +308,6 @@ class Apophenia final : public api::Frontend {
     void ErasePointersBelow(std::uint64_t start);
     void ClearPointers();
     void ConsiderCompleted();
-    void Buffer(const rt::TaskLaunchView& launch);
     void ForwardFront();
     void MaybeFire();
     void Fire(const CompletedMatch& match);
@@ -330,10 +323,10 @@ class Apophenia final : public api::Frontend {
 
     bool owner_ingests_ = false;  ///< see LeaveIngestionToOwner
     std::uint64_t counter_ = 0;  ///< tasks observed (absolute index + 1)
-    std::deque<PendingTask> pending_;
-    /** Recycled PendingTask storage: requirement vectors keep their
-     * capacity, so buffering is allocation-free in steady state. */
-    std::vector<PendingTask> pending_pool_;
+    /** Buffered launches, from absolute index pending_base_ on. Its
+     * slots keep their requirement vectors' capacity, so buffering is
+     * allocation-free once the ring has reached its high-water size. */
+    support::SlotRing<rt::LaunchSlot> pending_;
     std::uint64_t pending_base_ = 0;  ///< absolute index of pending_[0]
     /** Match pointers in start order. Pointer `seq` is
      * pointers_[seq - pointers_seq_base_]; the ones before
@@ -368,7 +361,7 @@ class Apophenia final : public api::Frontend {
     /** Completed, pairwise-disjoint matches awaiting replay, in
      * stream order. The front is fired once no still-growing match
      * could supersede it. */
-    std::deque<CompletedMatch> held_;
+    support::SlotRing<CompletedMatch> held_;
     rt::TraceId next_trace_id_ = 1;
     bool degraded_ = false;
     ApopheniaStats stats_;

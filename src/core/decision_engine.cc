@@ -4,10 +4,8 @@ namespace apo::core {
 
 DecisionEngine::DecisionEngine(const ApopheniaConfig& config,
                                const rt::RuntimeOptions& runtime_options,
-                               MiningCache* mining_cache,
                                support::Executor* executor)
-    : runtime_(runtime_options),
-      decider_(runtime_, config, executor, mining_cache)
+    : runtime_(runtime_options), decider_(runtime_, config, executor)
 {
     // Barrier-driven by construction: the owner settles ingestion
     // positions (coordinated across nodes) before DecideStaged().
@@ -18,22 +16,14 @@ DecisionEngine::DecisionEngine(const ApopheniaConfig& config,
 void
 DecisionEngine::Buffer(const rt::TaskLaunchView& launch)
 {
-    if (next_ - base_ == ring_.size()) {
-        Grow();
-    }
-    Slot& slot = ring_[next_ & (ring_.size() - 1)];
-    launch.MaterializeInto(slot.launch);
-    slot.token = launch.token;
-    ++next_;
+    ring_.PushBack().Assign(launch);
 }
 
 void
 DecisionEngine::DecideStaged()
 {
-    for (; staged_ < next_; ++staged_) {
-        const Slot& slot = ring_[staged_ & (ring_.size() - 1)];
-        decider_.ExecuteTask(
-            rt::TaskLaunchView::Of(slot.launch, slot.token));
+    for (; staged_ < Staged(); ++staged_) {
+        decider_.ExecuteTask(LaunchAt(staged_));
     }
 }
 
@@ -50,22 +40,11 @@ DecisionEngine::Retire()
     // stream order, so the decided prefix advances by their count.
     for (const Decision& d : decisions_) {
         if (d.kind == Decision::Kind::kTask) {
+            ring_.PopFront();
             ++base_;
         }
     }
     decisions_.clear();
-}
-
-void
-DecisionEngine::Grow()
-{
-    const std::size_t old_cap = ring_.size();
-    const std::size_t new_cap = old_cap == 0 ? 64 : old_cap * 2;
-    std::vector<Slot> grown(new_cap);
-    for (std::uint64_t i = base_; i < next_; ++i) {
-        grown[i & (new_cap - 1)] = std::move(ring_[i & (old_cap - 1)]);
-    }
-    ring_ = std::move(grown);
 }
 
 }  // namespace apo::core

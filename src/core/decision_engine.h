@@ -24,9 +24,9 @@
  * evicted if it diverges again (sim/cluster.h).
  *
  * Memory discipline matches the rest of the issue path: staged
- * launches live in a recycled power-of-two ring of materialized
- * slots, decisions in a recycled vector — zero allocations per launch
- * in steady state.
+ * launches live in a support::SlotRing of recycled launch slots,
+ * decisions in a recycled vector — zero allocations per launch in
+ * steady state.
  *
  * The flow: Buffer() every issued launch (cheap copy, no decisions),
  * DecideStaged() at each safe-horizon barrier (the decider runs, the
@@ -50,8 +50,9 @@
 
 #include "core/apophenia.h"
 #include "core/config.h"
-#include "core/mining_cache.h"
 #include "runtime/runtime.h"
+#include "runtime/task.h"
+#include "support/slot_ring.h"
 
 namespace apo::core {
 
@@ -65,9 +66,6 @@ class DecisionEngine {
      * @param runtime_options options for the private decision
      *        runtime; must equal the node runtimes' options so
      *        HasTrace/eviction decisions mirror theirs.
-     * @param mining_cache optional shared mining memo for the
-     *        decider's finder (e.g. the service-wide cross-tenant
-     *        cache); behaviour-invariant, see mining_cache.h.
      * @param executor runs the decider's mining jobs (the cluster
      *        passes its worker team); nullptr mines inline. Not
      *        owned; must outlive the engine. Behaviour-invariant:
@@ -75,7 +73,6 @@ class DecisionEngine {
      */
     DecisionEngine(const ApopheniaConfig& config,
                    const rt::RuntimeOptions& runtime_options,
-                   MiningCache* mining_cache = nullptr,
                    support::Executor* executor = nullptr);
 
     // -- Issue path ----------------------------------------------------------
@@ -104,8 +101,7 @@ class DecisionEngine {
      * the current round). */
     rt::TaskLaunchView LaunchAt(std::uint64_t index) const
     {
-        const Slot& slot = ring_[index & (ring_.size() - 1)];
-        return rt::TaskLaunchView::Of(slot.launch, slot.token);
+        return ring_[index - base_].View();
     }
 
     /** Drop the ring prefix covered by the current decision round and
@@ -124,30 +120,19 @@ class DecisionEngine {
     const rt::Runtime& DecisionRuntime() const { return runtime_; }
 
     /** Absolute index one past the newest staged launch. */
-    std::uint64_t Staged() const { return next_; }
+    std::uint64_t Staged() const { return base_ + ring_.Size(); }
     /** Absolute index one past the retired (fully decided + applied)
      * prefix. */
     std::uint64_t DecidedThrough() const { return base_; }
 
   private:
-    /** A retained launch: materialized off the caller's arena with
-     * its boundary-computed token. Recycled — requirement vectors
-     * keep their capacity across ring wraps. */
-    struct Slot {
-        rt::TaskLaunch launch;
-        rt::TokenHash token = 0;
-    };
-
-    void Grow();
-
     rt::Runtime runtime_;  ///< decision shard (TraceCache mirror)
     Apophenia decider_;
     std::vector<Decision> decisions_;
-    /** Power-of-two circular buffer holding [base_, next_). */
-    std::vector<Slot> ring_;
+    /** The staged launches [base_, Staged()). */
+    support::SlotRing<rt::LaunchSlot> ring_;
     std::uint64_t base_ = 0;    ///< absolute index of the ring head
     std::uint64_t staged_ = 0;  ///< next launch to feed the decider
-    std::uint64_t next_ = 0;    ///< absolute index of the next stage
 };
 
 }  // namespace apo::core

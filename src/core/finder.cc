@@ -182,15 +182,17 @@ TraceFinder::NoteReplayBoundary(std::uint64_t pos)
 AnalysisJob*
 TraceFinder::AcquireJob()
 {
+    std::unique_ptr<AnalysisJob> job;
     if (!free_jobs_.empty()) {
-        std::unique_ptr<AnalysisJob> job = std::move(free_jobs_.back());
+        job = std::move(free_jobs_.back());
         free_jobs_.pop_back();
         stats_.jobs_recycled += 1;
-        inflight_.push_back(std::move(job));
     } else {
-        inflight_.push_back(std::make_unique<AnalysisJob>(*this));
+        job = std::make_unique<AnalysisJob>(*this);
     }
-    return inflight_.back().get();
+    AnalysisJob* acquired = job.get();
+    inflight_.PushBack() = std::move(job);
+    return acquired;
 }
 
 void
@@ -292,20 +294,20 @@ TraceFinder::VisitPendingJobs(
     std::uint64_t first_id,
     const std::function<void(const PendingJobInfo&)>& visit) const
 {
-    for (const auto& job : inflight_) {
-        if (job->id < first_id) {
+    for (std::size_t i = 0; i < inflight_.Size(); ++i) {
+        const AnalysisJob& job = *inflight_[i];
+        if (job.id < first_id) {
             continue;
         }
-        visit(PendingJobInfo{
-            job->id, job->issued_at, job->slice_length,
-            job->done.load(std::memory_order_acquire)});
+        visit(PendingJobInfo{job.id, job.issued_at, job.slice_length,
+                             job.done.load(std::memory_order_acquire)});
     }
 }
 
 const AnalysisJob&
 TraceFinder::WaitOldestJob()
 {
-    AnalysisJob& job = *inflight_.front();
+    AnalysisJob& job = *inflight_.Front();
     // Run the job here unless a worker started it first; its queued
     // closure then finds it claimed and does nothing. A worker's run
     // is waited out by yielding: a blocking atomic wait on `done`
@@ -324,8 +326,8 @@ TraceFinder::WaitOldestJob()
 void
 TraceFinder::ReleaseOldestJob()
 {
-    std::unique_ptr<AnalysisJob> job = std::move(inflight_.front());
-    inflight_.pop_front();
+    std::unique_ptr<AnalysisJob> job = std::move(inflight_.Front());
+    inflight_.PopFront();
     stats_.candidates_produced += job->Results().size();
     if (!job->memo_hit) {
         ++stats_.mining_full;

@@ -41,7 +41,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -54,6 +53,7 @@
 #include "runtime/task.h"
 #include "strings/incremental.h"
 #include "support/executor.h"
+#include "support/slot_ring.h"
 
 namespace apo::core {
 
@@ -186,13 +186,13 @@ class TraceFinder {
     // -- Job introspection and ingestion (launch order) ---------------------
 
     /** Launched-but-not-ingested jobs. */
-    std::size_t PendingJobCount() const { return inflight_.size(); }
+    std::size_t PendingJobCount() const { return inflight_.Size(); }
 
     /** True iff a job is pending and the oldest one has completed. */
     bool OldestJobDone() const
     {
-        return !inflight_.empty() &&
-               inflight_.front()->done.load(std::memory_order_acquire);
+        return !inflight_.Empty() &&
+               inflight_.Front()->done.load(std::memory_order_acquire);
     }
 
     /** Visit pending jobs with id >= `first_id`, oldest first. */
@@ -241,7 +241,7 @@ class TraceFinder {
     HistoryRing history_;  ///< sliding window, <= batchsize tokens
     std::uint64_t sample_counter_ = 0;  ///< k of the ruler schedule
     /** Launch-order FIFO of jobs awaiting ingestion. */
-    std::deque<std::unique_ptr<AnalysisJob>> inflight_;
+    support::SlotRing<std::unique_ptr<AnalysisJob>> inflight_;
     /** Recycled job storage (snapshot spans, slice and result
      * buffers keep their capacity). */
     std::vector<std::unique_ptr<AnalysisJob>> free_jobs_;

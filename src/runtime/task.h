@@ -245,6 +245,27 @@ struct TaskLaunchView {
     }
 };
 
+/**
+ * A launch held past its issue call: materialized off the caller's
+ * arena, with the boundary-computed token carried along so forwarding
+ * it later never re-hashes. Holders recycle their slots (see
+ * support::SlotRing): Assign() reuses the requirement vector's
+ * capacity, so holding a launch allocates nothing once the slot has
+ * held one as large.
+ */
+struct LaunchSlot {
+    TaskLaunch launch;
+    TokenHash token = 0;
+
+    void Assign(const TaskLaunchView& view)
+    {
+        view.MaterializeInto(launch);
+        token = view.token;
+    }
+
+    TaskLaunchView View() const { return TaskLaunchView::Of(launch, token); }
+};
+
 }  // namespace apo::rt
 
 #endif  // APOPHENIA_RUNTIME_TASK_H

@@ -1,8 +1,10 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 namespace apo::sim {
@@ -26,12 +28,8 @@ ResolveJobs(std::size_t jobs)
     if (jobs != 0) {
         return jobs;
     }
-    if (const char* env = std::getenv("APO_JOBS")) {
-        char* end = nullptr;
-        const unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && parsed > 0) {
-            return static_cast<std::size_t>(parsed);
-        }
+    if (const std::size_t env = ParseJobs(std::getenv("APO_JOBS"))) {
+        return env;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
@@ -49,6 +47,20 @@ FoldLog(const rt::OperationLog& log, std::size_t& cursor,
 }
 
 }  // namespace
+
+std::size_t
+ParseJobs(const char* value)
+{
+    if (value == nullptr) {
+        return 0;
+    }
+    // std::from_chars takes no sign or whitespace, where std::strtoul
+    // would read "-1" as 2^64-1 and skip leading blanks.
+    const char* end = value + std::strlen(value);
+    std::size_t parsed = 0;
+    const auto [stop, ec] = std::from_chars(value, end, parsed);
+    return ec == std::errc() && stop == end ? parsed : 0;
+}
 
 std::string_view
 SkewName(SkewKind kind)
@@ -124,8 +136,7 @@ Cluster::Cluster(const ClusterOptions& options)
         // its agreed position (running it there if no worker has). A
         // caller-only team (jobs_ == 1) runs every job inline.
         engine_ = std::make_unique<core::DecisionEngine>(
-            options_.config, options_.runtime_options,
-            options_.external_mining_cache, &team_);
+            options_.config, options_.runtime_options, &team_);
         if (options_.stream_logs) {
             engine_->DecisionRuntime().EnableLogStreaming(
                 [this](const rt::OpView& op) {
@@ -134,14 +145,10 @@ Cluster::Cluster(const ClusterOptions& options)
         }
     }
     // Sharing pays only when several per-node finders mine the same
-    // stream; the service layer's external cache (cross-tenant
-    // dedup) takes precedence in either mode.
+    // stream.
     core::MiningCache* cache =
-        options_.external_mining_cache != nullptr
-            ? options_.external_mining_cache
-            : (options_.share_mining_cache && n_nodes > 1
-                   ? &mining_cache_
-                   : nullptr);
+        options_.share_mining_cache && n_nodes > 1 ? &mining_cache_
+                                                   : nullptr;
     nodes_.reserve(n_nodes);
     metrics_.resize(n_nodes);
     node_ns_.resize(n_nodes, 0);
@@ -227,9 +234,7 @@ Cluster::DoExecuteTask(const rt::TaskLaunchView& launch)
         if (batch_count_ == batch_.size()) {
             batch_.emplace_back();
         }
-        BatchedLaunch& slot = batch_[batch_count_];
-        launch.MaterializeInto(slot.launch);
-        slot.token = launch.token;
+        batch_[batch_count_].Assign(launch);
     }
     ++batch_count_;
     ++tasks_issued_;
@@ -302,9 +307,7 @@ Cluster::RunNodePhase(std::size_t n)
             ApplyDecisions(n);
         } else {
             for (std::size_t i = 0; i < batch_count_; ++i) {
-                const BatchedLaunch& buffered = batch_[i];
-                node.front_end->ExecuteTask(rt::TaskLaunchView::Of(
-                    buffered.launch, buffered.token));
+                node.front_end->ExecuteTask(batch_[i].View());
             }
         }
         node_ns_[n] += NowNs() - t0;
@@ -746,11 +749,8 @@ Cluster::RetainDecisionTail()
     for (const core::Decision& d : engine_->Decisions()) {
         switch (d.kind) {
           case core::Decision::Kind::kTask: {
-            const rt::TaskLaunchView view = engine_->LaunchAt(d.value);
             ReplayEvent event;
-            event.kind = ReplayEvent::Kind::kTask;
-            view.MaterializeInto(event.launch);
-            event.token = view.token;
+            event.launch.Assign(engine_->LaunchAt(d.value));
             tail_.push_back(std::move(event));
             break;
           }
@@ -862,8 +862,7 @@ Cluster::RejoinNode(std::size_t n)
     for (const ReplayEvent& event : tail_) {
         switch (event.kind) {
           case ReplayEvent::Kind::kTask:
-            node.runtime->ExecuteTask(
-                rt::TaskLaunchView::Of(event.launch, event.token));
+            node.runtime->ExecuteTask(event.launch.View());
             break;
           case ReplayEvent::Kind::kBegin:
             node.runtime->BeginTrace(event.value);

@@ -288,7 +288,8 @@ struct ClusterOptions {
      * the per-node advance loops (the parallel engine; see file
      * comment) and, under shared decisions, the decider's mining
      * jobs between those loops. 0 = the APO_JOBS environment
-     * variable if set, else std::thread::hardware_concurrency();
+     * variable if ParseJobs accepts it, else
+     * std::thread::hardware_concurrency();
      * always clamped to the node count. Every value yields
      * byte-identical results; 1 is the serial schedule run inline,
      * mining included. */
@@ -298,8 +299,8 @@ struct ClusterOptions {
      * history windows are mined once cluster-wide (see
      * core/mining_cache.h); when false each node's finder keeps a
      * private memo. Inert under shared decisions, where the one
-     * decider probes external_mining_cache or its private memo.
-     * Behaviour-invariant; wall-clock only. */
+     * decider mines into its private memo. Behaviour-invariant;
+     * wall-clock only. */
     bool share_mining_cache = true;
     /** Use the shared decision engine (see file comment): one decider
      * consumes the stream once and the nodes apply its broadcast
@@ -308,11 +309,6 @@ struct ClusterOptions {
      * otherwise (or when false) every node hosts its own Apophenia.
      * Bit-identical either way. */
     bool shared_decisions = true;
-    /** Mining memo for the decider's finder in place of (or, in
-     * per-node mode, instead of) the cluster-internal cache — the
-     * service layer passes its service-wide cross-tenant cache here.
-     * Not owned; must outlive the cluster. */
-    core::MiningCache* external_mining_cache = nullptr;
     /** Test-only fault injection: on absolute stream indices in
      * [from_task, until_task), node `node` applies launches with
      * their token XORed by `token_xor` — a corrupted replica. The
@@ -361,6 +357,13 @@ struct ClusterOptions {
      * Requires the shared decision engine. */
     std::uint64_t checkpoint_interval_tasks = 0;
 };
+
+/** The thread count an `APO_JOBS` value asks for: a whole decimal
+ * number of at least 1, or 0 for anything else (unset, signed,
+ * padded, followed by other text, or zero), which callers ignore.
+ * ClusterOptions::jobs == 0 resolves through it, and the bench records
+ * pin what it returns. */
+std::size_t ParseJobs(const char* value);
 
 /** Aggregate fault-tolerance accounting of one cluster run. */
 struct FaultStats {
@@ -559,14 +562,6 @@ class Cluster final : public api::Frontend {
         std::vector<std::uint64_t> completion;
     };
 
-    /** One buffered launch of the current batch; the slots (and their
-     * requirement vectors) are recycled, so buffering is
-     * allocation-free in steady state. */
-    struct BatchedLaunch {
-        rt::TaskLaunch launch;
-        rt::TokenHash token = 0;
-    };
-
     /** What RunNodePhase does for one node of the current barrier. */
     enum class NodePhase {
         kStep,           ///< advance through the buffered batch
@@ -624,8 +619,7 @@ class Cluster final : public api::Frontend {
         bool recording = false;   ///< kBegin
         std::uint64_t value = 0;  ///< trace id / region id / parent
         std::uint64_t count = 0;  ///< kPartitionRegion
-        rt::TaskLaunch launch{};  ///< kTask
-        rt::TokenHash token = 0;  ///< kTask
+        rt::LaunchSlot launch{};  ///< kTask
     };
 
     /** Attach the streaming digest consumer to the node's (fresh or
@@ -703,8 +697,10 @@ class Cluster final : public api::Frontend {
 
     // -- Parallel-engine batch state (see file comment) ---------------------
     NodePhase phase_ = NodePhase::kStep;
-    std::vector<BatchedLaunch> batch_;  ///< recycled launch slots
-    std::size_t batch_count_ = 0;       ///< live prefix of batch_
+    /** Per-node mode's buffered batch: recycled launch slots, so
+     * buffering is allocation-free in steady state. */
+    std::vector<rt::LaunchSlot> batch_;
+    std::size_t batch_count_ = 0;  ///< live prefix of batch_
     std::uint64_t batch_base_ = 0;  ///< absolute index of batch_[0]
     std::uint64_t horizon_ = 0;     ///< process when issued reaches this
     std::size_t ingest_count_ = 0;  ///< due jobs per node this barrier

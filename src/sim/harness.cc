@@ -88,7 +88,6 @@ ExperimentStack::ExperimentStack(const ExperimentOptions& options,
         cluster_options.jobs = options.cluster_jobs;
         cluster_options.share_mining_cache = options.share_mining_cache;
         cluster_options.shared_decisions = options.shared_decisions;
-        cluster_options.external_mining_cache = mining_cache;
         cluster_ = std::make_unique<Cluster>(cluster_options);
         front_ = cluster_.get();
     } else {
@@ -163,47 +162,21 @@ ExperimentStack::Engine() const
 core::MiningCache*
 ExperimentStack::PrivateMemo() const
 {
-    if (apophenia_ != nullptr) {
-        return apophenia_->PrivateMemo();
-    }
-    return cluster_ != nullptr && cluster_->SharedDecisions()
-               ? cluster_->Decider().PrivateMemo()
-               : nullptr;
+    return apophenia_ != nullptr ? apophenia_->PrivateMemo() : nullptr;
 }
 
 std::size_t
 ExperimentStack::ResidentBytes() const
 {
     const core::MiningCache* memo = PrivateMemo();
-    std::size_t resident = memo != nullptr ? memo->ResidentBytes() : 0;
-    auto add = [&resident](const rt::Runtime& runtime) {
-        resident +=
-            runtime.Log().ResidentBytes() + runtime.Traces().ResidentBytes();
-    };
-    if (cluster_ == nullptr) {
-        add(*runtime_);
-        return resident;
-    }
-    for (std::size_t n = 0; n < cluster_->Nodes(); ++n) {
-        if (!cluster_->NodeCrashed(n)) {  // an evicted node holds none
-            add(cluster_->NodeRuntime(n));
-        }
-    }
-    if (const rt::Runtime* decision = cluster_->DecisionRuntime()) {
-        add(*decision);
-    }
-    return resident;
+    return (memo != nullptr ? memo->ResidentBytes() : 0) +
+           runtime_->Log().ResidentBytes() +
+           runtime_->Traces().ResidentBytes();
 }
 
 std::size_t
 ExperimentStack::PressureEvictTraces()
 {
-    // A replicated stack evicts nothing: evicting on one node would
-    // break the decider's TraceCache mirror, whose HasTrace decisions
-    // every node applies.
-    if (runtime_ == nullptr) {
-        return 0;
-    }
     return runtime_->PressureEvictTraces(
         runtime_->Traces().ResidentBytes() / 2);
 }

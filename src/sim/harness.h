@@ -211,11 +211,11 @@ struct ExperimentResult {
  */
 class ExperimentStack {
   public:
-    /** `mining_cache` (borrowed, may be null) is the kAuto engine's
-     * memo: the single front end's, or the cluster's external cache.
-     * Throws rt::RuntimeUsageError for kManual with replicas > 1, for
-     * a streaming inline reduction without a window, and for a
-     * machine with no nodes or no GPUs per node. */
+    /** `mining_cache` (borrowed, may be null) is an unreplicated kAuto
+     * front end's memo in place of a private one; a replicated stack
+     * ignores it. Throws rt::RuntimeUsageError for kManual with
+     * replicas > 1, for a streaming inline reduction without a window,
+     * and for a machine with no nodes or no GPUs per node. */
     explicit ExperimentStack(const ExperimentOptions& options,
                              core::MiningCache* mining_cache = nullptr);
     ExperimentStack(const ExperimentStack&) = delete;
@@ -244,14 +244,14 @@ class ExperimentStack {
         return cluster_->NodeRuntime(n);
     }
     const Cluster* ReplicaCluster() const { return cluster_.get(); }
-    /** The single front end's or shared decider's private mining memo;
-     * nullptr when it probes a shared cache or in per-node mode. */
+    /** The unreplicated kAuto front end's private mining memo; nullptr
+     * when it probes a shared cache, or for any other stack. */
     core::MiningCache* PrivateMemo() const;
-    /** Bytes of every runtime's log and TraceCache (each node's and
-     * the shared decider's decision runtime) plus the private memo. */
+    /** Bytes of the runtime's log and TraceCache plus the private
+     * memo. Unreplicated stacks only, as every service tenant is. */
     std::size_t ResidentBytes() const;
     /** Evict LRU trace templates toward half the TraceCache's bytes;
-     * returns the number evicted. */
+     * returns the number evicted. Unreplicated stacks only. */
     std::size_t PressureEvictTraces();
 
     /** After the front end's final Flush(): drain the logs, simulate

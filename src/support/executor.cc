@@ -4,72 +4,6 @@
 
 namespace apo::support {
 
-WorkerPool::WorkerPool(std::size_t num_threads)
-{
-    if (num_threads == 0) {
-        num_threads = 1;
-    }
-    threads_.reserve(num_threads);
-    for (std::size_t i = 0; i < num_threads; ++i) {
-        threads_.emplace_back([this] { WorkerLoop(); });
-    }
-}
-
-WorkerPool::~WorkerPool()
-{
-    {
-        std::lock_guard lock(mutex_);
-        shutting_down_ = true;
-    }
-    work_available_.notify_all();
-    for (auto& t : threads_) {
-        t.join();
-    }
-}
-
-void
-WorkerPool::Submit(std::function<void()> job)
-{
-    {
-        std::lock_guard lock(mutex_);
-        queue_.push_back(std::move(job));
-    }
-    work_available_.notify_one();
-}
-
-void
-WorkerPool::Drain()
-{
-    std::unique_lock lock(mutex_);
-    idle_.wait(lock,
-               [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void
-WorkerPool::WorkerLoop()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock lock(mutex_);
-            work_available_.wait(
-                lock, [this] { return shutting_down_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                return;  // shutting down and no work left
-            }
-            job = std::move(queue_.front());
-            queue_.pop_front();
-            ++in_flight_;
-        }
-        job();
-        {
-            std::lock_guard lock(mutex_);
-            --in_flight_;
-        }
-        idle_.notify_all();
-    }
-}
-
 TaskTeam::TaskTeam(std::size_t threads)
 {
     if (threads <= 1) {

@@ -6,10 +6,9 @@
  * application is never stalled waiting for a string analysis (paper
  * section 4.3: "Asynchronous analysis of task histories is important to
  * avoid stalling the application"). In Legion these jobs run on the
- * runtime's background worker threads; here they run on a small worker
- * pool or, in the cluster simulation, on the worker team that also
- * fans out its per-node loops. An inline executor runs each job at
- * submission.
+ * runtime's background worker threads; here they run on a TaskTeam's
+ * workers (in the cluster simulation, the team that also fans out its
+ * per-node loops). An inline executor runs each job at submission.
  *
  * No front end depends on its executor for progress: the thread that
  * ingests a mining job runs it itself if no worker has started it yet
@@ -19,10 +18,9 @@
  * A job may carry a completion callback, which runs right after it on
  * the thread that ran it:
  *  - InlineExecutor: the calling thread, at submission.
- *  - WorkerPool: a worker thread (callers that share state with the
- *    callback must synchronize).
  *  - TaskTeam: one of the team's workers between index-loop epochs,
- *    or the owner inside Drain().
+ *    or the owner inside Drain() (callers that share state with the
+ *    callback must synchronize).
  * The front ends register none: an ingestion waits on its job itself.
  */
 #ifndef APOPHENIA_SUPPORT_EXECUTOR_H
@@ -82,42 +80,13 @@ class InlineExecutor final : public Executor {
 };
 
 /**
- * A fixed-size pool of background worker threads consuming a FIFO job
- * queue. Models Legion's background worker threads that Apophenia's
- * history-mining jobs execute on (paper section 6.3).
- */
-class WorkerPool final : public Executor {
-  public:
-    explicit WorkerPool(std::size_t num_threads = 2);
-    ~WorkerPool() override;
-
-    WorkerPool(const WorkerPool&) = delete;
-    WorkerPool& operator=(const WorkerPool&) = delete;
-
-    using Executor::Submit;
-    void Submit(std::function<void()> job) override;
-    void Drain() override;
-
-  private:
-    void WorkerLoop();
-
-    std::mutex mutex_;
-    std::condition_variable work_available_;
-    std::condition_variable idle_;
-    std::deque<std::function<void()>> queue_;
-    std::size_t in_flight_ = 0;
-    bool shutting_down_ = false;
-    std::vector<std::thread> threads_;
-};
-
-/**
  * A fixed team of threads for data-parallel index loops, built for the
  * cluster simulation's per-node stepping: the *same* body runs over a
  * dense index range, many times, with a barrier after each range.
  *
- * Unlike WorkerPool::Submit (one std::function allocation + queue node
- * per job), the body is installed once and each Run() merely republishes
- * an index range to the persistent workers — Run() itself performs no
+ * Unlike Submit (one std::function and one queue node per job), the
+ * body is installed once and each Run() merely republishes an index
+ * range to the persistent workers — Run() itself performs no
  * allocation, so it can sit on a zero-allocation-per-launch issue path
  * whose batches fan out through the team.
  *

@@ -253,10 +253,8 @@ TraceService::AddTenant(TenantOptions tenant)
 {
     const rt::TokenHash name_space =
         tenant.name_space.value_or(DefaultNamespace(tenants_.size()));
-    // A tenant is the harness's kAuto stack, replicated or not, over
-    // the service-wide mining cache (a replicated tenant's shared
-    // decider probes it, so cross-tenant dedup composes with
-    // replication).
+    // A tenant is the harness's kAuto stack over the service-wide
+    // mining cache.
     sim::ExperimentOptions experiment;
     experiment.mode = sim::TracingMode::kAuto;
     experiment.costs = options_.costs;
@@ -268,8 +266,6 @@ TraceService::AddTenant(TenantOptions tenant)
     experiment.log_mode = options_.log_mode;
     experiment.log_config = options_.log_config;
     experiment.machine = options_.machine;
-    experiment.replicas = tenant.replicas;
-    experiment.replication = options_.replication;
     tenants_.push_back(std::make_unique<Tenant>(
         std::move(tenant), name_space, experiment,
         options_.share_mining_cache ? cache_.get() : nullptr));
@@ -292,12 +288,6 @@ const rt::Runtime&
 TraceService::TenantRuntime(std::size_t tenant) const
 {
     return tenants_.at(tenant)->stack.ObservedRuntime();
-}
-
-const sim::Cluster*
-TraceService::TenantCluster(std::size_t tenant) const
-{
-    return tenants_.at(tenant)->stack.ReplicaCluster();
 }
 
 rt::TokenHash
@@ -339,25 +329,16 @@ TraceService::ValidateForRun() const
                     "kBlock accepts");
             }
         }
-        if (opt.overload_policy == OverloadPolicy::kDegrade) {
-            if (opt.replicas > 1) {
-                throw ServiceUsageError(
-                    "TraceService::Run: tenant '" + opt.name +
-                    "': OverloadPolicy::kDegrade is incompatible with "
-                    "replicated tenants (the degrade switch drives "
-                    "the tenant's single decision engine)");
-            }
-            if (opt.degrade_resume_iterations >=
-                opt.max_queue_iterations) {
-                throw ServiceUsageError(
-                    "TraceService::Run: tenant '" + opt.name +
-                    "': degrade_resume_iterations (" +
-                    std::to_string(opt.degrade_resume_iterations) +
-                    ") must be below max_queue_iterations (" +
-                    std::to_string(opt.max_queue_iterations) +
-                    ") — an equal watermark re-enters degrade on the "
-                    "very next arrival");
-            }
+        if (opt.overload_policy == OverloadPolicy::kDegrade &&
+            opt.degrade_resume_iterations >= opt.max_queue_iterations) {
+            throw ServiceUsageError(
+                "TraceService::Run: tenant '" + opt.name +
+                "': degrade_resume_iterations (" +
+                std::to_string(opt.degrade_resume_iterations) +
+                ") must be below max_queue_iterations (" +
+                std::to_string(opt.max_queue_iterations) +
+                ") — an equal watermark re-enters degrade on the very "
+                "next arrival");
         }
     }
 }
@@ -383,11 +364,10 @@ TraceService::ApplyOverloadControl(Tenant& tenant, std::uint64_t clock)
             tenant.session.Flush();
         }
     }
-    core::Apophenia* engine = tenant.stack.SingleEngine();
-    if (opt.overload_policy == OverloadPolicy::kDegrade &&
-        engine != nullptr) {
+    if (opt.overload_policy == OverloadPolicy::kDegrade) {
+        core::Apophenia& engine = *tenant.stack.SingleEngine();
         const std::uint64_t backlog = tenant.Backlog(clock);
-        bool want = engine->Degraded();
+        bool want = engine.Degraded();
         if (want) {
             // Hysteresis: stay degraded until the backlog has drained
             // to the low watermark, not merely below the bound.
@@ -400,10 +380,10 @@ TraceService::ApplyOverloadControl(Tenant& tenant, std::uint64_t clock)
         if (tenant.memory_degraded) {
             want = true;  // health monitor's force-degrade latch
         }
-        if (want && !engine->Degraded()) {
+        if (want && !engine.Degraded()) {
             tenant.degrade_windows += 1;
         }
-        engine->SetDegraded(want);
+        engine.SetDegraded(want);
     }
 }
 
@@ -532,9 +512,7 @@ TraceService::Run()
         // bookkeeping, so it advances the service clock at the
         // discounted rate — the capacity a degraded tenant recovers.
         std::uint64_t charged = tasks;
-        const core::Apophenia* engine = tenant.stack.SingleEngine();
-        const bool degraded = engine != nullptr && engine->Degraded();
-        if (degraded) {
+        if (tenant.stack.SingleEngine()->Degraded()) {
             charged = std::max<std::uint64_t>(
                 1, static_cast<std::uint64_t>(std::llround(
                        static_cast<double>(tasks) *

@@ -10,13 +10,13 @@
  * sharing are split exactly where the paper's economics point:
  *
  *  - **Isolated per tenant** — the token namespace (a per-tenant salt
- *    folded into every launch token at the LaunchBuilder boundary /
- *    tenant session; see rt::FoldNamespace), the candidate trie, the
- *    pending buffer, the runtime with its LRU TraceCache, and the
- *    stream digest. No tenant's candidates can match — or perturb
- *    decisions about — another tenant's stream, so an M-tenant
- *    interleaved run is bit-identical per tenant to M independent
- *    runs (pinned by the differential-fuzz leg).
+ *    folded into every launch token by the tenant's session; see
+ *    rt::FoldNamespace), the candidate trie, the pending buffer, the
+ *    runtime with its LRU TraceCache, and the stream digest. No
+ *    tenant's candidates can match — or perturb decisions about —
+ *    another tenant's stream, so an M-tenant interleaved run is
+ *    bit-identical per tenant to M independent runs (pinned by the
+ *    differential-fuzz leg).
  *
  *  - **Shared across tenants** — the content-addressed
  *    core::MiningCache backing store. Mining is the dominant cost; a
@@ -27,13 +27,8 @@
  *    hits are counted per tenant and service-wide. With sharing off
  *    each tenant's finder keeps a private memo instead.
  *
- * Each tenant is one sim::ExperimentStack, the harness's kAuto stack.
- * It may be control-replicated (TenantOptions::replicas > 1): its
- * stream then runs on N simulated nodes behind one sim::Cluster, and
- * one per-tenant shared core::DecisionEngine makes every trace
- * decision once for all of the tenant's replicas — so a tenant pays
- * mining/matching O(1) in its own width, while its replicated stack
- * still probes the service-wide mining cache for cross-tenant dedup.
+ * Each tenant is one sim::ExperimentStack, the harness's unreplicated
+ * kAuto stack: one core::Apophenia over one runtime.
  *
  * Interleaving is decided by a pluggable AdmissionPolicy at the issue
  * surface (round-robin and deficit-weighted fair round-robin ship);
@@ -113,15 +108,6 @@ struct TenantOptions {
      * service-wide) and queues until granted. 0 = closed loop: the
      * next iteration arrives when the previous one completes. */
     std::uint64_t arrival_gap = 0;
-    /** Control replication within the tenant: >1 runs the tenant's
-     * stream on this many simulated nodes behind one sim::Cluster,
-     * and one shared decision engine drives all of the tenant's
-     * replicas — the tenant pays mining/matching once no matter how
-     * wide it is. The replicated stack still probes the service-wide
-     * mining cache (through ClusterOptions::external_mining_cache),
-     * so cross-tenant dedup composes with replication. 1 = the plain
-     * single-runtime stack. */
-    std::size_t replicas = 1;
     /** Explicit token namespace; defaults to
      * TraceService::DefaultNamespace(tenant index). The differential
      * fuzz leg pins that per-tenant behaviour is independent of the
@@ -268,14 +254,11 @@ struct ServiceOptions {
      * cross-tenant dedup substrate). Off = per-tenant mining, no
      * sharing — the isolation baseline. */
     bool share_mining_cache = true;
-    /** Coordination tuning of replicated tenants (`nodes` comes from
-     * TenantOptions::replicas). */
-    sim::CoordinationOptions replication;
     /** Admission policy; borrowed. nullptr = internal round-robin. */
     AdmissionPolicy* policy = nullptr;
-    /** Executor of every unreplicated tenant's mining jobs (the TSan
-     * leg drives cross-tenant cache traffic through a thread pool
-     * here); borrowed, must outlive the service. nullptr = inline
+    /** Executor of every tenant's mining jobs (the TSan leg drives
+     * cross-tenant cache traffic through a TaskTeam here); borrowed,
+     * must outlive the service. nullptr = inline
      * mining. Behaviour-invariant: each tenant ingests a job at the
      * task that launched it, running it there if no worker has. */
     support::Executor* executor = nullptr;
@@ -283,15 +266,15 @@ struct ServiceOptions {
     // -- Overload control / health monitor ----------------------------------
 
     /** Operation-log mode of every tenant: sim::LogMode::kStreaming
-     * retires each tenant's log (every node's, when replicated)
-     * through an incremental pipeline simulator + digest, so resident
+     * retires each tenant's log through an incremental pipeline
+     * simulator + digest, so resident
      * memory stays bounded on unbounded streams — the sustained-driver
      * mode. */
     sim::LogMode log_mode = sim::LogMode::kRetained;
     /** Health monitor: service-wide resident-byte high watermark
      * (the shared MiningCache + each tenant's
-     * sim::ExperimentStack::ResidentBytes: oplogs and TraceCaches,
-     * decision runtimes included, and its private mining memo),
+     * sim::ExperimentStack::ResidentBytes: its oplog, its TraceCache
+     * and its private mining memo),
      * sampled every granted iteration; 0 = monitoring off. A breach
      * evicts mining-memo entries and LRU trace templates toward
      * `memory_low_watermark_bytes` and force-degrades every kDegrade
@@ -370,9 +353,8 @@ struct TenantStats {
 struct HealthStats {
     /** Resident-byte samples taken (one per granted iteration). */
     std::uint64_t samples = 0;
-    /** Peak sampled resident bytes (tenant oplogs + trace caches,
-     * decision runtimes included, + the shared mining cache + private
-     * mining memos). */
+    /** Peak sampled resident bytes (tenant oplogs + trace caches + the
+     * shared mining cache + private mining memos). */
     std::size_t peak_resident_bytes = 0;
     /** High-watermark breaches. */
     std::uint64_t pressure_events = 0;
@@ -426,15 +408,10 @@ class TraceService {
      * drive this directly; Run() drives it through the policy. */
     api::Frontend& Session(std::size_t tenant);
 
-    /** The tenant's decision engine: the single-stack Apophenia, or —
-     * replicated — the cluster's shared decider. */
+    /** The tenant's front end. */
     const core::Apophenia& TenantEngine(std::size_t tenant) const;
-    /** The tenant's runtime (replica 0's when replicated). */
     const rt::Runtime& TenantRuntime(std::size_t tenant) const;
     rt::TokenHash TenantNamespace(std::size_t tenant) const;
-    /** The tenant's replication cluster; nullptr when the tenant is
-     * unreplicated (TenantOptions::replicas == 1). */
-    const sim::Cluster* TenantCluster(std::size_t tenant) const;
 
     /** The service-wide mining cache every sharing tenant probes. */
     const core::MiningCache& SharedCache() const { return *cache_; }

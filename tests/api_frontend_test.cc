@@ -114,6 +114,56 @@ TEST(LaunchBuilder, SteadyStateAllocatesNothing)
     EXPECT_NE(sum, 0u);  // keep the loop observable
 }
 
+TEST(LaunchBuilder, WarmReplayThroughAFrontEndAllocatesNothing)
+{
+    // A period-16 stream through a lone front end. Once Apophenia
+    // replays it, each launch waits in the pending buffer until the
+    // held match it belongs to fires as a trace replay. Warm, the
+    // pending buffer, the held matches and the finder's job queue
+    // reuse their slots, every mined window is a memo hit (the
+    // sampling step is a multiple of the period), and the streaming
+    // log recycles its blocks. The history ring allocates one block
+    // per history_block_size tokens, the finder's amortized
+    // O(1/block) cost, so the probe stays inside the first block.
+    core::ApopheniaConfig config;
+    config.min_trace_length = 8;
+    config.batchsize = 512;
+    config.multi_scale_factor = 64;
+    config.history_block_size = 1u << 15;
+    rt::RuntimeOptions rt_options;
+    rt_options.log_config.ops_per_block = 256;
+    rt_options.log_config.payload_block_elems = 1024;
+    rt::Runtime runtime(rt_options);
+    std::uint64_t retired = 0;
+    runtime.EnableLogStreaming([&retired](const rt::OpView&) { ++retired; });
+    core::Apophenia frontend(runtime, config);
+    const rt::RegionId r = frontend.CreateRegion();
+    api::LaunchBuilder builder;
+    constexpr std::uint32_t kPeriod = 16;
+    const auto issue = [&](std::uint32_t count) {
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const std::uint32_t k = i % kPeriod;
+            builder.Start(static_cast<rt::TaskId>(100 + k))
+                .Add({r, static_cast<rt::FieldId>(k % 4),
+                      rt::Privilege::kReadWrite, 0})
+                .LaunchOn(frontend);
+        }
+    };
+    issue(8192);
+    const std::uint64_t replayed = runtime.Stats().tasks_replayed;
+    const std::uint64_t buffered = frontend.Stats().launches_buffered;
+    const std::uint64_t before = support::AllocationCount();
+    issue(16384);
+    EXPECT_EQ(support::AllocationCount() - before, 0u)
+        << "a warm replaying stream allocated";
+    // The probe did replay, and buffered what it replayed.
+    EXPECT_EQ(runtime.Stats().tasks_replayed - replayed, 16384u);
+    EXPECT_GE(frontend.Stats().launches_buffered - buffered, 16384u);
+    frontend.Flush();
+    runtime.DrainLogStream();
+    EXPECT_EQ(retired, 8192u + 16384u);
+}
+
 // -- Uniform frontend stats and annotation accounting -----------------------
 
 void DriveAnnotatedStream(api::Frontend& frontend)

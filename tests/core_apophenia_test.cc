@@ -341,19 +341,19 @@ TEST(Apophenia, StatsAreConsistent)
               s.tasks_forwarded_traced);
 }
 
-TEST(Apophenia, WorkerPoolExecutorProducesValidStream)
+TEST(Apophenia, TaskTeamExecutorProducesValidStream)
 {
-    // With a real background pool the timing of candidate ingestion is
+    // With real background workers the timing of job completion is
     // nondeterministic, but the forwarded stream must always be the
     // application's stream and the graph must match fresh analysis.
     rt::Runtime runtime;
-    support::WorkerPool pool(2);
-    Apophenia fe(runtime, SmallConfig(), &pool);
+    support::TaskTeam team(3);
+    Apophenia fe(runtime, SmallConfig(), &team);
     LoopApp app(fe, 10);
     for (int iter = 0; iter < 100; ++iter) {
         app.Iteration();
     }
-    pool.Drain();
+    team.Drain();
     fe.Flush();
     EXPECT_EQ(runtime.Log().size(), 1000u);
     rt::Runtime bare;

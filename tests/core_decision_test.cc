@@ -622,8 +622,7 @@ TEST(DecisionEngine, AFailedMiningJobSurfacesAtItsIngestion)
         SCOPED_TRACE(on_worker ? "run by a worker" : "run at ingestion");
         support::TaskTeam team(2);
         const rt::RuntimeOptions rt_options;
-        core::DecisionEngine engine(SmallConfig(), rt_options, nullptr,
-                                    &team);
+        core::DecisionEngine engine(SmallConfig(), rt_options, &team);
         HeldWorker held(team);
         DecideTwoHundredLaunches(engine);
         core::Apophenia& decider = engine.Decider();
@@ -654,7 +653,7 @@ TEST(DecisionEngine, DrainsItsQueuedJobsBeforeTheTeamGoes)
     support::TaskTeam team(2);
     const rt::RuntimeOptions rt_options;
     auto engine = std::make_unique<core::DecisionEngine>(
-        SmallConfig(), rt_options, nullptr, &team);
+        SmallConfig(), rt_options, &team);
     HeldWorker held(team);
     DecideTwoHundredLaunches(*engine);
     ASSERT_GE(engine->Decider().PendingJobCount(), 2u);

@@ -11,8 +11,8 @@
  *    application's token stream, at namespace 0 and a salted one,
  *    with a private memo and a shared one, every ingested job's
  *    candidates equal MineSlice over its window;
- *  - jobs racing on one private memo's in-progress entries under a
- *    worker pool (this suite runs in ci.sh's TSan leg);
+ *  - jobs racing on one private memo's in-progress entries on a
+ *    TaskTeam's workers (this suite runs in ci.sh's TSan leg);
  *  - the memo counters threaded through AnalysisJob → FinderStats →
  *    ExperimentResult.
  */
@@ -108,7 +108,7 @@ TEST(FinderMemo, PrivateMemoStaysWithinItsByteBudget)
     EXPECT_GT(finder.PrivateMemo()->Snapshot().evictions, 0u);
 }
 
-TEST(FinderMemo, WorkerPoolJobsRaceOnOnePrivateMemo)
+TEST(FinderMemo, TaskTeamJobsRaceOnOnePrivateMemo)
 {
     // A period-16 stream sampled every 64 tokens: same-length windows
     // are identical, and with no ingestion until the end many jobs for
@@ -122,8 +122,8 @@ TEST(FinderMemo, WorkerPoolJobsRaceOnOnePrivateMemo)
     for (std::size_t i = 0; i < stream.size(); ++i) {
         stream[i] = i % 16;
     }
-    support::WorkerPool pool(4);
-    core::TraceFinder finder(config, pool);
+    support::TaskTeam team(5);
+    core::TraceFinder finder(config, team);
     for (std::size_t i = 0; i < stream.size(); ++i) {
         finder.Observe(stream[i], i + 1);
     }

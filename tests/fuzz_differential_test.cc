@@ -264,11 +264,11 @@ TEST_P(DifferentialFuzz, PooledMiningMatchesInlineDecisions)
 {
     // The ingestion rule's determinism contract: a front end ingests
     // each mining job at the task that launched it, running the job
-    // there unless a worker started it first. So mining on background
-    // threads, a WorkerPool's or a TaskTeam's, must reproduce the
-    // InlineExecutor's decisions exactly: the same stream, analysis
-    // modes, trace ids and dependences, and the same candidates
-    // ingested at the same positions.
+    // there unless a worker started it first. So mining on a
+    // TaskTeam's workers must reproduce the InlineExecutor's decisions
+    // exactly: the same stream, analysis modes, trace ids and
+    // dependences, and the same candidates ingested at the same
+    // positions.
     const FuzzCase fuzz = GetParam();
     core::ApopheniaConfig config;
     config.min_trace_length = fuzz.min_trace_length;
@@ -282,42 +282,35 @@ TEST_P(DifferentialFuzz, PooledMiningMatchesInlineDecisions)
     RandomProgram(fuzz.seed).Run(inline_fe);
     inline_fe.Flush();
 
-    // Both outlive every front end that borrows them.
-    support::WorkerPool pool(3);
-    support::TaskTeam team(3);
-    for (support::Executor* executor :
-         {static_cast<support::Executor*>(&pool),
-          static_cast<support::Executor*>(&team)}) {
-        SCOPED_TRACE(executor == &pool ? "WorkerPool" : "TaskTeam");
-        rt::Runtime pooled_rt;
-        core::Apophenia pooled_fe(pooled_rt, config, executor);
-        RandomProgram(fuzz.seed).Run(pooled_fe);
-        pooled_fe.Flush();
+    support::TaskTeam team(3);  // outlives the front end it serves
+    rt::Runtime pooled_rt;
+    core::Apophenia pooled_fe(pooled_rt, config, &team);
+    RandomProgram(fuzz.seed).Run(pooled_fe);
+    pooled_fe.Flush();
 
-        const rt::OperationLog& pooled = pooled_rt.Log();
-        const rt::OperationLog& inlined = inline_rt.Log();
-        ASSERT_EQ(pooled.size(), inlined.size());
-        for (std::size_t i = 0; i < pooled.size(); ++i) {
-            ASSERT_EQ(pooled[i].token, inlined[i].token)
-                << "stream diverged at op " << i << " (seed " << fuzz.seed
-                << ")";
-            ASSERT_EQ(pooled[i].mode, inlined[i].mode)
-                << "analysis mode diverged at op " << i << " (seed "
-                << fuzz.seed << ")";
-            ASSERT_EQ(pooled[i].trace, inlined[i].trace)
-                << "trace decision diverged at op " << i << " (seed "
-                << fuzz.seed << ")";
-            ASSERT_EQ(pooled[i].dependences, inlined[i].dependences)
-                << "graph diverged at op " << i << " (seed " << fuzz.seed
-                << ")";
-        }
-        EXPECT_EQ(pooled_fe.CandidateDigest(), inline_fe.CandidateDigest());
-        EXPECT_EQ(pooled_fe.Stats().traces_fired,
-                  inline_fe.Stats().traces_fired);
-        EXPECT_EQ(pooled_fe.Stats().jobs_ingested,
-                  inline_fe.Stats().jobs_ingested);
-        EXPECT_EQ(pooled_rt.Stats().trace_mismatches, 0u);
+    const rt::OperationLog& pooled = pooled_rt.Log();
+    const rt::OperationLog& inlined = inline_rt.Log();
+    ASSERT_EQ(pooled.size(), inlined.size());
+    for (std::size_t i = 0; i < pooled.size(); ++i) {
+        ASSERT_EQ(pooled[i].token, inlined[i].token)
+            << "stream diverged at op " << i << " (seed " << fuzz.seed
+            << ")";
+        ASSERT_EQ(pooled[i].mode, inlined[i].mode)
+            << "analysis mode diverged at op " << i << " (seed "
+            << fuzz.seed << ")";
+        ASSERT_EQ(pooled[i].trace, inlined[i].trace)
+            << "trace decision diverged at op " << i << " (seed "
+            << fuzz.seed << ")";
+        ASSERT_EQ(pooled[i].dependences, inlined[i].dependences)
+            << "graph diverged at op " << i << " (seed " << fuzz.seed
+            << ")";
     }
+    EXPECT_EQ(pooled_fe.CandidateDigest(), inline_fe.CandidateDigest());
+    EXPECT_EQ(pooled_fe.Stats().traces_fired,
+              inline_fe.Stats().traces_fired);
+    EXPECT_EQ(pooled_fe.Stats().jobs_ingested,
+              inline_fe.Stats().jobs_ingested);
+    EXPECT_EQ(pooled_rt.Stats().trace_mismatches, 0u);
 }
 
 TEST_P(DifferentialFuzz, EveryJobMatchesTheReferenceMiner)

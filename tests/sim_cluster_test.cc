@@ -547,6 +547,21 @@ TEST(ClusterHarness, EightNodesStreamingWithSkew)
 // mining cache's mine-once invariant, and the zero-allocation issue
 // path.
 
+TEST(ParallelEngine, ParseJobsTakesOnlyAWholePositiveNumber)
+{
+    // APO_JOBS values, parsed as the cluster and the bench records
+    // read them: anything but a whole decimal number of at least 1
+    // reads 0, which they ignore.
+    EXPECT_EQ(ParseJobs("8"), 8u);
+    EXPECT_EQ(ParseJobs("-1"), 0u);
+    EXPECT_EQ(ParseJobs(" 8"), 0u);
+    EXPECT_EQ(ParseJobs("+8"), 0u);
+    EXPECT_EQ(ParseJobs("8x"), 0u);
+    EXPECT_EQ(ParseJobs("0"), 0u);
+    EXPECT_EQ(ParseJobs(""), 0u);
+    EXPECT_EQ(ParseJobs(nullptr), 0u);
+}
+
 TEST(ParallelEngine, ClusterByteIdenticalAcrossJobCounts)
 {
     // Identical clusters driven identically at jobs {1, 2, 8} must

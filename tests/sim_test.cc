@@ -290,9 +290,9 @@ TEST(Harness, TracingBeatsUntracedWhenAnalysisBound)
 TEST(Harness, PooledMiningMatchesInlineExperiment)
 {
     // A front end ingests each mining job at the task that launched
-    // it, so an experiment that mines on background threads, a
-    // WorkerPool's or a TaskTeam's, must reproduce the inline figures
-    // exactly: same decisions, same simulated timeline.
+    // it, so an experiment that mines on a TaskTeam's workers must
+    // reproduce the inline figures exactly: same decisions, same
+    // simulated timeline.
     apps::S3dOptions app_options;
     app_options.machine.nodes = 1;
     app_options.machine.gpus_per_node = 4;
@@ -310,38 +310,29 @@ TEST(Harness, PooledMiningMatchesInlineExperiment)
         RunExperiment(app_inline, options);
     EXPECT_GT(inline_result.replayed_fraction, 0.0);
 
-    support::WorkerPool pool(3);
     support::TaskTeam team(3);
-    for (support::Executor* executor :
-         {static_cast<support::Executor*>(&pool),
-          static_cast<support::Executor*>(&team)}) {
-        SCOPED_TRACE(executor == &pool ? "WorkerPool" : "TaskTeam");
-        apps::S3dApplication app_pooled(app_options);
-        options.executor = executor;
-        const ExperimentResult pooled_result =
-            RunExperiment(app_pooled, options);
+    apps::S3dApplication app_pooled(app_options);
+    options.executor = &team;
+    const ExperimentResult pooled_result = RunExperiment(app_pooled, options);
 
-        EXPECT_EQ(pooled_result.stream_digest, inline_result.stream_digest);
-        EXPECT_EQ(pooled_result.stream_digest_ops,
-                  inline_result.stream_digest_ops);
-        EXPECT_EQ(pooled_result.candidate_digest,
-                  inline_result.candidate_digest);
-        EXPECT_DOUBLE_EQ(pooled_result.makespan_us,
-                         inline_result.makespan_us);
-        EXPECT_DOUBLE_EQ(pooled_result.iterations_per_second,
-                         inline_result.iterations_per_second);
-        EXPECT_DOUBLE_EQ(pooled_result.replayed_fraction,
-                         inline_result.replayed_fraction);
-        EXPECT_EQ(pooled_result.apophenia_stats.traces_fired,
-                  inline_result.apophenia_stats.traces_fired);
-        EXPECT_EQ(pooled_result.apophenia_stats.jobs_ingested,
-                  inline_result.apophenia_stats.jobs_ingested);
-        // The issued stream stays a valid program.
-        EXPECT_EQ(pooled_result.total_tasks,
-                  pooled_result.runtime_stats.tasks_analyzed +
-                      pooled_result.runtime_stats.tasks_recorded +
-                      pooled_result.runtime_stats.tasks_replayed);
-    }
+    EXPECT_EQ(pooled_result.stream_digest, inline_result.stream_digest);
+    EXPECT_EQ(pooled_result.stream_digest_ops,
+              inline_result.stream_digest_ops);
+    EXPECT_EQ(pooled_result.candidate_digest, inline_result.candidate_digest);
+    EXPECT_DOUBLE_EQ(pooled_result.makespan_us, inline_result.makespan_us);
+    EXPECT_DOUBLE_EQ(pooled_result.iterations_per_second,
+                     inline_result.iterations_per_second);
+    EXPECT_DOUBLE_EQ(pooled_result.replayed_fraction,
+                     inline_result.replayed_fraction);
+    EXPECT_EQ(pooled_result.apophenia_stats.traces_fired,
+              inline_result.apophenia_stats.traces_fired);
+    EXPECT_EQ(pooled_result.apophenia_stats.jobs_ingested,
+              inline_result.apophenia_stats.jobs_ingested);
+    // The issued stream stays a valid program.
+    EXPECT_EQ(pooled_result.total_tasks,
+              pooled_result.runtime_stats.tasks_analyzed +
+                  pooled_result.runtime_stats.tasks_recorded +
+                  pooled_result.runtime_stats.tasks_replayed);
 }
 
 TEST(Harness, WarmupIsReportedForAutoMode)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Concurrency stress tests for WorkerPool and TaskTeam, TSan-friendly
- * by construction: every assertion is on state that is synchronized
- * through the executors' own primitives or atomics (configure with
- * -DAPO_TSAN=ON to run the suite under ThreadSanitizer). Covers
- * concurrent Submit/Drain, shutdown with jobs still in flight, and the
- * TaskTeam's background jobs: drained in full, never holding up a
- * Run() barrier, never letting a late worker into a closed epoch,
- * inline on a caller-only team, and rethrown on the owner's thread.
+ * Concurrency stress tests for TaskTeam, TSan-friendly by
+ * construction: every assertion is on state that is synchronized
+ * through the team's own primitives or atomics (configure with
+ * -DAPO_TSAN=ON to run the suite under ThreadSanitizer). Covers the
+ * team's background jobs: drained in full, all run by a team
+ * destroyed with jobs still in flight, never holding up a Run()
+ * barrier, never letting a late worker into a closed epoch, inline on
+ * a caller-only team, and rethrown on the owner's thread.
  */
 #include <gtest/gtest.h>
 
@@ -23,47 +23,6 @@
 
 namespace apo::support {
 namespace {
-
-TEST(WorkerPoolStress, ConcurrentSubmittersAndDrainers)
-{
-    WorkerPool pool(4);
-    std::atomic<std::uint64_t> sum{0};
-    std::vector<std::thread> submitters;
-    constexpr int kThreads = 4;
-    constexpr int kJobsPerThread = 500;
-    for (int t = 0; t < kThreads; ++t) {
-        submitters.emplace_back([&pool, &sum] {
-            for (int i = 0; i < kJobsPerThread; ++i) {
-                pool.Submit([&sum] { sum.fetch_add(1); });
-                if (i % 64 == 0) {
-                    pool.Drain();  // drain concurrently with submitters
-                }
-            }
-        });
-    }
-    for (auto& t : submitters) {
-        t.join();
-    }
-    pool.Drain();
-    EXPECT_EQ(sum.load(), kThreads * kJobsPerThread);
-}
-
-TEST(WorkerPoolStress, ShutdownWithJobsInFlightRunsEverything)
-{
-    std::atomic<int> ran{0};
-    constexpr int kJobs = 64;
-    {
-        WorkerPool pool(2);
-        for (int i = 0; i < kJobs; ++i) {
-            pool.Submit([&ran] {
-                std::this_thread::sleep_for(std::chrono::microseconds(100));
-                ran.fetch_add(1);
-            });
-        }
-        // Destructor runs with most jobs still queued or in flight.
-    }
-    EXPECT_EQ(ran.load(), kJobs);
-}
 
 // ---------------------------------------------------------------------------
 // TaskTeam background jobs.
@@ -107,6 +66,23 @@ TEST(TaskTeamJobs, QueuedJobsAllFinishByDrain)
     team.Drain();
     EXPECT_EQ(ran.load(), kJobs);
     team.Drain();  // idempotent on an empty queue
+    EXPECT_EQ(ran.load(), kJobs);
+}
+
+TEST(TaskTeamJobs, ShutdownWithJobsInFlightRunsEverything)
+{
+    std::atomic<int> ran{0};
+    constexpr int kJobs = 64;
+    {
+        TaskTeam team(3);  // two workers
+        for (int i = 0; i < kJobs; ++i) {
+            team.Submit([&ran] {
+                std::this_thread::sleep_for(std::chrono::microseconds(100));
+                ran.fetch_add(1);
+            });
+        }
+        // Destructor runs with most jobs still queued or in flight.
+    }
     EXPECT_EQ(ran.load(), kJobs);
 }
 

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the support library: hashing, interval sets, the
- * ruler-function sampling schedule, and the background worker pool.
+ * ruler-function sampling schedule, the recycled-slot ring, and the
+ * executors.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <set>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "support/intervals.h"
 #include "support/rng.h"
 #include "support/ruler.h"
+#include "support/slot_ring.h"
 
 namespace apo::support {
 namespace {
@@ -155,41 +158,68 @@ TEST(Executor, InlineExecutorRunsCompletionAfterJob)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(Executor, WorkerPoolRunsCompletionCallbacks)
+TEST(Executor, TaskTeamRunsCompletionCallbacks)
 {
-    WorkerPool pool(2);
+    TaskTeam team(3);  // two workers
     std::atomic<int> jobs{0};
     std::atomic<int> completions{0};
     for (int i = 0; i < 50; ++i) {
-        pool.Submit([&] { jobs.fetch_add(1); },
+        team.Submit([&] { jobs.fetch_add(1); },
                     [&] { completions.fetch_add(1); });
     }
-    pool.Drain();
+    team.Drain();
     EXPECT_EQ(jobs.load(), 50);
     EXPECT_EQ(completions.load(), 50);
 }
 
-TEST(Executor, WorkerPoolRunsAllJobs)
+TEST(SlotRing, KeepsOrderAcrossWrapAndGrowth)
 {
-    WorkerPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.Submit([&] { count.fetch_add(1); });
+    // Grow while the live slots wrap the ring's end, pop from both
+    // ends, and check the queue stays in order throughout.
+    SlotRing<int> ring;
+    std::deque<int> want;
+    int next = 0;
+    for (int round = 0; round < 40; ++round) {
+        for (int i = 0; i < 7 + round; ++i) {
+            ring.PushBack() = next;
+            want.push_back(next++);
+        }
+        for (int i = 0; i < 5 + round / 2; ++i) {
+            ring.PopFront();
+            want.pop_front();
+        }
+        if (round % 3 == 0) {
+            ring.PopBack();
+            want.pop_back();
+        }
+        ASSERT_EQ(ring.Size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(ring[i], want[i]) << "round " << round;
+        }
+        EXPECT_EQ(ring.Front(), want.front());
+        EXPECT_EQ(ring.Back(), want.back());
     }
-    pool.Drain();
-    EXPECT_EQ(count.load(), 100);
 }
 
-TEST(Executor, DrainWaitsForInFlightJobs)
+TEST(SlotRing, PushHandsBackThePoppedSlotWithItsStorage)
 {
-    WorkerPool pool(2);
-    std::atomic<bool> done{false};
-    pool.Submit([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        done = true;
-    });
-    pool.Drain();
-    EXPECT_TRUE(done.load());
+    SlotRing<std::vector<int>> ring;
+    ring.PushBack().assign(100, 7);
+    const int* storage = ring.Front().data();
+    ring.PopFront();
+    EXPECT_TRUE(ring.Empty());
+    // One live slot at a time walks the whole ring: when the popped
+    // slot comes round again, it still holds its vector.
+    bool reused = false;
+    for (int i = 0; i < 4096 && !reused; ++i) {
+        const std::vector<int>& slot = ring.PushBack();
+        reused = slot.data() == storage;
+        if (reused) {
+            EXPECT_EQ(slot.size(), 100u);
+        }
+        ring.PopFront();
+    }
+    EXPECT_TRUE(reused);
 }
 
 TEST(Rng, IsDeterministicPerSeed)

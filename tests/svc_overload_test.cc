@@ -30,11 +30,6 @@
  *    allocates after construction (counting-allocator pin);
  *  - with mining-cache sharing off, the health monitor's resident
  *    sum includes every tenant's private mining memo;
- *  - the resident sum includes a replicated tenant's decision runtime
- *    as well as its node runtimes;
- *  - a replicated tenant streams: its streaming run issues and
- *    reports what its retained run does, at lower peak resident
- *    bytes;
  *  - a sustained streaming-mode overload run holds a resident-memory
  *    plateau: quadrupling the task budget leaves peak resident bytes
  *    flat.
@@ -186,23 +181,6 @@ TEST(OverloadValidation, ShedNeedsAnAdmissionBound)
             service.Run();
         },
         {"'overload'", "admission bound", "max_queue_iterations"});
-}
-
-TEST(OverloadValidation, DegradeRejectsReplicatedTenants)
-{
-    ExpectUsageError(
-        [] {
-            svc::TraceService service(OverloadServiceOptions());
-            svc::SyntheticWorkload app(KernelOptions(1));
-            svc::TenantOptions tenant = OpenLoopTenant(
-                &app, 10, /*arrival_gap=*/20,
-                svc::OverloadPolicy::kDegrade, /*bound=*/4,
-                /*resume=*/1);
-            tenant.replicas = 2;
-            service.AddTenant(std::move(tenant));
-            service.Run();
-        },
-        {"'overload'", "kDegrade", "replicated"});
 }
 
 TEST(OverloadValidation, DegradeResumeMustSitBelowTheBound)
@@ -704,86 +682,8 @@ TEST(OverloadHealth, CountsPrivateMiningMemosWhenSharingIsOff)
     EXPECT_GE(result.health.peak_resident_bytes, memo_bytes);
 }
 
-TEST(OverloadHealth, CountsReplicatedTenantsDecisionRuntime)
-{
-    svc::ServiceOptions options = OverloadServiceOptions();
-    // Sample resident bytes every grant without ever breaching.
-    options.memory_high_watermark_bytes = 1u << 30;
-    svc::TraceService service(std::move(options));
-    svc::SyntheticWorkload app(KernelOptions(61));
-    svc::TenantOptions tenant;
-    tenant.app = &app;
-    tenant.iterations = 40;
-    tenant.replicas = 2;
-    service.AddTenant(std::move(tenant));
-    const svc::ServiceResult result = service.Run();
-    EXPECT_EQ(result.health.pressure_events, 0u);
-
-    const sim::Cluster* cluster = service.TenantCluster(0);
-    ASSERT_NE(cluster, nullptr);
-    const rt::Runtime* decision = cluster->DecisionRuntime();
-    ASSERT_NE(decision, nullptr);
-    auto bytes = [](const rt::Runtime& runtime) {
-        return runtime.Log().ResidentBytes() +
-               runtime.Traces().ResidentBytes();
-    };
-    EXPECT_GT(bytes(*decision), 0u);
-    // Retained logs only grow, so the last sample (taken after the
-    // tenant's final flush) is the end-of-run state: the peak covers
-    // every node runtime, the decision runtime and the shared cache.
-    std::size_t end_of_run =
-        bytes(*decision) + service.SharedCache().ResidentBytes();
-    for (std::size_t n = 0; n < cluster->Nodes(); ++n) {
-        end_of_run += bytes(cluster->NodeRuntime(n));
-    }
-    EXPECT_GE(result.health.peak_resident_bytes, end_of_run);
-}
-
 // ---------------------------------------------------------------------------
 // Sustained serving: resident memory plateaus under streaming logs.
-
-/** One 3-replica tenant of the noise-free kernel under `log_mode`,
- * the health monitor sampling without ever breaching. */
-svc::ServiceResult RunReplicatedTenant(sim::LogMode log_mode)
-{
-    svc::ServiceOptions options = OverloadServiceOptions();
-    options.log_mode = log_mode;
-    options.memory_high_watermark_bytes = 1u << 30;
-    svc::TraceService service(std::move(options));
-    svc::SyntheticWorkload app(KernelOptions(1));
-    svc::TenantOptions tenant;
-    tenant.name = "wide";
-    tenant.app = &app;
-    tenant.iterations = 60;
-    tenant.replicas = 3;
-    service.AddTenant(std::move(tenant));
-    return service.Run();
-}
-
-TEST(OverloadSustained, ReplicatedTenantStreamsLikeRetained)
-{
-    const svc::ServiceResult retained =
-        RunReplicatedTenant(sim::LogMode::kRetained);
-    const svc::ServiceResult streaming =
-        RunReplicatedTenant(sim::LogMode::kStreaming);
-    const svc::TenantStats& want = retained.tenants[0];
-    const svc::TenantStats& got = streaming.tenants[0];
-    EXPECT_GT(want.stream_digest_ops, 0u);
-    EXPECT_EQ(got.stream_digest, want.stream_digest);
-    EXPECT_EQ(got.stream_digest_ops, want.stream_digest_ops);
-    EXPECT_EQ(got.candidate_digest, want.candidate_digest);
-    const sim::ExperimentResult& want_run = retained.experiments[0];
-    const sim::ExperimentResult& got_run = streaming.experiments[0];
-    EXPECT_GT(want_run.replayed_fraction, 0.0);
-    EXPECT_TRUE(got_run.streams_identical);
-    EXPECT_DOUBLE_EQ(got_run.iterations_per_second,
-                     want_run.iterations_per_second);
-    EXPECT_EQ(got_run.warmup_iterations, want_run.warmup_iterations);
-    // Every node's log, and the decision runtime's, recycled its
-    // blocks.
-    EXPECT_LT(streaming.health.peak_resident_bytes,
-              retained.health.peak_resident_bytes);
-}
 
 std::size_t PeakResidentAt(std::uint64_t task_budget,
                            svc::OverloadPolicy policy)

@@ -3,8 +3,8 @@
  * svc::TraceService — the multi-tenant trace-finding service.
  *
  * The contracts under test, in dependency order:
- *  - token namespacing is a LaunchBuilder-boundary XOR fold: identity
- *    for namespace 0, self-inverse, survives Start();
+ *  - token namespacing is an XOR fold in the tenant session: identity
+ *    for namespace 0, self-inverse;
  *  - the shared MiningCache is content-addressed by namespace-relative
  *    tokens: two tenants' identical kernels hit one entry, hits across
  *    namespaces are counted, eviction is counted;
@@ -16,11 +16,7 @@
  *  - M identical tenants mine each distinct window once service-wide
  *    and adopt cross-tenant at (M-1)/M of probes;
  *  - runs are deterministic for a fixed tenant set, seed and policy,
- *    and the deficit-weighted fair policy honors weights;
- *  - a replicated tenant (TenantOptions::replicas > 1) runs behind
- *    one sim::Cluster with one shared per-tenant decision engine,
- *    bit-identical to the direct harness's replicated run, and still
- *    shares the service-wide mining cache across tenants.
+ *    and the deficit-weighted fair policy honors weights.
  */
 #include <gtest/gtest.h>
 
@@ -29,14 +25,12 @@
 #include <set>
 #include <vector>
 
-#include "api/launch.h"
 #include "apps/cfd.h"
 #include "apps/flexflow.h"
 #include "apps/htr.h"
 #include "apps/s3d.h"
 #include "apps/torchswe.h"
 #include "core/mining_cache.h"
-#include "sim/cluster.h"
 #include "sim/harness.h"
 #include "support/executor.h"
 #include "svc/service.h"
@@ -56,31 +50,6 @@ TEST(NamespaceFold, IdentityAndSelfInverse)
     const rt::TokenHash token = 0x5eedf00dull;
     EXPECT_NE(rt::FoldNamespace(ns, token), token);
     EXPECT_EQ(rt::FoldNamespace(ns, rt::FoldNamespace(ns, token)), token);
-}
-
-TEST(NamespaceFold, LaunchBuilderBoundary)
-{
-    const rt::RegionRequirement req{rt::RegionId{3}, 1,
-                                    rt::Privilege::kReadOnly, 0};
-    api::LaunchBuilder plain;
-    const rt::TokenHash classic =
-        plain.Start(rt::TaskId{42}, 1, 10.0).Add(req).View().token;
-
-    // Namespace 0 is the identity — the single-tenant guarantee.
-    api::LaunchBuilder zero;
-    zero.Namespace(0);
-    EXPECT_EQ(zero.Start(rt::TaskId{42}, 1, 10.0).Add(req).View().token,
-              classic);
-
-    // A nonzero namespace is the XOR fold, and it survives Start().
-    const rt::TokenHash ns = 0x7777777777777777ull;
-    api::LaunchBuilder salted;
-    salted.Namespace(ns);
-    EXPECT_EQ(salted.Start(rt::TaskId{42}, 1, 10.0).Add(req).View().token,
-              rt::FoldNamespace(ns, classic));
-    EXPECT_EQ(salted.Start(rt::TaskId{42}, 1, 10.0).Add(req).View().token,
-              rt::FoldNamespace(ns, classic));
-    EXPECT_EQ(salted.GetNamespace(), ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,26 +135,17 @@ core::ApopheniaConfig TestConfig()
 }
 
 /** Drive one app through a single-tenant service and through the
- * direct harness with the same knobs (`replicas` > 1: the same
- * replicas and coordination options); the issued stream and the
+ * direct harness with the same knobs; the issued stream and the
  * ingested candidate sets must agree bit for bit. */
 template <typename App, typename Options>
 void ExpectSingleTenantIdentity(const Options& app_options,
-                                std::size_t iterations,
-                                std::size_t replicas = 1)
+                                std::size_t iterations)
 {
-    sim::CoordinationOptions replication;
-    replication.seed = 7;
-    replication.mean_latency_tasks = 120.0;
-    replication.jitter = 0.6;
-
     sim::ExperimentOptions direct_options;
     direct_options.mode = sim::TracingMode::kAuto;
     direct_options.iterations = iterations;
     direct_options.machine = app_options.machine;
     direct_options.auto_config = TestConfig();
-    direct_options.replicas = replicas;
-    direct_options.replication = replication;
     App direct_app(app_options);
     const sim::ExperimentResult direct =
         sim::RunExperiment(direct_app, direct_options);
@@ -194,14 +154,12 @@ void ExpectSingleTenantIdentity(const Options& app_options,
     svc::ServiceOptions service_options;
     service_options.machine = app_options.machine;
     service_options.config = TestConfig();
-    service_options.replication = replication;
     svc::TraceService service(service_options);
     App tenant_app(app_options);
     svc::TenantOptions tenant;
     tenant.name = std::string(tenant_app.Name());
     tenant.app = &tenant_app;
     tenant.iterations = iterations;
-    tenant.replicas = replicas;
     service.AddTenant(tenant);
     EXPECT_EQ(service.TenantNamespace(0), 0u);
     const svc::ServiceResult result = service.Run();
@@ -224,15 +182,6 @@ void ExpectSingleTenantIdentity(const Options& app_options,
               direct.apophenia_stats.trace_records);
     EXPECT_EQ(experiment.apophenia_stats.candidates_ingested,
               direct.apophenia_stats.candidates_ingested);
-    // Replicated: the same coordination and the same broadcast.
-    EXPECT_EQ(experiment.coordination.jobs_coordinated,
-              direct.coordination.jobs_coordinated);
-    EXPECT_EQ(experiment.coordination.late_jobs,
-              direct.coordination.late_jobs);
-    EXPECT_EQ(experiment.coordination.final_slack,
-              direct.coordination.final_slack);
-    EXPECT_EQ(experiment.shared_decisions, replicas > 1);
-    EXPECT_EQ(experiment.decisions_broadcast, direct.decisions_broadcast);
     // Latency in a single-tenant closed loop is identically zero —
     // the tenant is granted the moment it becomes ready.
     EXPECT_EQ(stats.p50_issue_latency, 0.0);
@@ -552,7 +501,7 @@ TEST(AdmissionPolicy, DeficitWeightedFairHonorsWeights)
 
 // ---------------------------------------------------------------------------
 // Mining on background threads (the TSan leg's target): every tenant's
-// jobs run on one shared pool or team, racing on the shared cache; each
+// jobs run on one shared TaskTeam, racing on the shared cache; each
 // tenant still ingests a job at the task that launched it, so the
 // outcome must equal the inline service bit for bit.
 
@@ -577,25 +526,19 @@ TEST(ServiceConcurrency, PooledMiningMatchesInline)
     };
 
     const svc::ServiceResult inline_run = run(nullptr);
-    support::WorkerPool pool(4);
     support::TaskTeam team(4);
-    for (support::Executor* executor :
-         {static_cast<support::Executor*>(&pool),
-          static_cast<support::Executor*>(&team)}) {
-        SCOPED_TRACE(executor == &pool ? "WorkerPool" : "TaskTeam");
-        const svc::ServiceResult pooled_run = run(executor);
-        ASSERT_EQ(pooled_run.tenants.size(), inline_run.tenants.size());
-        for (std::size_t t = 0; t < inline_run.tenants.size(); ++t) {
-            EXPECT_EQ(pooled_run.tenants[t].stream_digest,
-                      inline_run.tenants[t].stream_digest);
-            EXPECT_EQ(pooled_run.tenants[t].stream_digest_ops,
-                      inline_run.tenants[t].stream_digest_ops);
-            EXPECT_EQ(pooled_run.tenants[t].candidate_digest,
-                      inline_run.tenants[t].candidate_digest);
-        }
-        EXPECT_EQ(pooled_run.mining_cache.windows,
-                  inline_run.mining_cache.windows);
+    const svc::ServiceResult pooled_run = run(&team);
+    ASSERT_EQ(pooled_run.tenants.size(), inline_run.tenants.size());
+    for (std::size_t t = 0; t < inline_run.tenants.size(); ++t) {
+        EXPECT_EQ(pooled_run.tenants[t].stream_digest,
+                  inline_run.tenants[t].stream_digest);
+        EXPECT_EQ(pooled_run.tenants[t].stream_digest_ops,
+                  inline_run.tenants[t].stream_digest_ops);
+        EXPECT_EQ(pooled_run.tenants[t].candidate_digest,
+                  inline_run.tenants[t].candidate_digest);
     }
+    EXPECT_EQ(pooled_run.mining_cache.windows,
+              inline_run.mining_cache.windows);
 }
 
 // ---------------------------------------------------------------------------
@@ -626,86 +569,6 @@ TEST(OpenLoop, QueueingShowsUpInLatency)
     EXPECT_GT(result.tenants[1].p99_issue_latency, 0.0);
     EXPECT_GE(result.tenants[1].p99_issue_latency,
               result.tenants[1].p50_issue_latency);
-}
-
-// ---------------------------------------------------------------------------
-// Replicated tenants: one decision engine per tenant cluster.
-
-TEST(ReplicatedTenant, MatchesTheReplicatedHarness)
-{
-    ExpectSingleTenantIdentity<svc::SyntheticWorkload>(Synthetic(31), 25,
-                                                       /*replicas=*/3);
-}
-
-TEST(ReplicatedTenant, CrossTenantSharingComposesWithReplication)
-{
-    // Two identical-kernel tenants, each 2-wide: each tenant mines
-    // once for all its replicas, the *service* mines each window once
-    // for both tenants, and half the probes cross tenants.
-    svc::ServiceOptions service_options;
-    service_options.config = TestConfig();
-    service_options.replication.seed = 7;
-    svc::TraceService service(service_options);
-    svc::SyntheticWorkload a(Synthetic(7));
-    svc::SyntheticWorkload b(Synthetic(7));
-    svc::TenantOptions tenant;
-    tenant.iterations = 25;
-    tenant.replicas = 2;
-    tenant.name = "a";
-    tenant.app = &a;
-    service.AddTenant(tenant);
-    tenant.name = "b";
-    tenant.app = &b;
-    service.AddTenant(tenant);
-    const svc::ServiceResult result = service.Run();
-
-    const core::MiningCache::Stats cache = result.mining_cache;
-    ASSERT_GT(cache.hits + cache.misses, 0u);
-    EXPECT_EQ(cache.misses, cache.windows);
-    EXPECT_GT(cache.cross_namespace_hits, 0u);
-    EXPECT_GE(result.cross_tenant_sharing, 0.5 - 1e-9);
-
-    for (std::size_t t = 0; t < 2; ++t) {
-        const sim::Cluster* cluster = service.TenantCluster(t);
-        ASSERT_NE(cluster, nullptr);
-        EXPECT_TRUE(cluster->SharedDecisions());
-        EXPECT_TRUE(cluster->StreamDigestsAgree());
-        EXPECT_EQ(result.tenants[t].iterations_completed, 25u);
-    }
-    // Identical tenants stay bit-identical even when replicated.
-    EXPECT_EQ(result.tenants[0].tokens_issued,
-              result.tenants[1].tokens_issued);
-    EXPECT_EQ(result.tenants[0].trace_cache_hit_rate,
-              result.tenants[1].trace_cache_hit_rate);
-}
-
-TEST(ReplicatedTenant, MixesWithUnreplicatedTenants)
-{
-    svc::ServiceOptions service_options;
-    service_options.config = TestConfig();
-    svc::TraceService service(service_options);
-    svc::SyntheticWorkload flat(Synthetic(51));
-    svc::SyntheticWorkload wide(Synthetic(52));
-    svc::TenantOptions tenant;
-    tenant.iterations = 20;
-    tenant.name = "flat";
-    tenant.app = &flat;
-    service.AddTenant(tenant);
-    tenant.name = "wide";
-    tenant.app = &wide;
-    tenant.replicas = 3;
-    service.AddTenant(tenant);
-    const svc::ServiceResult result = service.Run();
-
-    EXPECT_EQ(service.TenantCluster(0), nullptr);
-    ASSERT_NE(service.TenantCluster(1), nullptr);
-    EXPECT_TRUE(service.TenantCluster(1)->StreamDigestsAgree());
-    EXPECT_EQ(result.tenants[0].iterations_completed, 20u);
-    EXPECT_EQ(result.tenants[1].iterations_completed, 20u);
-    EXPECT_EQ(result.experiments[0].node_metrics.size(), 0u);
-    EXPECT_EQ(result.experiments[1].node_metrics.size(), 3u);
-    EXPECT_FALSE(result.experiments[0].shared_decisions);
-    EXPECT_TRUE(result.experiments[1].shared_decisions);
 }
 
 }  // namespace
