@@ -60,7 +60,11 @@ cmake --build build-tsan -j "$JOBS" --target "${tsan_suites[@]}"
 # sim_cluster_test and core_decision_test pin that mining at explicit
 # jobs {1, 2, 8}, including a tight slack that makes the driving thread
 # run or wait for every job at its ingestion, and fault_membership_test
-# pins recovery at jobs 2 against 1.
+# pins recovery at jobs 2 against 1. sim_cluster_test's FragmentCalls
+# case issues every broadcast fragment in one Runtime::ExecuteFragment
+# call per node: the nodes read the engine's shared launch ring on
+# several worker threads at once, and a streaming node's rows borrow
+# that ring's requirement storage until its consumers have read them.
 # core_incremental_test races four TaskTeam workers on one finder's
 # private memo, and core_apophenia_test's pooled case mines a lone
 # front end's jobs on a TaskTeam.

@@ -391,16 +391,22 @@ Apophenia::Fire(const CompletedMatch& match)
         stats->trace_id = next_trace_id_++;
     }
     const bool recording = !runtime_->HasTrace(stats->trace_id);
-    runtime_->BeginTrace(stats->trace_id);
-    EmitMarker(Decision::Kind::kBegin, stats->trace_id, recording);
-    for (std::uint64_t i = match.start; i < match.end; ++i) {
-        runtime_->ExecuteTask(pending_.Front().View());
-        EmitTask(i);
-        pending_.PopFront();
+    // The fragment is pending_'s prefix; the runtime issues it in one
+    // call, reading the launches from their slots.
+    assert(pending_base_ == match.start);
+    const std::size_t length = match.end - match.start;
+    runtime_->ExecuteFragment(
+        stats->trace_id, length,
+        [this](std::size_t k) { return pending_[k].View(); });
+    if (decisions_ != nullptr) {
+        EmitMarker(Decision::Kind::kBegin, stats->trace_id, recording);
+        for (std::uint64_t i = match.start; i < match.end; ++i) {
+            EmitTask(i);
+        }
+        EmitMarker(Decision::Kind::kEnd, stats->trace_id, recording);
     }
+    pending_.PopFront(length);
     pending_base_ = match.end;
-    runtime_->EndTrace(stats->trace_id);
-    EmitMarker(Decision::Kind::kEnd, stats->trace_id, recording);
     stats->replays += 1;
     stats_.traces_fired += 1;
     stats_.tasks_forwarded_traced += match.end - match.start;

@@ -79,8 +79,11 @@ namespace apo::core {
  *  - kBegin(recording=false) … kTask* … kEnd — the enclosed launches
  *    replayed trace `value`.
  *
- * POD, 16 bytes, held in a recycled vector: recording and applying
- * decisions allocates nothing in steady state.
+ * A fire emits its kBegin … kEnd run in one piece, after the runtime
+ * call that issued it, so a run never spans two broadcast rounds and
+ * its kTask indices are consecutive. POD, 16 bytes, held in a
+ * recycled vector: recording and applying decisions allocates nothing
+ * in steady state.
  */
 struct Decision {
     enum class Kind : std::uint8_t {

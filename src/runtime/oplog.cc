@@ -174,6 +174,19 @@ OperationLog::Append(const TaskLaunchView& launch, AnalysisMode mode,
                      bool replay_head,
                      std::span<const Dependence> dependences)
 {
+    const std::span<Dependence> edges =
+        AppendRow(launch, mode, trace, analysis_cost_us, replay_head,
+                  dependences.size(), Requirements::kCopy);
+    std::copy(dependences.begin(), dependences.end(), edges.begin());
+}
+
+std::span<Dependence>
+OperationLog::AppendRow(const TaskLaunchView& launch, AnalysisMode mode,
+                        TraceId trace, double analysis_cost_us,
+                        bool replay_head, std::size_t edge_count,
+                        Requirements requirements)
+{
+    assert(requirements == Requirements::kCopy || Streaming());
     const std::size_t index = appended_;
     if (row_blocks_.empty() ||
         row_blocks_.back().count == config_.ops_per_block) {
@@ -197,21 +210,22 @@ OperationLog::Append(const TaskLaunchView& launch, AnalysisMode mode,
 
     row.requirement_count =
         static_cast<std::uint32_t>(launch.requirement_count);
-    RegionRequirement* reqs =
-        AllocSpan(requirements_, launch.requirement_count, index);
-    if (launch.requirement_count != 0) {
-        std::copy(launch.requirements,
-                  launch.requirements + launch.requirement_count, reqs);
+    if (requirements == Requirements::kBorrow) {
+        row.requirements = launch.requirements;
+    } else {
+        RegionRequirement* reqs =
+            AllocSpan(requirements_, launch.requirement_count, index);
+        if (launch.requirement_count != 0) {
+            std::copy(launch.requirements,
+                      launch.requirements + launch.requirement_count,
+                      reqs);
+        }
+        row.requirements = reqs;
     }
-    row.requirements = reqs;
 
-    row.dependence_count =
-        static_cast<std::uint32_t>(dependences.size());
-    Dependence* deps = AllocSpan(dependences_, dependences.size(), index);
-    if (!dependences.empty()) {
-        std::copy(dependences.begin(), dependences.end(), deps);
-    }
-    row.dependences = deps;
+    row.dependence_count = static_cast<std::uint32_t>(edge_count);
+    row.dependences = AllocSpan(dependences_, edge_count, index);
+    return {row.dependences, edge_count};
 }
 
 void

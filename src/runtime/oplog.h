@@ -31,6 +31,16 @@
  * retired return to the free lists, so resident memory is bounded by
  * a constant number of blocks regardless of stream length — the
  * "application stream far larger than memory" scenario.
+ *
+ * **Borrowed requirements.** A row normally owns its requirements: it
+ * copies them into the arena, and a retained row keeps them for the
+ * log's lifetime. A streaming row appended with Requirements::kBorrow
+ * points at the caller's launch storage instead. Only the runtime's
+ * one-call fragment replay (Runtime::ExecuteFragment) appends such
+ * rows, and it retires every one of them before it returns, while
+ * that storage is still unchanged; so a consumer reads each row's
+ * requirements as the launch's own. A retained row always owns its
+ * requirements.
  */
 #ifndef APOPHENIA_RUNTIME_OPLOG_H
 #define APOPHENIA_RUNTIME_OPLOG_H
@@ -116,6 +126,23 @@ class OperationLog {
     void Append(const TaskLaunchView& launch, AnalysisMode mode,
                 TraceId trace, double analysis_cost_us, bool replay_head,
                 std::span<const Dependence> dependences);
+
+    /** Where an appended row's requirements live (see the file
+     * comment). */
+    enum class Requirements : bool {
+        kCopy,    ///< copied into the requirement arena
+        kBorrow,  ///< the caller's launch storage; streaming logs only
+    };
+
+    /** Append one operation with room for `edge_count` edges in the
+     * arena, and return that room: the caller writes the edges
+     * (sorted by source) before the row retires. */
+    std::span<Dependence> AppendRow(const TaskLaunchView& launch,
+                                    AnalysisMode mode, TraceId trace,
+                                    double analysis_cost_us,
+                                    bool replay_head,
+                                    std::size_t edge_count,
+                                    Requirements requirements);
 
     /** Pre-stock the block free lists so the next `ops` appends
      * (touching up to `requirement_slots` / `dependence_slots` arena

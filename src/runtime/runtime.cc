@@ -111,7 +111,14 @@ Runtime::ExecuteReplaying(const TaskLaunchView& launch)
                        launch);
         return;
     }
+    ReplayOp(launch, OperationLog::Requirements::kCopy);
+}
 
+void
+Runtime::ReplayOp(const TaskLaunchView& launch,
+                  OperationLog::Requirements requirements)
+{
+    const TraceTemplate* t = replaying_;
     const std::size_t index = log_.size();
     // Boundary edges come from the requirements that can see state
     // from before the fragment (the plan's steps here, or all of them
@@ -121,7 +128,8 @@ Runtime::ExecuteReplaying(const TaskLaunchView& launch)
     // point before trace_start_ and the rebased internal edges all
     // point at or after it, and both halves arrive sorted by source,
     // so the concatenation is already in canonical (sorted,
-    // deduplicated) order.
+    // deduplicated) order. Both are written once, into the row's own
+    // edge span.
     dep_scratch_.clear();
     if (plan_driven_) {
         const std::span<const ReplayStep> steps =
@@ -137,12 +145,8 @@ Runtime::ExecuteReplaying(const TaskLaunchView& launch)
         analyzer_.AnalyzeInto(index, launch, dep_scratch_,
                               /*external_only_after=*/trace_start_);
     }
-    for (const Dependence& d : t->EdgesOf(replay_position_)) {
-        assert(d.to + trace_start_ == index);
-        dep_scratch_.push_back(Dependence{d.from + trace_start_,
-                                          d.to + trace_start_, d.kind});
-    }
-    assert(std::is_sorted(dep_scratch_.begin(), dep_scratch_.end()));
+    const std::span<const Dependence> internal =
+        t->EdgesOf(replay_position_);
     double cost = options_.costs.replay_us;
     const bool replay_head = replay_position_ == 0;
     if (replay_head) {
@@ -150,9 +154,31 @@ Runtime::ExecuteReplaying(const TaskLaunchView& launch)
     }
     stats_.tasks_replayed += 1;
     stats_.total_analysis_us += cost;
-    log_.Append(launch, AnalysisMode::kReplayed, open_trace_, cost,
-                replay_head, dep_scratch_);
+    const std::span<Dependence> edges = log_.AppendRow(
+        launch, AnalysisMode::kReplayed, open_trace_, cost, replay_head,
+        dep_scratch_.size() + internal.size(), requirements);
+    Dependence* out =
+        std::copy(dep_scratch_.begin(), dep_scratch_.end(), edges.data());
+    for (const Dependence& d : internal) {
+        assert(d.to + trace_start_ == index);
+        *out++ = Dependence{d.from + trace_start_, d.to + trace_start_,
+                            d.kind};
+    }
+    assert(std::is_sorted(edges.begin(), edges.end()));
     ++replay_position_;
+}
+
+const TraceTemplate*
+Runtime::PlannedTemplate(TraceId id, std::size_t count) const
+{
+    if (mode_ != Mode::kIdle) {
+        return nullptr;  // BeginTrace reports the nesting
+    }
+    const TraceTemplate* t = cache_.Find(id);
+    return t != nullptr && t->Length() == count &&
+                   t->plan.stamp == PlanStampNow()
+               ? t
+               : nullptr;
 }
 
 void

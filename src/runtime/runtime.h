@@ -3,10 +3,18 @@
  * The mini task runtime facade ("mini-Legion").
  *
  * Applications (or Apophenia, sitting in front) issue work through
- * three calls: ExecuteTask, BeginTrace, EndTrace. The runtime performs
- * dynamic dependence analysis on every launch — unless the launch is
- * inside a known trace, in which case the memoized analysis is
- * validated and replayed. A replay analyses only the requirements its
+ * four calls: ExecuteTask, BeginTrace, EndTrace, and ExecuteFragment,
+ * which issues a whole fragment (BeginTrace, each launch, EndTrace) in
+ * one call. The runtime performs dynamic dependence analysis on every
+ * launch — unless the launch is inside a known trace, in which case
+ * the memoized analysis is validated and replayed. ExecuteFragment
+ * validates the whole fragment against its template in one pass
+ * first: when the template's plan is current and every token matches,
+ * it replays the fragment without a per-launch check, and a streaming
+ * log's rows borrow the caller's requirements, because the fragment
+ * retires before the call returns. Otherwise it makes the three-call
+ * sequence, so recording, plan rebuilds and mismatches behave exactly
+ * as there. A replay analyses only the requirements its
  * template's replay plan lists (those that can see coherence state
  * from before the fragment; runtime/trace.h), appends the memoized
  * internal edges, and writes the fragment's coherence summary once at
@@ -25,6 +33,7 @@
 #ifndef APOPHENIA_RUNTIME_RUNTIME_H
 #define APOPHENIA_RUNTIME_RUNTIME_H
 
+#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -157,6 +166,26 @@ class Runtime {
     /** End the current trace (id must match the open trace). */
     void EndTrace(TraceId id);
 
+    /**
+     * Issue a whole fragment as trace `id`: the calls BeginTrace(id),
+     * ExecuteTask(launch_at(k)) for k in [0, count), EndTrace(id),
+     * with the same log rows, stats and errors. `launch_at(k)` returns
+     * the k-th launch's TaskLaunchView; its storage must stay unchanged
+     * until the call returns.
+     *
+     * The fast path takes a fragment whose template is known, whose
+     * plan is current, and whose launches are all traceable with the
+     * template's tokens, checked in one pass before any state changes.
+     * Each launch then takes ExecuteTask's replay step without its
+     * per-launch check, and a streaming log's rows point at the
+     * launches' requirements instead of copying them (see
+     * runtime/oplog.h): EndTrace retires them all before this returns.
+     * Any other fragment takes the three-call sequence.
+     */
+    template <typename LaunchAt>
+    void ExecuteFragment(TraceId id, std::size_t count,
+                         LaunchAt&& launch_at);
+
     /** True if a template for `id` has been recorded. */
     bool HasTrace(TraceId id) const { return cache_.Contains(id); }
 
@@ -253,6 +282,17 @@ class Runtime {
     void ExecuteUntraced(const TaskLaunchView& launch);
     void ExecuteRecording(const TaskLaunchView& launch);
     void ExecuteReplaying(const TaskLaunchView& launch);
+    /** The replay step of a launch already matched against the open
+     * template's next position: analyse its plan steps, append its row
+     * with the boundary and rebased internal edges written straight
+     * into the log's edge arena. */
+    void ReplayOp(const TaskLaunchView& launch,
+                  OperationLog::Requirements requirements);
+    /** The template ExecuteFragment may replay without per-launch
+     * checks: known, `count` long and with a current plan, while no
+     * trace is open; else nullptr. */
+    const TraceTemplate* PlannedTemplate(TraceId id,
+                                         std::size_t count) const;
     void HandleMismatch(const std::string& reason,
                         const TaskLaunchView& launch);
     void HandleMismatchAtEnd();
@@ -305,6 +345,36 @@ class Runtime {
     ReplayPlan::Stamp build_stamp_;
     std::size_t step_cursor_ = 0;  ///< next plan step of the replay
 };
+
+template <typename LaunchAt>
+void
+Runtime::ExecuteFragment(TraceId id, std::size_t count, LaunchAt&& launch_at)
+{
+    const TraceTemplate* t = PlannedTemplate(id, count);
+    for (std::size_t k = 0; t != nullptr && k < count; ++k) {
+        const TaskLaunchView launch = launch_at(k);
+        if (!launch.traceable || launch.token != t->tokens[k]) {
+            t = nullptr;
+        }
+    }
+    BeginTrace(id);
+    if (t == nullptr) {
+        for (std::size_t k = 0; k < count; ++k) {
+            ExecuteTask(launch_at(k));
+        }
+        EndTrace(id);
+        return;
+    }
+    const OperationLog::Requirements requirements =
+        log_.Streaming() ? OperationLog::Requirements::kBorrow
+                         : OperationLog::Requirements::kCopy;
+    for (std::size_t k = 0; k < count; ++k) {
+        ReplayOp(launch_at(k), requirements);
+    }
+    EndTrace(id);
+    // Borrowed rows must not outlive the caller's launch storage.
+    assert(!log_.Streaming() || log_.RetiredCount() == log_.size());
+}
 
 }  // namespace apo::rt
 

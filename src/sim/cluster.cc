@@ -1,6 +1,7 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <chrono>
 #include <cstdlib>
@@ -353,18 +354,29 @@ void
 Cluster::ApplyDecisions(std::size_t n)
 {
     rt::Runtime& runtime = *nodes_[n]->runtime;
-    for (const core::Decision& d : engine_->Decisions()) {
-        switch (d.kind) {
-          case core::Decision::Kind::kTask:
+    const std::span<const core::Decision> decisions = engine_->Decisions();
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+        const core::Decision& d = decisions[i];
+        if (d.kind == core::Decision::Kind::kTask) {
             runtime.ExecuteTask(NodeLaunchView(n, d.value));
-            break;
-          case core::Decision::Kind::kBegin:
-            runtime.BeginTrace(d.value);
-            break;
-          case core::Decision::Kind::kEnd:
-            runtime.EndTrace(d.value);
-            break;
+            continue;
         }
+        // A kBegin … kEnd run lies whole in the round (core::Decision):
+        // issue it in one runtime call.
+        assert(d.kind == core::Decision::Kind::kBegin);
+        std::size_t end = i + 1;
+        while (end < decisions.size() &&
+               decisions[end].kind == core::Decision::Kind::kTask) {
+            ++end;
+        }
+        assert(end < decisions.size() &&
+               decisions[end].kind == core::Decision::Kind::kEnd &&
+               decisions[end].value == d.value);
+        const core::Decision* tasks = decisions.data() + i + 1;
+        runtime.ExecuteFragment(d.value, end - i - 1, [&](std::size_t k) {
+            return NodeLaunchView(n, tasks[k].value);
+        });
+        i = end;
     }
 }
 
@@ -438,8 +450,7 @@ Cluster::CreateRegion()
     std::size_t first = 0;
     if (engine_ != nullptr) {
         region = engine_->DecisionRuntime().CreateRegion();
-        RecordRegionEvent(
-            ReplayEvent{.kind = ReplayEvent::Kind::kCreateRegion});
+        RecordRegionEvent(ReplayEvent::Kind::kCreateRegion);
     } else {
         region = nodes_[0]->front_end->CreateRegion();
         first = 1;
@@ -463,9 +474,7 @@ Cluster::DestroyRegion(rt::RegionId r)
     ProcessBatch();
     if (engine_ != nullptr) {
         engine_->DecisionRuntime().DestroyRegion(r);
-        RecordRegionEvent(
-            ReplayEvent{.kind = ReplayEvent::Kind::kDestroyRegion,
-                        .value = r.value});
+        RecordRegionEvent(ReplayEvent::Kind::kDestroyRegion, r.value);
         for (auto& node : nodes_) {
             if (!node->crashed) {
                 node->runtime->DestroyRegion(r);
@@ -487,10 +496,8 @@ Cluster::PartitionRegion(rt::RegionId parent, std::size_t count)
     if (engine_ != nullptr) {
         subregions =
             engine_->DecisionRuntime().PartitionRegion(parent, count);
-        RecordRegionEvent(
-            ReplayEvent{.kind = ReplayEvent::Kind::kPartitionRegion,
-                        .value = parent.value,
-                        .count = count});
+        RecordRegionEvent(ReplayEvent::Kind::kPartitionRegion,
+                          parent.value, count);
     } else {
         subregions = nodes_[0]->front_end->PartitionRegion(parent, count);
         first = 1;
@@ -748,34 +755,42 @@ Cluster::RetainDecisionTail()
     }
     for (const core::Decision& d : engine_->Decisions()) {
         switch (d.kind) {
-          case core::Decision::Kind::kTask: {
-            ReplayEvent event;
-            event.launch.Assign(engine_->LaunchAt(d.value));
-            tail_.push_back(std::move(event));
+          case core::Decision::Kind::kTask:
+            NextTailEvent(ReplayEvent::Kind::kTask)
+                .launch.Assign(engine_->LaunchAt(d.value));
+            break;
+          case core::Decision::Kind::kBegin: {
+            ReplayEvent& event = NextTailEvent(ReplayEvent::Kind::kBegin);
+            event.recording = d.recording;
+            event.value = d.value;
             break;
           }
-          case core::Decision::Kind::kBegin:
-            tail_.push_back(ReplayEvent{
-                .kind = ReplayEvent::Kind::kBegin,
-                .recording = d.recording,
-                .value = d.value,
-            });
-            break;
           case core::Decision::Kind::kEnd:
-            tail_.push_back(ReplayEvent{
-                .kind = ReplayEvent::Kind::kEnd,
-                .value = d.value,
-            });
+            NextTailEvent(ReplayEvent::Kind::kEnd).value = d.value;
             break;
         }
     }
 }
 
+Cluster::ReplayEvent&
+Cluster::NextTailEvent(ReplayEvent::Kind kind)
+{
+    if (tail_count_ == tail_.size()) {
+        tail_.emplace_back();
+    }
+    ReplayEvent& event = tail_[tail_count_++];
+    event.kind = kind;
+    return event;
+}
+
 void
-Cluster::RecordRegionEvent(ReplayEvent event)
+Cluster::RecordRegionEvent(ReplayEvent::Kind kind, std::uint64_t value,
+                           std::uint64_t count)
 {
     if (resync_enabled_) {
-        tail_.push_back(std::move(event));
+        ReplayEvent& event = NextTailEvent(kind);
+        event.value = value;
+        event.count = count;
     }
 }
 
@@ -811,7 +826,7 @@ Cluster::TakeCheckpoint()
     source->runtime->SaveState(writer);
     checkpoint_image_ = writer.TakeImage();
     checkpoint_task_ = tasks_issued_;
-    tail_.clear();
+    tail_count_ = 0;
     ++fault_stats_.checkpoints_taken;
     fault_stats_.last_checkpoint_bytes = checkpoint_image_.size();
     fault_stats_.total_checkpoint_bytes += checkpoint_image_.size();
@@ -859,7 +874,8 @@ Cluster::RejoinNode(std::size_t n)
     // every node applied while this one was away. After this the
     // node's runtime — and its digest — match the healthy peers
     // exactly, and the next barrier's digest check re-verifies it.
-    for (const ReplayEvent& event : tail_) {
+    const std::span<const ReplayEvent> tail(tail_.data(), tail_count_);
+    for (const ReplayEvent& event : tail) {
         switch (event.kind) {
           case ReplayEvent::Kind::kTask:
             node.runtime->ExecuteTask(event.launch.View());
@@ -882,7 +898,7 @@ Cluster::RejoinNode(std::size_t n)
             break;
         }
     }
-    fault_stats_.tail_events_replayed += tail_.size();
+    fault_stats_.tail_events_replayed += tail_count_;
     if (!options_.stream_logs) {
         // Fold the replayed rows now, as a streaming consumer does: a
         // node healed at a barrier may be that barrier's checkpoint
@@ -895,7 +911,7 @@ Cluster::RejoinNode(std::size_t n)
     const double stall =
         kCheckpointPauseTasksPerKb *
             static_cast<double>(checkpoint_image_.size()) / 1024.0 +
-        kResyncTasksPerEvent * static_cast<double>(tail_.size());
+        kResyncTasksPerEvent * static_cast<double>(tail_count_);
     fault_stats_.recovery_stall_tasks += stall;
     for (std::size_t k = 0; k < nodes_.size(); ++k) {
         if (!nodes_[k]->crashed) {

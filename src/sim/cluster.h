@@ -605,7 +605,9 @@ class Cluster final : public api::Frontend {
 
     /** One event of the retained decision tail: a runtime-bound call
      * every node received since the newest checkpoint, materialized
-     * so a rejoiner can replay it into a restored runtime. */
+     * so a rejoiner can replay it into a restored runtime. Only the
+     * fields of its kind are current: a recycled slot keeps the rest,
+     * its launch's requirement capacity included. */
     struct ReplayEvent {
         enum class Kind : std::uint8_t {
             kTask,
@@ -631,7 +633,10 @@ class Cluster final : public api::Frontend {
     /** Materialize the current decision round into the retained tail
      * (call before Retire()). */
     void RetainDecisionTail();
-    void RecordRegionEvent(ReplayEvent event);
+    void RecordRegionEvent(ReplayEvent::Kind kind, std::uint64_t value = 0,
+                           std::uint64_t count = 0);
+    /** Append a `kind` event to the tail in a recycled slot. */
+    ReplayEvent& NextTailEvent(ReplayEvent::Kind kind);
     /** Snapshot the first healthy node into checkpoint_image_ and
      * clear the tail. */
     void TakeCheckpoint();
@@ -687,7 +692,11 @@ class Cluster final : public api::Frontend {
     /** True when the run retains the decision tail (a fault plan,
      * fault injection, or checkpointing is configured). */
     bool resync_enabled_ = false;
-    std::vector<ReplayEvent> tail_;  ///< decisions since the checkpoint
+    /** The decisions since the checkpoint: the live prefix
+     * [0, tail_count_) of recycled slots, so retaining them allocates
+     * nothing once the slots have held a window's worth. */
+    std::vector<ReplayEvent> tail_;
+    std::size_t tail_count_ = 0;
     std::vector<std::uint8_t> checkpoint_image_;
     std::uint64_t checkpoint_task_ = 0;  ///< stream position of the image
     /** The first stream index whose fault-plan points are still to

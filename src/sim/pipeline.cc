@@ -140,7 +140,11 @@ PipelineSimulator::FlushFragment()
 void
 PipelineSimulator::BufferFragOp(const rt::OpView& op)
 {
-    FragOp frag;
+    // The record is built in its vector slot. Filled on the stack, its
+    // narrow stores would be read back by the copy into the vector
+    // with wide loads, which stall on store forwarding, once per
+    // replayed operation.
+    FragOp& frag = fragment_.emplace_back();
     frag.index = op.index;
     frag.shard = op.launch.shard;
     frag.node = static_cast<std::uint32_t>(
@@ -151,7 +155,6 @@ PipelineSimulator::BufferFragOp(const rt::OpView& op)
     frag_deps_.insert(frag_deps_.end(), op.dependences.begin(),
                       op.dependences.end());
     frag.dep_end = frag_deps_.size();
-    fragment_.push_back(frag);
 }
 
 void

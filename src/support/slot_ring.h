@@ -34,10 +34,11 @@ class SlotRing {
         return Back();
     }
 
-    void PopFront()
+    /** Pop the first `count` slots (at most Size()). */
+    void PopFront(std::size_t count = 1)
     {
-        head_ = (head_ + 1) & (slots_.size() - 1);
-        --size_;
+        head_ = (head_ + count) & (slots_.size() - 1);
+        size_ -= count;
     }
 
     void PopBack() { --size_; }

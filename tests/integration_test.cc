@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/cfd.h"
 #include "apps/flexflow.h"
@@ -23,6 +25,8 @@
 #include "apps/torchswe.h"
 #include "sim/cluster.h"
 #include "sim/harness.h"
+#include "bundled_apps.h"
+#include "log_rows.h"
 #include "streams_identical.h"
 
 namespace apo {
@@ -184,6 +188,132 @@ TEST(Integration, ReplicationOverRealApplication)
     EXPECT_TRUE(test::StreamsIdentical(group));
     EXPECT_TRUE(group.StreamDigestsAgree());
     EXPECT_GT(group.NodeRuntime(0).Stats().tasks_replayed, 0u);
+}
+
+/**
+ * An Apophenia over `fragments` that also drives a second runtime,
+ * `per_task`, from its decision sink: one runtime call per decision,
+ * and every region call at the point where Apophenia passes it to
+ * its own runtime. Apophenia issues each fragment in one
+ * Runtime::ExecuteFragment call; `per_task` gets BeginTrace, one
+ * ExecuteTask per launch and EndTrace.
+ */
+class DecisionTee final : public api::Frontend {
+  public:
+    DecisionTee(rt::Runtime& fragments, rt::Runtime& per_task,
+                const core::ApopheniaConfig& config)
+        : apophenia_(fragments, config), per_task_(&per_task)
+    {
+        apophenia_.SetDecisionSink(&decisions_);
+    }
+
+    std::string_view Name() const override { return "decision-tee"; }
+    rt::RegionId CreateRegion() override
+    {
+        const rt::RegionId region = apophenia_.CreateRegion();
+        EXPECT_EQ(per_task_->CreateRegion(), region);
+        return region;
+    }
+    void DestroyRegion(rt::RegionId r) override
+    {
+        apophenia_.DestroyRegion(r);
+        per_task_->DestroyRegion(r);
+    }
+    std::vector<rt::RegionId> PartitionRegion(rt::RegionId parent,
+                                              std::size_t count) override
+    {
+        std::vector<rt::RegionId> parts =
+            apophenia_.PartitionRegion(parent, count);
+        EXPECT_EQ(per_task_->PartitionRegion(parent, count), parts);
+        return parts;
+    }
+
+  protected:
+    void DoExecuteTask(const rt::TaskLaunchView& launch) override
+    {
+        launches_.emplace_back().Assign(launch);
+        apophenia_.ExecuteTask(launch);
+        Apply();
+    }
+    bool DoBeginTrace(rt::TraceId) override { return false; }
+    bool DoEndTrace(rt::TraceId) override { return false; }
+    void DoFlush() override
+    {
+        apophenia_.Flush();
+        Apply();
+    }
+
+  private:
+    void Apply()
+    {
+        for (const core::Decision& d : decisions_) {
+            switch (d.kind) {
+              case core::Decision::Kind::kTask:
+                per_task_->ExecuteTask(launches_[d.value].View());
+                break;
+              case core::Decision::Kind::kBegin:
+                per_task_->BeginTrace(d.value);
+                break;
+              case core::Decision::Kind::kEnd:
+                per_task_->EndTrace(d.value);
+                break;
+            }
+        }
+        decisions_.clear();
+    }
+
+    core::Apophenia apophenia_;
+    rt::Runtime* per_task_;
+    std::vector<core::Decision> decisions_;
+    std::vector<rt::LaunchSlot> launches_;  ///< by stream index
+};
+
+TEST(Integration, FragmentCallsEqualPerTaskDecisions)
+{
+    for (const test::BundledApp& app : test::BundledApps(SmallMachine())) {
+        for (const bool streaming : {false, true}) {
+            SCOPED_TRACE(app.name + (streaming ? " streaming" : " retained"));
+            rt::Runtime fragments;
+            rt::Runtime per_task;
+            std::vector<test::LogRow> fragment_rows;
+            std::vector<test::LogRow> per_task_rows;
+            if (streaming) {
+                fragments.EnableLogStreaming([&](const rt::OpView& op) {
+                    fragment_rows.push_back(test::RowOf(op));
+                });
+                per_task.EnableLogStreaming([&](const rt::OpView& op) {
+                    per_task_rows.push_back(test::RowOf(op));
+                });
+            }
+            DecisionTee tee(fragments, per_task, SmallConfig());
+            const std::unique_ptr<apps::Application> instance = app.make();
+            instance->Setup(tee);
+            for (std::size_t i = 0; i < app.iterations; ++i) {
+                instance->Iteration(tee, i, false);
+            }
+            tee.Flush();
+            fragments.DrainLogStream();
+            per_task.DrainLogStream();
+            if (!streaming) {
+                fragment_rows = test::RowsOf(fragments.Log());
+                per_task_rows = test::RowsOf(per_task.Log());
+            }
+            EXPECT_EQ(fragment_rows.size(), tee.Stats().tasks_executed);
+            EXPECT_TRUE(test::SameRows(fragment_rows, per_task_rows));
+            const rt::RuntimeStats& a = fragments.Stats();
+            const rt::RuntimeStats& b = per_task.Stats();
+            EXPECT_EQ(a.tasks_replayed, b.tasks_replayed);
+            EXPECT_EQ(a.trace_replays, b.trace_replays);
+            EXPECT_EQ(a.total_analysis_us, b.total_analysis_us);
+            EXPECT_GT(a.tasks_replayed, 0u);
+            // Some replays ran under a current plan: the fast path.
+            std::size_t planned = 0;
+            for (rt::TraceId id = 1; fragments.HasTrace(id); ++id) {
+                planned += fragments.Traces().Find(id)->plan.replays;
+            }
+            EXPECT_GT(planned, 0u);
+        }
+    }
 }
 
 struct ConfigCase {

@@ -10,10 +10,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "coherence_image.h"
+#include "log_rows.h"
 #include "runtime/runtime.h"
 #include "support/rng.h"
 
@@ -826,6 +829,256 @@ TEST(Tracing, AnalysisCostScalesWithNodeCount)
     Runtime many(many_nodes);
     EXPECT_GT(many.ScaledAnalysisUs(), one.ScaledAnalysisUs());
     EXPECT_DOUBLE_EQ(one.ScaledAnalysisUs(), one.Costs().analysis_us);
+}
+
+// ---------------------------------------------------------------------------
+// ExecuteFragment: one call per fragment must leave the log, the stats
+// and the errors of BeginTrace + ExecuteTask per launch + EndTrace.
+
+/** A six-launch fragment over three regions: writes, reads, a
+ * reduction, and multi-requirement launches. */
+std::vector<TaskLaunch> FragmentBody(RegionId a, RegionId b, RegionId c)
+{
+    return {
+        Write(a, 10),
+        TaskLaunch{11,
+                   {{a, 0, Privilege::kReadOnly, 0},
+                    {b, 0, Privilege::kReadWrite, 0}}},
+        Reduce(c, 1, 12),
+        Read(b, 13),
+        Write(c, 14),
+        TaskLaunch{15,
+                   {{a, 0, Privilege::kReadOnly, 0},
+                    {c, 0, Privilege::kReadOnly, 0}}},
+    };
+}
+
+void IssuePerTask(Runtime& rt, TraceId id,
+                  const std::vector<TaskLaunch>& launches)
+{
+    rt.BeginTrace(id);
+    for (const TaskLaunch& launch : launches) {
+        rt.ExecuteTask(launch);
+    }
+    rt.EndTrace(id);
+}
+
+void IssueFragment(Runtime& rt, TraceId id,
+                   const std::vector<TaskLaunch>& launches)
+{
+    rt.ExecuteFragment(id, launches.size(), [&](std::size_t k) {
+        return TaskLaunchView::Of(launches[k]);
+    });
+}
+
+/** How a fragment departs from its template. */
+enum class Deviation { kToken, kShort, kLong };
+
+/** The body with launch `k` changed (kToken), cut before it (kShort),
+ * or with one launch too many (kLong). */
+std::vector<TaskLaunch> Deviant(std::vector<TaskLaunch> body,
+                                Deviation deviation, std::size_t k,
+                                RegionId other)
+{
+    switch (deviation) {
+      case Deviation::kToken:
+        body[k] = Write(other, 20);
+        break;
+      case Deviation::kShort:
+        body.resize(k);
+        break;
+      case Deviation::kLong:
+        body.push_back(Read(other, 21));
+        break;
+    }
+    return body;
+}
+
+/** Record trace 1 and replay it once, so its plan is current, then
+ * issue `fragment` as trace 1 one launch at a time (`per_task`) or in
+ * one call. Returns the TraceMismatchError text, or "" if none. */
+std::string IssueAfterWarmReplay(Runtime& rt, bool per_task,
+                                 Deviation deviation, std::size_t k)
+{
+    const RegionId a = rt.CreateRegion();
+    const RegionId b = rt.CreateRegion();
+    const RegionId c = rt.CreateRegion();
+    const RegionId other = rt.CreateRegion();
+    const std::vector<TaskLaunch> body = FragmentBody(a, b, c);
+    auto issue = per_task ? IssuePerTask : IssueFragment;
+    rt.ExecuteTask(Write(other));
+    issue(rt, 1, body);
+    issue(rt, 1, body);
+    EXPECT_TRUE(rt.Traces().Find(1)->plan.stamp.has_value());
+    try {
+        issue(rt, 1, Deviant(body, deviation, k, other));
+    } catch (const TraceMismatchError& error) {
+        return error.what();
+    }
+    // The fallback policy goes on: one more fragment, and a launch.
+    issue(rt, 1, body);
+    rt.ExecuteTask(Read(other));
+    return "";
+}
+
+void ExpectSameStats(const RuntimeStats& a, const RuntimeStats& b)
+{
+    EXPECT_EQ(a.tasks_analyzed, b.tasks_analyzed);
+    EXPECT_EQ(a.tasks_recorded, b.tasks_recorded);
+    EXPECT_EQ(a.tasks_replayed, b.tasks_replayed);
+    EXPECT_EQ(a.traces_recorded, b.traces_recorded);
+    EXPECT_EQ(a.trace_replays, b.trace_replays);
+    EXPECT_EQ(a.trace_mismatches, b.trace_mismatches);
+    EXPECT_EQ(a.tasks_rewound, b.tasks_rewound);
+    EXPECT_EQ(a.total_analysis_us, b.total_analysis_us);
+}
+
+struct DeviationCase {
+    Deviation deviation;
+    std::size_t k;
+};
+
+const DeviationCase kDeviations[] = {
+    {Deviation::kToken, 0}, {Deviation::kToken, 2},
+    {Deviation::kToken, 5}, {Deviation::kShort, 4},
+    {Deviation::kLong, 0},
+};
+
+TEST(ExecuteFragment, MismatchThrowsAsThePerTaskPathDoes)
+{
+    for (const DeviationCase& c : kDeviations) {
+        SCOPED_TRACE(testing::Message()
+                     << "deviation " << static_cast<int>(c.deviation)
+                     << " at " << c.k);
+        Runtime per_task;
+        Runtime fragment;
+        const std::string expected =
+            IssueAfterWarmReplay(per_task, true, c.deviation, c.k);
+        const std::string actual =
+            IssueAfterWarmReplay(fragment, false, c.deviation, c.k);
+        EXPECT_FALSE(expected.empty());
+        EXPECT_EQ(actual, expected);
+        // The same replayed rows before the throw: k of them for a
+        // changed token, the whole short or long prefix otherwise.
+        EXPECT_TRUE(
+            test::SameRows(test::RowsOf(fragment.Log()),
+                           test::RowsOf(per_task.Log())));
+        ExpectSameStats(fragment.Stats(), per_task.Stats());
+        if (c.deviation == Deviation::kToken) {
+            EXPECT_EQ(fragment.Log().size(), 1 + 2 * 6 + c.k);
+        }
+    }
+}
+
+TEST(ExecuteFragment, FallbackRewindsAsThePerTaskPathDoes)
+{
+    RuntimeOptions options;
+    options.mismatch_policy = MismatchPolicy::kFallback;
+    for (const bool streaming : {false, true}) {
+        for (const DeviationCase& c : kDeviations) {
+            SCOPED_TRACE(testing::Message()
+                         << "deviation " << static_cast<int>(c.deviation)
+                         << " at " << c.k << ", streaming " << streaming);
+            Runtime per_task(options);
+            Runtime fragment(options);
+            std::vector<test::LogRow> per_task_rows;
+            std::vector<test::LogRow> fragment_rows;
+            if (streaming) {
+                per_task.EnableLogStreaming([&](const OpView& op) {
+                    per_task_rows.push_back(test::RowOf(op));
+                });
+                fragment.EnableLogStreaming([&](const OpView& op) {
+                    fragment_rows.push_back(test::RowOf(op));
+                });
+            }
+            EXPECT_EQ(IssueAfterWarmReplay(per_task, true, c.deviation, c.k),
+                      "");
+            EXPECT_EQ(IssueAfterWarmReplay(fragment, false, c.deviation, c.k),
+                      "");
+            per_task.DrainLogStream();
+            fragment.DrainLogStream();
+            if (!streaming) {
+                per_task_rows = test::RowsOf(per_task.Log());
+                fragment_rows = test::RowsOf(fragment.Log());
+            }
+            EXPECT_TRUE(test::SameRows(fragment_rows, per_task_rows));
+            ExpectSameStats(fragment.Stats(), per_task.Stats());
+            EXPECT_EQ(fragment.Stats().trace_mismatches, 1u);
+            EXPECT_EQ(fragment.Stats().tasks_rewound,
+                      c.deviation == Deviation::kLong ? std::size_t{6} : c.k);
+        }
+    }
+}
+
+TEST(ExecuteFragment, StreamingConsumerReadsTheLaunchesOwnRequirements)
+{
+    Runtime rt;
+    const std::vector<TaskLaunch>* launches = nullptr;
+    std::size_t start = 0;
+    std::size_t replayed = 0;
+    std::size_t borrowed = 0;
+    rt.EnableLogStreaming([&](const OpView& op) {
+        if (op.mode != AnalysisMode::kReplayed) {
+            return;
+        }
+        ++replayed;
+        const TaskLaunch& own = (*launches)[op.index - start];
+        const std::span<const RegionRequirement> reqs =
+            op.launch.Requirements();
+        EXPECT_EQ(std::vector<RegionRequirement>(reqs.begin(), reqs.end()),
+                  own.requirements)
+            << "op " << op.index;
+        borrowed += reqs.data() == own.requirements.data() ? 1 : 0;
+    });
+    const RegionId a = rt.CreateRegion();
+    const RegionId b = rt.CreateRegion();
+    const RegionId c = rt.CreateRegion();
+    constexpr std::size_t kCalls = 5;
+    for (std::size_t call = 0; call < kCalls; ++call) {
+        // Fresh storage per call: a row must not read an earlier one.
+        const std::vector<TaskLaunch> body = FragmentBody(a, b, c);
+        launches = &body;
+        start = rt.Log().size();
+        IssueFragment(rt, 1, body);
+        EXPECT_EQ(rt.Log().RetiredCount(), rt.Log().size());
+    }
+    // The recording and the first replay, which builds the plan, copy;
+    // every replay under a current plan borrows.
+    EXPECT_EQ(replayed, (kCalls - 1) * 6);
+    EXPECT_EQ(rt.Traces().Find(1)->plan.replays, kCalls - 2);
+    EXPECT_EQ(borrowed, (kCalls - 2) * 6);
+}
+
+TEST(ExecuteFragment, RetainedRowsOwnTheirRequirements)
+{
+    Runtime rt;
+    const RegionId a = rt.CreateRegion();
+    const RegionId b = rt.CreateRegion();
+    const RegionId c = rt.CreateRegion();
+    const std::vector<TaskLaunch> body = FragmentBody(a, b, c);
+    IssueFragment(rt, 1, body);
+    IssueFragment(rt, 1, body);
+    auto launches = std::make_unique<std::vector<TaskLaunch>>(body);
+    const std::size_t start = rt.Log().size();
+    IssueFragment(rt, 1, *launches);
+    ASSERT_EQ(rt.Traces().Find(1)->plan.replays, 1u);
+    // Overwrite the caller's storage, then free it: a row that still
+    // pointed there would read the overwrite, or (under ASan) a freed
+    // block.
+    for (TaskLaunch& launch : *launches) {
+        launch.requirements.assign(
+            4, RegionRequirement{RegionId{99}, 7, Privilege::kReduce, 5});
+    }
+    launches.reset();
+    for (std::size_t k = 0; k < body.size(); ++k) {
+        const OpView op = rt.Log()[start + k];
+        EXPECT_EQ(op.mode, AnalysisMode::kReplayed);
+        const std::span<const RegionRequirement> reqs =
+            op.launch.Requirements();
+        EXPECT_EQ(std::vector<RegionRequirement>(reqs.begin(), reqs.end()),
+                  body[k].requirements)
+            << "position " << k;
+    }
 }
 
 TEST(Tokens, HashCapturesAnalysisRelevantStateOnly)

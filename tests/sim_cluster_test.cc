@@ -38,7 +38,9 @@
 #include "sim/cluster.h"
 #include "sim/harness.h"
 #include "support/counting_allocator.h"
+#include "bundled_apps.h"
 #include "history_window.h"
+#include "log_rows.h"
 #include "stream_digest_properties.h"
 #include "streams_identical.h"
 
@@ -928,6 +930,120 @@ TEST(ZeroAlloc, ParallelEngineKeepsTheIssuePathAllocationFree)
     // per-batch) allocations: the body is installed once and each
     // barrier only republishes an index range.
     DriveStreamingIssuePath(/*jobs=*/2);
+}
+
+TEST(ZeroAlloc, CheckpointedDecisionTailRecyclesItsSlots)
+{
+    // A checkpointing cluster retains every decision since its newest
+    // checkpoint for a rejoiner to replay. The tail's slots, launch
+    // storage included, are recycled across checkpoints, so retaining
+    // it costs no allocation per task once they are warm.
+    const auto allocations_per_task = [](std::uint64_t interval) {
+        ClusterOptions options;
+        options.coordination.nodes = 2;
+        options.config.min_trace_length = 25;
+        options.config.batchsize = 5000;
+        options.config.multi_scale_factor = 250;
+        options.stream_logs = true;
+        options.jobs = 1;
+        options.checkpoint_interval_tasks = interval;
+        Cluster fe(options);
+        apps::S3dApplication app(apps::S3dOptions{
+            .machine = apps::MachineConfig{.nodes = 4, .gpus_per_node = 4}});
+        constexpr std::size_t kIterations = 600;
+        constexpr std::size_t kMeasureFrom = kIterations * 4 / 5;
+        app.Setup(fe);
+        std::uint64_t allocations = 0;
+        std::uint64_t tasks = 0;
+        for (std::size_t iter = 0; iter < kIterations; ++iter) {
+            if (iter == kMeasureFrom) {
+                allocations = support::AllocationCount();
+                tasks = fe.Stats().tasks_executed;
+            }
+            app.Iteration(fe, iter, false);
+        }
+        allocations = support::AllocationCount() - allocations;
+        tasks = fe.Stats().tasks_executed - tasks;
+        fe.Flush();
+        EXPECT_EQ(fe.FaultRecovery().checkpoints_taken > 0, interval > 0);
+        return static_cast<double>(allocations) / static_cast<double>(tasks);
+    };
+    const double without = allocations_per_task(0);
+    const double with = allocations_per_task(20000);
+    EXPECT_NEAR(with, without, 0.05);
+}
+
+// ---------------------------------------------------------------------------
+// Fragment calls. Every node, and the decider's own runtime, issue a
+// replayed fragment in one rt::Runtime::ExecuteFragment call, the
+// nodes on the team's workers reading the engine's launch ring. A node
+// that crashes at the first barrier and rejoins late instead replays
+// the retained decision tail from stream start one call per decision:
+// a second runtime driven per task from the decider's decisions. The
+// logs must agree row for row.
+
+TEST(FragmentCalls, NodesEqualARejoinerReplayingTheDecisionsPerTask)
+{
+    const apps::MachineConfig machine{.nodes = 2, .gpus_per_node = 2};
+    for (const test::BundledApp& app : test::BundledApps(machine)) {
+        for (const bool streaming : {false, true}) {
+            SCOPED_TRACE(app.name + (streaming ? " streaming" : " retained"));
+            // The stream's length, to rejoin a tenth before its end.
+            std::uint64_t length = 0;
+            {
+                rt::Runtime runtime;
+                api::UntracedFrontend untraced(runtime);
+                const std::unique_ptr<apps::Application> instance =
+                    app.make();
+                instance->Setup(untraced);
+                for (std::size_t i = 0; i < app.iterations; ++i) {
+                    instance->Iteration(untraced, i, false);
+                }
+                length = untraced.Stats().tasks_executed;
+            }
+            constexpr std::size_t kNodes = 4;
+            constexpr std::size_t kRejoiner = kNodes - 1;
+            ClusterOptions options = SmallClusterOptions(kNodes);
+            options.stream_logs = streaming;
+            options.fault_plan.events = {
+                {.node = kRejoiner,
+                 .crash_at_task = 0,
+                 .rejoin_at_task = length * 9 / 10}};
+            Cluster fe(options);
+            std::vector<std::vector<test::LogRow>> rows(kNodes);
+            if (streaming) {
+                for (std::size_t n = 0; n < kNodes; ++n) {
+                    fe.AddLogConsumer(n, [&rows, n](const rt::OpView& op) {
+                        // The rejoiner's replay starts over at op 0.
+                        rows[n].resize(std::min(rows[n].size(), op.index));
+                        rows[n].push_back(test::RowOf(op));
+                    });
+                }
+            }
+            const std::unique_ptr<apps::Application> instance = app.make();
+            instance->Setup(fe);
+            for (std::size_t i = 0; i < app.iterations; ++i) {
+                instance->Iteration(fe, i, false);
+            }
+            fe.Flush();
+            fe.DrainLogStreams();
+            if (!streaming) {
+                for (std::size_t n = 0; n < kNodes; ++n) {
+                    rows[n] = test::RowsOf(fe.NodeRuntime(n).Log());
+                }
+                EXPECT_TRUE(test::SameRows(
+                    test::RowsOf(fe.DecisionRuntime()->Log()), rows[0]));
+            }
+            EXPECT_EQ(fe.FaultRecovery().crashes, 1u);
+            EXPECT_EQ(fe.FaultRecovery().rejoins, 1u);
+            EXPECT_GT(fe.NodeRuntime(0).Stats().tasks_replayed, 0u);
+            EXPECT_EQ(rows[0].size(), length);
+            for (std::size_t n = 1; n < kNodes; ++n) {
+                EXPECT_TRUE(test::SameRows(rows[n], rows[0])) << "node " << n;
+            }
+            EXPECT_TRUE(fe.StreamDigestsAgree());
+        }
+    }
 }
 
 TEST(ClusterHarness, SixtyFourNodeStreamingStaysUnderLogCeiling)
